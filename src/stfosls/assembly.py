@@ -16,6 +16,7 @@ assembled matrix bit-exactly symmetric and runs reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,6 +57,9 @@ class SparseSystem:
 
 @dataclass(frozen=True)
 class SolverReport:
+    """Iterations run, the true relative residual ||b - M x|| / ||b|| at exit,
+    and whether it meets the tolerance."""
+
     iterations: int
     relative_residual: float
     converged: bool
@@ -105,15 +109,35 @@ def _geometry_tables(mesh: Mesh, dofmap: DofMap, quad: QuadratureRule):
 def _residual_tables(system, values, phys_grads, pts):
     """System images of all local basis functions, shape (ne, nq, nloc_total, n_int).
 
-    Field blocks are ordered u1 first, then the u2 components.
+    Field blocks are ordered u1 first, then the u2 components, each written
+    into one preallocated table as soon as it is evaluated.
     """
     t = pts[..., 0][..., None]
     x = pts[..., 1][..., None]
     val = values[None, :, :]
-    blocks = [system.residual_u1(t, x, val, phys_grads)]
+    nloc = values.shape[1]
+    block = system.residual_u1(t, x, val, phys_grads)
+    out = np.empty(block.shape[:2] + (nloc * (1 + system.n_flux),) + block.shape[3:])
+    out[:, :, :nloc] = block
+    del block
     for comp in range(system.n_flux):
-        blocks.append(system.residual_u2(comp, t, x, val, phys_grads))
-    return np.concatenate(blocks, axis=2)
+        lo = (comp + 1) * nloc
+        out[:, :, lo: lo + nloc] = system.residual_u2(comp, t, x, val, phys_grads)
+    return out
+
+
+def _element_matrices(mesh: Mesh, dofmap: DofMap, system, quad: QuadratureRule):
+    """Local matrices (ne, nloc_total, nloc_total) and loads (ne, nloc_total).
+
+    The geometry and residual tables die with this frame, so they are freed
+    before the scatter allocates its index arrays.
+    """
+    values, phys_grads, pts, wdet = _geometry_tables(mesh, dofmap, quad)
+    resid = _residual_tables(system, values, phys_grads, pts)
+    local = np.einsum("eqar,eqbr,eq->eab", resid, resid, wdet)
+    data = system.data_interior(pts[..., 0], pts[..., 1])
+    local_rhs = np.einsum("eqr,eqar,eq->ea", data, resid, wdet)
+    return local, local_rhs
 
 
 def _global_dofs(dofmap: DofMap, n_flux: int) -> np.ndarray:
@@ -123,25 +147,26 @@ def _global_dofs(dofmap: DofMap, n_flux: int) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def _accumulate_csr(rows, cols, vals, n) -> sp.csr_matrix:
-    """Deterministic COO -> CSR accumulation.
+def _accumulate_csr(keys, vals, n) -> sp.csr_matrix:
+    """Deterministic COO -> CSR accumulation of entries keyed ``row * n + col``.
 
-    ``lexsort`` is stable, so duplicate (row, col) entries are summed in
-    their insertion (element) order; symmetric local blocks therefore give a
+    A stable sort of the keys is the (row, col) lexicographic order with
+    ties kept in insertion order, so duplicate entries are summed in their
+    insertion (element) order; symmetric local blocks therefore give a
     bit-exactly symmetric global matrix.
     """
     if len(vals) == 0:
         return sp.csr_matrix((n, n))
-    order = np.lexsort((cols, rows))
-    r = rows[order]
-    c = cols[order]
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
     v = vals[order]
-    first = np.ones(len(r), dtype=bool)
-    first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    first = np.ones(len(k), dtype=bool)
+    first[1:] = k[1:] != k[:-1]
     starts = np.flatnonzero(first)
     data = np.add.reduceat(v, starts)
-    indptr = np.searchsorted(r[starts], np.arange(n + 1), side="left")
-    return sp.csr_matrix((data, c[starts], indptr), shape=(n, n))
+    rows, cols = np.divmod(k[starts], n)
+    indptr = np.searchsorted(rows, np.arange(n + 1), side="left")
+    return sp.csr_matrix((data, cols, indptr), shape=(n, n))
 
 
 def _initial_facet_tables(mesh: Mesh, dofmap: DofMap, equad: EdgeQuadratureRule):
@@ -174,55 +199,82 @@ def assemble(
     quad = quadrature if quadrature is not None else default_quadrature(dofmap)
     equad = edge_quadrature if edge_quadrature is not None else default_edge_quadrature(dofmap)
 
-    values, phys_grads, pts, wdet = _geometry_tables(mesh, dofmap, quad)
-    resid = _residual_tables(system, values, phys_grads, pts)
-    local = np.einsum("eqar,eqbr,eq->eab", resid, resid, wdet)
-    data = system.data_interior(pts[..., 0], pts[..., 1])
-    local_rhs = np.einsum("eqr,eqar,eq->ea", data, resid, wdet)
-
+    local, local_rhs = _element_matrices(mesh, dofmap, system, quad)
     gdofs = _global_dofs(dofmap, system.n_flux)
     n = dofmap.n_dofs
 
-    rows = np.broadcast_to(gdofs[:, :, None], local.shape).ravel()
-    cols = np.broadcast_to(gdofs[:, None, :], local.shape).ravel()
-    vals = local.ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    rows_list = [rows[keep]]
-    cols_list = [cols[keep]]
-    vals_list = [vals[keep]]
+    is_free = gdofs >= 0
+    keep = (is_free[:, :, None] & is_free[:, None, :]).ravel()
+    keys_list = [(gdofs[:, :, None] * n + gdofs[:, None, :]).ravel()[keep]]
+    vals_list = [local.ravel()[keep]]
+    del local, keep
 
     rhs = np.zeros(n)
-    rkeep = gdofs.ravel() >= 0
-    np.add.at(rhs, gdofs.ravel()[rkeep], local_rhs.ravel()[rkeep])
+    np.add.at(rhs, gdofs[is_free], local_rhs[is_free])
 
     if system.has_initial_trace:
+        cell_dofs_u1 = dofmap.cell_dofs_u1  # a property that gathers the whole table
         for e, _loc, basis, xs, wlen in _initial_facet_tables(mesh, dofmap, equad):
-            dofs = dofmap.cell_dofs_u1[e]
+            dofs = cell_dofs_u1[e]
             mloc = np.einsum("qa,qb,q->ab", basis, basis, wlen)
             bloc = np.einsum("q,qa,q->a", system.data_initial(xs), basis, wlen)
             free = dofs >= 0
-            er = np.broadcast_to(dofs[:, None], mloc.shape)
-            ec = np.broadcast_to(dofs[None, :], mloc.shape)
-            ekeep = (er >= 0) & (ec >= 0)
-            rows_list.append(er[ekeep].ravel())
-            cols_list.append(ec[ekeep].ravel())
-            vals_list.append(mloc[ekeep].ravel())
+            ekeep = free[:, None] & free[None, :]
+            keys_list.append((dofs[:, None] * n + dofs[None, :])[ekeep])
+            vals_list.append(mloc[ekeep])
             np.add.at(rhs, dofs[free], bloc[free])
 
-    matrix = _accumulate_csr(
-        np.concatenate(rows_list).astype(np.int64),
-        np.concatenate(cols_list).astype(np.int64),
-        np.concatenate(vals_list),
-        n,
-    )
+    if len(keys_list) == 1:
+        keys, vals = keys_list[0], vals_list[0]
+    else:
+        keys, vals = np.concatenate(keys_list), np.concatenate(vals_list)
+    del keys_list, vals_list
+    matrix = _accumulate_csr(keys, vals, n)
     return SparseSystem(matrix=matrix, rhs=rhs, n_dofs=n)
 
 
-def solve_cg(matrix, rhs: np.ndarray, rel_tol: float = 1e-10, max_iters: Optional[int] = None):
-    """Unpreconditioned conjugate gradients with zero initial guess.
+def _lu_preconditioner(matrix):
+    """``lu.solve`` of one SuperLU factorization of a symmetric CSR matrix.
 
-    Stops when ||b - M x|| <= rel_tol ||b||; deterministic for fixed inputs.
-    Non-convergence is reported through the flag, not raised.
+    The CSR arrays of a symmetric matrix are also its CSC arrays, so the
+    factorization reads them in place instead of converting the matrix.
+    The import is deferred so that the start-up of the command line pays
+    nothing for ``scipy.sparse.linalg``.
+    """
+    from scipy.sparse.linalg import splu
+
+    csc = sp.csc_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+    lu = splu(
+        csc,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    return lu.solve
+
+
+def solve_cg(
+    matrix,
+    rhs: np.ndarray,
+    rel_tol: float = 1e-10,
+    max_iters: Optional[int] = None,
+    factorize: bool = False,
+):
+    """Conjugate gradients with zero initial guess.
+
+    Stops when the true residual satisfies ||b - M x|| <= rel_tol ||b||;
+    deterministic for fixed inputs.  The recursively updated residual
+    drifts from b - M x in floating point, so whenever it meets the
+    tolerance it is replaced by the true residual (one matvec) and the
+    iteration goes on while that one does not (van der Vorst & Ye, SIAM
+    J. Sci. Comput. 2000).  The report always carries the true residual,
+    and non-convergence is reported through the flag, not raised.
+
+    With ``factorize`` the symmetric CSR ``matrix`` is factorized once by
+    SuperLU and its solve preconditions the iteration: one iteration is the
+    direct solve, and any further ones act as iterative refinement.
+    Without it the iteration is unpreconditioned, which keeps it
+    independent of the factorization as a reference.
     """
     n = rhs.shape[0]
     if max_iters is None:
@@ -231,21 +283,33 @@ def solve_cg(matrix, rhs: np.ndarray, rel_tol: float = 1e-10, max_iters: Optiona
     b_norm = float(np.linalg.norm(rhs))
     if b_norm == 0.0:
         return x, SolverReport(iterations=0, relative_residual=0.0, converged=True)
+    precondition = _lu_preconditioner(matrix) if factorize else (lambda v: v)
+
+    def relative(residual) -> float:
+        return math.sqrt(float(residual @ residual)) / b_norm
+
     r = rhs.copy()
-    p = r.copy()
-    rho = float(r @ r)
-    tol2 = (rel_tol * b_norm) ** 2
+    z = precondition(r)
+    p = z.copy()
+    rz = float(r @ z)
+    rel = 1.0
     iterations = 0
-    while rho > tol2 and iterations < max_iters:
+    while rel > rel_tol and iterations < max_iters:
         q = matrix @ p
-        alpha = rho / float(p @ q)
+        alpha = rz / float(p @ q)
         x += alpha * p
         r -= alpha * q
-        rho_new = float(r @ r)
-        p = r + (rho_new / rho) * p
-        rho = rho_new
+        rel = relative(r)
+        if rel <= rel_tol:
+            r = rhs - matrix @ x
+            rel = relative(r)
+        z = precondition(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
         iterations += 1
-    rel = float(np.sqrt(rho)) / b_norm
+    if rel > rel_tol:  # stopped by max_iters, possibly on the recursive residual
+        rel = relative(rhs - matrix @ x)
     return x, SolverReport(iterations=iterations, relative_residual=rel, converged=rel <= rel_tol)
 
 
@@ -272,15 +336,6 @@ def element_fields(solution: DiscreteSolution, quadrature: QuadratureRule):
         u2_val[..., comp] = np.einsum("qi,ei->eq", values, local)
         u2_grad[..., comp, :] = np.einsum("eqia,ei->eqa", phys_grads, local)
     return u1_val, u1_grad, u2_val, u2_grad, pts, wdet
-
-
-def u1_trace_on_facet(solution: DiscreteSolution, e: int, loc: int, s: np.ndarray) -> np.ndarray:
-    """Values of u1 along local edge ``loc`` of element ``e`` at parameters ``s``."""
-    ref = build_reference(solution.dofmap.degree)
-    basis = ref.values(edge_reference_points(loc, s))
-    dofs = solution.dofmap.cell_dofs_u1[e]
-    local = np.where(dofs >= 0, solution.coeffs[np.maximum(dofs, 0)], 0.0)
-    return basis @ local
 
 
 def galerkin_orthogonality_check(

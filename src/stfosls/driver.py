@@ -103,7 +103,7 @@ def _solve_level(mesh, system, p, quad, equad, cg_rel_tol, check_galerkin):
         mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags
     )
     sparse = assemble(mesh, dofmap, system, quad, equad)
-    coeffs, report = solve_cg(sparse.matrix, sparse.rhs, rel_tol=cg_rel_tol)
+    coeffs, report = solve_cg(sparse.matrix, sparse.rhs, rel_tol=cg_rel_tol, factorize=True)
     if not report.converged:
         raise SolverFailure(
             f"CG stalled at relative residual {report.relative_residual:.3e} "

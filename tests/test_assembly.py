@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from stfosls import oracles
 from stfosls.assembly import (
     DiscreteSolution,
+    _accumulate_csr,
     assemble,
     galerkin_orthogonality_check,
     solve_cg,
@@ -110,6 +111,59 @@ def test_cg_non_convergence_flagged():
     _, report = solve_cg(sparse_system.matrix, sparse_system.rhs, rel_tol=1e-12, max_iters=2)
     assert not report.converged
     assert report.relative_residual > 1e-12
+
+
+def _ill_conditioned_spd(n, kappa):
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    dense = (q * np.logspace(0, np.log10(kappa), n)) @ q.T
+    return sp.csr_matrix(0.5 * (dense + dense.T)), rng.standard_normal(n)
+
+
+def _recursive_cg(matrix, rhs, rel_tol):
+    """Textbook CG that trusts its recursively updated residual."""
+    x, r = np.zeros_like(rhs), rhs.copy()
+    p, rho = r.copy(), float(r @ r)
+    while np.sqrt(rho) > rel_tol * np.linalg.norm(rhs):
+        q = matrix @ p
+        alpha = rho / float(p @ q)
+        x += alpha * p
+        r -= alpha * q
+        rho, rho_old = float(r @ r), rho
+        p = r + (rho / rho_old) * p
+    return x
+
+
+@pytest.mark.parametrize("kappa", [1e6, 1e8])
+def test_cg_converged_flag_means_true_residual(kappa):
+    """On kappa = 1e6 the recursive residual meets 1e-10 while the true one is
+    about 2e-10; residual replacement carries CG to a true 1e-10.  On kappa =
+    1e8 the tolerance is out of reach and the report says so."""
+    matrix, rhs = _ill_conditioned_spd(100, kappa)
+    if kappa == 1e6:
+        x_rec = _recursive_cg(matrix, rhs, 1e-10)
+        assert np.linalg.norm(rhs - matrix @ x_rec) / np.linalg.norm(rhs) > 1e-10
+    x, report = solve_cg(matrix, rhs, rel_tol=1e-10)
+    true = np.linalg.norm(rhs - matrix @ x) / np.linalg.norm(rhs)
+    assert report.relative_residual == pytest.approx(true, rel=1e-12)
+    assert report.converged == (kappa == 1e6)
+    assert report.converged == (true <= 1e-10)
+
+
+def test_accumulate_csr_sums_duplicates_in_insertion_order():
+    n = 3
+    # (1, 2) arrives three times, interleaved with (0, 0) and (2, 0).  With
+    # entries of 1e16 and 1, the floating-point sum depends on their order.
+    keys = np.array([1 * n + 2, 0, 1 * n + 2, 2 * n + 0, 1 * n + 2])
+    sums = []
+    for dups in ([1e16, -1e16, 1.0], [1.0, 1e16, -1e16]):
+        vals = np.array([dups[0], 5.0, dups[1], 7.0, dups[2]])
+        matrix = _accumulate_csr(keys, vals, n)
+        in_order = np.add.reduceat(np.array(dups), [0])[0]
+        assert matrix[1, 2] == in_order
+        assert (matrix[0, 0], matrix[2, 0], matrix.nnz) == (5.0, 7.0, 3)
+        sums.append(in_order)
+    assert sums[0] != sums[1]
 
 
 @pytest.mark.parametrize("name", ["heat-smooth", "convection-reaction", "variable-a", "poisson"])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from stfosls.cli import ConfigError, main, parse_config
@@ -127,6 +132,19 @@ def test_internal_invariant_exit_4(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(INCOMPATIBLE_ADAPTIVE)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 4
+
+
+def test_import_leaves_sparse_linalg_unloaded():
+    """The factorization imports scipy.sparse.linalg on first use, so start-up
+    does not pay for it."""
+    import stfosls
+
+    src = str(Path(stfosls.__file__).resolve().parents[1])
+    code = "import sys, stfosls, stfosls.cli; print('scipy.sparse.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_poisson_config(tmp_path):

@@ -46,7 +46,7 @@ def test_solver_failure_aborts_run(monkeypatch):
     import stfosls.driver as driver_mod
     from stfosls.driver import SolverFailure
 
-    def stalled(matrix, rhs, rel_tol=1e-10, max_iters=None):
+    def stalled(matrix, rhs, rel_tol=1e-10, max_iters=None, **kwargs):
         return np.zeros_like(rhs), SolverReport(
             iterations=1, relative_residual=1.0, converged=False
         )
@@ -56,6 +56,36 @@ def test_solver_failure_aborts_run(monkeypatch):
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     with pytest.raises(SolverFailure):
         adaptive_run(problem, mesh, 1, DOERFLER, StopCriteria(max_iterations=2))
+
+
+def test_level_solve_factorized_on_graded_mesh(monkeypatch):
+    """Every level solve of a graded run takes at most two LU-preconditioned
+    iterations and meets the tolerance in the true residual; the finest one
+    agrees with plain CG."""
+    import stfosls.driver as driver_mod
+    from stfosls.assembly import solve_cg
+
+    solves = []
+
+    def recording(matrix, rhs, **kwargs):
+        x, report = solve_cg(matrix, rhs, **kwargs)
+        solves.append((matrix, rhs, x, report))
+        return x, report
+
+    monkeypatch.setattr(driver_mod, "solve_cg", recording)
+    problem, _ = make_problem("incompatible")
+    mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
+    log = adaptive_run(problem, mesh, 1, DOERFLER, StopCriteria(max_dofs=1000))
+    assert 1000 <= log.records[-1].dofs <= 2000
+    assert len(solves) == len(log.records) >= 10
+    for matrix, rhs, x, report in solves:
+        true = np.linalg.norm(rhs - matrix @ x) / np.linalg.norm(rhs)
+        assert report.converged and report.iterations <= 2
+        assert true <= 1e-10
+    matrix, rhs, x, _ = solves[-1]
+    x_cg, cg_report = solve_cg(matrix, rhs, rel_tol=1e-12)
+    assert cg_report.converged
+    assert np.linalg.norm(x - x_cg) / np.linalg.norm(x_cg) <= 1e-8
 
 
 def test_zero_data_stops_at_level_zero():
