@@ -9,9 +9,9 @@ with the load b[i] = (data, G(phi_i))_L.  Constrained u1 dofs are eliminated
 (never enter the global system), so the matrix is symmetric positive
 definite on the free dofs.
 
-Element contributions are computed vectorized over all elements and
-scattered with a deterministic stable-sort accumulation, which makes the
-assembled matrix bit-exactly symmetric and runs reproducible.
+Both come from one per-level :class:`ImageTable` (local matrices R_K R_K^T,
+loads R_K D_K), scattered by a deterministic stable-sort accumulation that
+makes the assembled matrix bit-exactly symmetric and runs reproducible.
 """
 
 from __future__ import annotations
@@ -37,9 +37,11 @@ from .spaces import (
 
 __all__ = [
     "SparseSystem",
+    "ImageTable",
     "SolverReport",
     "DiscreteSolution",
     "assemble",
+    "image_table",
     "solve_cg",
     "element_fields",
     "galerkin_orthogonality_check",
@@ -47,12 +49,40 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class ImageTable:
+    """System images and data of one level, weighted by sqrt(w) per point.
+
+    ``images[K, a]`` is G(phi_a) on element K at all quadrature points and
+    residual components (basis in field blocks, u1 first), ``data[K]`` the
+    data there; the facet arrays hold the u1 traces and the initial datum on
+    each initial facet (empty for systems without an initial trace)."""
+
+    images: np.ndarray  # (ne, nloc_total, nq * n_int)
+    data: np.ndarray  # (ne, nq * n_int)
+    facet_elements: np.ndarray  # (nf,)
+    facet_images: np.ndarray  # (nf, nloc, nq_e)
+    facet_data: np.ndarray  # (nf, nq_e)
+
+    def squared_residuals(self, dofmap: DofMap, coeffs: np.ndarray) -> np.ndarray:
+        """||D_K - R_K^T c_K||^2 of every element K, its initial facet included."""
+        dofs = _global_dofs(dofmap)
+        local = np.where(dofs >= 0, coeffs[dofs], 0.0)
+        resid = self.data - np.einsum("eak,ea->ek", self.images, local)
+        facet_local = local[self.facet_elements, : self.facet_images.shape[1]]
+        facet_resid = self.facet_data - np.einsum("fak,fa->fk", self.facet_images, facet_local)
+        eta2 = np.einsum("ek,ek->e", resid, resid)
+        np.add.at(eta2, self.facet_elements, np.einsum("fk,fk->f", facet_resid, facet_resid))
+        return eta2
+
+
+@dataclass(frozen=True)
 class SparseSystem:
-    """Assembled symmetric positive definite system."""
+    """Assembled symmetric positive definite system and the table it came from."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     n_dofs: int
+    table: Optional[ImageTable] = None
 
 
 @dataclass(frozen=True)
@@ -93,58 +123,97 @@ def default_edge_quadrature(dofmap: DofMap) -> EdgeQuadratureRule:
 
 
 def _geometry_tables(mesh: Mesh, dofmap: DofMap, quad: QuadratureRule):
-    """Basis values, physical gradients, quadrature points and weights."""
+    """Basis values (nloc, nq), physical gradients (ne, nloc, nq, 2), points and weights."""
     ref = build_reference(dofmap.degree)
     _, inv_t, det = affine_maps(mesh)
     refpts = quad.reference_points()
-    values = ref.values(refpts)  # (nq, nloc)
+    values = ref.values(refpts).T
     ref_grads = ref.gradients(refpts)  # (nq, nloc, 2)
-    phys_grads = np.einsum("eab,qib->eqia", inv_t, ref_grads)
-    coords = mesh.element_coords()
-    pts = np.einsum("qk,ekc->eqc", quad.points, coords)  # (ne, nq, 2)
+    phys_grads = np.einsum("eab,qib->eiqa", inv_t, ref_grads, optimize=True)
+    pts = np.einsum("qk,ekc->eqc", quad.points, mesh.element_coords(), optimize=True)
     wdet = quad.weights[None, :] * det[:, None]
     return values, phys_grads, pts, wdet
 
 
 def _residual_tables(system, values, phys_grads, pts):
-    """System images of all local basis functions, shape (ne, nq, nloc_total, n_int).
+    """System images of all local basis functions, shape (ne, nloc_total, nq, n_int).
 
     Field blocks are ordered u1 first, then the u2 components, each written
     into one preallocated table as soon as it is evaluated.
     """
-    t = pts[..., 0][..., None]
-    x = pts[..., 1][..., None]
+    t = pts[:, None, :, 0]
+    x = pts[:, None, :, 1]
     val = values[None, :, :]
-    nloc = values.shape[1]
+    nloc = values.shape[0]
     block = system.residual_u1(t, x, val, phys_grads)
-    out = np.empty(block.shape[:2] + (nloc * (1 + system.n_flux),) + block.shape[3:])
-    out[:, :, :nloc] = block
+    out = np.empty((block.shape[0], nloc * (1 + system.n_flux)) + block.shape[2:])
+    out[:, :nloc] = block
     del block
     for comp in range(system.n_flux):
         lo = (comp + 1) * nloc
-        out[:, :, lo: lo + nloc] = system.residual_u2(comp, t, x, val, phys_grads)
+        out[:, lo: lo + nloc] = system.residual_u2(comp, t, x, val, phys_grads)
     return out
 
 
-def _element_matrices(mesh: Mesh, dofmap: DofMap, system, quad: QuadratureRule):
-    """Local matrices (ne, nloc_total, nloc_total) and loads (ne, nloc_total).
+def _initial_facet_tables(mesh: Mesh, dofmap: DofMap, equad: EdgeQuadratureRule, system):
+    """Element (nf,), basis values (nf, nq_e, nloc), x points (nf, nq_e) and
+    weighted lengths (nf, nq_e) of every facet tagged Initial, in element
+    order; empty for a system without an initial-trace component."""
+    ref = build_reference(dofmap.degree)
+    edge_tables = np.array([ref.values(edge_reference_points(k, equad.points)) for k in range(3)])
+    facets = initial_facet_list(mesh)
+    if not system.has_initial_trace:
+        facets = facets[:0]
+    elems, locs = facets[:, 0], facets[:, 1]
+    pa = mesh.points[mesh.elements[elems, locs]]
+    pb = mesh.points[mesh.elements[elems, (locs + 1) % 3]]
+    length = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
+    xs = pa[:, 1:] + equad.points * (pb[:, 1:] - pa[:, 1:])
+    return elems, edge_tables[locs], xs, equad.weights * length[:, None]
 
-    The geometry and residual tables die with this frame, so they are freed
-    before the scatter allocates its index arrays.
-    """
+
+def image_table(
+    mesh: Mesh,
+    dofmap: DofMap,
+    system,
+    quadrature: Optional[QuadratureRule] = None,
+    edge_quadrature: Optional[EdgeQuadratureRule] = None,
+) -> ImageTable:
+    """Image table of one level; affine_maps rejects det <= 0, so sqrt(w) is real."""
+    quad = quadrature if quadrature is not None else default_quadrature(dofmap)
+    equad = edge_quadrature if edge_quadrature is not None else default_edge_quadrature(dofmap)
     values, phys_grads, pts, wdet = _geometry_tables(mesh, dofmap, quad)
-    resid = _residual_tables(system, values, phys_grads, pts)
-    local = np.einsum("eqar,eqbr,eq->eab", resid, resid, wdet)
-    data = system.data_interior(pts[..., 0], pts[..., 1])
-    local_rhs = np.einsum("eqr,eqar,eq->ea", data, resid, wdet)
-    return local, local_rhs
+    sqrt_w = np.repeat(np.sqrt(wdet), system.n_interior, axis=1)  # (ne, nq * n_int)
+    ne, width = sqrt_w.shape
+    images = _residual_tables(system, values, phys_grads, pts).reshape(ne, -1, width)
+    images *= sqrt_w[:, None, :]
+    data = system.data_interior(pts[..., 0], pts[..., 1]).reshape(ne, width) * sqrt_w
+    elems, basis, xs, wlen = _initial_facet_tables(mesh, dofmap, equad, system)
+    sqrt_len = np.sqrt(wlen)
+    return ImageTable(
+        images=images,
+        data=data,
+        facet_elements=elems,
+        facet_images=(basis * sqrt_len[..., None]).transpose(0, 2, 1),
+        facet_data=sqrt_len * system.data_initial(xs) if len(elems) else np.zeros_like(xs),
+    )
 
 
-def _global_dofs(dofmap: DofMap, n_flux: int) -> np.ndarray:
+def _global_dofs(dofmap: DofMap) -> np.ndarray:
+    """Global dofs of the local basis in field blocks, -1 for constrained u1."""
     cols = [dofmap.cell_dofs_u1]
-    for comp in range(n_flux):
+    for comp in range(dofmap.n_u2_components):
         cols.append(dofmap.cell_dofs_u2(comp))
     return np.concatenate(cols, axis=1)
+
+
+def _gram(images: np.ndarray) -> np.ndarray:
+    """Batched ``R R^T``, mirrored from its upper triangle so that every local
+    matrix is bit-exactly symmetric whichever kernel computed the product."""
+    local = images @ images.transpose(0, 2, 1)
+    lower = np.tril_indices(local.shape[1], -1)
+    local[:, lower[0], lower[1]] = local[:, lower[1], lower[0]]
+    return local
 
 
 def _accumulate_csr(keys, vals, n) -> sp.csr_matrix:
@@ -159,33 +228,14 @@ def _accumulate_csr(keys, vals, n) -> sp.csr_matrix:
         return sp.csr_matrix((n, n))
     order = np.argsort(keys, kind="stable")
     k = keys[order]
-    v = vals[order]
     first = np.ones(len(k), dtype=bool)
     first[1:] = k[1:] != k[:-1]
     starts = np.flatnonzero(first)
-    data = np.add.reduceat(v, starts)
+    data = np.add.reduceat(vals[order], starts)
+    del order, first  # the sorted values and the permutation die before the CSR is built
     rows, cols = np.divmod(k[starts], n)
     indptr = np.searchsorted(rows, np.arange(n + 1), side="left")
     return sp.csr_matrix((data, cols, indptr), shape=(n, n))
-
-
-def _initial_facet_tables(mesh: Mesh, dofmap: DofMap, equad: EdgeQuadratureRule):
-    """Per-facet data for the trace terms on the t = 0 boundary.
-
-    Yields (element, local edge, basis values (nq_e, nloc), x coordinates
-    (nq_e,), weighted lengths (nq_e,)) for every facet tagged Initial.
-    """
-    ref = build_reference(dofmap.degree)
-    edge_tables = [ref.values(edge_reference_points(loc, equad.points)) for loc in range(3)]
-    out = []
-    for e, loc in initial_facet_list(mesh):
-        a = mesh.elements[e, loc]
-        b = mesh.elements[e, (loc + 1) % 3]
-        pa, pb = mesh.points[a], mesh.points[b]
-        length = float(np.hypot(*(pb - pa)))
-        xs = pa[1] + equad.points * (pb[1] - pa[1])
-        out.append((int(e), int(loc), edge_tables[loc], xs, equad.weights * length))
-    return out
 
 
 def assemble(
@@ -195,42 +245,28 @@ def assemble(
     quadrature: Optional[QuadratureRule] = None,
     edge_quadrature: Optional[EdgeQuadratureRule] = None,
 ) -> SparseSystem:
-    """Assemble matrix and load of the least-squares Galerkin equation."""
-    quad = quadrature if quadrature is not None else default_quadrature(dofmap)
-    equad = edge_quadrature if edge_quadrature is not None else default_edge_quadrature(dofmap)
-
-    local, local_rhs = _element_matrices(mesh, dofmap, system, quad)
-    gdofs = _global_dofs(dofmap, system.n_flux)
+    """Matrix, load and image table of the least-squares Galerkin equation."""
+    table = image_table(mesh, dofmap, system, quadrature, edge_quadrature)
     n = dofmap.n_dofs
+    # An initial facet's Gram matrix and load join the u1 block of its element.
+    nloc = table.facet_images.shape[1]
+    local = _gram(table.images)
+    np.add.at(local[:, :nloc, :nloc], table.facet_elements, _gram(table.facet_images))
+    loads = np.einsum("eak,ek->ea", table.images, table.data)
+    np.add.at(loads[:, :nloc], table.facet_elements,
+              np.einsum("fak,fk->fa", table.facet_images, table.facet_data))
 
-    is_free = gdofs >= 0
-    keep = (is_free[:, :, None] & is_free[:, None, :]).ravel()
-    keys_list = [(gdofs[:, :, None] * n + gdofs[:, None, :]).ravel()[keep]]
-    vals_list = [local.ravel()[keep]]
-    del local, keep
-
+    gdofs = _global_dofs(dofmap)
+    free = gdofs >= 0
     rhs = np.zeros(n)
-    np.add.at(rhs, gdofs[is_free], local_rhs[is_free])
-
-    if system.has_initial_trace:
-        cell_dofs_u1 = dofmap.cell_dofs_u1  # a property that gathers the whole table
-        for e, _loc, basis, xs, wlen in _initial_facet_tables(mesh, dofmap, equad):
-            dofs = cell_dofs_u1[e]
-            mloc = np.einsum("qa,qb,q->ab", basis, basis, wlen)
-            bloc = np.einsum("q,qa,q->a", system.data_initial(xs), basis, wlen)
-            free = dofs >= 0
-            ekeep = free[:, None] & free[None, :]
-            keys_list.append((dofs[:, None] * n + dofs[None, :])[ekeep])
-            vals_list.append(mloc[ekeep])
-            np.add.at(rhs, dofs[free], bloc[free])
-
-    if len(keys_list) == 1:
-        keys, vals = keys_list[0], vals_list[0]
-    else:
-        keys, vals = np.concatenate(keys_list), np.concatenate(vals_list)
-    del keys_list, vals_list
+    np.add.at(rhs, gdofs[free], loads[free])
+    keep = (free[:, :, None] & free[:, None, :]).ravel()
+    gdofs = gdofs.astype(np.int32 if n * n < 2**31 else np.int64)  # a faster sort
+    keys = (gdofs[:, :, None] * n + gdofs[:, None, :]).ravel()[keep]
+    vals = local.ravel()[keep]
+    del local, keep
     matrix = _accumulate_csr(keys, vals, n)
-    return SparseSystem(matrix=matrix, rhs=rhs, n_dofs=n)
+    return SparseSystem(matrix=matrix, rhs=rhs, n_dofs=n, table=table)
 
 
 def _lu_preconditioner(matrix):
@@ -325,16 +361,16 @@ def element_fields(solution: DiscreteSolution, quadrature: QuadratureRule):
 
     dofs_u1 = dofmap.cell_dofs_u1
     local_u1 = np.where(dofs_u1 >= 0, solution.coeffs[np.maximum(dofs_u1, 0)], 0.0)
-    u1_val = np.einsum("qi,ei->eq", values, local_u1)
-    u1_grad = np.einsum("eqia,ei->eqa", phys_grads, local_u1)
+    u1_val = local_u1 @ values
+    u1_grad = np.einsum("eiqa,ei->eqa", phys_grads, local_u1)
 
     nc = dofmap.n_u2_components
     u2_val = np.empty(u1_val.shape + (nc,))
     u2_grad = np.empty(u1_val.shape + (nc, 2))
     for comp in range(nc):
         local = solution.coeffs[dofmap.cell_dofs_u2(comp)]
-        u2_val[..., comp] = np.einsum("qi,ei->eq", values, local)
-        u2_grad[..., comp, :] = np.einsum("eqia,ei->eqa", phys_grads, local)
+        u2_val[..., comp] = local @ values
+        u2_grad[..., comp, :] = np.einsum("eiqa,ei->eqa", phys_grads, local)
     return u1_val, u1_grad, u2_val, u2_grad, pts, wdet
 
 

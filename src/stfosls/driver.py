@@ -99,6 +99,7 @@ def _as_system(problem_or_system):
 
 
 def _solve_level(mesh, system, p, quad, equad, cg_rel_tol, check_galerkin):
+    """Solve one level; its indicators reuse the table assembly built, which dies here."""
     dofmap = build_dofmap(
         mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags
     )
@@ -113,7 +114,8 @@ def _solve_level(mesh, system, p, quad, equad, cg_rel_tol, check_galerkin):
     defect = None
     if check_galerkin:
         defect = galerkin_orthogonality_check(solution, system, quad, sparse_system=sparse)
-    return solution, report, defect
+    indicators = compute_indicators(mesh, solution, system, quad, equad, table=sparse.table)
+    return solution, report, defect, indicators
 
 
 def adaptive_run(
@@ -143,10 +145,9 @@ def adaptive_run(
     mesh = mesh0
     level = 0
     while True:
-        solution, report, defect = _solve_level(
+        solution, report, defect, indicators = _solve_level(
             mesh, system, p, quad, equad, cg_rel_tol, check_galerkin
         )
-        indicators = compute_indicators(mesh, solution, system, quad, equad)
         error = None
         if exact is not None:
             error = u_norm_error(mesh, solution, exact, system, quad, equad).total
@@ -211,10 +212,9 @@ def uniform_run(
     log = RunLog()
     mesh = mesh0
     for level in range(levels):
-        solution, report, defect = _solve_level(
+        solution, report, defect, indicators = _solve_level(
             mesh, system, p, quad, equad, cg_rel_tol, check_galerkin
         )
-        indicators = compute_indicators(mesh, solution, system, quad, equad)
         error = None
         if exact is not None:
             error = u_norm_error(mesh, solution, exact, system, quad, equad).total

@@ -5,6 +5,10 @@ residual: the interior residual components integrated over the element plus
 the squared mismatch of the initial trace over the element's facets on
 t = 0.  Squared indicators add up exactly to the squared global estimator.
 
+Indicators are read off the level's :class:`stfosls.assembly.ImageTable`:
+eta_K^2 = ||D_K - R_K^T c_K||^2 for its weighted images R_K, data D_K and
+the local coefficients c_K, plus the same on an initial facet of K.
+
 The error against a manufactured reference is measured in the localized
 graph seminorm
 
@@ -24,9 +28,11 @@ import numpy as np
 
 from .assembly import (
     DiscreteSolution,
+    ImageTable,
     default_edge_quadrature,
     default_quadrature,
     element_fields,
+    image_table,
     _initial_facet_tables,
 )
 from .mesh import Mesh
@@ -66,40 +72,22 @@ class ErrorReport:
         return (self.u1_l2, self.u1_grad_l2, self.u2_l2, self.div_l2, self.initial_l2)
 
 
-def _interior_residuals(solution: DiscreteSolution, system, quad: QuadratureRule):
-    """data - G(u^delta) at all quadrature points, with weights and points."""
-    u1_val, u1_grad, u2_val, u2_grad, pts, wdet = element_fields(solution, quad)
-    t, x = pts[..., 0], pts[..., 1]
-    image = system.residual_u1(t, x, u1_val, u1_grad)
-    for comp in range(system.n_flux):
-        image = image + system.residual_u2(comp, t, x, u2_val[..., comp], u2_grad[..., comp, :])
-    resid = system.data_interior(t, x) - image
-    return resid, wdet
-
-
 def compute_indicators(
     mesh: Mesh,
     solution: DiscreteSolution,
     system,
     quadrature: Optional[QuadratureRule] = None,
     edge_quadrature: Optional[EdgeQuadratureRule] = None,
+    table: Optional[ImageTable] = None,
 ) -> Indicators:
-    """Least-squares indicators of a solved discrete solution."""
-    quad = quadrature if quadrature is not None else default_quadrature(solution.dofmap)
-    equad = edge_quadrature if edge_quadrature is not None else default_edge_quadrature(solution.dofmap)
+    """Least-squares indicators of a solved discrete solution.
 
-    resid, wdet = _interior_residuals(solution, system, quad)
-    eta2 = np.einsum("eqr,eqr,eq->e", resid, resid, wdet)
-
-    if system.has_initial_trace:
-        for e, _loc, basis, xs, wlen in _initial_facet_tables(mesh, solution.dofmap, equad):
-            dofs = solution.dofmap.cell_dofs_u1[e]
-            local = np.where(dofs >= 0, solution.coeffs[np.maximum(dofs, 0)], 0.0)
-            trace = basis @ local
-            mismatch = trace - system.data_initial(xs)
-            eta2[e] += float(np.dot(wlen, mismatch**2))
-
-    eta2 = np.maximum(eta2, 0.0)
+    ``table`` is the image table the level was assembled from
+    (``SparseSystem.table``); without it the same table is built here.
+    """
+    if table is None:
+        table = image_table(mesh, solution.dofmap, system, quadrature, edge_quadrature)
+    eta2 = table.squared_residuals(solution.dofmap, solution.coeffs)
     return Indicators(per_element=np.sqrt(eta2), total=float(np.sqrt(eta2.sum())))
 
 
@@ -130,14 +118,12 @@ def u_norm_error(
     sq_u2 = float(np.einsum("eqc,eq->", e_u2**2, wdet))
     sq_div = float(np.einsum("eq,eq->", e_div**2, wdet))
 
-    sq_trace = 0.0
-    if system.has_initial_trace:
-        for e, loc, basis, xs, wlen in _initial_facet_tables(mesh, solution.dofmap, equad):
-            dofs = solution.dofmap.cell_dofs_u1[e]
-            local = np.where(dofs >= 0, solution.coeffs[np.maximum(dofs, 0)], 0.0)
-            trace = basis @ local
-            ref = sample(exact.u1, np.zeros_like(xs), xs)
-            sq_trace += float(np.dot(wlen, (trace - ref) ** 2))
+    elems, basis, xs, wlen = _initial_facet_tables(mesh, solution.dofmap, equad, system)
+    dofs = solution.dofmap.cell_dofs_u1[elems]
+    local = np.where(dofs >= 0, solution.coeffs[dofs], 0.0)
+    trace = np.einsum("fqa,fa->fq", basis, local)
+    ref = sample(exact.u1, np.zeros_like(xs), xs)
+    sq_trace = float(np.sum(wlen * (trace - ref) ** 2))
 
     total = float(np.sqrt(sq_u1 + sq_grad + sq_u2 + sq_div + sq_trace))
     return ErrorReport(
@@ -165,15 +151,5 @@ def data_norm(
     edge_quadrature: Optional[EdgeQuadratureRule] = None,
 ) -> float:
     """L-norm of the data vector (interior targets plus initial datum)."""
-    quad = quadrature if quadrature is not None else default_quadrature(dofmap)
-    equad = edge_quadrature if edge_quadrature is not None else default_edge_quadrature(dofmap)
-
-    from .assembly import _geometry_tables
-
-    _, _, pts, wdet = _geometry_tables(mesh, dofmap, quad)
-    data = system.data_interior(pts[..., 0], pts[..., 1])
-    sq = float(np.einsum("eqr,eqr,eq->", data, data, wdet))
-    if system.has_initial_trace:
-        for _e, _loc, _basis, xs, wlen in _initial_facet_tables(mesh, dofmap, equad):
-            sq += float(np.dot(wlen, system.data_initial(xs) ** 2))
-    return float(np.sqrt(sq))
+    table = image_table(mesh, dofmap, system, quadrature, edge_quadrature)
+    return float(np.sqrt(np.sum(table.data**2) + np.sum(table.facet_data**2)))

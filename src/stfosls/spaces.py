@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import FacetTag, Mesh
+from .mesh import FacetTag, Mesh, _edge_keys
 
 __all__ = [
     "ReferenceElement",
@@ -200,16 +200,14 @@ class DofMap:
 def build_dofmap(
     mesh: Mesh,
     p: int,
-    constrain_lateral: bool = True,
     n_u2_components: int = 1,
     dirichlet_tags=None,
 ) -> DofMap:
     """Construct the dof map for degree ``p`` on ``mesh``.
 
-    ``constrain_lateral`` removes the u1 nodes lying on facets tagged
-    LateralDirichlet.  ``dirichlet_tags`` overrides that default with an
-    explicit set of facet tags to constrain (used by the stationary
-    instance, which constrains the whole boundary).
+    Field u1 drops the nodes lying on facets whose tag is in
+    ``dirichlet_tags``: LateralDirichlet when it is None, nothing for an
+    empty set, the whole boundary for the stationary instance.
     """
     if p not in (1, 2):
         raise ValueError(f"unsupported polynomial degree {p}; only 1 and 2 are available")
@@ -221,45 +219,31 @@ def build_dofmap(
         n_scalar = n_vertices
         node_coords = mesh.points.copy()
     else:
-        edge_id: dict[tuple, int] = {}
-        cell_nodes = np.empty((mesh.n_elements, 6), dtype=np.int64)
-        cell_nodes[:, :3] = elements
-        for e in range(mesh.n_elements):
-            for loc in range(3):
-                a = int(elements[e, loc])
-                b = int(elements[e, (loc + 1) % 3])
-                key = (min(a, b), max(a, b))
-                idx = edge_id.get(key)
-                if idx is None:
-                    idx = n_vertices + len(edge_id)
-                    edge_id[key] = idx
-                cell_nodes[e, 3 + loc] = idx
-        n_scalar = n_vertices + len(edge_id)
-        node_coords = np.empty((n_scalar, 2))
-        node_coords[:n_vertices] = mesh.points
-        for (a, b), idx in edge_id.items():
-            node_coords[idx] = 0.5 * (mesh.points[a] + mesh.points[b])
+        # Edge nodes are numbered after the vertices, in order of first appearance.
+        _, first, inverse = np.unique(
+            _edge_keys(elements, n_vertices).ravel(), return_index=True, return_inverse=True
+        )
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(first.size)
+        cell_nodes = np.hstack([elements, n_vertices + rank[inverse].reshape(-1, 3)])
+        n_scalar = n_vertices + first.size
+        e, loc = np.divmod(np.sort(first), 3)
+        midpoints = 0.5 * (mesh.points[elements[e, loc]] + mesh.points[elements[e, (loc + 1) % 3]])
+        node_coords = np.vstack([mesh.points, midpoints])
 
     if dirichlet_tags is None:
-        dirichlet_tags = frozenset({FacetTag.LATERAL_DIRICHLET}) if constrain_lateral else frozenset()
-    else:
-        dirichlet_tags = frozenset(FacetTag(int(t)) for t in dirichlet_tags)
+        dirichlet_tags = (FacetTag.LATERAL_DIRICHLET,)
+    tags = [int(FacetTag(int(t))) for t in dirichlet_tags]
 
-    constrained = set()
-    for e in range(mesh.n_elements):
-        for loc in range(3):
-            if FacetTag(int(mesh.edge_tags[e, loc])) in dirichlet_tags:
-                constrained.add(int(elements[e, loc]))
-                constrained.add(int(elements[e, (loc + 1) % 3]))
-                if p == 2:
-                    constrained.add(int(cell_nodes[e, 3 + loc]))
+    elems, locs = np.nonzero(np.isin(mesh.edge_tags, tags))
+    ends = [elements[elems, locs], elements[elems, (locs + 1) % 3]]
+    if p == 2:
+        ends.append(cell_nodes[elems, 3 + locs])
+    constrained = np.unique(np.concatenate(ends)).astype(np.int64)
 
-    free_index = np.full(n_scalar, -1, dtype=np.int64)
-    next_id = 0
-    for node in range(n_scalar):
-        if node not in constrained:
-            free_index[node] = next_id
-            next_id += 1
+    is_free = np.ones(n_scalar, dtype=bool)
+    is_free[constrained] = False
+    free_index = np.where(is_free, np.cumsum(is_free) - 1, -1)
 
     return DofMap(
         degree=p,
@@ -267,8 +251,8 @@ def build_dofmap(
         node_coords=node_coords,
         cell_nodes=cell_nodes,
         free_index=free_index,
-        constrained_nodes=np.array(sorted(constrained), dtype=np.int64),
-        n_u1=next_id,
+        constrained_nodes=constrained,
+        n_u1=int(n_scalar - constrained.size),
         n_u2_components=int(n_u2_components),
     )
 
@@ -290,10 +274,14 @@ def affine_map(mesh: Mesh, k: int):
 
 
 def affine_maps(mesh: Mesh):
-    """Batched version of :func:`affine_map` over all elements."""
+    """Batched version of :func:`affine_map` over all elements; raises the
+    same ValueError on the first degenerate or inverted element."""
     coords = mesh.element_coords()
     jac = np.stack([coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]], axis=2)
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    if not np.all(det > 0.0):
+        k = int(np.flatnonzero(~(det > 0.0))[0])
+        raise ValueError(f"element {k} is degenerate or inverted (det={det[k]})")
     inv_t = np.empty_like(jac)
     inv_t[:, 0, 0] = jac[:, 1, 1]
     inv_t[:, 0, 1] = -jac[:, 1, 0]

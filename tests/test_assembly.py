@@ -6,14 +6,18 @@ from stfosls import oracles
 from stfosls.assembly import (
     DiscreteSolution,
     _accumulate_csr,
+    _initial_facet_tables,
     assemble,
+    default_edge_quadrature,
     galerkin_orthogonality_check,
     solve_cg,
 )
+from stfosls.driver import StopCriteria, adaptive_run
 from stfosls.estimator import compute_indicators
+from stfosls.marking import MarkingConfig, MarkStrategy
 from stfosls.mesh import bisect, uniform_initial_mesh
 from stfosls.problem import ConvectionForm, make_problem
-from stfosls.spaces import build_dofmap
+from stfosls.spaces import build_dofmap, build_reference, edge_reference_points
 from stfosls.system import parabolic_system, poisson_sine_case
 
 
@@ -47,12 +51,66 @@ def test_zero_data_zero_load():
     assert np.all(sparse_system.rhs == 0.0)
 
 
+def _graded_incompatible(max_iterations):
+    """Mesh of a Doerfler run on incompatible data, graded towards the corners."""
+    problem, _ = make_problem("incompatible")
+    log = adaptive_run(
+        problem, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1,
+        MarkingConfig(MarkStrategy.DOERFLER, 0.5), StopCriteria(max_iterations=max_iterations),
+    )
+    return log.final_mesh, parabolic_system(problem)
+
+
 def test_matrix_exactly_symmetric():
-    for name, p in (("heat-smooth", 1), ("convection-reaction", 2), ("poisson", 1)):
-        mesh, dofmap, system = _setup(name, p)
+    """Bit-exact symmetry, including a graded mesh with initial facets and the
+    widest local blocks (Poisson, p = 2)."""
+    cases = [_setup(name, p) for name, p in
+             (("heat-smooth", 1), ("convection-reaction", 2), ("poisson", 1), ("poisson", 2))]
+    mesh, system = _graded_incompatible(18)
+    assert mesh.n_elements >= 1000
+    cases.append((mesh, build_dofmap(mesh, 1, dirichlet_tags=system.dirichlet_tags), system))
+    for mesh, dofmap, system in cases:
         matrix = assemble(mesh, dofmap, system).matrix
         diff = (matrix - matrix.T).tocoo()
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
+
+
+def test_initial_facet_tables_match_per_facet_loop():
+    """The vectorized trace table agrees with a facet-by-facet evaluation
+    through the oracles' independent edge scan."""
+    mesh, system = _graded_incompatible(10)
+    for p in (1, 2):
+        dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+        equad = default_edge_quadrature(dofmap)
+        elems, basis, xs, wlen = _initial_facet_tables(mesh, dofmap, equad, system)
+        edges = oracles._initial_edges(mesh)
+        assert len(edges) > 4  # refinement reached the initial boundary
+        assert np.array_equal(elems, [e for e, _ in edges])
+        ref = build_reference(p)
+        for f, (e, loc) in enumerate(edges):
+            xs_ref, length = oracles._edge_geometry(mesh, e, loc, equad.points)
+            values = ref.values(edge_reference_points(loc, equad.points))
+            np.testing.assert_allclose(basis[f], values, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(xs[f], xs_ref, rtol=1e-15, atol=1e-15)
+            np.testing.assert_allclose(wlen[f], equad.weights * length, rtol=1e-15, atol=0)
+    poisson, _ = poisson_sine_case()
+    assert _initial_facet_tables(mesh, dofmap, equad, poisson)[0].size == 0
+
+
+def test_indicators_from_assembled_table_match_fresh_table():
+    """The level loop's path (the table assembly built) and the standalone path
+    (a table built by compute_indicators) give the same indicators."""
+    mesh, system = _graded_incompatible(12)
+    dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+    sparse_system = assemble(mesh, dofmap, system)
+    coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs, factorize=True)
+    assert report.converged
+    solution = DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
+    shared = compute_indicators(mesh, solution, system, table=sparse_system.table)
+    fresh = compute_indicators(mesh, solution, system)
+    rel = np.abs(shared.per_element - fresh.per_element).max() / fresh.per_element.max()
+    assert rel <= 1e-13
+    assert abs(shared.total - fresh.total) <= 1e-13 * fresh.total
 
 
 @pytest.mark.parametrize("p", [1, 2])

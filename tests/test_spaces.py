@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from stfosls.mesh import bisect, element_measure, uniform_initial_mesh
+from stfosls.mesh import FacetTag, bisect, element_measure, uniform_initial_mesh
 from stfosls.spaces import (
     affine_map,
+    affine_maps,
     build_dofmap,
     build_edge_quadrature,
     build_quadrature,
@@ -77,9 +78,9 @@ def test_edge_quadrature_exactness(degree):
 
 def test_dofmap_counts_single_cell():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 1, 1)
-    free = build_dofmap(mesh, 1, constrain_lateral=False)
+    free = build_dofmap(mesh, 1, dirichlet_tags=())
     assert free.n_scalar == 4
-    constrained = build_dofmap(mesh, 1, constrain_lateral=True)
+    constrained = build_dofmap(mesh, 1)
     # all four corners sit on the lateral boundary x in {0, 1}
     assert constrained.n_u1 == 0
     assert constrained.n_dofs == 4
@@ -100,6 +101,69 @@ def test_constrained_nodes_match_geometry():
             (dm.node_coords[:, 1] == mesh.x_lo) | (dm.node_coords[:, 1] == mesh.x_hi)
         )
         assert np.array_equal(dm.constrained_nodes, on_lateral)
+
+
+def _edge_nodes_by_scan(mesh):
+    """p = 2 edge node ids, numbered after the vertices in order of first
+    appearance, and their coordinates, by a plain scan of the elements."""
+    edge_id, cell_edges = {}, []
+    for tri in mesh.elements.tolist():
+        row = []
+        for loc in range(3):
+            key = tuple(sorted((tri[loc], tri[(loc + 1) % 3])))
+            row.append(edge_id.setdefault(key, mesh.n_points + len(edge_id)))
+        cell_edges.append(row)
+    ends = np.array(list(edge_id))
+    return np.array(cell_edges), 0.5 * (mesh.points[ends[:, 0]] + mesh.points[ends[:, 1]])
+
+
+def test_dofmap_numbering_on_graded_mesh():
+    """Edge nodes follow the element scan, constrained nodes are exactly the
+    nodes on the tagged sides, and the free u1 dofs number the remaining
+    scalar nodes in ascending order."""
+    rng = np.random.default_rng(3)
+    mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
+    for _ in range(6):
+        mesh = bisect(mesh, rng.choice(mesh.n_elements, size=mesh.n_elements // 3, replace=False))
+    cell_edges, midpoints = _edge_nodes_by_scan(mesh)
+    dm = build_dofmap(mesh, 2)
+    assert np.array_equal(dm.cell_nodes[:, 3:], cell_edges)
+    assert np.array_equal(dm.node_coords[mesh.n_points:], midpoints)
+    whole = (FacetTag.LATERAL_DIRICHLET, FacetTag.INITIAL, FacetTag.FINAL)
+    for p in (1, 2):
+        for tags in (None, whole, ()):
+            dm = build_dofmap(mesh, p, dirichlet_tags=tags)
+            t, x = dm.node_coords[:, 0], dm.node_coords[:, 1]
+            on_side = (x == mesh.x_lo) | (x == mesh.x_hi)
+            if tags == whole:
+                on_side |= (t == 0.0) | (t == mesh.t_end)
+            elif tags == ():
+                on_side[:] = False
+            assert np.array_equal(dm.constrained_nodes, np.flatnonzero(on_side))
+            expected = np.full(dm.n_scalar, -1)
+            expected[~on_side] = np.arange(np.count_nonzero(~on_side))
+            assert np.array_equal(dm.free_index, expected)
+            assert dm.n_u1 == np.count_nonzero(~on_side)
+
+
+def test_affine_maps_reject_inverted_element():
+    """The batched maps raise the same typed error as the single-element map,
+    instead of handing a negative determinant to sqrt(w) downstream."""
+    import dataclasses
+
+    mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
+    elements = mesh.elements.copy()
+    elements[3] = elements[3, [1, 0, 2]]  # clockwise: det < 0
+    flipped = dataclasses.replace(mesh, elements=elements)
+    with pytest.raises(ValueError, match="element 3 is degenerate or inverted") as batched:
+        affine_maps(flipped)
+    with pytest.raises(ValueError) as single:
+        affine_map(flipped, 3)
+    assert str(batched.value) == str(single.value)
+
+    elements[3] = elements[3, [0, 0, 2]]  # collapsed: det = 0
+    with pytest.raises(ValueError, match="element 3 is degenerate or inverted"):
+        affine_maps(dataclasses.replace(mesh, elements=elements))
 
 
 def test_affine_map_properties():
@@ -132,7 +196,7 @@ def test_interpolation_reproduces_polynomials(p):
     """Nodal interpolation of total degree <= p is exact in value and gradient."""
     rng = np.random.default_rng(11)
     mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), [0, 3])
-    dm = build_dofmap(mesh, p, constrain_lateral=False)
+    dm = build_dofmap(mesh, p, dirichlet_tags=())
 
     if p == 1:
         f = lambda t, x: 0.5 + 2.0 * t - x
@@ -162,7 +226,7 @@ def test_interpolation_reproduces_polynomials(p):
 
 def test_evaluate_field_linear_interpolant():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    dm = build_dofmap(mesh, 1, constrain_lateral=False)
+    dm = build_dofmap(mesh, 1, dirichlet_tags=())
     coeffs = interpolate_nodes(lambda t, x: x, dm)
     val, grad = evaluate_field(coeffs, dm, mesh, 3, np.array([0.3, 0.2]), field=0)
     jac, _, _ = affine_map(mesh, 3)
@@ -182,7 +246,7 @@ def test_evaluate_field_zero_coefficients():
 
 def test_evaluate_field_p2_quadratic_exact():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    dm = build_dofmap(mesh, 2, constrain_lateral=False)
+    dm = build_dofmap(mesh, 2, dirichlet_tags=())
     coeffs = interpolate_nodes(lambda t, x: t * t, dm)
     for k in (0, 5):
         val, grad = evaluate_field(coeffs, dm, mesh, k, np.array([0.2, 0.3]), field=0)
@@ -199,7 +263,7 @@ def test_global_continuity_across_edges(p):
     """Traces of every field from both sides of interior edges agree."""
     rng = np.random.default_rng(5)
     mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), [0, 2, 7])
-    dm = build_dofmap(mesh, p, constrain_lateral=False)
+    dm = build_dofmap(mesh, p, dirichlet_tags=())
     coeffs = rng.standard_normal(dm.n_dofs)
 
     incidence = {}
