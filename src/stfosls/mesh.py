@@ -179,6 +179,21 @@ def _edge_keys(elements: np.ndarray, stride: int) -> np.ndarray:
     return lo * stride + hi
 
 
+# Children of one element per split case, in depth-first order: the edge-0
+# split first, then the first child's split on edge 2, then the second
+# child's split on edge 1.  A child is (three indices into [v0, v1, v2, m0,
+# m1, m2], three indices into [t0, t1, t2, INTERIOR], generation increment),
+# where m_k and t_k are the midpoint and the tag of local edge k.  Cases:
+# nothing scheduled, edge 0 only, edges 0 and 2, edges 0 and 1, all edges.
+_FIRST, _SECOND = [(2, 0, 3, 2, 0, 3, 1)], [(1, 2, 3, 1, 3, 0, 1)]
+_FIRST_SPLIT = [(3, 2, 5, 3, 2, 3, 2), (0, 3, 5, 0, 3, 2, 2)]
+_SECOND_SPLIT = [(3, 1, 4, 0, 1, 3, 2), (2, 3, 4, 3, 3, 1, 2)]
+_CASES = [[(0, 1, 2, 0, 1, 2, 0)], _FIRST + _SECOND, _FIRST_SPLIT + _SECOND,
+          _FIRST + _SECOND_SPLIT, _FIRST_SPLIT + _SECOND_SPLIT]
+_SPLIT_COUNTS = np.array([len(c) for c in _CASES])
+_SPLIT_TABLE = np.array([c + c[:1] * (4 - len(c)) for c in _CASES], dtype=np.int64)
+
+
 def bisect(mesh: Mesh, marks) -> Mesh:
     """Refine at least the marked elements by newest-vertex bisection.
 
@@ -190,85 +205,59 @@ def bisect(mesh: Mesh, marks) -> Mesh:
     the midpoint of the parent's refinement edge; midpoints are deduplicated
     through the parent edge's vertex pair, never by coordinate comparison.
 
+    Order contract: the children of an element replace it in place, in
+    depth-first order (the refinement-edge split first, then the split of
+    the first child, then that of the second), and new points are numbered
+    in the order in which this element-by-element traversal first uses
+    their edge.
+
     Facet tags are inherited: the halves of a tagged edge keep its tag, the
     interior edges created by bisection are untagged.
     """
-    marks = np.asarray(sorted(set(int(k) for k in np.atleast_1d(np.asarray(marks, dtype=np.int64))))
-                       if np.size(marks) else [], dtype=np.int64)
-    if marks.size and (marks.min() < 0 or marks.max() >= mesh.n_elements):
+    marks = np.unique(np.asarray(marks, dtype=np.int64))
+    if marks.size and (marks[0] < 0 or marks[-1] >= mesh.n_elements):
         raise IndexError("marked element index out of range")
 
     n0 = mesh.n_points
-    keys = _edge_keys(mesh.elements, n0)
-    scheduled = np.unique(keys[marks, 0]) if marks.size else np.empty(0, dtype=np.int64)
+    lo, hi, edge_id, _ = _edge_incidence(mesh)
+    sched = np.zeros(lo.size, dtype=bool)
+    sched[edge_id[marks, 0]] = True
 
     # Closure: an element with any scheduled edge must schedule its
-    # refinement edge as well.  Fixpoint passes; the scheduled set only
-    # grows and is bounded by the number of edges.
-    while scheduled.size:
-        hit = np.isin(keys, scheduled)
+    # refinement edge as well.  The scheduled set only grows, so the
+    # fixpoint is reached after finitely many passes.
+    while True:
+        hit = sched[edge_id]
         need = hit.any(axis=1) & ~hit[:, 0]
         if not need.any():
             break
-        scheduled = np.union1d(scheduled, keys[need, 0])
+        sched[edge_id[need, 0]] = True
 
-    scheduled_set = set(int(k) for k in scheduled)
-    split_elem = np.isin(keys[:, 0], scheduled) if scheduled.size \
-        else np.zeros(mesh.n_elements, dtype=bool)
+    # Midpoints are numbered by first use: element by element, edge 0, then
+    # edge 2, then edge 1.
+    uses = edge_id[:, [0, 2, 1]][hit[:, [0, 2, 1]]]
+    used, first = np.unique(uses, return_index=True)
+    new_edges = used[np.argsort(first)]
+    midpoint = np.full(lo.size, -1, dtype=np.int64)
+    midpoint[new_edges] = n0 + np.arange(new_edges.size)
+    points = np.vstack([mesh.points, 0.5 * (mesh.points[lo[new_edges]] + mesh.points[hi[new_edges]])])
 
-    points = mesh.points
-    midpoint_of: dict[int, int] = {}
-    new_points: list[np.ndarray] = []
-
-    def midpoint(va: int, vb: int) -> int:
-        key = int(min(va, vb)) * n0 + int(max(va, vb))
-        idx = midpoint_of.get(key)
-        if idx is None:
-            idx = n0 + len(new_points)
-            new_points.append(0.5 * (points[va] + points[vb]))
-            midpoint_of[key] = idx
-        return idx
-
-    out_elems: list[tuple] = []
-    out_gen: list[int] = []
-    out_tags: list[tuple] = []
-    out_from: list[int] = []
-    interior = int(FacetTag.INTERIOR)
-
-    def split(v0, v1, v2, gen, tags, ancestor):
-        # Edges containing a midpoint vertex are never scheduled, so the
-        # recursion bottoms out after at most two levels per call.
-        if v0 < n0 and v1 < n0 and (min(v0, v1) * n0 + max(v0, v1)) in scheduled_set:
-            m = midpoint(v0, v1)
-            split(v2, v0, m, gen + 1, (tags[2], tags[0], interior), ancestor)
-            split(v1, v2, m, gen + 1, (tags[1], interior, tags[0]), ancestor)
-        else:
-            out_elems.append((v0, v1, v2))
-            out_gen.append(gen)
-            out_tags.append(tags)
-            out_from.append(ancestor)
-
-    for e in range(mesh.n_elements):
-        v0, v1, v2 = (int(v) for v in mesh.elements[e])
-        tags = tuple(int(t) for t in mesh.edge_tags[e])
-        if split_elem[e]:
-            split(v0, v1, v2, int(mesh.generation[e]), tags, e)
-        else:
-            out_elems.append((v0, v1, v2))
-            out_gen.append(int(mesh.generation[e]))
-            out_tags.append(tags)
-            out_from.append(e)
-
-    all_points = np.vstack([points, np.asarray(new_points)]) if new_points else points.copy()
+    case = hit[:, 0] * (1 + hit[:, 2] + 2 * hit[:, 1])
+    counts = _SPLIT_COUNTS[case]
+    parent = np.repeat(np.arange(mesh.n_elements), counts)
+    rank = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    child = _SPLIT_TABLE[case[parent], rank]
+    verts = np.hstack([mesh.elements, midpoint[edge_id]])
+    tags = np.hstack([mesh.edge_tags, np.full((mesh.n_elements, 1), int(FacetTag.INTERIOR))])
     return Mesh(
-        points=all_points,
-        elements=np.asarray(out_elems, dtype=np.int64),
-        generation=np.asarray(out_gen, dtype=np.int64),
-        edge_tags=np.asarray(out_tags, dtype=np.int64),
+        points=points,
+        elements=np.take_along_axis(verts[parent], child[:, 0:3], axis=1),
+        generation=mesh.generation[parent] + child[:, 6],
+        edge_tags=np.take_along_axis(tags[parent], child[:, 3:6], axis=1),
         t_end=mesh.t_end,
         x_lo=mesh.x_lo,
         x_hi=mesh.x_hi,
-        refined_from=np.asarray(out_from, dtype=np.int64),
+        refined_from=parent,
     )
 
 
@@ -310,26 +299,31 @@ def initial_facet_list(mesh: Mesh) -> np.ndarray:
     return np.column_stack([elems, locs])
 
 
-def _boundary_side(mesh: Mesh, va: int, vb: int) -> bool:
-    """Whether edge (va, vb) lies on one full side of the rectangle."""
-    pa, pb = mesh.points[va], mesh.points[vb]
-    return (
-        (pa[0] == 0.0 and pb[0] == 0.0)
-        or (pa[0] == mesh.t_end and pb[0] == mesh.t_end)
-        or (pa[1] == mesh.x_lo and pb[1] == mesh.x_lo)
-        or (pa[1] == mesh.x_hi and pb[1] == mesh.x_hi)
+def _edge_incidence(mesh: Mesh):
+    """Distinct edges as vertex pairs a < b, the edge of every local edge
+    (shape (n_elements, 3)) and the number of incidences of each edge."""
+    n = mesh.n_points
+    keys, edge_of, counts = np.unique(
+        _edge_keys(mesh.elements, n).ravel(), return_inverse=True, return_counts=True
     )
+    return keys // n, keys % n, edge_of.reshape(-1, 3), counts
 
 
-def _edge_incidence(mesh: Mesh) -> dict:
-    """Map sorted vertex pair -> list of (element, local edge) incidences."""
-    inc: dict[tuple, list] = {}
-    elems = mesh.elements
-    for e in range(mesh.n_elements):
-        for loc in range(3):
-            a, b = int(elems[e, loc]), int(elems[e, (loc + 1) % 3])
-            inc.setdefault((min(a, b), max(a, b)), []).append((e, loc))
-    return inc
+def _side_tags(mesh: Mesh, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tag of the side of the rectangle holding each edge (a, b), -1 for none.
+
+    Sides are recognised by exact coordinate equality: the midpoint of an
+    edge on a side keeps the side's coordinate bit for bit."""
+    pa, pb = mesh.points[a], mesh.points[b]
+    return np.select(
+        [
+            (pa[:, 0] == 0.0) & (pb[:, 0] == 0.0),
+            (pa[:, 0] == mesh.t_end) & (pb[:, 0] == mesh.t_end),
+            (pa[:, 1] == pb[:, 1]) & ((pa[:, 1] == mesh.x_lo) | (pa[:, 1] == mesh.x_hi)),
+        ],
+        [int(FacetTag.INITIAL), int(FacetTag.FINAL), int(FacetTag.LATERAL_DIRICHLET)],
+        default=-1,
+    )
 
 
 def is_conforming(mesh: Mesh) -> bool:
@@ -339,39 +333,18 @@ def is_conforming(mesh: Mesh) -> bool:
     lies on a side of the computational rectangle; a once-counted edge in
     the interior signals a hanging node.
     """
-    for (a, b), incident in _edge_incidence(mesh).items():
-        if len(incident) > 2:
-            return False
-        if len(incident) == 1 and not _boundary_side(mesh, a, b):
-            return False
-    return True
+    a, b, _, counts = _edge_incidence(mesh)
+    single = counts == 1
+    return bool(np.all(counts <= 2) and np.all(_side_tags(mesh, a[single], b[single]) >= 0))
 
 
 def boundary_tags_consistent(mesh: Mesh) -> bool:
     """Check that tags mark exactly the boundary and match their side."""
-    side_tag = {
-        "t0": FacetTag.INITIAL,
-        "t1": FacetTag.FINAL,
-        "x": FacetTag.LATERAL_DIRICHLET,
-    }
-    for (a, b), incident in _edge_incidence(mesh).items():
-        tags = [FacetTag(int(mesh.edge_tags[e, loc])) for e, loc in incident]
-        if len(incident) == 2:
-            if any(tag != FacetTag.INTERIOR for tag in tags):
-                return False
-            continue
-        pa, pb = mesh.points[a], mesh.points[b]
-        if pa[0] == 0.0 and pb[0] == 0.0:
-            expected = side_tag["t0"]
-        elif pa[0] == mesh.t_end and pb[0] == mesh.t_end:
-            expected = side_tag["t1"]
-        elif (pa[1] == pb[1]) and pa[1] in (mesh.x_lo, mesh.x_hi):
-            expected = side_tag["x"]
-        else:
-            return False
-        if tags != [expected]:
-            return False
-    return True
+    a, b, edge_of, counts = _edge_incidence(mesh)
+    expected = np.full(counts.size, int(FacetTag.INTERIOR))
+    single = counts == 1
+    expected[single] = _side_tags(mesh, a[single], b[single])
+    return bool(np.all(counts <= 2) and np.array_equal(expected[edge_of], mesh.edge_tags))
 
 
 def sorted_angles(mesh: Mesh) -> np.ndarray:
@@ -396,16 +369,12 @@ def write_mesh(mesh: Mesh, path) -> None:
     All blocks use insertion order.
     """
     lines = ["spacetime-mesh v1", f"{mesh.n_points} {mesh.n_elements}"]
-    for p in mesh.points:
-        lines.append(f"{float(p[0])!r} {float(p[1])!r}")
-    for e in range(mesh.n_elements):
-        v = mesh.elements[e]
-        lines.append(f"{int(v[0])} {int(v[1])} {int(v[2])} {int(mesh.generation[e])}")
-    for e in range(mesh.n_elements):
-        for loc in range(3):
-            tag = FacetTag(int(mesh.edge_tags[e, loc]))
-            if tag != FacetTag.INTERIOR:
-                lines.append(f"{e} {loc} {_TAG_NAMES[tag]}")
+    lines += [f"{t!r} {x!r}" for t, x in mesh.points.tolist()]
+    rows = np.column_stack([mesh.elements, mesh.generation]).tolist()
+    lines += [f"{v0} {v1} {v2} {g}" for v0, v1, v2, g in rows]
+    elems, locs = np.nonzero(mesh.edge_tags != FacetTag.INTERIOR)
+    tags = mesh.edge_tags[elems, locs].tolist()
+    lines += [f"{e} {loc} {_TAG_NAMES[t]}" for e, loc, t in zip(elems.tolist(), locs.tolist(), tags)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

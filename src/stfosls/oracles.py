@@ -1,10 +1,11 @@
 """Brute-force reference implementations used by tests and the verify command.
 
 Everything here is deliberately slow and structurally independent of the
-production assembly and estimation paths: fields are evaluated pointwise
-per global basis function through :func:`evaluate_field`, system images
-through the scalar :func:`eval_G`, and integrals are accumulated in plain
-loops.  A size guard keeps the dense work at desk scale.
+production refinement, assembly and estimation paths: elements are bisected
+one by one, fields are evaluated pointwise per global basis function through
+:func:`evaluate_field`, system images through the scalar :func:`eval_G`, and
+integrals are accumulated in plain loops.  A size guard keeps the dense work
+at desk scale.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .mesh import FacetTag, Mesh
+from .mesh import FacetTag, Mesh, _edge_keys
 from .problem import ExactFields, sample
 from .spaces import (
     DofMap,
@@ -25,6 +26,7 @@ from .system import eval_G, eval_data, eval_data_initial
 
 __all__ = [
     "MAX_DENSE_DOFS",
+    "bisect_reference",
     "dense_assemble",
     "dense_solve",
     "min_eigenvalue",
@@ -45,6 +47,100 @@ def _initial_edges(mesh: Mesh):
             if mesh.edge_tags[e, loc] == FacetTag.INITIAL:
                 out.append((e, loc))
     return out
+
+
+def bisect_reference(mesh: Mesh, marks) -> Mesh:
+    """Newest-vertex bisection element by element, in a Python recursion:
+    the reference that :func:`stfosls.mesh.bisect` must match array for array.
+
+    The refinement edges of the marked elements are scheduled for bisection;
+    closure passes then schedule the refinement edge of any element that has
+    some scheduled edge, until a fixpoint is reached.  Every element is
+    finally split so that exactly its scheduled edges are bisected, which
+    keeps the mesh conforming.  Each bisection introduces one new vertex,
+    the midpoint of the parent's refinement edge; midpoints are deduplicated
+    through the parent edge's vertex pair, never by coordinate comparison.
+
+    Facet tags are inherited: the halves of a tagged edge keep its tag, the
+    interior edges created by bisection are untagged.
+    """
+    marks = np.asarray(sorted(set(int(k) for k in np.atleast_1d(np.asarray(marks, dtype=np.int64))))
+                       if np.size(marks) else [], dtype=np.int64)
+    if marks.size and (marks.min() < 0 or marks.max() >= mesh.n_elements):
+        raise IndexError("marked element index out of range")
+
+    n0 = mesh.n_points
+    keys = _edge_keys(mesh.elements, n0)
+    scheduled = np.unique(keys[marks, 0]) if marks.size else np.empty(0, dtype=np.int64)
+
+    # Closure: an element with any scheduled edge must schedule its
+    # refinement edge as well.  Fixpoint passes; the scheduled set only
+    # grows and is bounded by the number of edges.
+    while scheduled.size:
+        hit = np.isin(keys, scheduled)
+        need = hit.any(axis=1) & ~hit[:, 0]
+        if not need.any():
+            break
+        scheduled = np.union1d(scheduled, keys[need, 0])
+
+    scheduled_set = set(int(k) for k in scheduled)
+    split_elem = np.isin(keys[:, 0], scheduled) if scheduled.size \
+        else np.zeros(mesh.n_elements, dtype=bool)
+
+    points = mesh.points
+    midpoint_of: dict[int, int] = {}
+    new_points: list[np.ndarray] = []
+
+    def midpoint(va: int, vb: int) -> int:
+        key = int(min(va, vb)) * n0 + int(max(va, vb))
+        idx = midpoint_of.get(key)
+        if idx is None:
+            idx = n0 + len(new_points)
+            new_points.append(0.5 * (points[va] + points[vb]))
+            midpoint_of[key] = idx
+        return idx
+
+    out_elems: list[tuple] = []
+    out_gen: list[int] = []
+    out_tags: list[tuple] = []
+    out_from: list[int] = []
+    interior = int(FacetTag.INTERIOR)
+
+    def split(v0, v1, v2, gen, tags, ancestor):
+        # Edges containing a midpoint vertex are never scheduled, so the
+        # recursion bottoms out after at most two levels per call.
+        if v0 < n0 and v1 < n0 and (min(v0, v1) * n0 + max(v0, v1)) in scheduled_set:
+            m = midpoint(v0, v1)
+            split(v2, v0, m, gen + 1, (tags[2], tags[0], interior), ancestor)
+            split(v1, v2, m, gen + 1, (tags[1], interior, tags[0]), ancestor)
+        else:
+            out_elems.append((v0, v1, v2))
+            out_gen.append(gen)
+            out_tags.append(tags)
+            out_from.append(ancestor)
+
+    for e in range(mesh.n_elements):
+        v0, v1, v2 = (int(v) for v in mesh.elements[e])
+        tags = tuple(int(t) for t in mesh.edge_tags[e])
+        if split_elem[e]:
+            split(v0, v1, v2, int(mesh.generation[e]), tags, e)
+        else:
+            out_elems.append((v0, v1, v2))
+            out_gen.append(int(mesh.generation[e]))
+            out_tags.append(tags)
+            out_from.append(e)
+
+    all_points = np.vstack([points, np.asarray(new_points)]) if new_points else points.copy()
+    return Mesh(
+        points=all_points,
+        elements=np.asarray(out_elems, dtype=np.int64),
+        generation=np.asarray(out_gen, dtype=np.int64),
+        edge_tags=np.asarray(out_tags, dtype=np.int64),
+        t_end=mesh.t_end,
+        x_lo=mesh.x_lo,
+        x_hi=mesh.x_hi,
+        refined_from=np.asarray(out_from, dtype=np.int64),
+    )
 
 
 def _edge_geometry(mesh: Mesh, e: int, loc: int, s: np.ndarray):

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import stfosls.driver as driver_mod
+from stfosls.driver import StopCriteria, adaptive_run
+from stfosls.marking import MarkingConfig, MarkStrategy
 from stfosls.mesh import (
     FacetTag,
     bisect,
@@ -15,6 +19,8 @@ from stfosls.mesh import (
     uniform_initial_mesh,
     write_mesh,
 )
+from stfosls.oracles import bisect_reference
+from stfosls.problem import make_problem
 
 
 def test_single_cell_mesh():
@@ -76,6 +82,68 @@ def test_bisect_out_of_range_mark_rejected():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 1, 1)
     with pytest.raises(IndexError):
         bisect(mesh, [5])
+
+
+def _assert_same_mesh(a, b):
+    """Byte and dtype equality of every array of two meshes."""
+    for name in ("points", "elements", "generation", "edge_tags", "refined_from"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+def test_bisect_duplicate_unsorted_marks_same_as_unique():
+    mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 3)
+    _assert_same_mesh(bisect(mesh, [7, 2, 7, 0, 2, 11]), bisect(mesh, [0, 2, 7, 11]))
+
+
+def test_bisect_negative_mark_rejected():
+    mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 1, 1)
+    with pytest.raises(IndexError):
+        bisect(mesh, [0, -1])
+
+
+def test_bisect_matches_reference_on_graded_run(monkeypatch):
+    """Every bisect call of a Doerfler run on incompatible data (closure
+    across graded levels) returns the reference's arrays."""
+    calls = []
+
+    def recording(mesh, marks):
+        out = bisect(mesh, marks)
+        calls.append((mesh, marks, out))
+        return out
+
+    monkeypatch.setattr(driver_mod, "bisect", recording)
+    problem, _ = make_problem("incompatible")
+    log = adaptive_run(problem, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1,
+                       MarkingConfig(MarkStrategy.DOERFLER, 0.5), StopCriteria(max_dofs=1000))
+    assert log.records[-1].dofs >= 1000 and len(calls) >= 10
+    for mesh, marks, out in calls:
+        _assert_same_mesh(out, bisect_reference(mesh, marks))
+
+
+def test_bisect_matches_reference_on_uniform_sweeps():
+    mesh = uniform_initial_mesh(1.0, (0.0, 2.0), 24, 32)
+    for _ in range(2):
+        out = bisect(mesh, np.arange(mesh.n_elements))
+        _assert_same_mesh(out, bisect_reference(mesh, np.arange(mesh.n_elements)))
+        mesh = out
+    assert mesh.n_elements == 4 * 1536
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_bisect_random_marks_property(nt, nx, data):
+    """Random mark sets over a few levels: the reference's arrays, a
+    conforming mesh, consistent tags and positive areas."""
+    mesh = uniform_initial_mesh(1.0, (0.0, 1.0), nt, nx)
+    for _ in range(data.draw(st.integers(1, 4))):
+        marks = data.draw(st.lists(st.integers(0, mesh.n_elements - 1), max_size=12))
+        out = bisect(mesh, marks)
+        _assert_same_mesh(out, bisect_reference(mesh, marks))
+        assert is_conforming(out) and boundary_tags_consistent(out)
+        assert np.all(element_measures(out) > 0)
+        mesh = out
 
 
 def test_element_measure_reference_values():
