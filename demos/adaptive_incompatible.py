@@ -20,8 +20,8 @@ from stfosls import (
     MarkingConfig,
     MarkStrategy,
     StopCriteria,
-    adaptive_run,
     make_problem,
+    run,
     uniform_initial_mesh,
     write_runlog_csv,
 )
@@ -35,7 +35,7 @@ def main(out_dir=None):
     problem, _ = make_problem("incompatible")
     mesh0 = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     marking = MarkingConfig(MarkStrategy.DOERFLER, 0.5)
-    log = adaptive_run(problem, mesh0, 1, marking, StopCriteria(max_iterations=18))
+    log = run(problem, mesh0, 1, StopCriteria(max_iterations=18), marking)
 
     print(f"{'level':>5} {'dofs':>7} {'elements':>9} {'estimator':>12} {'marked':>7}")
     for record in log.records:

@@ -6,11 +6,12 @@ global estimator tracks the error within a few percent on every level.
 """
 
 from stfosls import (
+    StopCriteria,
     exact_error_data,
     make_problem,
     rate_table,
+    run,
     uniform_initial_mesh,
-    uniform_run,
 )
 
 
@@ -22,7 +23,7 @@ def main():
     for p, levels in ((1, 5), (2, 4)):
         print(f"\ndegree p = {p}")
         print(f"{'dofs':>8} {'estimator':>12} {'error':>12} {'order':>7} {'eta/err':>8}")
-        log = uniform_run(problem, mesh0, p, levels, exact=exact)
+        log = run(problem, mesh0, p, StopCriteria(max_iterations=levels - 1), exact=exact)
         for dofs, eta, err, order in rate_table(log):
             order_str = "  --  " if order is None else f"{order:6.3f}"
             print(f"{dofs:8d} {eta:12.4e} {err:12.4e} {order_str:>7} {eta / err:8.4f}")

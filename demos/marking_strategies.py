@@ -14,8 +14,8 @@ from stfosls import (
     MarkingConfig,
     MarkStrategy,
     StopCriteria,
-    adaptive_run,
     make_problem,
+    run,
     uniform_initial_mesh,
 )
 
@@ -27,9 +27,7 @@ def main():
         print(f"\nconvection handled through the {form.value} term")
         for strategy in (MarkStrategy.DOERFLER, MarkStrategy.MAXIMUM):
             marking = MarkingConfig(strategy, 0.5)
-            log = adaptive_run(
-                problem, mesh0, 1, marking, StopCriteria(max_iterations=12)
-            )
+            log = run(problem, mesh0, 1, StopCriteria(max_iterations=12), marking)
             eta = log.estimators()
             print(
                 f"  {strategy.value:8s}: {len(log.records):2d} levels, "

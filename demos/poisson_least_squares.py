@@ -6,14 +6,14 @@ flux formulation of -laplace(u) = f (flux sigma = -grad u, so div sigma = f)
 reuses the whole pipeline, here on u = sin(pi x1) sin(pi x2).
 """
 
-from stfosls import rate_table, uniform_initial_mesh, uniform_run
+from stfosls import StopCriteria, rate_table, run, uniform_initial_mesh
 from stfosls.system import poisson_sine_case
 
 
 def main():
     system, exact = poisson_sine_case()
     mesh0 = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = uniform_run(system, mesh0, 1, 5, exact=exact, check_galerkin=True)
+    log = run(system, mesh0, 1, StopCriteria(max_iterations=4), exact=exact, check_galerkin=True)
 
     print(f"{'dofs':>8} {'estimator':>12} {'error':>12} {'order':>7}")
     for dofs, eta, err, order in rate_table(log):

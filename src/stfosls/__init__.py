@@ -16,9 +16,8 @@ from .driver import (
     RunRecord,
     SolverFailure,
     StopCriteria,
-    adaptive_run,
     rate_table,
-    uniform_run,
+    run,
     write_runlog_csv,
 )
 from .estimator import (

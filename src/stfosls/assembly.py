@@ -374,20 +374,13 @@ def element_fields(solution: DiscreteSolution, quadrature: QuadratureRule):
     return u1_val, u1_grad, u2_val, u2_grad, pts, wdet
 
 
-def galerkin_orthogonality_check(
-    solution: DiscreteSolution,
-    system,
-    quadrature: Optional[QuadratureRule] = None,
-    sparse_system: Optional[SparseSystem] = None,
-) -> float:
+def galerkin_orthogonality_check(solution: DiscreteSolution, sparse_system: SparseSystem) -> float:
     """Largest normalized defect max_j |(f - G u, G phi_j)_L| / ||(f, G phi)_L||.
 
     The inner products are exactly the algebraic residual entries of the
-    assembled system, so the defect measures how far the computed
-    coefficients are from discrete orthogonality.
+    system the solution was computed from, so the defect measures how far
+    the computed coefficients are from discrete orthogonality.
     """
-    if sparse_system is None:
-        sparse_system = assemble(solution.mesh, solution.dofmap, system, quadrature)
     r = sparse_system.rhs - sparse_system.matrix @ solution.coeffs
     b_norm = float(np.linalg.norm(sparse_system.rhs))
     r_max = float(np.max(np.abs(r))) if r.size else 0.0

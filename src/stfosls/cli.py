@@ -21,8 +21,7 @@ from .driver import (
     MarkingPropertyError,
     SolverFailure,
     StopCriteria,
-    adaptive_run,
-    uniform_run,
+    run,
     write_runlog_csv,
 )
 from .marking import MarkingConfig, MarkStrategy
@@ -210,13 +209,11 @@ def cmd_run(config_path, out_dir=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     mesh0, system, exact = _build_run(config)
+    stop, marking = config.stop, config.marking
+    if config.mode == "uniform":
+        stop, marking = StopCriteria(max_iterations=config.levels - 1), None
     try:
-        if config.mode == "uniform":
-            log = uniform_run(system, mesh0, config.degree, config.levels, exact=exact)
-        else:
-            log = adaptive_run(
-                system, mesh0, config.degree, config.marking, config.stop, exact=exact
-            )
+        log = run(system, mesh0, config.degree, stop, marking=marking, exact=exact)
     except SolverFailure as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return 3

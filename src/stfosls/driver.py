@@ -1,5 +1,5 @@
-"""The adaptive loop (solve, estimate, mark, refine) and a uniform-refinement
-mode for convergence-rate studies, with per-level run logging."""
+"""The solve-estimate-mark-refine loop, adaptive or uniform, with per-level
+run logging and rate tables."""
 
 from __future__ import annotations
 
@@ -29,8 +29,7 @@ __all__ = [
     "RunLog",
     "SolverFailure",
     "MarkingPropertyError",
-    "adaptive_run",
-    "uniform_run",
+    "run",
     "rate_table",
     "write_runlog_csv",
 ]
@@ -62,6 +61,10 @@ class StopCriteria:
         if self.max_iterations is None and self.max_dofs is None \
                 and self.estimator_tolerance is None:
             raise ValueError("at least one stopping criterion must be set")
+        if self.max_iterations is not None and self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
+        if self.max_dofs is not None and self.max_dofs < 1:
+            raise ValueError(f"max_dofs must be >= 1, got {self.max_dofs}")
 
 
 @dataclass
@@ -98,13 +101,13 @@ def _as_system(problem_or_system):
     return problem_or_system
 
 
-def _solve_level(mesh, system, p, quad, equad, cg_rel_tol, check_galerkin):
+def _solve_level(mesh, system, p, quad, equad, check_galerkin):
     """Solve one level; its indicators reuse the table assembly built, which dies here."""
     dofmap = build_dofmap(
         mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags
     )
     sparse = assemble(mesh, dofmap, system, quad, equad)
-    coeffs, report = solve_cg(sparse.matrix, sparse.rhs, rel_tol=cg_rel_tol, factorize=True)
+    coeffs, report = solve_cg(sparse.matrix, sparse.rhs, factorize=True)
     if not report.converged:
         raise SolverFailure(
             f"CG stalled at relative residual {report.relative_residual:.3e} "
@@ -113,40 +116,40 @@ def _solve_level(mesh, system, p, quad, equad, cg_rel_tol, check_galerkin):
     solution = DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
     defect = None
     if check_galerkin:
-        defect = galerkin_orthogonality_check(solution, system, quad, sparse_system=sparse)
+        defect = galerkin_orthogonality_check(solution, sparse)
     indicators = compute_indicators(mesh, solution, system, quad, equad, table=sparse.table)
     return solution, report, defect, indicators
 
 
-def adaptive_run(
+def run(
     problem_or_system,
     mesh0: Mesh,
     p: int,
-    marking: MarkingConfig,
     stop: StopCriteria,
+    marking: Optional[MarkingConfig] = None,
     exact: Optional[ExactFields] = None,
-    quad_degree: Optional[int] = None,
-    cg_rel_tol: float = 1e-10,
     check_galerkin: bool = False,
 ) -> RunLog:
-    """Run the adaptive loop until a stopping criterion fires.
+    """Solve, estimate, mark and refine until a stopping criterion fires.
 
-    Each level solves the least-squares system, computes indicators, marks
-    (verifying the marking property), and refines exactly the marked set
-    plus bisection closure.  All-zero indicators terminate the run as
-    converged.
+    With a ``marking`` config each level marks by the indicators (verifying
+    the marking property) and refines exactly the marked set plus bisection
+    closure; all-zero indicators end the run as converged.  ``marking=None``
+    refines uniformly: every element is marked and the mesh is bisected
+    twice, which splits each triangle into four similar children and halves
+    the mesh width.  Such a run ends only by ``stop``, and its
+    ``max_iterations`` reason is reported as ``"levels"``.
     """
     system = _as_system(problem_or_system)
-    degree = quad_degree if quad_degree is not None else 2 * p + 2
-    quad = build_quadrature(degree)
-    equad = build_edge_quadrature(degree)
+    quad = build_quadrature(2 * p + 2)
+    equad = build_edge_quadrature(2 * p + 2)
 
     log = RunLog()
     mesh = mesh0
     level = 0
     while True:
         solution, report, defect, indicators = _solve_level(
-            mesh, system, p, quad, equad, cg_rel_tol, check_galerkin
+            mesh, system, p, quad, equad, check_galerkin
         )
         error = None
         if exact is not None:
@@ -166,77 +169,28 @@ def adaptive_run(
         log.final_mesh = mesh
         if stop.estimator_tolerance is not None and indicators.total <= stop.estimator_tolerance:
             log.reason = "estimator_tolerance"
-            return log
-        if np.all(indicators.per_element == 0.0):
+        elif marking is not None and np.all(indicators.per_element == 0.0):
             log.reason = "converged"
-            return log
-        if stop.max_dofs is not None and solution.dofmap.n_dofs >= stop.max_dofs:
+        elif stop.max_dofs is not None and solution.dofmap.n_dofs >= stop.max_dofs:
             log.reason = "max_dofs"
-            return log
-        if stop.max_iterations is not None and level >= stop.max_iterations:
-            log.reason = "max_iterations"
+        elif stop.max_iterations is not None and level >= stop.max_iterations:
+            log.reason = "max_iterations" if marking is not None else "levels"
+        if log.reason:
             return log
 
-        marks = mark(indicators.per_element, marking)
-        if not verify_marking_property(indicators.per_element, marks):
-            raise MarkingPropertyError(
-                f"marking strategy {marking.strategy.value} violated the marking property"
-            )
+        if marking is None:
+            marks = np.arange(mesh.n_elements)
+        else:
+            marks = mark(indicators.per_element, marking)
+            if not verify_marking_property(indicators.per_element, marks):
+                raise MarkingPropertyError(
+                    f"marking strategy {marking.strategy.value} violated the marking property"
+                )
         record.marked = int(marks.size)
         mesh = bisect(mesh, marks)
+        if marking is None:
+            mesh = bisect(mesh, np.arange(mesh.n_elements))
         level += 1
-
-
-def uniform_run(
-    problem_or_system,
-    mesh0: Mesh,
-    p: int,
-    levels: int,
-    exact: Optional[ExactFields] = None,
-    quad_degree: Optional[int] = None,
-    cg_rel_tol: float = 1e-10,
-    check_galerkin: bool = False,
-) -> RunLog:
-    """Solve on a sequence of uniformly refined meshes.
-
-    Each level applies two full bisection sweeps, which splits every
-    triangle into four similar children and halves the mesh width.
-    """
-    if levels < 1:
-        raise ValueError("a uniform run needs at least one level")
-    system = _as_system(problem_or_system)
-    degree = quad_degree if quad_degree is not None else 2 * p + 2
-    quad = build_quadrature(degree)
-    equad = build_edge_quadrature(degree)
-
-    log = RunLog()
-    mesh = mesh0
-    for level in range(levels):
-        solution, report, defect, indicators = _solve_level(
-            mesh, system, p, quad, equad, cg_rel_tol, check_galerkin
-        )
-        error = None
-        if exact is not None:
-            error = u_norm_error(mesh, solution, exact, system, quad, equad).total
-        marked = mesh.n_elements if level + 1 < levels else 0
-        log.records.append(
-            RunRecord(
-                level=level,
-                dofs=solution.dofmap.n_dofs,
-                elements=mesh.n_elements,
-                estimator=indicators.total,
-                error=error,
-                marked=marked,
-                solver=report,
-                galerkin_defect=defect,
-            )
-        )
-        if level + 1 < levels:
-            mesh = bisect(mesh, np.arange(mesh.n_elements))
-            mesh = bisect(mesh, np.arange(mesh.n_elements))
-    log.reason = "levels"
-    log.final_mesh = mesh
-    return log
 
 
 def rate_table(runlog: RunLog, column: str = "auto"):

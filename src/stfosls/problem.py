@@ -3,8 +3,7 @@ convection-form selection, and manufactured solutions with closed-form
 derivatives.
 
 All coefficient and data fields are point-evaluable callables ``f(t, x)``
-that should accept numpy arrays (scalar-only callables are handled through
-a vectorizing fallback in :func:`sample`).
+that accept numpy arrays; a scalar-only callable fails with its own error.
 """
 
 from __future__ import annotations
@@ -45,13 +44,10 @@ class ConvectionForm(Enum):
 
 
 def sample(f: Callable, t, x) -> np.ndarray:
-    """Evaluate ``f(t, x)`` on arrays, broadcasting scalar-valued callables."""
+    """Evaluate ``f(t, x)`` on arrays, broadcasting a constant result."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    try:
-        out = np.asarray(f(t, x), dtype=float)
-    except (TypeError, ValueError):
-        out = np.asarray(np.vectorize(f)(t, x), dtype=float)
+    out = np.asarray(f(t, x), dtype=float)
     if out.shape != t.shape:
         out = np.broadcast_to(out, t.shape).copy()
     return out
@@ -60,10 +56,7 @@ def sample(f: Callable, t, x) -> np.ndarray:
 def sample_x(f: Callable, x) -> np.ndarray:
     """Evaluate a function of x alone on arrays, like :func:`sample`."""
     x = np.asarray(x, dtype=float)
-    try:
-        out = np.asarray(f(x), dtype=float)
-    except (TypeError, ValueError):
-        out = np.asarray(np.vectorize(f)(x), dtype=float)
+    out = np.asarray(f(x), dtype=float)
     if out.shape != x.shape:
         out = np.broadcast_to(out, x.shape).copy()
     return out

@@ -20,7 +20,7 @@ import pytest
 
 from stfosls import oracles
 from stfosls.assembly import DiscreteSolution, assemble, solve_cg
-from stfosls.driver import StopCriteria, adaptive_run, rate_table, uniform_run
+from stfosls.driver import StopCriteria, rate_table, run
 from stfosls.estimator import compute_indicators, data_norm
 from stfosls.marking import (
     MarkingConfig,
@@ -57,8 +57,10 @@ def _mesh0():
 def heat_uniform_runs():
     problem, case = make_problem("heat-smooth")
     exact = exact_error_data(case)
-    run_p1 = uniform_run(problem, _mesh0(), 1, 5, exact=exact, check_galerkin=True)
-    run_p2 = uniform_run(problem, _mesh0(), 2, 4, exact=exact, check_galerkin=True)
+    run_p1 = run(problem, _mesh0(), 1, StopCriteria(max_iterations=4), exact=exact,
+                 check_galerkin=True)
+    run_p2 = run(problem, _mesh0(), 2, StopCriteria(max_iterations=3), exact=exact,
+                 check_galerkin=True)
     return run_p1, run_p2
 
 
@@ -78,18 +80,16 @@ def adaptive_logs():
             problem, _ = make_problem(case_name, form)
             for strategy in strategies:
                 marking = MarkingConfig(strategy, 0.5)
-                probe = adaptive_run(
-                    problem, _mesh0(), 1, marking, StopCriteria(max_iterations=0)
-                )
+                probe = run(problem, _mesh0(), 1, StopCriteria(max_iterations=0), marking)
                 eta0 = probe.records[0].estimator
-                log = adaptive_run(
+                log = run(
                     problem,
                     _mesh0(),
                     1,
-                    marking,
                     StopCriteria(
                         max_iterations=25, max_dofs=50000, estimator_tolerance=0.1 * eta0
                     ),
+                    marking,
                     check_galerkin=True,
                 )
                 logs[(case_name, strategy, form)] = log
@@ -99,7 +99,8 @@ def adaptive_logs():
 @pytest.fixture(scope="module")
 def poisson_uniform_run():
     system, exact = poisson_sine_case()
-    return uniform_run(system, _mesh0(), 1, 5, exact=exact, check_galerkin=True)
+    return run(system, _mesh0(), 1, StopCriteria(max_iterations=4), exact=exact,
+               check_galerkin=True)
 
 
 def _orders_last_levels(log, n_levels=3):

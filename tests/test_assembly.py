@@ -12,7 +12,7 @@ from stfosls.assembly import (
     galerkin_orthogonality_check,
     solve_cg,
 )
-from stfosls.driver import StopCriteria, adaptive_run
+from stfosls.driver import StopCriteria, run
 from stfosls.estimator import compute_indicators
 from stfosls.marking import MarkingConfig, MarkStrategy
 from stfosls.mesh import bisect, uniform_initial_mesh
@@ -54,9 +54,9 @@ def test_zero_data_zero_load():
 def _graded_incompatible(max_iterations):
     """Mesh of a Doerfler run on incompatible data, graded towards the corners."""
     problem, _ = make_problem("incompatible")
-    log = adaptive_run(
+    log = run(
         problem, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1,
-        MarkingConfig(MarkStrategy.DOERFLER, 0.5), StopCriteria(max_iterations=max_iterations),
+        StopCriteria(max_iterations=max_iterations), MarkingConfig(MarkStrategy.DOERFLER, 0.5),
     )
     return log.final_mesh, parabolic_system(problem)
 
@@ -259,11 +259,11 @@ def test_galerkin_defect_small_after_solve():
     dense, dense_rhs = oracles.dense_assemble(mesh, dofmap, system)
     x_direct = oracles.dense_solve(dense, dense_rhs)
     direct = DiscreteSolution(coeffs=x_direct, mesh=mesh, dofmap=dofmap)
-    assert galerkin_orthogonality_check(direct, system, sparse_system=sparse_system) <= 1e-10
+    assert galerkin_orthogonality_check(direct, sparse_system) <= 1e-10
 
     x, _ = solve_cg(sparse_system.matrix, sparse_system.rhs, rel_tol=1e-10)
     cg_solution = DiscreteSolution(coeffs=x, mesh=mesh, dofmap=dofmap)
-    assert galerkin_orthogonality_check(cg_solution, system, sparse_system=sparse_system) <= 1e-8
+    assert galerkin_orthogonality_check(cg_solution, sparse_system) <= 1e-8
 
 
 def test_galerkin_defect_zero_data():
@@ -275,7 +275,7 @@ def test_galerkin_defect_zero_data():
     solution = DiscreteSolution(
         coeffs=np.zeros(dofmap.n_dofs), mesh=mesh, dofmap=dofmap
     )
-    assert galerkin_orthogonality_check(solution, system, sparse_system=zero_system) == 0.0
+    assert galerkin_orthogonality_check(solution, zero_system) == 0.0
 
 
 def test_dense_oracle_size_guard():

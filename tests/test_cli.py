@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from stfosls.cli import ConfigError, main, parse_config
 from stfosls.mesh import read_mesh
 
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 HEAT_UNIFORM = """
 case = heat-smooth
@@ -115,7 +117,7 @@ def test_solver_failure_exit_3(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise SolverFailure("stalled")
 
-    monkeypatch.setattr(cli, "adaptive_run", boom)
+    monkeypatch.setattr(cli, "run", boom)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(INCOMPATIBLE_ADAPTIVE)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
@@ -128,7 +130,7 @@ def test_internal_invariant_exit_4(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise MarkingPropertyError("violated")
 
-    monkeypatch.setattr(cli, "adaptive_run", boom)
+    monkeypatch.setattr(cli, "run", boom)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(INCOMPATIBLE_ADAPTIVE)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 4
@@ -155,3 +157,21 @@ def test_poisson_config(tmp_path):
     rows = (out / "runlog.csv").read_text().splitlines()[1:]
     assert len(rows) == 2
     assert float(rows[0].split(",")[4]) > 0  # manufactured reference available
+
+
+@pytest.mark.parametrize("config", sorted((DEMOS / "configs").glob("*.cfg")),
+                         ids=lambda path: path.stem)
+def test_demo_config_runs(config, tmp_path):
+    assert main(["run", str(config), "--out", str(tmp_path)]) == 0
+
+
+def test_demo_scripts_import():
+    """Each demo runs its main() only as a script; importing it resolves every
+    name it takes from the package."""
+    paths = sorted(DEMOS.glob("*.py"))
+    assert paths
+    for path in paths:
+        spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert callable(module.main)

@@ -8,9 +8,8 @@ from stfosls.driver import (
     RunRecord,
     SolverReport,
     StopCriteria,
-    adaptive_run,
     rate_table,
-    uniform_run,
+    run,
     write_runlog_csv,
 )
 from stfosls.marking import MarkingConfig, MarkStrategy
@@ -40,6 +39,10 @@ def _zero_problem():
 def test_stop_criteria_requires_a_criterion():
     with pytest.raises(ValueError):
         StopCriteria()
+    with pytest.raises(ValueError):
+        StopCriteria(max_iterations=-1)
+    with pytest.raises(ValueError):
+        StopCriteria(max_dofs=0)
 
 
 def test_solver_failure_aborts_run(monkeypatch):
@@ -55,7 +58,7 @@ def test_solver_failure_aborts_run(monkeypatch):
     problem, _ = make_problem("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     with pytest.raises(SolverFailure):
-        adaptive_run(problem, mesh, 1, DOERFLER, StopCriteria(max_iterations=2))
+        run(problem, mesh, 1, StopCriteria(max_iterations=2), DOERFLER)
 
 
 def test_level_solve_factorized_on_graded_mesh(monkeypatch):
@@ -75,7 +78,7 @@ def test_level_solve_factorized_on_graded_mesh(monkeypatch):
     monkeypatch.setattr(driver_mod, "solve_cg", recording)
     problem, _ = make_problem("incompatible")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = adaptive_run(problem, mesh, 1, DOERFLER, StopCriteria(max_dofs=1000))
+    log = run(problem, mesh, 1, StopCriteria(max_dofs=1000), DOERFLER)
     assert 1000 <= log.records[-1].dofs <= 2000
     assert len(solves) == len(log.records) >= 10
     for matrix, rhs, x, report in solves:
@@ -90,7 +93,7 @@ def test_level_solve_factorized_on_graded_mesh(monkeypatch):
 
 def test_zero_data_stops_at_level_zero():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = adaptive_run(_zero_problem(), mesh, 1, DOERFLER, StopCriteria(max_iterations=10))
+    log = run(_zero_problem(), mesh, 1, StopCriteria(max_iterations=10), DOERFLER)
     assert len(log.records) == 1
     assert log.reason == "converged"
     assert log.records[0].estimator == 0.0
@@ -99,8 +102,8 @@ def test_zero_data_stops_at_level_zero():
 def test_adaptive_heat_estimator_decreases():
     problem, case = make_problem("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = adaptive_run(
-        problem, mesh, 1, DOERFLER, StopCriteria(max_dofs=5000),
+    log = run(
+        problem, mesh, 1, StopCriteria(max_dofs=5000), DOERFLER,
         exact=exact_error_data(case), check_galerkin=True,
     )
     eta = log.estimators()
@@ -115,7 +118,7 @@ def test_adaptive_heat_estimator_decreases():
 def test_adaptive_meshes_stay_conforming():
     problem, _ = make_problem("incompatible")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = adaptive_run(problem, mesh, 1, DOERFLER, StopCriteria(max_iterations=8))
+    log = run(problem, mesh, 1, StopCriteria(max_iterations=8), DOERFLER)
     assert log.final_mesh is not None
     assert is_conforming(log.final_mesh)
 
@@ -125,7 +128,7 @@ def test_incompatible_concentrates_near_initial_time():
     uniform mesh of comparable size would have."""
     problem, _ = make_problem("incompatible")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = adaptive_run(problem, mesh, 1, DOERFLER, StopCriteria(max_iterations=10))
+    log = run(problem, mesh, 1, StopCriteria(max_iterations=10), DOERFLER)
     final = log.final_mesh
 
     def fraction_near_zero(m, cut=0.1):
@@ -144,7 +147,8 @@ def test_uniform_run_zero_data():
     problem = _zero_problem()
     zero = lambda t, x: np.zeros_like(np.asarray(t, dtype=float))
     zero_exact = exact_error_data(ManufacturedCase("zero", zero, zero, zero, zero, zero, zero))
-    log = uniform_run(problem, mesh, 1, 3, exact=zero_exact)
+    log = run(problem, mesh, 1, StopCriteria(max_iterations=2), exact=zero_exact)
+    assert len(log.records) == 3 and log.reason == "levels"
     assert np.all(log.estimators() == 0.0)
     assert np.all(log.errors() == 0.0)
 
@@ -152,7 +156,7 @@ def test_uniform_run_zero_data():
 def test_uniform_run_halves_mesh_width():
     problem, _ = make_problem("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = uniform_run(problem, mesh, 1, 3)
+    log = run(problem, mesh, 1, StopCriteria(max_iterations=2))
     elems = np.array([r.elements for r in log.records])
     assert np.array_equal(elems, [8, 32, 128])
 
@@ -160,7 +164,7 @@ def test_uniform_run_halves_mesh_width():
 def test_estimator_monotone_under_uniform_refinement():
     problem, _ = make_problem("convection-reaction")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = uniform_run(problem, mesh, 1, 4)
+    log = run(problem, mesh, 1, StopCriteria(max_iterations=3))
     eta = log.estimators()
     assert np.all(eta[1:] <= eta[:-1] + 1e-10)
 
@@ -193,7 +197,7 @@ def test_rate_table_hand_examples():
 def test_rate_table_reproduces_uniform_rates():
     problem, case = make_problem("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = uniform_run(problem, mesh, 1, 4, exact=exact_error_data(case))
+    log = run(problem, mesh, 1, StopCriteria(max_iterations=3), exact=exact_error_data(case))
     orders = [row[3] for row in rate_table(log)[1:]]
     assert all(0.85 <= o <= 1.3 for o in orders)
 
@@ -201,7 +205,7 @@ def test_rate_table_reproduces_uniform_rates():
 def test_runlog_csv_format(tmp_path):
     problem, case = make_problem("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = uniform_run(problem, mesh, 1, 2, exact=exact_error_data(case))
+    log = run(problem, mesh, 1, StopCriteria(max_iterations=1), exact=exact_error_data(case))
     path = tmp_path / "runlog.csv"
     write_runlog_csv(log, path)
     lines = path.read_text().splitlines()
@@ -213,7 +217,7 @@ def test_runlog_csv_format(tmp_path):
 
     # error column is empty without a manufactured reference
     problem2, _ = make_problem("incompatible")
-    log2 = adaptive_run(problem2, mesh, 1, DOERFLER, StopCriteria(max_iterations=1))
+    log2 = run(problem2, mesh, 1, StopCriteria(max_iterations=1), DOERFLER)
     path2 = tmp_path / "runlog2.csv"
     write_runlog_csv(log2, path2)
     row = path2.read_text().splitlines()[1].split(",")
@@ -225,7 +229,7 @@ def test_runs_are_deterministic(tmp_path):
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     out = []
     for tag in ("a", "b"):
-        log = adaptive_run(problem, mesh, 1, DOERFLER, StopCriteria(max_iterations=6))
+        log = run(problem, mesh, 1, StopCriteria(max_iterations=6), DOERFLER)
         path = tmp_path / f"log_{tag}.csv"
         write_runlog_csv(log, path)
         out.append(path.read_bytes())
@@ -255,7 +259,7 @@ def test_marking_property_holds_every_iteration():
         assert verify_marking_property(indicators.per_element, marks)
         mesh = bisect(mesh, marks)
 
-    log = adaptive_run(problem, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1,
-                       DOERFLER, StopCriteria(max_iterations=5))
+    log = run(problem, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1,
+              StopCriteria(max_iterations=5), DOERFLER)
     assert log.reason == "max_iterations"
     assert all(r.marked > 0 for r in log.records[:-1])

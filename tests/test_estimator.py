@@ -154,12 +154,12 @@ def test_efficiency_ratio_flags():
 def test_efficiency_ratio_stable_across_uniform_levels():
     """Estimator/error ratio: band < 2 over four uniform refinements and
     < 4 over a six-level sequence (two-sided equivalence)."""
-    from stfosls.driver import uniform_run
+    from stfosls.driver import StopCriteria, run
 
     problem, case = make_problem("heat-smooth")
     exact = exact_error_data(case)
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = uniform_run(problem, mesh, 1, 6, exact=exact)
+    log = run(problem, mesh, 1, StopCriteria(max_iterations=5), exact=exact)
     ratios = log.estimators() / log.errors()
     assert ratios[:4].max() / ratios[:4].min() < 2.0
     assert ratios.max() / ratios.min() < 4.0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stfosls.driver as driver_mod
-from stfosls.driver import StopCriteria, adaptive_run
+from stfosls.driver import StopCriteria, run
 from stfosls.marking import MarkingConfig, MarkStrategy
 from stfosls.mesh import (
     FacetTag,
@@ -115,8 +115,8 @@ def test_bisect_matches_reference_on_graded_run(monkeypatch):
 
     monkeypatch.setattr(driver_mod, "bisect", recording)
     problem, _ = make_problem("incompatible")
-    log = adaptive_run(problem, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1,
-                       MarkingConfig(MarkStrategy.DOERFLER, 0.5), StopCriteria(max_dofs=1000))
+    log = run(problem, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1,
+              StopCriteria(max_dofs=1000), MarkingConfig(MarkStrategy.DOERFLER, 0.5))
     assert log.records[-1].dofs >= 1000 and len(calls) >= 10
     for mesh, marks, out in calls:
         _assert_same_mesh(out, bisect_reference(mesh, marks))
@@ -230,6 +230,12 @@ def test_hanging_node_detected():
     assert not is_conforming(broken)
 
 
+def _rows(a):
+    """One opaque item per row, so that np.isin compares rows bit for bit."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+
+
 def test_random_refinement_invariants():
     """100 randomized mark sets: conformity, marked subset bisected, one new
     vertex per bisected edge at the parent midpoint, bounded angle classes."""
@@ -237,7 +243,7 @@ def test_random_refinement_invariants():
     initial = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     mesh = initial
     ancestor = np.arange(mesh.n_elements)
-    class_sets = {k: set() for k in range(initial.n_elements)}
+    classes = np.empty((0, 4))  # distinct (ancestor, sorted angles) rows
 
     for trial in range(100):
         marks = rng.choice(mesh.n_elements, size=rng.integers(1, max(2, mesh.n_elements // 4)),
@@ -248,33 +254,28 @@ def test_random_refinement_invariants():
         assert np.all(element_measures(refined) > 0)
 
         # every marked element was replaced by at least two descendants
-        from collections import Counter
-
-        children = Counter(int(p) for p in refined.refined_from)
-        for k in marks:
-            assert children[int(k)] >= 2
-            descendants = np.flatnonzero(refined.refined_from == k)
-            assert np.all(refined.generation[descendants] > mesh.generation[k])
+        children = np.bincount(refined.refined_from, minlength=mesh.n_elements)
+        assert np.all(children[marks] >= 2)
+        descendant = np.isin(refined.refined_from, marks)
+        parents = refined.refined_from[descendant]
+        assert np.all(refined.generation[descendant] > mesh.generation[parents])
 
         # every new vertex is the bit-exact midpoint of an edge of the
         # previous mesh (bisection only ever splits existing edges)
-        midpoints = set()
-        for tri in mesh.elements:
-            for a, b in zip(tri, np.roll(tri, -1)):
-                midpoints.add((0.5 * (mesh.points[a] + mesh.points[b])).tobytes())
-        for new in range(mesh.n_points, refined.n_points):
-            assert refined.points[new].tobytes() in midpoints
+        tri = mesh.elements
+        midpoints = 0.5 * (mesh.points[tri] + mesh.points[np.roll(tri, -1, axis=1)])
+        new = refined.points[mesh.n_points:]
+        assert np.all(np.isin(_rows(new), _rows(midpoints.reshape(-1, 2))))
 
         ancestor = ancestor[refined.refined_from]
         angles = np.round(sorted_angles(refined), 9)
-        for e in range(refined.n_elements):
-            class_sets[int(ancestor[e])].add(tuple(angles[e]))
+        classes = np.unique(np.vstack([classes, np.column_stack([ancestor, angles])]), axis=0)
         mesh = refined
         if mesh.n_elements > 10000:
             mesh = initial
             ancestor = np.arange(mesh.n_elements)
 
-    assert max(len(s) for s in class_sets.values()) <= 8
+    assert np.bincount(classes[:, 0].astype(int)).max() <= 8
 
 
 def test_mesh_dump_roundtrip(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -11,6 +13,7 @@ from stfosls.problem import (
     from_manufactured,
     make_problem,
     sample,
+    sample_x,
 )
 
 
@@ -185,3 +188,14 @@ def test_coefficient_positivity_on_samples():
         a = sample(problem.coefficients.diffusion, t, x)
         assert np.all(a > 0)
         assert np.all(np.isfinite(sample(problem.data.f1, t, x)))
+
+
+def test_scalar_only_callable_raises():
+    """A callable that cannot take arrays fails with its own error; there is no
+    per-point fallback.  A constant result still broadcasts."""
+    t = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(TypeError):
+        sample(lambda t, x: math.exp(t), t, t)
+    with pytest.raises(TypeError):
+        sample_x(lambda x: math.sin(x), t)
+    assert np.array_equal(sample(lambda t, x: 2.0, t, t), np.full(5, 2.0))
