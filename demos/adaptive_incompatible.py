@@ -8,10 +8,18 @@ geometrically at the corners, and the estimator decreases on every level
 (slowly - this singularity caps the achievable rate).
 
 Writes runlog.csv and mesh_final.txt next to this script unless an output
-directory is given on the command line.
+directory is given on the command line.  The run stops after 18 refinement
+steps, at 1,422 dofs; ``--max-dofs N`` runs on until a level has N dofs
+instead.  It prints eta/eta_0 and the rate s of eta ~ dofs^s fitted over
+the second half of the levels:
+
+    python demos/adaptive_incompatible.py --max-dofs 367000
+
+gives eta/eta_0 = 0.208 at 367,596 dofs and s = -0.145 (about 23 s and
+1.04 GB peak RSS on a 2-vCPU host).
 """
 
-import sys
+import argparse
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +36,15 @@ from stfosls import (
 from stfosls.mesh import element_measures, write_mesh
 
 
-def main(out_dir=None):
+def main(out_dir=None, max_dofs=None):
     out = Path(out_dir) if out_dir else Path(__file__).parent / "out_incompatible"
     out.mkdir(parents=True, exist_ok=True)
 
     problem, _ = make_problem("incompatible")
     mesh0 = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     marking = MarkingConfig(MarkStrategy.DOERFLER, 0.5)
-    log = run(problem, mesh0, 1, StopCriteria(max_iterations=18), marking)
+    stop = StopCriteria(max_iterations=18) if max_dofs is None else StopCriteria(max_dofs=max_dofs)
+    log = run(problem, mesh0, 1, stop, marking)
 
     print(f"{'level':>5} {'dofs':>7} {'elements':>9} {'estimator':>12} {'marked':>7}")
     for record in log.records:
@@ -50,7 +59,11 @@ def main(out_dir=None):
     print(f"\nfinal mesh: {final.n_elements} elements")
     print(f"share of elements touching t < 0.1: {share:.2f} (area share is 0.10)")
     print(f"smallest element diameter: {np.sqrt(2.0 * element_measures(final).min()):.2e}")
-    print(f"estimator reduced by factor {log.records[0].estimator / log.records[-1].estimator:.2f}")
+    eta, dofs = log.estimators(), log.dofs()
+    print(f"estimator reduced by factor {eta[0] / eta[-1]:.2f}: eta/eta_0 = {eta[-1] / eta[0]:.3f}")
+    half = len(eta) // 2
+    rate = np.polyfit(np.log(dofs[half:]), np.log(eta[half:]), 1)[0]
+    print(f"fitted rate over levels {half}-{len(eta) - 1}: eta ~ dofs^{rate:.3f}")
 
     write_runlog_csv(log, out / "runlog.csv")
     write_mesh(final, out / "mesh_final.txt")
@@ -58,4 +71,9 @@ def main(out_dir=None):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1] if len(sys.argv) > 1 else None)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", nargs="?", default=None, help="output directory")
+    parser.add_argument("--max-dofs", type=int, default=None,
+                        help="refine until a level has this many dofs")
+    args = parser.parse_args()
+    main(args.out_dir, args.max_dofs)

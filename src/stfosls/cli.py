@@ -60,12 +60,15 @@ _DEFAULTS = {
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A validated config; ``stop`` and ``marking`` are what ``driver.run``
+    gets (``marking`` is None in uniform mode)."""
+
     system: str
     case: str
     form: ConvectionForm
     degree: int
     mode: str
-    marking: MarkingConfig
+    marking: Optional[MarkingConfig]
     levels: int
     stop: StopCriteria
     nt: int
@@ -78,8 +81,15 @@ class RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a flat key = value configuration."""
+    """Parse and validate a flat key = value configuration.
+
+    In uniform mode ``levels`` bounds the run, ``max_dofs`` and
+    ``estimator_tolerance`` stop it as in adaptive mode, an explicitly set
+    ``max_iterations`` caps it further, and ``marking`` or ``theta`` are
+    rejected.
+    """
     values = dict(_DEFAULTS)
+    given = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -91,6 +101,7 @@ def parse_config(text: str) -> RunConfig:
         if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = value.strip()
+        given.add(key)
 
     def _int(key, minimum=None):
         try:
@@ -132,16 +143,29 @@ def parse_config(text: str) -> RunConfig:
     if mode not in ("adaptive", "uniform"):
         raise ConfigError(f"mode must be 'adaptive' or 'uniform', got {mode!r}")
 
-    try:
-        strategy = MarkStrategy(values["marking"])
-    except ValueError as exc:
-        raise ConfigError(f"marking must be 'doerfler' or 'maximum', got {values['marking']!r}") from exc
-    try:
-        marking = MarkingConfig(strategy=strategy, theta=_float("theta"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    levels = _int("levels", minimum=1)
     max_iterations = _int("max_iterations", minimum=0) if values["max_iterations"] else None
+    marking = None
+    if mode == "uniform":
+        adaptive_only = sorted(given & {"marking", "theta"})
+        if adaptive_only:
+            raise ConfigError(f"{' and '.join(adaptive_only)} only apply to mode = adaptive")
+        if "max_iterations" in given and max_iterations is not None:
+            max_iterations = min(max_iterations, levels - 1)
+        else:
+            max_iterations = levels - 1
+    else:
+        try:
+            strategy = MarkStrategy(values["marking"])
+        except ValueError as exc:
+            raise ConfigError(
+                f"marking must be 'doerfler' or 'maximum', got {values['marking']!r}"
+            ) from exc
+        try:
+            marking = MarkingConfig(strategy=strategy, theta=_float("theta"))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
     max_dofs = _int("max_dofs", minimum=1) if values["max_dofs"] else None
     tol = _float("estimator_tolerance") if values["estimator_tolerance"] else None
     try:
@@ -169,7 +193,7 @@ def parse_config(text: str) -> RunConfig:
         degree=degree,
         mode=mode,
         marking=marking,
-        levels=_int("levels", minimum=1),
+        levels=levels,
         stop=stop,
         nt=_int("nt", minimum=1),
         nx=_int("nx", minimum=1),
@@ -209,11 +233,8 @@ def cmd_run(config_path, out_dir=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     mesh0, system, exact = _build_run(config)
-    stop, marking = config.stop, config.marking
-    if config.mode == "uniform":
-        stop, marking = StopCriteria(max_iterations=config.levels - 1), None
     try:
-        log = run(system, mesh0, config.degree, stop, marking=marking, exact=exact)
+        log = run(system, mesh0, config.degree, config.stop, marking=config.marking, exact=exact)
     except SolverFailure as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return 3

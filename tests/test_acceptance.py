@@ -5,12 +5,16 @@ criterion.  Every tolerance is pinned here; shared runs are computed once per
 module in fixtures.
 
 The estimator-reduction target for the incompatible-data case is implemented
-exactly as stated but is marked as a known failure: the exact solution of
-that problem is singular at the two bottom corners, the graph-norm error
-(and hence the equivalent estimator) decays only like dofs^(-1/4) with a
-large logarithmic factor there, and within the stated budgets (25 adaptive
-iterations or 50000 dofs) the measured reduction plateaus near 0.35, far
-from the required 0.1.  See notes in the repository root for the analysis.
+exactly as stated but is marked as a known failure.  The exact solution of
+that problem jumps at the two bottom corners, and the estimator decays far
+too slowly for the stated budgets (25 adaptive iterations or 50000 dofs).
+With Doerfler marking (theta = 0.5) the 25-iteration budget stops the run at
+8,686 dofs with eta/eta_0 = 0.367 (maximum marking: 0.347 at 11,396); the
+50k-dof budget never binds.  Run on, the ratio is 0.310 at 29,260 dofs,
+0.253 at 105,996 and 0.208 at 367,596, and a fit of eta ~ dofs^s over the
+second half of those levels gives s = -0.145.  At that rate the required
+0.1 needs on the order of 10^7-10^8 dofs.  ``python
+demos/adaptive_incompatible.py --max-dofs 367000`` reproduces these numbers.
 The qualitative convergence statement (strictly decreasing estimator) does
 hold and is asserted separately.
 """
@@ -161,9 +165,10 @@ def test_criterion_3_incompatible_trend(adaptive_logs):
 @pytest.mark.parametrize("strategy", [MarkStrategy.DOERFLER, MarkStrategy.MAXIMUM])
 @pytest.mark.xfail(
     strict=True,
-    reason="corner-singular incompatible case: estimator decays ~dofs^(-1/4) with a "
-    "log factor; the 10x reduction needs roughly 200k+ dofs, beyond the stated "
-    "25-iteration / 50k-dof budget (measured final/initial ~ 0.35)",
+    reason="corner-singular incompatible case: the 25-iteration budget stops at "
+    "eta/eta_0 = 0.367 (Doerfler, 8,686 dofs) and 0.347 (maximum, 11,396 dofs); "
+    "Doerfler reaches 0.208 at 367,596 dofs with eta ~ dofs^-0.145, so 0.1 needs "
+    "on the order of 1e7-1e8 dofs",
 )
 def test_criterion_3_incompatible_reduction(adaptive_logs, strategy):
     log = adaptive_logs[("incompatible", strategy, ConvectionForm.FLUX)]

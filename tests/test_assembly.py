@@ -209,19 +209,21 @@ def test_cg_converged_flag_means_true_residual(kappa):
 
 
 def test_accumulate_csr_sums_duplicates_in_insertion_order():
-    n = 3
-    # (1, 2) arrives three times, interleaved with (0, 0) and (2, 0).  With
-    # entries of 1e16 and 1, the floating-point sum depends on their order.
-    keys = np.array([1 * n + 2, 0, 1 * n + 2, 2 * n + 0, 1 * n + 2])
-    sums = []
-    for dups in ([1e16, -1e16, 1.0], [1.0, 1e16, -1e16]):
-        vals = np.array([dups[0], 5.0, dups[1], 7.0, dups[2]])
-        matrix = _accumulate_csr(keys, vals, n)
-        in_order = np.add.reduceat(np.array(dups), [0])[0]
-        assert matrix[1, 2] == in_order
-        assert (matrix[0, 0], matrix[2, 0], matrix.nnz) == (5.0, 7.0, 3)
-        sums.append(in_order)
-    assert sums[0] != sums[1]
+    # n = 3 takes the packed-key sort, n = 50,000 (n * n >= 2**31) the
+    # stable argsort.  (1, 2) arrives three times, interleaved with (0, 0)
+    # and (2, 0).  With entries of 1e16 and 1, the floating-point sum
+    # depends on their order.
+    for n in (3, 50_000):
+        keys = np.array([1 * n + 2, 0, 1 * n + 2, 2 * n + 0, 1 * n + 2])
+        sums = []
+        for dups in ([1e16, -1e16, 1.0], [1.0, 1e16, -1e16]):
+            vals = np.array([dups[0], 5.0, dups[1], 7.0, dups[2]])
+            matrix = _accumulate_csr(keys, vals, n)
+            in_order = np.add.reduceat(np.array(dups), [0])[0]
+            assert matrix[1, 2] == in_order
+            assert (matrix[0, 0], matrix[2, 0], matrix.nnz) == (5.0, 7.0, 3)
+            sums.append(in_order)
+        assert sums[0] != sums[1]
 
 
 @pytest.mark.parametrize("name", ["heat-smooth", "convection-reaction", "variable-a", "poisson"])

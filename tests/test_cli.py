@@ -78,6 +78,48 @@ def test_run_invalid_config_exit_2(tmp_path):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
 
 
+def _run_rows(tmp_path, text):
+    tmp_path.mkdir()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "runlog.csv").read_text().splitlines()[1:]
+    reason = [l for l in (out / "summary.txt").read_text().splitlines() if l.startswith("reason")]
+    return rows, reason[0].split(" = ")[1]
+
+
+def test_uniform_mode_honours_max_dofs_and_tolerance(tmp_path):
+    uniform = "case = heat-smooth\nmode = uniform\nlevels = 4\n"
+    rows, reason = _run_rows(tmp_path / "dofs", uniform + "max_dofs = 20\n")
+    assert [int(r.split(",")[1]) for r in rows] == [12, 40] and reason == "max_dofs"
+    # estimators 1.867, 0.909, 0.464, 0.235: the third level meets 0.5
+    rows, reason = _run_rows(tmp_path / "tol", uniform + "estimator_tolerance = 0.5\n")
+    assert len(rows) == 3 and reason == "estimator_tolerance"
+    rows, reason = _run_rows(tmp_path / "iters", uniform + "max_iterations = 1\n")
+    assert len(rows) == 2 and reason == "levels"
+
+
+def test_uniform_mode_max_iterations_caps_only_when_set():
+    assert parse_config("mode = uniform\nlevels = 30\n").stop.max_iterations == 29
+    assert parse_config("mode = uniform\nlevels = 3\nmax_iterations = 40\n").stop.max_iterations == 2
+    assert parse_config("mode = uniform\nlevels = 5\nmax_iterations = 1\n").stop.max_iterations == 1
+    # the benchmark's warm-up appends these two lines to every config
+    warmup = parse_config(HEAT_UNIFORM + "levels = 2\nmax_iterations = 1\n")
+    assert warmup.stop.max_iterations == 1 and warmup.marking is None
+    assert parse_config(INCOMPATIBLE_ADAPTIVE).stop.max_iterations == 6
+
+
+@pytest.mark.parametrize("line", ["marking = maximum", "theta = 0.5"])
+def test_uniform_mode_rejects_marking_keys(tmp_path, line):
+    text = f"mode = uniform\nlevels = 2\n{line}\n"
+    with pytest.raises(ConfigError, match="only apply to mode = adaptive"):
+        parse_config(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_run_incompatible_adaptive(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(INCOMPATIBLE_ADAPTIVE)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -159,6 +160,22 @@ def test_uniform_run_halves_mesh_width():
     log = run(problem, mesh, 1, StopCriteria(max_iterations=2))
     elems = np.array([r.elements for r in log.records])
     assert np.array_equal(elems, [8, 32, 128])
+
+
+def test_uniform_p1_33k_level_solve_has_no_cliff():
+    """Seven uniform levels to 33,024 dofs.  SuperLU's default relaxed
+    supernodes factorized the last level in about 42 s; without them the
+    whole run takes about a second."""
+    problem, _ = make_problem("heat-smooth")
+    mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
+    start = time.perf_counter()
+    log = run(problem, mesh, 1, StopCriteria(max_iterations=6))
+    elapsed = time.perf_counter() - start
+    assert log.records[-1].dofs == 33_024 and len(log.records) == 7
+    for record in log.records:
+        assert record.solver.converged and record.solver.iterations <= 2
+        assert record.solver.relative_residual <= 1e-10
+    assert elapsed < 10.0, f"uniform run to 33,024 dofs took {elapsed:.1f} s"
 
 
 def test_estimator_monotone_under_uniform_refinement():
