@@ -36,7 +36,6 @@ from .problem import (
     ManufacturedCase,
     ParabolicProblem,
     ProblemData,
-    data_vector,
     exact_error_data,
     from_manufactured,
     make_problem,

@@ -13,6 +13,12 @@ Both come from one per-level :class:`ImageTable` (local matrices R_K R_K^T,
 loads R_K D_K), scattered by a deterministic accumulation in (row, col,
 insertion) order that makes the assembled matrix bit-exactly symmetric and
 runs reproducible.
+
+The level's :class:`Geometry` and :class:`ImageTable` keep the element axis
+last, so their kernels (system images, Gram matrices, loads, residuals,
+field values) run numpy's inner loops along that long contiguous axis.  The
+geometry is built once per level, travels on the table, and also serves the
+indicators and the graph-norm error.
 """
 
 from __future__ import annotations
@@ -38,10 +44,12 @@ from .spaces import (
 
 __all__ = [
     "SparseSystem",
+    "Geometry",
     "ImageTable",
     "SolverReport",
     "DiscreteSolution",
     "assemble",
+    "level_geometry",
     "image_table",
     "solve_cg",
     "element_fields",
@@ -50,29 +58,56 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class Geometry:
+    """Quadrature geometry of one level, element axis last.
+
+    Physical gradients are not stored; they are mapped from the reference
+    gradients through J^{-T} where they are needed.  The facet arrays, facet
+    axis first, list the facets tagged Initial in element order (none for
+    systems without an initial trace)."""
+
+    values: np.ndarray  # (nloc, nq) reference basis values
+    ref_grads: np.ndarray  # (2, nloc, nq) reference basis gradients
+    inv_t: np.ndarray  # (2, 2, ne) J^{-T} of every element
+    points: np.ndarray  # (2, nq, ne) physical points (t, x)
+    wdet: np.ndarray  # (nq, ne) quadrature weight times det J
+    facet_elements: np.ndarray  # (nf,)
+    facet_basis: np.ndarray  # (nf, nq_e, nloc) basis values at the facet points
+    facet_x: np.ndarray  # (nf, nq_e) x of the facet points
+    facet_wlen: np.ndarray  # (nf, nq_e) edge weight times facet length
+
+    def basis_gradients(self) -> np.ndarray:
+        """Physical gradients of the local basis, (2, nloc, nq, ne): one
+        matrix product per gradient component."""
+        nloc, nq = self.values.shape
+        return (self.ref_grads.reshape(2, -1).T @ self.inv_t).reshape(2, nloc, nq, -1)
+
+
+@dataclass(frozen=True)
 class ImageTable:
     """System images and data of one level, weighted by sqrt(w) per point.
 
-    ``images[K, a]`` is G(phi_a) on element K at all quadrature points and
-    residual components (basis in field blocks, u1 first), ``data[K]`` the
-    data there; the facet arrays hold the u1 traces and the initial datum on
-    each initial facet (empty for systems without an initial trace)."""
+    ``images[a, r, q, K]`` is component r of G(phi_a) at point q of element
+    K (basis in field blocks, u1 first), ``data[r, q, K]`` the data there;
+    the facet arrays hold the weighted u1 traces and initial datum on each
+    initial facet.  ``geometry`` is the level geometry they were built from.
+    """
 
-    images: np.ndarray  # (ne, nloc_total, nq * n_int)
-    data: np.ndarray  # (ne, nq * n_int)
-    facet_elements: np.ndarray  # (nf,)
-    facet_images: np.ndarray  # (nf, nloc, nq_e)
-    facet_data: np.ndarray  # (nf, nq_e)
+    images: np.ndarray  # (nloc_total, n_int, nq, ne)
+    data: np.ndarray  # (n_int, nq, ne)
+    facet_images: np.ndarray  # (nloc, nq_e, nf)
+    facet_data: np.ndarray  # (nq_e, nf)
+    geometry: Geometry
 
     def squared_residuals(self, dofmap: DofMap, coeffs: np.ndarray) -> np.ndarray:
         """||D_K - R_K^T c_K||^2 of every element K, its initial facet included."""
-        dofs = _global_dofs(dofmap)
-        local = np.where(dofs >= 0, coeffs[dofs], 0.0)
-        resid = self.data - np.einsum("eak,ea->ek", self.images, local)
-        facet_local = local[self.facet_elements, : self.facet_images.shape[1]]
-        facet_resid = self.facet_data - np.einsum("fak,fa->fk", self.facet_images, facet_local)
-        eta2 = np.einsum("ek,ek->e", resid, resid)
-        np.add.at(eta2, self.facet_elements, np.einsum("fk,fk->f", facet_resid, facet_resid))
+        local = _local_coeffs(dofmap, coeffs)
+        resid = self.data - np.einsum("arqe,ae->rqe", self.images, local)
+        eta2 = np.einsum("rqe,rqe->e", resid, resid)
+        elems = self.geometry.facet_elements
+        facet_local = local[: self.facet_images.shape[0], elems]
+        facet_resid = self.facet_data - np.einsum("aqf,af->qf", self.facet_images, facet_local)
+        np.add.at(eta2, elems, np.einsum("qf,qf->f", facet_resid, facet_resid))
         return eta2
 
 
@@ -124,35 +159,34 @@ def default_edge_quadrature(dofmap: DofMap) -> EdgeQuadratureRule:
 
 
 def _geometry_tables(mesh: Mesh, dofmap: DofMap, quad: QuadratureRule):
-    """Basis values (nloc, nq), physical gradients (ne, nloc, nq, 2), points and weights."""
+    """Basis values (nloc, nq) and reference gradients (2, nloc, nq), then
+    J^{-T} (2, 2, ne), points (2, nq, ne) and weights times det J (nq, ne)."""
     ref = build_reference(dofmap.degree)
     _, inv_t, det = affine_maps(mesh)
     refpts = quad.reference_points()
     values = ref.values(refpts).T
-    ref_grads = ref.gradients(refpts)  # (nq, nloc, 2)
-    phys_grads = np.einsum("eab,qib->eiqa", inv_t, ref_grads, optimize=True)
-    pts = np.einsum("qk,ekc->eqc", quad.points, mesh.element_coords(), optimize=True)
-    wdet = quad.weights[None, :] * det[:, None]
-    return values, phys_grads, pts, wdet
+    ref_grads = ref.gradients(refpts).transpose(2, 1, 0)
+    pts = quad.points @ mesh.element_coords().transpose(2, 1, 0)
+    return values, ref_grads, inv_t.transpose(1, 2, 0).copy(), pts, np.outer(quad.weights, det)
 
 
-def _residual_tables(system, values, phys_grads, pts):
-    """System images of all local basis functions, shape (ne, nloc_total, nq, n_int).
+def _residual_tables(system, geometry: Geometry):
+    """System images of all local basis functions, shape (nloc_total, n_int, nq, ne).
 
     Field blocks are ordered u1 first, then the u2 components, each written
     into one preallocated table as soon as it is evaluated.
     """
-    t = pts[:, None, :, 0]
-    x = pts[:, None, :, 1]
-    val = values[None, :, :]
-    nloc = values.shape[0]
-    block = system.residual_u1(t, x, val, phys_grads)
-    out = np.empty((block.shape[0], nloc * (1 + system.n_flux)) + block.shape[2:])
-    out[:, :nloc] = block
+    t, x = geometry.points
+    val = geometry.values[:, :, None]
+    nloc = val.shape[0]
+    grads = geometry.basis_gradients()
+    block = system.residual_u1(t, x, val, grads)
+    out = np.empty((nloc * (1 + system.n_flux), block.shape[0]) + block.shape[2:])
+    out[:nloc] = block.swapaxes(0, 1)
     del block
     for comp in range(system.n_flux):
         lo = (comp + 1) * nloc
-        out[:, lo: lo + nloc] = system.residual_u2(comp, t, x, val, phys_grads)
+        out[lo: lo + nloc] = system.residual_u2(comp, t, x, val, grads).swapaxes(0, 1)
     return out
 
 
@@ -173,6 +207,22 @@ def _initial_facet_tables(mesh: Mesh, dofmap: DofMap, equad: EdgeQuadratureRule,
     return elems, edge_tables[locs], xs, equad.weights * length[:, None]
 
 
+def level_geometry(
+    mesh: Mesh,
+    dofmap: DofMap,
+    system,
+    quadrature: Optional[QuadratureRule] = None,
+    edge_quadrature: Optional[EdgeQuadratureRule] = None,
+) -> Geometry:
+    """Quadrature geometry of one level, its initial facets included."""
+    quad = quadrature if quadrature is not None else default_quadrature(dofmap)
+    equad = edge_quadrature if edge_quadrature is not None else default_edge_quadrature(dofmap)
+    return Geometry(
+        *_geometry_tables(mesh, dofmap, quad),
+        *_initial_facet_tables(mesh, dofmap, equad, system),
+    )
+
+
 def image_table(
     mesh: Mesh,
     dofmap: DofMap,
@@ -181,40 +231,50 @@ def image_table(
     edge_quadrature: Optional[EdgeQuadratureRule] = None,
 ) -> ImageTable:
     """Image table of one level; affine_maps rejects det <= 0, so sqrt(w) is real."""
-    quad = quadrature if quadrature is not None else default_quadrature(dofmap)
-    equad = edge_quadrature if edge_quadrature is not None else default_edge_quadrature(dofmap)
-    values, phys_grads, pts, wdet = _geometry_tables(mesh, dofmap, quad)
-    sqrt_w = np.repeat(np.sqrt(wdet), system.n_interior, axis=1)  # (ne, nq * n_int)
-    ne, width = sqrt_w.shape
-    images = _residual_tables(system, values, phys_grads, pts).reshape(ne, -1, width)
-    images *= sqrt_w[:, None, :]
-    data = system.data_interior(pts[..., 0], pts[..., 1]).reshape(ne, width) * sqrt_w
-    elems, basis, xs, wlen = _initial_facet_tables(mesh, dofmap, equad, system)
-    sqrt_len = np.sqrt(wlen)
+    geometry = level_geometry(mesh, dofmap, system, quadrature, edge_quadrature)
+    sqrt_w = np.sqrt(geometry.wdet)
+    images = _residual_tables(system, geometry)
+    images *= sqrt_w
+    data = system.data_interior(*geometry.points) * sqrt_w
+    xs = geometry.facet_x
+    sqrt_len = np.sqrt(geometry.facet_wlen)
     return ImageTable(
         images=images,
         data=data,
-        facet_elements=elems,
-        facet_images=(basis * sqrt_len[..., None]).transpose(0, 2, 1),
-        facet_data=sqrt_len * system.data_initial(xs) if len(elems) else np.zeros_like(xs),
+        facet_images=(geometry.facet_basis * sqrt_len[..., None]).T,
+        facet_data=(sqrt_len * system.data_initial(xs) if xs.size else np.zeros_like(xs)).T,
+        geometry=geometry,
     )
 
 
 def _global_dofs(dofmap: DofMap) -> np.ndarray:
-    """Global dofs of the local basis in field blocks, -1 for constrained u1."""
-    cols = [dofmap.cell_dofs_u1]
+    """Global dofs of the local basis in field blocks, (nloc_total, ne), -1
+    for constrained u1."""
+    nodes = dofmap.cell_nodes.T
+    blocks = [dofmap.free_index[nodes]]
     for comp in range(dofmap.n_u2_components):
-        cols.append(dofmap.cell_dofs_u2(comp))
-    return np.concatenate(cols, axis=1)
+        blocks.append(dofmap.u2_offset(comp) + nodes)
+    return np.concatenate(blocks)
+
+
+def _local_coeffs(dofmap: DofMap, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of the local basis, (nloc_total, ne); constrained u1 dofs are zero."""
+    dofs = _global_dofs(dofmap)
+    return np.where(dofs >= 0, coeffs[dofs], 0.0)
 
 
 def _gram(images: np.ndarray) -> np.ndarray:
-    """Batched ``R R^T``, mirrored from its upper triangle so that every local
-    matrix is bit-exactly symmetric whichever kernel computed the product."""
-    local = images @ images.transpose(0, 2, 1)
-    lower = np.tril_indices(local.shape[1], -1)
-    local[:, lower[0], lower[1]] = local[:, lower[1], lower[0]]
-    return local
+    """Local matrices ``R R^T`` of element-last images (nloc, ..., ne), as an
+    (ne, nloc, nloc) view.  Row a of the upper triangle is one contraction
+    along the element axis; the lower triangle is mirrored from it, so every
+    local matrix is bit-exactly symmetric."""
+    nloc, ne = images.shape[0], images.shape[-1]
+    flat = images.reshape(nloc, math.prod(images.shape[1:-1]), ne)
+    local = np.empty((nloc, nloc, ne))
+    for a in range(nloc):
+        np.einsum("ke,bke->be", flat[a], flat[a:], out=local[a, a:])
+        local[a + 1:, a] = local[a, a + 1:]
+    return local.transpose(2, 0, 1)
 
 
 def _accumulate_csr(keys, vals, n) -> sp.csr_matrix:
@@ -223,20 +283,22 @@ def _accumulate_csr(keys, vals, n) -> sp.csr_matrix:
     The entries are put in (row, col) lexicographic order with ties kept in
     insertion order, so duplicate entries are summed in their insertion
     (element) order; symmetric local blocks therefore give a bit-exactly
-    symmetric global matrix.  Below n * n = 2**31 that order comes from one
-    unstable sort of the packed keys ``key * m + position`` (m entries):
-    they are unique, so their order is the stable order of the keys, and
-    they stay below 2**63 for any m < 2**32.  Larger keys take a stable
-    argsort.
+    symmetric global matrix.  That order comes from one unstable sort of
+    the packed keys ``key << bits | position`` (m entries, positions below
+    2**bits): they are unique, so their order is the stable order of the
+    keys.  Only where they would reach 2**63 does a stable argsort take
+    over.
     """
     if len(vals) == 0:
         return sp.csr_matrix((n, n))
     m = len(keys)
-    if n * n < 2**31:
-        packed = keys.astype(np.int64) * m
-        packed += np.arange(m)
+    bits = (m - 1).bit_length()
+    if (n * n) << bits < 2**63:
+        packed = keys.astype(np.int64) << bits
+        packed |= np.arange(m)
         packed.sort()
-        k, order = np.divmod(packed, m)
+        order = packed & ((1 << bits) - 1)
+        k = packed >> bits
         del packed
     else:
         order = np.argsort(keys, kind="stable")
@@ -262,21 +324,21 @@ def assemble(
     table = image_table(mesh, dofmap, system, quadrature, edge_quadrature)
     n = dofmap.n_dofs
     # An initial facet's Gram matrix and load join the u1 block of its element.
-    nloc = table.facet_images.shape[1]
+    elems = table.geometry.facet_elements
+    nloc = table.facet_images.shape[0]
     local = _gram(table.images)
-    np.add.at(local[:, :nloc, :nloc], table.facet_elements, _gram(table.facet_images))
-    loads = np.einsum("eak,ek->ea", table.images, table.data)
-    np.add.at(loads[:, :nloc], table.facet_elements,
-              np.einsum("fak,fk->fa", table.facet_images, table.facet_data))
+    np.add.at(local[:, :nloc, :nloc], elems, _gram(table.facet_images))
+    loads = np.einsum("arqe,rqe->ae", table.images, table.data).T
+    np.add.at(loads[:, :nloc], elems, np.einsum("aqf,qf->fa", table.facet_images, table.facet_data))
 
-    gdofs = _global_dofs(dofmap)
+    gdofs = _global_dofs(dofmap).T
     free = gdofs >= 0
     rhs = np.zeros(n)
     np.add.at(rhs, gdofs[free], loads[free])
     keep = (free[:, :, None] & free[:, None, :]).ravel()
     gdofs = gdofs.astype(np.int32 if n * n < 2**31 else np.int64)  # compact keys
     keys = (gdofs[:, :, None] * n + gdofs[:, None, :]).ravel()[keep]
-    vals = local.ravel()[keep]
+    vals = local.ravel()[keep]  # element by element
     del local, keep
     matrix = _accumulate_csr(keys, vals, n)
     return SparseSystem(matrix=matrix, rhs=rhs, n_dofs=n, table=table)
@@ -372,29 +434,19 @@ def solve_cg(
     return x, SolverReport(iterations=iterations, relative_residual=rel, converged=rel <= rel_tol)
 
 
-def element_fields(solution: DiscreteSolution, quadrature: QuadratureRule):
-    """Discrete field values at quadrature points of every element.
+def element_fields(solution: DiscreteSolution, geometry: Geometry):
+    """Discrete field values at the quadrature points of every element.
 
-    Returns (u1 values (ne, nq), u1 gradients (ne, nq, 2), u2 values
-    (ne, nq, nc), u2 gradients (ne, nq, nc, 2), physical points (ne, nq, 2),
-    weighted measures (ne, nq)).
+    Returns u1 values (nq, ne), u1 gradients (2, nq, ne), u2 values
+    (nc, nq, ne) and u2 gradients (nc, 2, nq, ne), element axis last.
     """
-    dofmap = solution.dofmap
-    values, phys_grads, pts, wdet = _geometry_tables(solution.mesh, dofmap, quadrature)
-
-    dofs_u1 = dofmap.cell_dofs_u1
-    local_u1 = np.where(dofs_u1 >= 0, solution.coeffs[np.maximum(dofs_u1, 0)], 0.0)
-    u1_val = local_u1 @ values
-    u1_grad = np.einsum("eiqa,ei->eqa", phys_grads, local_u1)
-
-    nc = dofmap.n_u2_components
-    u2_val = np.empty(u1_val.shape + (nc,))
-    u2_grad = np.empty(u1_val.shape + (nc, 2))
-    for comp in range(nc):
-        local = solution.coeffs[dofmap.cell_dofs_u2(comp)]
-        u2_val[..., comp] = local @ values
-        u2_grad[..., comp, :] = np.einsum("eiqa,ei->eqa", phys_grads, local)
-    return u1_val, u1_grad, u2_val, u2_grad, pts, wdet
+    nloc, ne = geometry.values.shape[0], geometry.inv_t.shape[-1]
+    local = _local_coeffs(solution.dofmap, solution.coeffs).reshape(-1, nloc, ne)
+    values = geometry.values.T @ local
+    ref = geometry.ref_grads.transpose(0, 2, 1) @ local[:, None]  # (1 + nc, 2, nq, ne)
+    inv_t = geometry.inv_t[:, :, None, :]
+    grads = inv_t[:, 0] * ref[:, :1] + inv_t[:, 1] * ref[:, 1:]
+    return values[0], grads[0], values[1:], grads[1:]
 
 
 def galerkin_orthogonality_check(solution: DiscreteSolution, sparse_system: SparseSystem) -> float:

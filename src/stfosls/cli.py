@@ -83,10 +83,11 @@ class RunConfig:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a flat key = value configuration.
 
-    In uniform mode ``levels`` bounds the run, ``max_dofs`` and
-    ``estimator_tolerance`` stop it as in adaptive mode, an explicitly set
-    ``max_iterations`` caps it further, and ``marking`` or ``theta`` are
-    rejected.
+    In uniform mode ``levels`` bounds the run and ``max_iterations`` caps
+    it further only when set; in adaptive mode ``max_iterations`` bounds the
+    run and ``levels`` caps it only when set.  ``max_dofs`` and
+    ``estimator_tolerance`` stop either mode, and uniform mode rejects
+    ``marking`` and ``theta``.
     """
     values = dict(_DEFAULTS)
     given = set()
@@ -144,16 +145,18 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"mode must be 'adaptive' or 'uniform', got {mode!r}")
 
     levels = _int("levels", minimum=1)
-    max_iterations = _int("max_iterations", minimum=0) if values["max_iterations"] else None
+    # Each mode's own bound on the refinement steps applies by default; the
+    # other key caps them only when set.
+    steps = {"levels": levels - 1}
+    if values["max_iterations"]:
+        steps["max_iterations"] = _int("max_iterations", minimum=0)
+    own = "levels" if mode == "uniform" else "max_iterations"
+    max_iterations = min((v for k, v in steps.items() if k == own or k in given), default=None)
     marking = None
     if mode == "uniform":
         adaptive_only = sorted(given & {"marking", "theta"})
         if adaptive_only:
             raise ConfigError(f"{' and '.join(adaptive_only)} only apply to mode = adaptive")
-        if "max_iterations" in given and max_iterations is not None:
-            max_iterations = min(max_iterations, levels - 1)
-        else:
-            max_iterations = levels - 1
     else:
         try:
             strategy = MarkStrategy(values["marking"])

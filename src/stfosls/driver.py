@@ -101,8 +101,8 @@ def _as_system(problem_or_system):
     return problem_or_system
 
 
-def _solve_level(mesh, system, p, quad, equad, check_galerkin):
-    """Solve one level; its indicators reuse the table assembly built, which dies here."""
+def _solve_level(mesh, system, p, quad, equad, check_galerkin, exact):
+    """Solve one level; indicators and error reuse the table assembly built, which dies here."""
     dofmap = build_dofmap(
         mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags
     )
@@ -118,7 +118,10 @@ def _solve_level(mesh, system, p, quad, equad, check_galerkin):
     if check_galerkin:
         defect = galerkin_orthogonality_check(solution, sparse)
     indicators = compute_indicators(mesh, solution, system, quad, equad, table=sparse.table)
-    return solution, report, defect, indicators
+    error = None
+    if exact is not None:
+        error = u_norm_error(mesh, solution, exact, system, quad, equad, table=sparse.table).total
+    return solution, report, defect, indicators, error
 
 
 def run(
@@ -148,12 +151,9 @@ def run(
     mesh = mesh0
     level = 0
     while True:
-        solution, report, defect, indicators = _solve_level(
-            mesh, system, p, quad, equad, check_galerkin
+        solution, report, defect, indicators, error = _solve_level(
+            mesh, system, p, quad, equad, check_galerkin, exact
         )
-        error = None
-        if exact is not None:
-            error = u_norm_error(mesh, solution, exact, system, quad, equad).total
         record = RunRecord(
             level=level,
             dofs=solution.dofmap.n_dofs,

@@ -29,11 +29,9 @@ import numpy as np
 from .assembly import (
     DiscreteSolution,
     ImageTable,
-    default_edge_quadrature,
-    default_quadrature,
     element_fields,
     image_table,
-    _initial_facet_tables,
+    level_geometry,
 )
 from .mesh import Mesh
 from .problem import ExactFields, sample
@@ -98,30 +96,34 @@ def u_norm_error(
     system,
     quadrature: Optional[QuadratureRule] = None,
     edge_quadrature: Optional[EdgeQuadratureRule] = None,
+    table: Optional[ImageTable] = None,
 ) -> ErrorReport:
-    """Graph-norm error of a discrete solution against closed-form references."""
-    quad = quadrature if quadrature is not None else default_quadrature(solution.dofmap)
-    equad = edge_quadrature if edge_quadrature is not None else default_edge_quadrature(solution.dofmap)
+    """Graph-norm error of a discrete solution against closed-form references.
 
-    u1_val, u1_grad, u2_val, u2_grad, pts, wdet = element_fields(solution, quad)
-    t, x = pts[..., 0], pts[..., 1]
+    ``table`` is the image table the level was assembled from; its geometry
+    is reused, and without it the geometry is built here.
+    """
+    geometry = table.geometry if table is not None else level_geometry(
+        mesh, solution.dofmap, system, quadrature, edge_quadrature)
+    u1_val, u1_grad, u2_val, u2_grad = element_fields(solution, geometry)
+    (t, x), wdet = geometry.points, geometry.wdet
 
     e_u1 = u1_val - sample(exact.u1, t, x)
-    e_grad = u1_grad - exact.u1_grad(t, x)
-    e_u2 = u2_val - exact.u2(t, x)
+    e_grad = u1_grad - np.moveaxis(exact.u1_grad(t, x), -1, 0)
+    e_u2 = u2_val - np.moveaxis(exact.u2(t, x), -1, 0)
     e_div = system.divergence(u1_grad, u2_grad) - sample(exact.div, t, x)
 
-    sq_u1 = float(np.einsum("eq,eq->", e_u1**2, wdet))
+    sq_u1 = float(np.einsum("qe,qe->", e_u1**2, wdet))
     sq_grad = 0.0
     for axis in system.spatial_axes:
-        sq_grad += float(np.einsum("eq,eq->", e_grad[..., axis] ** 2, wdet))
-    sq_u2 = float(np.einsum("eqc,eq->", e_u2**2, wdet))
-    sq_div = float(np.einsum("eq,eq->", e_div**2, wdet))
+        sq_grad += float(np.einsum("qe,qe->", e_grad[axis] ** 2, wdet))
+    sq_u2 = float(np.einsum("cqe,qe->", e_u2**2, wdet))
+    sq_div = float(np.einsum("qe,qe->", e_div**2, wdet))
 
-    elems, basis, xs, wlen = _initial_facet_tables(mesh, solution.dofmap, equad, system)
+    elems, xs, wlen = geometry.facet_elements, geometry.facet_x, geometry.facet_wlen
     dofs = solution.dofmap.cell_dofs_u1[elems]
     local = np.where(dofs >= 0, solution.coeffs[dofs], 0.0)
-    trace = np.einsum("fqa,fa->fq", basis, local)
+    trace = np.einsum("fqa,fa->fq", geometry.facet_basis, local)
     ref = sample(exact.u1, np.zeros_like(xs), xs)
     sq_trace = float(np.sum(wlen * (trace - ref) ** 2))
 

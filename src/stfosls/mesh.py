@@ -31,14 +31,10 @@ __all__ = [
     "Mesh",
     "uniform_initial_mesh",
     "bisect",
-    "element_measure",
     "element_measures",
-    "element_patch",
-    "initial_facets",
     "initial_facet_list",
     "is_conforming",
     "boundary_tags_consistent",
-    "sorted_angles",
     "write_mesh",
     "read_mesh",
 ]
@@ -269,30 +265,6 @@ def element_measures(mesh: Mesh) -> np.ndarray:
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def element_measure(mesh: Mesh, k: int) -> float:
-    """Area of element ``k``."""
-    p = mesh.points[mesh.elements[k]]
-    d1, d2 = p[1] - p[0], p[2] - p[0]
-    return 0.5 * float(d1[0] * d2[1] - d1[1] * d2[0])
-
-
-def element_patch(mesh: Mesh, k: int) -> np.ndarray:
-    """Indices of all elements sharing at least one vertex with element ``k``."""
-    verts = set(int(v) for v in mesh.elements[k])
-    hit = np.isin(mesh.elements, list(verts)).any(axis=1)
-    return np.flatnonzero(hit)
-
-
-def initial_facets(mesh: Mesh, k: int):
-    """Vertex pairs of the edges of element ``k`` tagged Initial."""
-    tri = mesh.elements[k]
-    out = []
-    for loc in range(3):
-        if mesh.edge_tags[k, loc] == FacetTag.INITIAL:
-            out.append((int(tri[loc]), int(tri[(loc + 1) % 3])))
-    return out
-
-
 def initial_facet_list(mesh: Mesh) -> np.ndarray:
     """All (element, local edge) pairs tagged Initial, in element order."""
     elems, locs = np.nonzero(mesh.edge_tags == FacetTag.INITIAL)
@@ -345,19 +317,6 @@ def boundary_tags_consistent(mesh: Mesh) -> bool:
     single = counts == 1
     expected[single] = _side_tags(mesh, a[single], b[single])
     return bool(np.all(counts <= 2) and np.array_equal(expected[edge_of], mesh.edge_tags))
-
-
-def sorted_angles(mesh: Mesh) -> np.ndarray:
-    """Interior angles per element, each row sorted ascending (radians)."""
-    coords = mesh.element_coords()
-    angles = np.empty((mesh.n_elements, 3))
-    for loc in range(3):
-        u = coords[:, (loc + 1) % 3] - coords[:, loc]
-        v = coords[:, (loc + 2) % 3] - coords[:, loc]
-        cosv = (u * v).sum(axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-        angles[:, loc] = np.arccos(np.clip(cosv, -1.0, 1.0))
-    angles.sort(axis=1)
-    return angles
 
 
 def write_mesh(mesh: Mesh, path) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .mesh import FacetTag, Mesh, _edge_keys
-from .problem import ExactFields, sample
+from .problem import ExactFields, ParabolicProblem, sample, sample_x
 from .spaces import (
     DofMap,
     build_edge_quadrature,
@@ -34,6 +34,8 @@ __all__ = [
     "residual_norm_sweep",
     "locate_point",
     "discrete_image_system",
+    "element_measure",
+    "data_vector",
 ]
 
 MAX_DENSE_DOFS = 300
@@ -141,6 +143,37 @@ def bisect_reference(mesh: Mesh, marks) -> Mesh:
         x_hi=mesh.x_hi,
         refined_from=np.asarray(out_from, dtype=np.int64),
     )
+
+
+def element_measure(mesh: Mesh, k: int) -> float:
+    """Area of element ``k``, from its own three vertices."""
+    p = mesh.points[mesh.elements[k]]
+    d1, d2 = p[1] - p[0], p[2] - p[0]
+    return 0.5 * float(d1[0] * d2[1] - d1[1] * d2[0])
+
+
+def data_vector(problem: ParabolicProblem):
+    """Residual targets per component of the least-squares functional,
+    written out from the problem data.
+
+    Returns callables (flux target, divergence target, initial target) =
+    (f2, f1 - b A^{-1} f2, u0).
+    """
+    coeff, data = problem.coefficients, problem.data
+
+    def target_flux(t, x):
+        return sample(data.f2, t, x)
+
+    def target_div(t, x):
+        f2 = sample(data.f2, t, x)
+        b = sample(coeff.convection, t, x)
+        a = sample(coeff.diffusion, t, x)
+        return sample(data.f1, t, x) - b / a * f2
+
+    def target_initial(x):
+        return sample_x(data.u0, x)
+
+    return target_flux, target_div, target_initial
 
 
 def _edge_geometry(mesh: Mesh, e: int, loc: int, s: np.ndarray):
@@ -352,13 +385,13 @@ class _DiscreteImageSystem:
         t_arr = np.asarray(t, dtype=float)
         x_arr = np.asarray(x, dtype=float)
         t_b, x_b = np.broadcast_arrays(t_arr, x_arr)
-        out = np.empty(t_b.shape + (self.n_interior,))
+        out = np.empty((self.n_interior,) + t_b.shape)
         it = np.nditer(t_b, flags=["multi_index"])
         for tv in it:
             idx = it.multi_index
             img = self._image_at(float(tv), float(x_b[idx]))
-            out[idx][: self.n_flux] = img.flux
-            out[idx][self.n_flux] = img.div
+            out[(slice(None, self.n_flux),) + idx] = img.flux
+            out[(self.n_flux,) + idx] = img.div
         return out
 
     def data_initial(self, x):

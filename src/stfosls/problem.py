@@ -23,7 +23,6 @@ __all__ = [
     "ExactFields",
     "sample",
     "sample_x",
-    "data_vector",
     "from_manufactured",
     "exact_error_data",
     "make_problem",
@@ -131,29 +130,6 @@ class ExactFields:
     u1_grad: Callable  # (t, x) -> (..., 2)
     u2: Callable  # (t, x) -> (..., n_components)
     div: Callable
-
-
-def data_vector(problem: ParabolicProblem):
-    """Residual targets per component of the least-squares functional.
-
-    Returns callables (flux target, divergence target, initial target) =
-    (f2, f1 - b A^{-1} f2, u0).
-    """
-    coeff, data = problem.coefficients, problem.data
-
-    def target_flux(t, x):
-        return sample(data.f2, t, x)
-
-    def target_div(t, x):
-        f2 = sample(data.f2, t, x)
-        b = sample(coeff.convection, t, x)
-        a = sample(coeff.diffusion, t, x)
-        return sample(data.f1, t, x) - b / a * f2
-
-    def target_initial(x):
-        return sample_x(data.u0, x)
-
-    return target_flux, target_div, target_initial
 
 
 def from_manufactured(

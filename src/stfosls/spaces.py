@@ -27,7 +27,6 @@ __all__ = [
     "affine_map",
     "affine_maps",
     "evaluate_field",
-    "interpolate_nodes",
     "edge_reference_points",
 ]
 
@@ -318,9 +317,3 @@ def evaluate_field(coeffs: np.ndarray, dofmap: DofMap, mesh: Mesh, k: int, point
         return float(value[0]), grad[0]
     return value, grad
 
-
-def interpolate_nodes(f, dofmap: DofMap) -> np.ndarray:
-    """Nodal interpolation of a callable f(t, x) on the scalar Lagrange nodes."""
-    t = dofmap.node_coords[:, 0]
-    x = dofmap.node_coords[:, 1]
-    return np.asarray([float(f(float(ti), float(xi))) for ti, xi in zip(t, x)])

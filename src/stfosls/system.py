@@ -6,6 +6,12 @@ initial-trace component supported on facets tagged Initial.  Assembly,
 estimation and the adaptive driver only use this interface, so any linear
 first-order least-squares formulation over the same product space plugs in.
 
+Axis order: every method takes point coordinates ``t`` and ``x`` and field
+values of matching (broadcastable) shape.  Gradients carry their
+coordinate axis (d/dt, d/dx) first, flux gradients ``(nc, 2, ...)``, and
+outputs stack the residual components in their first axis, so the trailing
+axes (the element axis last, in assembly) stay contiguous.
+
 Parabolic instance (flux form):
 
     G(u1, u2) = (u2 + A du1/dx,
@@ -78,30 +84,30 @@ class ParabolicSystem:
     def residual_u1(self, t, x, val, grad):
         """Interior residual components generated by the u1 field.
 
-        ``grad`` stacks (d/dt, d/dx) in its last axis; output stacks
-        (flux residual, divergence residual).
+        ``grad`` stacks (d/dt, d/dx) in its first axis; output stacks
+        (flux residual, divergence residual) in its first axis.
         """
         coeff = self.problem.coefficients
         a = sample(coeff.diffusion, t, x)
         c = sample(coeff.reaction, t, x)
-        r_flux = a * grad[..., 1]
-        r_div = grad[..., 0] + c * val
+        r_flux = a * grad[1]
+        r_div = grad[0] + c * val
         if self.problem.form is ConvectionForm.GRADIENT:
             b = sample(coeff.convection, t, x)
-            r_div = r_div + b * grad[..., 1]
-        return np.stack(np.broadcast_arrays(r_flux, r_div), axis=-1)
+            r_div = r_div + b * grad[1]
+        return np.stack(np.broadcast_arrays(r_flux, r_div))
 
     def residual_u2(self, comp, t, x, val, grad):
         if comp != 0:
             raise IndexError("parabolic system has a single flux component")
         r_flux = np.asarray(val, dtype=float)
-        r_div = grad[..., 1]
+        r_div = grad[1]
         if self.problem.form is ConvectionForm.FLUX:
             coeff = self.problem.coefficients
             b = sample(coeff.convection, t, x)
             a = sample(coeff.diffusion, t, x)
             r_div = r_div - b / a * val
-        return np.stack(np.broadcast_arrays(r_flux, r_div), axis=-1)
+        return np.stack(np.broadcast_arrays(r_flux, r_div))
 
     def data_interior(self, t, x):
         coeff, data = self.problem.coefficients, self.problem.data
@@ -109,7 +115,7 @@ class ParabolicSystem:
         b = sample(coeff.convection, t, x)
         a = sample(coeff.diffusion, t, x)
         target_div = sample(data.f1, t, x) - b / a * f2
-        return np.stack([f2, target_div], axis=-1)
+        return np.stack([f2, target_div])
 
     def data_initial(self, x):
         return sample_x(self.problem.data.u0, x)
@@ -117,7 +123,7 @@ class ParabolicSystem:
     @staticmethod
     def divergence(u1_grad, u2_grads):
         """Space-time divergence d(u1)/dt + d(u2)/dx of the field vector."""
-        return u1_grad[..., 0] + u2_grads[..., 0, 1]
+        return u1_grad[0] + u2_grads[0, 1]
 
 
 class PoissonSystem:
@@ -139,28 +145,28 @@ class PoissonSystem:
 
     def residual_u1(self, t, x, val, grad):
         zero = np.zeros_like(np.asarray(val, dtype=float))
-        return np.stack(np.broadcast_arrays(grad[..., 0], grad[..., 1], zero), axis=-1)
+        return np.stack(np.broadcast_arrays(grad[0], grad[1], zero))
 
     def residual_u2(self, comp, t, x, val, grad):
         if comp not in (0, 1):
             raise IndexError("flux component out of range")
         val = np.asarray(val, dtype=float)
         zero = np.zeros_like(val)
-        rows = [zero, zero, grad[..., comp]]
+        rows = [zero, zero, grad[comp]]
         rows[comp] = val
-        return np.stack(np.broadcast_arrays(*rows), axis=-1)
+        return np.stack(np.broadcast_arrays(*rows))
 
     def data_interior(self, t, x):
         f = sample(self.f, t, x)
         zero = np.zeros_like(f)
-        return np.stack([zero, zero, f], axis=-1)
+        return np.stack([zero, zero, f])
 
     def data_initial(self, x):
         raise RuntimeError("stationary system has no initial-trace component")
 
     @staticmethod
     def divergence(u1_grad, u2_grads):
-        return u2_grads[..., 0, 0] + u2_grads[..., 1, 1]
+        return u2_grads[0, 0] + u2_grads[1, 1]
 
 
 def parabolic_system(problem: ParabolicProblem) -> ParabolicSystem:

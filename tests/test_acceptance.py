@@ -37,12 +37,12 @@ from stfosls.mesh import (
     bisect,
     element_measures,
     is_conforming,
-    sorted_angles,
     uniform_initial_mesh,
 )
 from stfosls.problem import ConvectionForm, exact_error_data, make_problem
 from stfosls.spaces import build_dofmap
 from stfosls.system import parabolic_system, poisson_sine_case
+from helpers import sorted_angles
 
 
 def _report(name: str, ok: bool, detail: str = ""):

@@ -9,7 +9,9 @@ from stfosls.assembly import (
     _initial_facet_tables,
     assemble,
     default_edge_quadrature,
+    default_quadrature,
     galerkin_orthogonality_check,
+    level_geometry,
     solve_cg,
 )
 from stfosls.driver import StopCriteria, run
@@ -17,7 +19,7 @@ from stfosls.estimator import compute_indicators
 from stfosls.marking import MarkingConfig, MarkStrategy
 from stfosls.mesh import bisect, uniform_initial_mesh
 from stfosls.problem import ConvectionForm, make_problem
-from stfosls.spaces import build_dofmap, build_reference, edge_reference_points
+from stfosls.spaces import affine_map, build_dofmap, build_reference, edge_reference_points
 from stfosls.system import parabolic_system, poisson_sine_case
 
 
@@ -73,6 +75,32 @@ def test_matrix_exactly_symmetric():
         matrix = assemble(mesh, dofmap, system).matrix
         diff = (matrix - matrix.T).tocoo()
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
+
+
+def test_geometry_matches_per_element_affine_map():
+    """The element-last geometry (physical basis gradients, points, weighted
+    determinants) agrees with affine_map applied element by element."""
+    mesh, system = _graded_incompatible(18)
+    assert mesh.n_elements >= 1000
+    for p in (1, 2):
+        dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+        quad = default_quadrature(dofmap)
+        geometry = level_geometry(mesh, dofmap, system, quad)
+        grads = geometry.basis_gradients()
+        ref = build_reference(p)
+        ref_grads = ref.gradients(quad.reference_points())  # (nq, nloc, 2)
+        points, wdet, expected = [], [], []
+        for k in range(mesh.n_elements):
+            jac, inv_t, det = affine_map(mesh, k)
+            corner = mesh.points[mesh.elements[k, 0]]
+            points.append((corner + quad.reference_points() @ jac.T).T)
+            wdet.append(quad.weights * det)
+            expected.append(np.einsum("ab,qib->aiq", inv_t, ref_grads))
+        np.testing.assert_allclose(geometry.points, np.stack(points, axis=-1), rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(geometry.wdet, np.stack(wdet, axis=-1), rtol=1e-14, atol=0)
+        expected = np.stack(expected, axis=-1)
+        scale = np.abs(expected).max(axis=(0, 1, 2))
+        assert np.all(np.abs(grads - expected) <= 1e-14 * scale)
 
 
 def test_initial_facet_tables_match_per_facet_loop():
@@ -209,15 +237,18 @@ def test_cg_converged_flag_means_true_residual(kappa):
 
 
 def test_accumulate_csr_sums_duplicates_in_insertion_order():
-    # n = 3 takes the packed-key sort, n = 50,000 (n * n >= 2**31) the
-    # stable argsort.  (1, 2) arrives three times, interleaved with (0, 0)
-    # and (2, 0).  With entries of 1e16 and 1, the floating-point sum
-    # depends on their order.
-    for n in (3, 50_000):
-        keys = np.array([1 * n + 2, 0, 1 * n + 2, 2 * n + 0, 1 * n + 2])
+    # n = 3 and n = 50,000 take the packed-key sort; n = 2**22 with 2**19
+    # entries the stable argsort (n * n * 2**19 = 2**63).  (1, 2) arrives
+    # three times, interleaved with (0, 0) and (2, 0); extra entries are
+    # zeros added to (0, 0).  With entries of 1e16 and 1, the
+    # floating-point sum depends on their order.
+    for n, m in ((3, 5), (50_000, 5), (2**22, 2**19)):
+        keys = np.zeros(m, dtype=np.int64)
+        keys[:5] = [1 * n + 2, 0, 1 * n + 2, 2 * n + 0, 1 * n + 2]
         sums = []
         for dups in ([1e16, -1e16, 1.0], [1.0, 1e16, -1e16]):
-            vals = np.array([dups[0], 5.0, dups[1], 7.0, dups[2]])
+            vals = np.zeros(m)
+            vals[:5] = [dups[0], 5.0, dups[1], 7.0, dups[2]]
             matrix = _accumulate_csr(keys, vals, n)
             in_order = np.add.reduceat(np.array(dups), [0])[0]
             assert matrix[1, 2] == in_order

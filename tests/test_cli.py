@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from stfosls.cli import ConfigError, main, parse_config
+from stfosls.driver import StopCriteria
 from stfosls.mesh import read_mesh
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -108,6 +109,21 @@ def test_uniform_mode_max_iterations_caps_only_when_set():
     warmup = parse_config(HEAT_UNIFORM + "levels = 2\nmax_iterations = 1\n")
     assert warmup.stop.max_iterations == 1 and warmup.marking is None
     assert parse_config(INCOMPATIBLE_ADAPTIVE).stop.max_iterations == 6
+
+
+def test_adaptive_mode_levels_caps_only_when_set(tmp_path):
+    adaptive = "case = incompatible\nmode = adaptive\n"
+    assert parse_config(adaptive).stop.max_iterations == 25  # default levels: no cap
+    assert parse_config(adaptive + "levels = 9\n").stop.max_iterations == 8
+    assert parse_config(adaptive + "levels = 9\nmax_iterations = 3\n").stop.max_iterations == 3
+    rows, reason = _run_rows(tmp_path / "cap", adaptive + "levels = 2\nmax_iterations = 3\n")
+    assert len(rows) == 2 and reason == "max_iterations"
+    # the benchmark's graded-p1 config, alone and with its warm-up lines appended
+    graded = ("case = incompatible\nmode = adaptive\ndegree = 1\nmarking = doerfler\n"
+              "theta = 0.5\nestimator_tolerance = 0.33\nmax_iterations = 40\nwrite_mesh = true\n")
+    assert parse_config(graded).stop == StopCriteria(max_iterations=40, estimator_tolerance=0.33)
+    warmup = parse_config(graded + "levels = 2\nmax_iterations = 1\n")
+    assert warmup.stop == StopCriteria(max_iterations=1, estimator_tolerance=0.33)
 
 
 @pytest.mark.parametrize("line", ["marking = maximum", "theta = 0.5"])

@@ -12,7 +12,7 @@ from stfosls.estimator import (
 from stfosls.mesh import bisect, element_measures, uniform_initial_mesh
 from stfosls.problem import exact_error_data, make_problem, sample
 from stfosls.spaces import build_dofmap, build_quadrature
-from stfosls.system import parabolic_system
+from stfosls.system import parabolic_system, poisson_sine_case
 
 
 def _solve(name="heat-smooth", p=1, nt=2, nx=2):
@@ -124,6 +124,28 @@ def test_u_norm_error_zero_solution_equals_fine_norm():
     report = u_norm_error(mesh, zero, exact, system, build_quadrature(10))
     reference = oracles.fine_norm(exact, mesh, system, degree=10)
     assert report.total == pytest.approx(reference, rel=1e-10)
+
+
+@pytest.mark.parametrize("name,p", [("heat-smooth", 1), ("heat-smooth", 2), ("poisson", 2)])
+def test_u_norm_error_from_level_table_matches_standalone(name, p):
+    """The level loop's path (the geometry on the table assembly built) and
+    the standalone path (geometry built by u_norm_error) give the same error."""
+    if name == "poisson":
+        system, exact = poisson_sine_case()
+    else:
+        problem, case = make_problem(name)
+        system, exact = parabolic_system(problem), exact_error_data(case)
+    mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 4, 4), [0, 5, 17])
+    dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags)
+    sparse_system = assemble(mesh, dofmap, system)
+    coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs, factorize=True)
+    assert report.converged
+    solution = DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
+    shared = u_norm_error(mesh, solution, exact, system, table=sparse_system.table)
+    alone = u_norm_error(mesh, solution, exact, system)
+    assert alone.total > 0.0
+    for a, b in zip(shared.contributions() + (shared.total,), alone.contributions() + (alone.total,)):
+        assert abs(a - b) <= 1e-13 * alone.total
 
 
 def test_error_report_sum_of_squares():

@@ -9,17 +9,14 @@ from stfosls.mesh import (
     FacetTag,
     bisect,
     boundary_tags_consistent,
-    element_measure,
     element_measures,
-    element_patch,
-    initial_facets,
     is_conforming,
     read_mesh,
-    sorted_angles,
     uniform_initial_mesh,
     write_mesh,
 )
-from stfosls.oracles import bisect_reference
+from stfosls.oracles import bisect_reference, element_measure
+from helpers import element_patch, initial_facets, sorted_angles
 from stfosls.problem import make_problem
 
 

@@ -8,13 +8,13 @@ from stfosls.problem import (
     CoefficientField,
     ConvectionForm,
     ManufacturedCase,
-    data_vector,
     exact_error_data,
     from_manufactured,
     make_problem,
     sample,
     sample_x,
 )
+from stfosls.oracles import data_vector
 
 
 def _constant(v):

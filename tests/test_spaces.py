@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stfosls.mesh import FacetTag, bisect, element_measure, uniform_initial_mesh
+from stfosls.mesh import FacetTag, bisect, uniform_initial_mesh
+from stfosls.oracles import element_measure
 from stfosls.spaces import (
     affine_map,
     affine_maps,
@@ -13,8 +14,8 @@ from stfosls.spaces import (
     build_reference,
     edge_reference_points,
     evaluate_field,
-    interpolate_nodes,
 )
+from helpers import interpolate_nodes
 
 
 @pytest.mark.parametrize("p", [1, 2])
