@@ -10,9 +10,9 @@ with the load b[i] = (data, G(phi_i))_L.  Constrained u1 dofs are eliminated
 definite on the free dofs.
 
 Both come from one per-level :class:`ImageTable` (local matrices R_K R_K^T,
-loads R_K D_K), scattered by a deterministic accumulation in (row, col,
-insertion) order that makes the assembled matrix bit-exactly symmetric and
-runs reproducible.
+loads R_K D_K).  Only the upper triangle of each local matrix is scattered,
+its diagonal halved, into one sparse matrix H; the assembled matrix is
+H + H^T, bit-exactly symmetric because floating-point addition commutes.
 
 The level's :class:`Geometry` and :class:`ImageTable` keep the element axis
 last, so their kernels (system images, Gram matrices, loads, residuals,
@@ -117,7 +117,6 @@ class SparseSystem:
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    n_dofs: int
     table: Optional[ImageTable] = None
 
 
@@ -139,14 +138,6 @@ class DiscreteSolution:
     mesh: Mesh
     dofmap: DofMap
 
-    @property
-    def u1(self) -> np.ndarray:
-        return self.coeffs[: self.dofmap.n_u1]
-
-    def u2(self, comp: int = 0) -> np.ndarray:
-        off = self.dofmap.u2_offset(comp)
-        return self.coeffs[off: off + self.dofmap.n_scalar]
-
 
 def default_quadrature(dofmap: DofMap) -> QuadratureRule:
     """Degree 2p + 2 rule: exact for products of system images of basis
@@ -162,12 +153,11 @@ def _geometry_tables(mesh: Mesh, dofmap: DofMap, quad: QuadratureRule):
     """Basis values (nloc, nq) and reference gradients (2, nloc, nq), then
     J^{-T} (2, 2, ne), points (2, nq, ne) and weights times det J (nq, ne)."""
     ref = build_reference(dofmap.degree)
-    _, inv_t, det = affine_maps(mesh)
+    coords, inv_t, det = affine_maps(mesh)
     refpts = quad.reference_points()
     values = ref.values(refpts).T
     ref_grads = ref.gradients(refpts).transpose(2, 1, 0)
-    pts = quad.points @ mesh.element_coords().transpose(2, 1, 0)
-    return values, ref_grads, inv_t.transpose(1, 2, 0).copy(), pts, np.outer(quad.weights, det)
+    return values, ref_grads, inv_t, quad.points @ coords, np.outer(quad.weights, det)
 
 
 def _residual_tables(system, geometry: Geometry):
@@ -264,53 +254,17 @@ def _local_coeffs(dofmap: DofMap, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _gram(images: np.ndarray) -> np.ndarray:
-    """Local matrices ``R R^T`` of element-last images (nloc, ..., ne), as an
-    (ne, nloc, nloc) view.  Row a of the upper triangle is one contraction
-    along the element axis; the lower triangle is mirrored from it, so every
-    local matrix is bit-exactly symmetric."""
+    """Upper triangles of the local matrices ``R R^T`` of element-last images
+    (nloc, ..., ne): entries (a, b), a <= b, in ``np.triu_indices`` order, as
+    (nloc (nloc + 1) / 2, ne).  Row a is one contraction along the element axis."""
     nloc, ne = images.shape[0], images.shape[-1]
     flat = images.reshape(nloc, math.prod(images.shape[1:-1]), ne)
-    local = np.empty((nloc, nloc, ne))
+    upper = np.empty((nloc * (nloc + 1) // 2, ne))
+    lo = 0
     for a in range(nloc):
-        np.einsum("ke,bke->be", flat[a], flat[a:], out=local[a, a:])
-        local[a + 1:, a] = local[a, a + 1:]
-    return local.transpose(2, 0, 1)
-
-
-def _accumulate_csr(keys, vals, n) -> sp.csr_matrix:
-    """Deterministic COO -> CSR accumulation of entries keyed ``row * n + col``.
-
-    The entries are put in (row, col) lexicographic order with ties kept in
-    insertion order, so duplicate entries are summed in their insertion
-    (element) order; symmetric local blocks therefore give a bit-exactly
-    symmetric global matrix.  That order comes from one unstable sort of
-    the packed keys ``key << bits | position`` (m entries, positions below
-    2**bits): they are unique, so their order is the stable order of the
-    keys.  Only where they would reach 2**63 does a stable argsort take
-    over.
-    """
-    if len(vals) == 0:
-        return sp.csr_matrix((n, n))
-    m = len(keys)
-    bits = (m - 1).bit_length()
-    if (n * n) << bits < 2**63:
-        packed = keys.astype(np.int64) << bits
-        packed |= np.arange(m)
-        packed.sort()
-        order = packed & ((1 << bits) - 1)
-        k = packed >> bits
-        del packed
-    else:
-        order = np.argsort(keys, kind="stable")
-        k = keys[order]
-    first = np.ones(len(k), dtype=bool)
-    first[1:] = k[1:] != k[:-1]
-    starts = np.flatnonzero(first)
-    data = np.add.reduceat(vals[order], starts)
-    del order, first  # the sorted values and the permutation die before the CSR is built
-    rows, cols = np.divmod(k[starts], n)
-    indptr = np.searchsorted(rows, np.arange(n + 1), side="left")
-    return sp.csr_matrix((data, cols, indptr), shape=(n, n))
+        np.einsum("ke,bke->be", flat[a], flat[a:], out=upper[lo: lo + nloc - a])
+        lo += nloc - a
+    return upper
 
 
 def assemble(
@@ -326,22 +280,29 @@ def assemble(
     # An initial facet's Gram matrix and load join the u1 block of its element.
     elems = table.geometry.facet_elements
     nloc = table.facet_images.shape[0]
-    local = _gram(table.images)
-    np.add.at(local[:, :nloc, :nloc], elems, _gram(table.facet_images))
+    rows, cols = np.triu_indices(table.images.shape[0])
+    upper = _gram(table.images)
+    np.add.at(upper, (np.flatnonzero(cols < nloc)[:, None], elems), _gram(table.facet_images))
+    upper[rows == cols] *= 0.5  # H + H^T counts the diagonal twice
     loads = np.einsum("arqe,rqe->ae", table.images, table.data).T
     np.add.at(loads[:, :nloc], elems, np.einsum("aqf,qf->fa", table.facet_images, table.facet_data))
 
-    gdofs = _global_dofs(dofmap).T
-    free = gdofs >= 0
+    gdofs = _global_dofs(dofmap)
+    free = gdofs.T >= 0
     rhs = np.zeros(n)
-    np.add.at(rhs, gdofs[free], loads[free])
-    keep = (free[:, :, None] & free[:, None, :]).ravel()
-    gdofs = gdofs.astype(np.int32 if n * n < 2**31 else np.int64)  # compact keys
-    keys = (gdofs[:, :, None] * n + gdofs[:, None, :]).ravel()[keep]
-    vals = local.ravel()[keep]  # element by element
-    del local, keep
-    matrix = _accumulate_csr(keys, vals, n)
-    return SparseSystem(matrix=matrix, rhs=rhs, n_dofs=n, table=table)
+    np.add.at(rhs, gdofs.T[free], loads[free])
+    gi, gj = gdofs[rows], gdofs[cols]
+    keep = (gi >= 0) & (gj >= 0)
+    half = sp.csr_matrix((upper[keep], (gi[keep], gj[keep])), shape=(n, n)).tocoo()
+    del upper, gi, gj, keep  # freed before the full matrix is built
+    # H + H^T from H's entries and their mirror images: each position sums at
+    # most two terms, which commute, so the matrix is bit-exactly symmetric.
+    # Unlike scipy's H + H.T this keeps the exact zeros of the element
+    # pattern, on which the MMD ordering factorizes graded levels about 20 %
+    # faster.
+    mirrored = (np.concatenate([half.row, half.col]), np.concatenate([half.col, half.row]))
+    matrix = sp.csr_matrix((np.tile(half.data, 2), mirrored), shape=(n, n))
+    return SparseSystem(matrix=matrix, rhs=rhs, table=table)
 
 
 def _lu_preconditioner(matrix):

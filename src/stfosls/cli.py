@@ -1,7 +1,7 @@
 """Command-line front end: configure a run, execute it, emit tables and meshes.
 
 Usage:
-    stfosls run CONFIG [--out DIR] [--seed N]
+    stfosls run CONFIG [--out DIR]
     stfosls verify [--seed N]
 
 Configs are flat ``key = value`` text files; ``#`` starts a comment.  Exit
@@ -278,18 +278,17 @@ def cmd_verify(seed: int = 0) -> int:
 
 
 def main(argv=None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="output directory (overrides config)")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized property trials")
     parser = argparse.ArgumentParser(
-        prog="stfosls",
-        description="Adaptive space-time least-squares finite element runs",
-        parents=[common],
+        prog="stfosls", description="Adaptive space-time least-squares finite element runs"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    run_parser = sub.add_parser("run", help="execute a configured run", parents=[common])
+    run_parser = sub.add_parser("run", help="execute a configured run")
     run_parser.add_argument("config", help="path to a key = value config file")
-    sub.add_parser("verify", help="run the built-in oracle suite", parents=[common])
+    run_parser.add_argument("--out", default=None, help="output directory (overrides config)")
+    verify_parser = sub.add_parser("verify", help="run the built-in oracle suite")
+    verify_parser.add_argument(
+        "--seed", type=int, default=0, help="seed for randomized property trials"
+    )
 
     args = parser.parse_args(argv)
     if args.command == "verify":

@@ -111,7 +111,7 @@ def _solve_level(mesh, system, p, quad, equad, check_galerkin, exact):
     if not report.converged:
         raise SolverFailure(
             f"CG stalled at relative residual {report.relative_residual:.3e} "
-            f"after {report.iterations} iterations on {sparse.n_dofs} dofs"
+            f"after {report.iterations} iterations on {sparse.rhs.size} dofs"
         )
     solution = DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
     defect = None

@@ -3,9 +3,11 @@
 Everything here is deliberately slow and structurally independent of the
 production refinement, assembly and estimation paths: elements are bisected
 one by one, fields are evaluated pointwise per global basis function through
-:func:`evaluate_field`, system images through the scalar :func:`eval_G`, and
-integrals are accumulated in plain loops.  A size guard keeps the dense work
-at desk scale.
+:func:`evaluate_field` (on the elements that a direct scan of the cell dofs
+finds in its support), system images through the scalar :func:`eval_G`, and
+integrals are accumulated in plain loops or, for the dense Galerkin matrix,
+as one product of the weighted image table with itself.  A size guard keeps
+the dense work at desk scale.
 """
 
 from __future__ import annotations
@@ -185,12 +187,21 @@ def _edge_geometry(mesh: Mesh, e: int, loc: int, s: np.ndarray):
     return xs, length
 
 
+def _supports(dofmap: DofMap):
+    """Elements whose cell dofs contain each global dof, by direct scan."""
+    cells = np.hstack([dofmap.cell_dofs_u1]
+                      + [dofmap.cell_dofs_u2(c) for c in range(dofmap.n_u2_components)])
+    return [np.flatnonzero((cells == j).any(axis=1)) for j in range(dofmap.n_dofs)]
+
+
 def _basis_images(mesh: Mesh, dofmap: DofMap, system, quad, equad):
     """System image of every global basis function at every quadrature point.
 
-    Returns the interior image table (n_dofs, n_elements, nq, n_int), the
-    trace table (n_dofs, n_facets, nq_edge), the physical points, the
-    weighted measures, and the initial-facet list.
+    Each function is evaluated only on the elements whose cell dofs contain
+    it; it vanishes identically elsewhere.  Returns the interior image table
+    (n_dofs, n_elements, nq, n_int), the trace table (n_dofs, n_facets,
+    nq_edge), the physical points, the weighted measures, and the
+    initial-facet list.
     """
     n = dofmap.n_dofs
     ne = mesh.n_elements
@@ -198,6 +209,7 @@ def _basis_images(mesh: Mesh, dofmap: DofMap, system, quad, equad):
     nq = refpts.shape[0]
     n_int = system.n_interior
     nc = dofmap.n_u2_components
+    supports = _supports(dofmap)
 
     pts = np.empty((ne, nq, 2))
     wdet = np.empty((ne, nq))
@@ -213,7 +225,7 @@ def _basis_images(mesh: Mesh, dofmap: DofMap, system, quad, equad):
     for j in range(n):
         unit = np.zeros(n)
         unit[j] = 1.0
-        for e in range(ne):
+        for e in supports[j]:
             u1v, u1g = evaluate_field(unit, dofmap, mesh, e, refpts, field=0)
             u2v = np.empty((nq, nc))
             u2g = np.empty((nq, nc, 2))
@@ -232,8 +244,9 @@ def _basis_images(mesh: Mesh, dofmap: DofMap, system, quad, equad):
         unit = np.zeros(n)
         unit[j] = 1.0
         for fi, (e, loc) in enumerate(facets):
-            v, _ = evaluate_field(unit, dofmap, mesh, e, edge_reference_points(loc, equad.points), field=0)
-            trace[j, fi] = v
+            if e in supports[j]:
+                edge_pts = edge_reference_points(loc, equad.points)
+                trace[j, fi] = evaluate_field(unit, dofmap, mesh, e, edge_pts, field=0)[0]
     return table, trace, pts, wdet, facets
 
 
@@ -247,31 +260,22 @@ def dense_assemble(mesh: Mesh, dofmap: DofMap, system, quadrature=None, edge_qua
 
     table, trace, pts, wdet, facets = _basis_images(mesh, dofmap, system, quad, equad)
 
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            acc = float(np.einsum("eqr,eqr,eq->", table[i], table[j], wdet))
-            matrix[i, j] = acc
-            matrix[j, i] = acc
-
-    rhs = np.zeros(n)
     data = np.empty(pts.shape[:2] + (system.n_interior,))
     for e in range(pts.shape[0]):
         for q in range(pts.shape[1]):
             data[e, q] = eval_data(system, pts[e, q])
-    for j in range(n):
-        rhs[j] = float(np.einsum("eqr,eqr,eq->", data, table[j], wdet))
+    sqrt_w = np.sqrt(wdet)[..., None]
+    weighted = (table * sqrt_w).reshape(n, -1)
+    matrix = weighted @ weighted.T
+    rhs = weighted @ (data * sqrt_w).ravel()
 
     for fi, (e, loc) in enumerate(facets):
         xs, length = _edge_geometry(mesh, e, loc, equad.points)
-        w = equad.weights * length
+        sqrt_len = np.sqrt(equad.weights * length)
         u0 = np.array([eval_data_initial(system, xv) for xv in xs])
-        for i in range(n):
-            if not trace[i, fi].any():
-                continue
-            rhs[i] += float(np.dot(w, u0 * trace[i, fi]))
-            for j in range(n):
-                matrix[i, j] += float(np.dot(w, trace[i, fi] * trace[j, fi]))
+        traces = trace[:, fi] * sqrt_len
+        matrix += traces @ traces.T
+        rhs += traces @ (sqrt_len * u0)
 
     return matrix, rhs
 

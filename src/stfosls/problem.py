@@ -89,9 +89,6 @@ class ProblemData:
 
 @dataclass(frozen=True)
 class ParabolicProblem:
-    t_end: float
-    x_lo: float
-    x_hi: float
     coefficients: CoefficientField
     data: ProblemData
     form: ConvectionForm = ConvectionForm.FLUX
@@ -136,8 +133,6 @@ def from_manufactured(
     case: ManufacturedCase,
     coefficients: CoefficientField,
     form: ConvectionForm = ConvectionForm.FLUX,
-    t_end: float = 1.0,
-    omega: tuple = (0.0, 1.0),
 ) -> ParabolicProblem:
     """Problem whose strong-form source matches the manufactured solution.
 
@@ -159,14 +154,7 @@ def from_manufactured(
         f2=lambda t, x: np.zeros_like(np.asarray(t, dtype=float)),
         u0=lambda x: sample(case.u, np.zeros_like(np.asarray(x, dtype=float)), x),
     )
-    return ParabolicProblem(
-        t_end=float(t_end),
-        x_lo=float(omega[0]),
-        x_hi=float(omega[1]),
-        coefficients=coefficients,
-        data=data,
-        form=form,
-    )
+    return ParabolicProblem(coefficients=coefficients, data=data, form=form)
 
 
 def exact_error_data(case: ManufacturedCase) -> ExactFields:
@@ -254,10 +242,7 @@ def _incompatible_problem(form: ConvectionForm) -> ParabolicProblem:
         f2=_constant(0.0),
         u0=lambda x: np.ones_like(np.asarray(x, dtype=float)),
     )
-    return ParabolicProblem(
-        t_end=1.0, x_lo=0.0, x_hi=1.0,
-        coefficients=_unit_coefficients(), data=data, form=form,
-    )
+    return ParabolicProblem(coefficients=_unit_coefficients(), data=data, form=form)
 
 
 BUILTIN_CASES = ("heat-smooth", "convection-reaction", "variable-a", "incompatible")

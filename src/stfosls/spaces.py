@@ -273,21 +273,17 @@ def affine_map(mesh: Mesh, k: int):
 
 
 def affine_maps(mesh: Mesh):
-    """Batched version of :func:`affine_map` over all elements; raises the
-    same ValueError on the first degenerate or inverted element."""
-    coords = mesh.element_coords()
-    jac = np.stack([coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]], axis=2)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    """Batched version of :func:`affine_map` over all elements, element axis
+    last: vertex coordinates (2, 3, ne), J^{-T} (2, 2, ne) and det J (ne,).
+    Raises the same ValueError on the first degenerate or inverted element."""
+    coords = mesh.points.T[:, mesh.elements.T]
+    (a0, a1), (b0, b1) = coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]
+    det = a0 * b1 - b0 * a1
     if not np.all(det > 0.0):
         k = int(np.flatnonzero(~(det > 0.0))[0])
         raise ValueError(f"element {k} is degenerate or inverted (det={det[k]})")
-    inv_t = np.empty_like(jac)
-    inv_t[:, 0, 0] = jac[:, 1, 1]
-    inv_t[:, 0, 1] = -jac[:, 1, 0]
-    inv_t[:, 1, 0] = -jac[:, 0, 1]
-    inv_t[:, 1, 1] = jac[:, 0, 0]
-    inv_t /= det[:, None, None]
-    return jac, inv_t, det
+    inv_t = np.array([[b1, -a1], [-b0, a0]]) / det
+    return coords, inv_t, det
 
 
 def evaluate_field(coeffs: np.ndarray, dofmap: DofMap, mesh: Mesh, k: int, point, field: int = 0):

@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from stfosls import oracles
 from stfosls.assembly import (
     DiscreteSolution,
-    _accumulate_csr,
     _initial_facet_tables,
     assemble,
     default_edge_quadrature,
@@ -43,7 +42,6 @@ def test_zero_data_zero_load():
 
     zero = lambda t, x: np.zeros_like(np.asarray(t, dtype=float))
     problem = ParabolicProblem(
-        t_end=1.0, x_lo=0.0, x_hi=1.0,
         coefficients=CoefficientField(
             lambda t, x: np.ones_like(np.asarray(t, dtype=float)), zero, zero
         ),
@@ -236,27 +234,6 @@ def test_cg_converged_flag_means_true_residual(kappa):
     assert report.converged == (true <= 1e-10)
 
 
-def test_accumulate_csr_sums_duplicates_in_insertion_order():
-    # n = 3 and n = 50,000 take the packed-key sort; n = 2**22 with 2**19
-    # entries the stable argsort (n * n * 2**19 = 2**63).  (1, 2) arrives
-    # three times, interleaved with (0, 0) and (2, 0); extra entries are
-    # zeros added to (0, 0).  With entries of 1e16 and 1, the
-    # floating-point sum depends on their order.
-    for n, m in ((3, 5), (50_000, 5), (2**22, 2**19)):
-        keys = np.zeros(m, dtype=np.int64)
-        keys[:5] = [1 * n + 2, 0, 1 * n + 2, 2 * n + 0, 1 * n + 2]
-        sums = []
-        for dups in ([1e16, -1e16, 1.0], [1.0, 1e16, -1e16]):
-            vals = np.zeros(m)
-            vals[:5] = [dups[0], 5.0, dups[1], 7.0, dups[2]]
-            matrix = _accumulate_csr(keys, vals, n)
-            in_order = np.add.reduceat(np.array(dups), [0])[0]
-            assert matrix[1, 2] == in_order
-            assert (matrix[0, 0], matrix[2, 0], matrix.nnz) == (5.0, 7.0, 3)
-            sums.append(in_order)
-        assert sums[0] != sums[1]
-
-
 @pytest.mark.parametrize("name", ["heat-smooth", "convection-reaction", "variable-a", "poisson"])
 def test_spd_on_small_meshes(name):
     """Smallest eigenvalue of the assembled matrix is positive (coercivity)."""
@@ -302,9 +279,7 @@ def test_galerkin_defect_small_after_solve():
 def test_galerkin_defect_zero_data():
     mesh, dofmap, system = _setup("heat-smooth", 1)
     sparse_system = assemble(mesh, dofmap, system)
-    zero_system = type(sparse_system)(
-        matrix=sparse_system.matrix, rhs=np.zeros_like(sparse_system.rhs), n_dofs=sparse_system.n_dofs
-    )
+    zero_system = type(sparse_system)(matrix=sparse_system.matrix, rhs=np.zeros_like(sparse_system.rhs))
     solution = DiscreteSolution(
         coeffs=np.zeros(dofmap.n_dofs), mesh=mesh, dofmap=dofmap
     )

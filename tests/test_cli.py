@@ -168,6 +168,23 @@ def test_verify_command(capsys):
     assert len(set(names)) == len(names)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--out", "{out}", "run", "{cfg}"],
+    ["run", "{cfg}", "--seed", "1"],
+    ["--seed", "7", "verify"],
+], ids=["out-before-run", "seed-on-run", "seed-before-verify"])
+def test_misplaced_flag_exit_2(tmp_path, monkeypatch, argv):
+    """``--out`` belongs to ``run`` and ``--seed`` to ``verify``; anywhere else
+    argparse rejects the flag instead of the command silently ignoring it."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(HEAT_UNIFORM)
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(cfg=cfg, out=tmp_path / "out") for arg in argv])
+    assert exc.value.code == 2
+    assert not (tmp_path / "runlog.csv").exists()
+
+
 def test_solver_failure_exit_3(tmp_path, monkeypatch):
     import stfosls.cli as cli
     from stfosls.driver import SolverFailure

@@ -29,7 +29,6 @@ DOERFLER = MarkingConfig(MarkStrategy.DOERFLER, 0.5)
 def _zero_problem():
     zero = lambda t, x: np.zeros_like(np.asarray(t, dtype=float))
     return ParabolicProblem(
-        t_end=1.0, x_lo=0.0, x_hi=1.0,
         coefficients=CoefficientField(
             lambda t, x: np.ones_like(np.asarray(t, dtype=float)), zero, zero
         ),

@@ -41,7 +41,6 @@ def test_zero_solution_indicator_is_data_norm():
     from stfosls.problem import ParabolicProblem, ProblemData
 
     stripped = ParabolicProblem(
-        t_end=1.0, x_lo=0.0, x_hi=1.0,
         coefficients=problem.coefficients,
         data=ProblemData(f1=problem.data.f1, f2=problem.data.f2,
                          u0=lambda x: 0.0 * np.asarray(x, dtype=float)),

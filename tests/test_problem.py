@@ -48,9 +48,6 @@ def test_data_vector_flux_correction():
     from stfosls.problem import ParabolicProblem, ProblemData
 
     problem = ParabolicProblem(
-        t_end=1.0,
-        x_lo=0.0,
-        x_hi=1.0,
         coefficients=CoefficientField(_constant(1.0), _constant(1.0), _constant(0.0)),
         data=ProblemData(f1=_constant(0.0), f2=_constant(1.0), u0=lambda x: 0.0 * x),
         form=ConvectionForm.FLUX,

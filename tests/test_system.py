@@ -26,9 +26,6 @@ def _constant(v):
 
 def _problem(a, b, c, form=ConvectionForm.FLUX):
     return ParabolicProblem(
-        t_end=1.0,
-        x_lo=0.0,
-        x_hi=1.0,
         coefficients=CoefficientField(_constant(a), _constant(b), _constant(c)),
         data=ProblemData(f1=_constant(0.0), f2=_constant(0.0), u0=lambda x: 0.0 * x),
         form=form,
