@@ -13,7 +13,7 @@ from stfosls.system import poisson_sine_case
 def main():
     system, exact = poisson_sine_case()
     mesh0 = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = run(system, mesh0, 1, StopCriteria(max_iterations=4), exact=exact, check_galerkin=True)
+    log = run(system, mesh0, 1, StopCriteria(max_iterations=4), exact=exact)
 
     print(f"{'dofs':>8} {'estimator':>12} {'error':>12} {'order':>7}")
     for dofs, eta, err, order in rate_table(log):

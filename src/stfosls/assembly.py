@@ -36,10 +36,9 @@ from .spaces import (
     EdgeQuadratureRule,
     QuadratureRule,
     affine_maps,
-    build_edge_quadrature,
-    build_quadrature,
     build_reference,
     edge_reference_points,
+    level_rules,
 )
 
 __all__ = [
@@ -117,7 +116,7 @@ class SparseSystem:
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    table: Optional[ImageTable] = None
+    table: ImageTable
 
 
 @dataclass(frozen=True)
@@ -137,16 +136,6 @@ class DiscreteSolution:
     coeffs: np.ndarray
     mesh: Mesh
     dofmap: DofMap
-
-
-def default_quadrature(dofmap: DofMap) -> QuadratureRule:
-    """Degree 2p + 2 rule: exact for products of system images of basis
-    functions under constant coefficients, with headroom for smooth data."""
-    return build_quadrature(2 * dofmap.degree + 2)
-
-
-def default_edge_quadrature(dofmap: DofMap) -> EdgeQuadratureRule:
-    return build_edge_quadrature(2 * dofmap.degree + 2)
 
 
 def _geometry_tables(mesh: Mesh, dofmap: DofMap, quad: QuadratureRule):
@@ -197,31 +186,18 @@ def _initial_facet_tables(mesh: Mesh, dofmap: DofMap, equad: EdgeQuadratureRule,
     return elems, edge_tables[locs], xs, equad.weights * length[:, None]
 
 
-def level_geometry(
-    mesh: Mesh,
-    dofmap: DofMap,
-    system,
-    quadrature: Optional[QuadratureRule] = None,
-    edge_quadrature: Optional[EdgeQuadratureRule] = None,
-) -> Geometry:
-    """Quadrature geometry of one level, its initial facets included."""
-    quad = quadrature if quadrature is not None else default_quadrature(dofmap)
-    equad = edge_quadrature if edge_quadrature is not None else default_edge_quadrature(dofmap)
+def level_geometry(mesh: Mesh, dofmap: DofMap, system) -> Geometry:
+    """Quadrature geometry of one level under its rules, initial facets included."""
+    quad, equad = level_rules(dofmap.degree)
     return Geometry(
         *_geometry_tables(mesh, dofmap, quad),
         *_initial_facet_tables(mesh, dofmap, equad, system),
     )
 
 
-def image_table(
-    mesh: Mesh,
-    dofmap: DofMap,
-    system,
-    quadrature: Optional[QuadratureRule] = None,
-    edge_quadrature: Optional[EdgeQuadratureRule] = None,
-) -> ImageTable:
+def image_table(mesh: Mesh, dofmap: DofMap, system) -> ImageTable:
     """Image table of one level; affine_maps rejects det <= 0, so sqrt(w) is real."""
-    geometry = level_geometry(mesh, dofmap, system, quadrature, edge_quadrature)
+    geometry = level_geometry(mesh, dofmap, system)
     sqrt_w = np.sqrt(geometry.wdet)
     images = _residual_tables(system, geometry)
     images *= sqrt_w
@@ -267,15 +243,9 @@ def _gram(images: np.ndarray) -> np.ndarray:
     return upper
 
 
-def assemble(
-    mesh: Mesh,
-    dofmap: DofMap,
-    system,
-    quadrature: Optional[QuadratureRule] = None,
-    edge_quadrature: Optional[EdgeQuadratureRule] = None,
-) -> SparseSystem:
+def assemble(mesh: Mesh, dofmap: DofMap, system) -> SparseSystem:
     """Matrix, load and image table of the least-squares Galerkin equation."""
-    table = image_table(mesh, dofmap, system, quadrature, edge_quadrature)
+    table = image_table(mesh, dofmap, system)
     n = dofmap.n_dofs
     # An initial facet's Gram matrix and load join the u1 block of its element.
     elems = table.geometry.facet_elements

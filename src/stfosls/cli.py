@@ -12,6 +12,7 @@ failure, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -115,9 +116,12 @@ def parse_config(text: str) -> RunConfig:
 
     def _float(key):
         try:
-            return float(values[key])
+            out = float(values[key])
         except ValueError as exc:
             raise ConfigError(f"{key} must be a number, got {values[key]!r}") from exc
+        if not math.isfinite(out):
+            raise ConfigError(f"{key} must be finite, got {values[key]!r}")
+        return out
 
     system = values["system"]
     if system not in ("parabolic", "poisson"):
@@ -290,6 +294,17 @@ def main(argv=None) -> int:
         "--seed", type=int, default=0, help="seed for randomized property trials"
     )
 
+    # Given before its subcommand, a subcommand's flag is not named by
+    # argparse, which reports the flag's value as an invalid command.
+    owners = {"--out": "run", "--seed": "verify"}
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for arg in argv:
+        if arg in sub.choices:
+            break
+        flag = arg.split("=", 1)[0]
+        if flag in owners:
+            parser.error(f"{flag} is an option of '{owners[flag]}' and goes after it: "
+                         f"stfosls {owners[flag]} {flag} ...")
     args = parser.parse_args(argv)
     if args.command == "verify":
         return cmd_verify(seed=args.seed)

@@ -20,7 +20,7 @@ from .estimator import compute_indicators, u_norm_error
 from .marking import MarkingConfig, mark, verify_marking_property
 from .mesh import Mesh, bisect
 from .problem import ExactFields, ParabolicProblem
-from .spaces import build_dofmap, build_edge_quadrature, build_quadrature
+from .spaces import build_dofmap
 from .system import parabolic_system
 
 __all__ = [
@@ -65,6 +65,8 @@ class StopCriteria:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
         if self.max_dofs is not None and self.max_dofs < 1:
             raise ValueError(f"max_dofs must be >= 1, got {self.max_dofs}")
+        if self.estimator_tolerance is not None and not self.estimator_tolerance >= 0:
+            raise ValueError(f"estimator_tolerance must be >= 0, got {self.estimator_tolerance}")
 
 
 @dataclass
@@ -76,7 +78,7 @@ class RunRecord:
     error: Optional[float]
     marked: int
     solver: SolverReport
-    galerkin_defect: Optional[float] = None
+    galerkin_defect: float
 
 
 @dataclass
@@ -101,12 +103,12 @@ def _as_system(problem_or_system):
     return problem_or_system
 
 
-def _solve_level(mesh, system, p, quad, equad, check_galerkin, exact):
+def _solve_level(mesh, system, p, exact):
     """Solve one level; indicators and error reuse the table assembly built, which dies here."""
     dofmap = build_dofmap(
         mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags
     )
-    sparse = assemble(mesh, dofmap, system, quad, equad)
+    sparse = assemble(mesh, dofmap, system)
     coeffs, report = solve_cg(sparse.matrix, sparse.rhs, factorize=True)
     if not report.converged:
         raise SolverFailure(
@@ -114,13 +116,11 @@ def _solve_level(mesh, system, p, quad, equad, check_galerkin, exact):
             f"after {report.iterations} iterations on {sparse.rhs.size} dofs"
         )
     solution = DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
-    defect = None
-    if check_galerkin:
-        defect = galerkin_orthogonality_check(solution, sparse)
-    indicators = compute_indicators(mesh, solution, system, quad, equad, table=sparse.table)
+    defect = galerkin_orthogonality_check(solution, sparse)
+    indicators = compute_indicators(mesh, solution, system, table=sparse.table)
     error = None
     if exact is not None:
-        error = u_norm_error(mesh, solution, exact, system, quad, equad, table=sparse.table).total
+        error = u_norm_error(mesh, solution, exact, system, table=sparse.table).total
     return solution, report, defect, indicators, error
 
 
@@ -131,7 +131,6 @@ def run(
     stop: StopCriteria,
     marking: Optional[MarkingConfig] = None,
     exact: Optional[ExactFields] = None,
-    check_galerkin: bool = False,
 ) -> RunLog:
     """Solve, estimate, mark and refine until a stopping criterion fires.
 
@@ -141,19 +140,15 @@ def run(
     refines uniformly: every element is marked and the mesh is bisected
     twice, which splits each triangle into four similar children and halves
     the mesh width.  Such a run ends only by ``stop``, and its
-    ``max_iterations`` reason is reported as ``"levels"``.
+    ``max_iterations`` reason is reported as ``"levels"``.  Every record
+    carries the Galerkin defect of its level's solve.
     """
     system = _as_system(problem_or_system)
-    quad = build_quadrature(2 * p + 2)
-    equad = build_edge_quadrature(2 * p + 2)
-
     log = RunLog()
     mesh = mesh0
     level = 0
     while True:
-        solution, report, defect, indicators, error = _solve_level(
-            mesh, system, p, quad, equad, check_galerkin, exact
-        )
+        solution, report, defect, indicators, error = _solve_level(mesh, system, p, exact)
         record = RunRecord(
             level=level,
             dofs=solution.dofmap.n_dofs,

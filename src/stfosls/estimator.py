@@ -35,7 +35,6 @@ from .assembly import (
 )
 from .mesh import Mesh
 from .problem import ExactFields, sample
-from .spaces import EdgeQuadratureRule, QuadratureRule
 
 __all__ = [
     "Indicators",
@@ -74,8 +73,6 @@ def compute_indicators(
     mesh: Mesh,
     solution: DiscreteSolution,
     system,
-    quadrature: Optional[QuadratureRule] = None,
-    edge_quadrature: Optional[EdgeQuadratureRule] = None,
     table: Optional[ImageTable] = None,
 ) -> Indicators:
     """Least-squares indicators of a solved discrete solution.
@@ -84,7 +81,7 @@ def compute_indicators(
     (``SparseSystem.table``); without it the same table is built here.
     """
     if table is None:
-        table = image_table(mesh, solution.dofmap, system, quadrature, edge_quadrature)
+        table = image_table(mesh, solution.dofmap, system)
     eta2 = table.squared_residuals(solution.dofmap, solution.coeffs)
     return Indicators(per_element=np.sqrt(eta2), total=float(np.sqrt(eta2.sum())))
 
@@ -94,8 +91,6 @@ def u_norm_error(
     solution: DiscreteSolution,
     exact: ExactFields,
     system,
-    quadrature: Optional[QuadratureRule] = None,
-    edge_quadrature: Optional[EdgeQuadratureRule] = None,
     table: Optional[ImageTable] = None,
 ) -> ErrorReport:
     """Graph-norm error of a discrete solution against closed-form references.
@@ -103,8 +98,7 @@ def u_norm_error(
     ``table`` is the image table the level was assembled from; its geometry
     is reused, and without it the geometry is built here.
     """
-    geometry = table.geometry if table is not None else level_geometry(
-        mesh, solution.dofmap, system, quadrature, edge_quadrature)
+    geometry = table.geometry if table is not None else level_geometry(mesh, solution.dofmap, system)
     u1_val, u1_grad, u2_val, u2_grad = element_fields(solution, geometry)
     (t, x), wdet = geometry.points, geometry.wdet
 
@@ -145,13 +139,7 @@ def efficiency_reliability_ratio(indicators: Indicators, report: ErrorReport) ->
     return indicators.total / report.total
 
 
-def data_norm(
-    mesh: Mesh,
-    dofmap,
-    system,
-    quadrature: Optional[QuadratureRule] = None,
-    edge_quadrature: Optional[EdgeQuadratureRule] = None,
-) -> float:
+def data_norm(mesh: Mesh, dofmap, system) -> float:
     """L-norm of the data vector (interior targets plus initial datum)."""
-    table = image_table(mesh, dofmap, system, quadrature, edge_quadrature)
+    table = image_table(mesh, dofmap, system)
     return float(np.sqrt(np.sum(table.data**2) + np.sum(table.facet_data**2)))

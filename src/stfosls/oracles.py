@@ -23,6 +23,7 @@ from .spaces import (
     build_quadrature,
     edge_reference_points,
     evaluate_field,
+    level_rules,
 )
 from .system import eval_G, eval_data, eval_data_initial
 
@@ -250,13 +251,12 @@ def _basis_images(mesh: Mesh, dofmap: DofMap, system, quad, equad):
     return table, trace, pts, wdet, facets
 
 
-def dense_assemble(mesh: Mesh, dofmap: DofMap, system, quadrature=None, edge_quadrature=None):
+def dense_assemble(mesh: Mesh, dofmap: DofMap, system):
     """Dense Galerkin matrix and load by direct global-basis integration."""
     n = dofmap.n_dofs
     if n > MAX_DENSE_DOFS:
         raise ValueError(f"dense oracle limited to {MAX_DENSE_DOFS} dofs, got {n}")
-    quad = quadrature if quadrature is not None else build_quadrature(2 * dofmap.degree + 2)
-    equad = edge_quadrature if edge_quadrature is not None else build_edge_quadrature(2 * dofmap.degree + 2)
+    quad, equad = level_rules(dofmap.degree)
 
     table, trace, pts, wdet, facets = _basis_images(mesh, dofmap, system, quad, equad)
 
@@ -296,13 +296,13 @@ def min_eigenvalue(matrix: np.ndarray) -> float:
 
 
 def fine_norm(exact: ExactFields, mesh: Mesh, system, degree: int = 8) -> float:
-    """Graph norm of closed-form fields by high-order quadrature.
+    """Graph norm of closed-form fields by quadrature of exactness ``degree``.
 
     Independent of the estimator path; the value is mesh-partition
     independent because the seminorms are additive over elements.
     """
-    quad = build_quadrature(max(int(degree), 8))
-    equad = build_edge_quadrature(max(int(degree), 8))
+    quad = build_quadrature(degree)
+    equad = build_edge_quadrature(degree)
     refpts = quad.reference_points()
 
     total = 0.0
@@ -412,16 +412,14 @@ def discrete_image_system(mesh: Mesh, dofmap: DofMap, system, coeffs: np.ndarray
     return _DiscreteImageSystem(mesh, dofmap, system, coeffs)
 
 
-def residual_norm_sweep(mesh: Mesh, solution, system, degree: int = None) -> float:
+def residual_norm_sweep(mesh: Mesh, solution, system) -> float:
     """Global residual norm by one flat sweep over all quadrature points.
 
     No per-element partition of the result: a single scalar accumulator,
     used to cross-check the additivity of the element indicators.
     """
     dofmap = solution.dofmap
-    deg = degree if degree is not None else 2 * dofmap.degree + 2
-    quad = build_quadrature(deg)
-    equad = build_edge_quadrature(deg)
+    quad, equad = level_rules(dofmap.degree)
     refpts = quad.reference_points()
     nc = dofmap.n_u2_components
 

@@ -61,10 +61,8 @@ def _mesh0():
 def heat_uniform_runs():
     problem, case = make_problem("heat-smooth")
     exact = exact_error_data(case)
-    run_p1 = run(problem, _mesh0(), 1, StopCriteria(max_iterations=4), exact=exact,
-                 check_galerkin=True)
-    run_p2 = run(problem, _mesh0(), 2, StopCriteria(max_iterations=3), exact=exact,
-                 check_galerkin=True)
+    run_p1 = run(problem, _mesh0(), 1, StopCriteria(max_iterations=4), exact=exact)
+    run_p2 = run(problem, _mesh0(), 2, StopCriteria(max_iterations=3), exact=exact)
     return run_p1, run_p2
 
 
@@ -94,7 +92,6 @@ def adaptive_logs():
                         max_iterations=25, max_dofs=50000, estimator_tolerance=0.1 * eta0
                     ),
                     marking,
-                    check_galerkin=True,
                 )
                 logs[(case_name, strategy, form)] = log
     return logs
@@ -103,8 +100,7 @@ def adaptive_logs():
 @pytest.fixture(scope="module")
 def poisson_uniform_run():
     system, exact = poisson_sine_case()
-    return run(system, _mesh0(), 1, StopCriteria(max_iterations=4), exact=exact,
-               check_galerkin=True)
+    return run(system, _mesh0(), 1, StopCriteria(max_iterations=4), exact=exact)
 
 
 def _orders_last_levels(log, n_levels=3):

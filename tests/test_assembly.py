@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from stfosls import oracles
 from stfosls.assembly import (
     DiscreteSolution,
     _initial_facet_tables,
     assemble,
-    default_edge_quadrature,
-    default_quadrature,
     galerkin_orthogonality_check,
     level_geometry,
     solve_cg,
@@ -17,8 +16,20 @@ from stfosls.driver import StopCriteria, run
 from stfosls.estimator import compute_indicators
 from stfosls.marking import MarkingConfig, MarkStrategy
 from stfosls.mesh import bisect, uniform_initial_mesh
-from stfosls.problem import ConvectionForm, make_problem
-from stfosls.spaces import affine_map, build_dofmap, build_reference, edge_reference_points
+from stfosls.problem import (
+    CoefficientField,
+    ConvectionForm,
+    ParabolicProblem,
+    ProblemData,
+    make_problem,
+)
+from stfosls.spaces import (
+    affine_map,
+    build_dofmap,
+    build_reference,
+    edge_reference_points,
+    level_rules,
+)
 from stfosls.system import parabolic_system, poisson_sine_case
 
 
@@ -82,8 +93,8 @@ def test_geometry_matches_per_element_affine_map():
     assert mesh.n_elements >= 1000
     for p in (1, 2):
         dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
-        quad = default_quadrature(dofmap)
-        geometry = level_geometry(mesh, dofmap, system, quad)
+        quad, _ = level_rules(p)
+        geometry = level_geometry(mesh, dofmap, system)
         grads = geometry.basis_gradients()
         ref = build_reference(p)
         ref_grads = ref.gradients(quad.reference_points())  # (nq, nloc, 2)
@@ -107,7 +118,7 @@ def test_initial_facet_tables_match_per_facet_loop():
     mesh, system = _graded_incompatible(10)
     for p in (1, 2):
         dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
-        equad = default_edge_quadrature(dofmap)
+        _, equad = level_rules(p)
         elems, basis, xs, wlen = _initial_facet_tables(mesh, dofmap, equad, system)
         edges = oracles._initial_edges(mesh)
         assert len(edges) > 4  # refinement reached the initial boundary
@@ -279,11 +290,41 @@ def test_galerkin_defect_small_after_solve():
 def test_galerkin_defect_zero_data():
     mesh, dofmap, system = _setup("heat-smooth", 1)
     sparse_system = assemble(mesh, dofmap, system)
-    zero_system = type(sparse_system)(matrix=sparse_system.matrix, rhs=np.zeros_like(sparse_system.rhs))
+    zero_system = type(sparse_system)(matrix=sparse_system.matrix, rhs=np.zeros_like(sparse_system.rhs),
+                                      table=sparse_system.table)
     solution = DiscreteSolution(
         coeffs=np.zeros(dofmap.n_dofs), mesh=mesh, dofmap=dofmap
     )
     assert galerkin_orthogonality_check(solution, zero_system) == 0.0
+
+
+_COEFFICIENT = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(-0.9, 0.9, allow_nan=False), k=st.floats(0.5, 6.0, allow_nan=False),
+       beta=_COEFFICIENT, gamma=_COEFFICIENT, form=st.sampled_from(list(ConvectionForm)),
+       p=st.sampled_from([1, 2]))
+def test_random_smooth_coefficients_spd_and_galerkin(alpha, k, beta, gamma, form, p):
+    """A = 1 + alpha sin(k (t + 2x)) with |alpha| <= 0.9 and variable b and c:
+    the assembled matrix is SPD and the LU-preconditioned solve meets
+    Galerkin orthogonality."""
+    coefficients = CoefficientField(
+        diffusion=lambda t, x: 1.0 + alpha * np.sin(k * (t + 2.0 * x)),
+        convection=lambda t, x: beta * np.cos(np.pi * (x - t)),
+        reaction=lambda t, x: gamma * (1.0 + t * x),
+    )
+    data = ProblemData(f1=lambda t, x: 1.0 + t * x, f2=lambda t, x: t * x * (1.0 - x),
+                       u0=lambda x: np.sin(np.pi * x))
+    system = parabolic_system(ParabolicProblem(coefficients, data, form))
+    mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
+    dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+    sparse_system = assemble(mesh, dofmap, system)
+    assert oracles.min_eigenvalue(sparse_system.matrix.toarray()) > 0
+    coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs, factorize=True)
+    assert report.converged
+    solution = DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
+    assert galerkin_orthogonality_check(solution, sparse_system) <= 1e-7
 
 
 def test_dense_oracle_size_guard():

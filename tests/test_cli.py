@@ -29,6 +29,10 @@ max_iterations = 6
 """
 
 
+NON_FINITE_OR_NEGATIVE = ("t_end = inf", "x_lo = -inf", "estimator_tolerance = nan",
+                          "estimator_tolerance = -1")
+
+
 def test_parse_defaults_and_overrides():
     config = parse_config(HEAT_UNIFORM)
     assert config.case == "heat-smooth"
@@ -56,6 +60,9 @@ def test_parse_rejects_bad_values():
         parse_config("t_end = -1")
     with pytest.raises(ConfigError):
         parse_config("system = poisson\ncase = bogus")
+    for line in NON_FINITE_OR_NEGATIVE:
+        with pytest.raises(ConfigError):
+            parse_config(line)
 
 
 def test_run_uniform_heat(tmp_path):
@@ -72,11 +79,16 @@ def test_run_uniform_heat(tmp_path):
     assert mesh.n_elements == 128
 
 
-def test_run_invalid_config_exit_2(tmp_path):
+def test_run_invalid_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("marking = doerfler\ntheta = 0.0\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
+    for line in NON_FINITE_OR_NEGATIVE:
+        cfg.write_text(line + "\n")
+        capsys.readouterr()
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
 
 
 def _run_rows(tmp_path, text):
@@ -168,20 +180,21 @@ def test_verify_command(capsys):
     assert len(set(names)) == len(names)
 
 
-@pytest.mark.parametrize("argv", [
-    ["--out", "{out}", "run", "{cfg}"],
-    ["run", "{cfg}", "--seed", "1"],
-    ["--seed", "7", "verify"],
+@pytest.mark.parametrize("argv,message", [
+    (["--out", "{out}", "run", "{cfg}"], "--out is an option of 'run'"),
+    (["run", "{cfg}", "--seed", "1"], "unrecognized arguments: --seed"),
+    (["--seed", "7", "verify"], "--seed is an option of 'verify'"),
 ], ids=["out-before-run", "seed-on-run", "seed-before-verify"])
-def test_misplaced_flag_exit_2(tmp_path, monkeypatch, argv):
+def test_misplaced_flag_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     """``--out`` belongs to ``run`` and ``--seed`` to ``verify``; anywhere else
-    argparse rejects the flag instead of the command silently ignoring it."""
+    the flag is rejected by name instead of the command silently ignoring it."""
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(HEAT_UNIFORM)
     with pytest.raises(SystemExit) as exc:
         main([arg.format(cfg=cfg, out=tmp_path / "out") for arg in argv])
     assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "runlog.csv").exists()
 
 

@@ -43,6 +43,9 @@ def test_stop_criteria_requires_a_criterion():
         StopCriteria(max_iterations=-1)
     with pytest.raises(ValueError):
         StopCriteria(max_dofs=0)
+    for tol in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="estimator_tolerance"):
+            StopCriteria(max_iterations=3, estimator_tolerance=tol)
 
 
 def test_solver_failure_aborts_run(monkeypatch):
@@ -122,7 +125,7 @@ def test_adaptive_heat_estimator_decreases():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     log = run(
         problem, mesh, 1, StopCriteria(max_dofs=5000), DOERFLER,
-        exact=exact_error_data(case), check_galerkin=True,
+        exact=exact_error_data(case),
     )
     eta = log.estimators()
     assert log.reason == "max_dofs"
@@ -207,7 +210,7 @@ def _fake_log(entries):
     records = [
         RunRecord(
             level=i, dofs=d, elements=d, estimator=e, error=err, marked=0,
-            solver=SolverReport(1, 0.0, True),
+            solver=SolverReport(1, 0.0, True), galerkin_defect=0.0,
         )
         for i, (d, e, err) in enumerate(entries)
     ]

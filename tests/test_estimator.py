@@ -11,7 +11,7 @@ from stfosls.estimator import (
 )
 from stfosls.mesh import bisect, element_measures, uniform_initial_mesh
 from stfosls.problem import exact_error_data, make_problem, sample
-from stfosls.spaces import build_dofmap, build_quadrature
+from stfosls.spaces import build_dofmap, level_rules
 from stfosls.system import parabolic_system, poisson_sine_case
 
 
@@ -49,8 +49,8 @@ def test_zero_solution_indicator_is_data_norm():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     solution = DiscreteSolution(coeffs=np.zeros(dofmap.n_dofs), mesh=mesh, dofmap=dofmap)
-    quad = build_quadrature(8)
-    ind = compute_indicators(mesh, solution, system, quad)
+    quad, _ = level_rules(1)
+    ind = compute_indicators(mesh, solution, system)
 
     coords = mesh.element_coords()
     for k in range(mesh.n_elements):
@@ -120,8 +120,8 @@ def test_u_norm_error_zero_solution_equals_fine_norm():
     mesh, dofmap, system, _, case = _solve("heat-smooth", nt=3, nx=2)
     exact = exact_error_data(case)
     zero = DiscreteSolution(coeffs=np.zeros(dofmap.n_dofs), mesh=mesh, dofmap=dofmap)
-    report = u_norm_error(mesh, zero, exact, system, build_quadrature(10))
-    reference = oracles.fine_norm(exact, mesh, system, degree=10)
+    report = u_norm_error(mesh, zero, exact, system)
+    reference = oracles.fine_norm(exact, mesh, system, degree=4)  # the p = 1 level rule
     assert report.total == pytest.approx(reference, rel=1e-10)
 
 
