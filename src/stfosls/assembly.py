@@ -149,23 +149,25 @@ def _geometry_tables(mesh: Mesh, dofmap: DofMap, quad: QuadratureRule):
     return values, ref_grads, inv_t, quad.points @ coords, np.outer(quad.weights, det)
 
 
-def _residual_tables(system, geometry: Geometry):
-    """System images of all local basis functions, shape (nloc_total, n_int, nq, ne).
+def _residual_tables(system, geometry: Geometry, sqrt_w: np.ndarray):
+    """sqrt(w)-weighted system images of all local basis functions, shape
+    (nloc_total, n_int, nq, ne).
 
-    Field blocks are ordered u1 first, then the u2 components, each written
-    into one preallocated table as soon as it is evaluated.
+    The images are linear in the fields, so the basis values and gradients
+    are weighted once and each field block (u1 first, then the u2
+    components) is written by the system straight into its slab of one
+    preallocated table, through a view with the component axis first.
     """
     t, x = geometry.points
-    val = geometry.values[:, :, None]
-    nloc = val.shape[0]
+    val = geometry.values[:, :, None] * sqrt_w
     grads = geometry.basis_gradients()
-    block = system.residual_u1(t, x, val, grads)
-    out = np.empty((nloc * (1 + system.n_flux), block.shape[0]) + block.shape[2:])
-    out[:nloc] = block.swapaxes(0, 1)
-    del block
+    grads *= sqrt_w
+    nloc = val.shape[0]
+    out = np.empty((nloc * (1 + system.n_flux), system.n_interior) + val.shape[1:])
+    system.residual_u1(t, x, val, grads, out[:nloc].swapaxes(0, 1))
     for comp in range(system.n_flux):
         lo = (comp + 1) * nloc
-        out[lo: lo + nloc] = system.residual_u2(comp, t, x, val, grads).swapaxes(0, 1)
+        system.residual_u2(comp, t, x, val, grads, out[lo: lo + nloc].swapaxes(0, 1))
     return out
 
 
@@ -199,8 +201,7 @@ def image_table(mesh: Mesh, dofmap: DofMap, system) -> ImageTable:
     """Image table of one level; affine_maps rejects det <= 0, so sqrt(w) is real."""
     geometry = level_geometry(mesh, dofmap, system)
     sqrt_w = np.sqrt(geometry.wdet)
-    images = _residual_tables(system, geometry)
-    images *= sqrt_w
+    images = _residual_tables(system, geometry, sqrt_w)
     data = system.data_interior(*geometry.points) * sqrt_w
     xs = geometry.facet_x
     sqrt_len = np.sqrt(geometry.facet_wlen)
@@ -215,12 +216,13 @@ def image_table(mesh: Mesh, dofmap: DofMap, system) -> ImageTable:
 
 def _global_dofs(dofmap: DofMap) -> np.ndarray:
     """Global dofs of the local basis in field blocks, (nloc_total, ne), -1
-    for constrained u1."""
+    for constrained u1.  int32, scipy's own index type below 2^31 dofs, so
+    the scatter neither doubles its index arrays nor has scipy copy them."""
     nodes = dofmap.cell_nodes.T
     blocks = [dofmap.free_index[nodes]]
     for comp in range(dofmap.n_u2_components):
         blocks.append(dofmap.u2_offset(comp) + nodes)
-    return np.concatenate(blocks)
+    return np.concatenate(blocks, dtype=np.int32)
 
 
 def _local_coeffs(dofmap: DofMap, coeffs: np.ndarray) -> np.ndarray:
@@ -263,8 +265,11 @@ def assemble(mesh: Mesh, dofmap: DofMap, system) -> SparseSystem:
     np.add.at(rhs, gdofs.T[free], loads[free])
     gi, gj = gdofs[rows], gdofs[cols]
     keep = (gi >= 0) & (gj >= 0)
-    half = sp.csr_matrix((upper[keep], (gi[keep], gj[keep])), shape=(n, n)).tocoo()
-    del upper, gi, gj, keep  # freed before the full matrix is built
+    entries = upper[keep], (gi[keep], gj[keep])
+    del upper, gi, gj, keep  # each transient is freed as soon as it is used
+    half = sp.csr_matrix(entries, shape=(n, n))
+    del entries
+    half = half.tocoo()
     # H + H^T from H's entries and their mirror images: each position sums at
     # most two terms, which commute, so the matrix is bit-exactly symmetric.
     # Unlike scipy's H + H.T this keeps the exact zeros of the element

@@ -295,14 +295,17 @@ def main(argv=None) -> int:
     )
 
     # Given before its subcommand, a subcommand's flag is not named by
-    # argparse, which reports the flag's value as an invalid command.
+    # argparse, which reports the flag's value as an invalid command.  The
+    # prefixes that argparse accepts after the subcommand count as the flag.
     owners = {"--out": "run", "--seed": "verify"}
     argv = sys.argv[1:] if argv is None else list(argv)
     for arg in argv:
         if arg in sub.choices:
             break
-        flag = arg.split("=", 1)[0]
-        if flag in owners:
+        given = arg.split("=", 1)[0]
+        flags = [flag for flag in owners if len(given) > 2 and flag.startswith(given)]
+        if len(flags) == 1:
+            flag = flags[0]
             parser.error(f"{flag} is an option of '{owners[flag]}' and goes after it: "
                          f"stfosls {owners[flag]} {flag} ...")
     args = parser.parse_args(argv)

@@ -36,7 +36,8 @@ __all__ = [
 
 
 class SolverFailure(RuntimeError):
-    """The inner linear solver did not reach its tolerance."""
+    """A level's linear solve failed: SuperLU found the matrix singular, or
+    the iteration did not reach its tolerance."""
 
 
 class MarkingPropertyError(RuntimeError):
@@ -109,7 +110,10 @@ def _solve_level(mesh, system, p, exact):
         mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags
     )
     sparse = assemble(mesh, dofmap, system)
-    coeffs, report = solve_cg(sparse.matrix, sparse.rhs, factorize=True)
+    try:
+        coeffs, report = solve_cg(sparse.matrix, sparse.rhs, factorize=True)
+    except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+        raise SolverFailure(f"level solve on {sparse.rhs.size} dofs failed: {exc}") from exc
     if not report.converged:
         raise SolverFailure(
             f"CG stalled at relative residual {report.relative_residual:.3e} "

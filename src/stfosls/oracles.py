@@ -364,11 +364,11 @@ class _DiscreteImageSystem:
     def n_interior(self):
         return self._inner.n_interior
 
-    def residual_u1(self, t, x, val, grad):
-        return self._inner.residual_u1(t, x, val, grad)
+    def residual_u1(self, t, x, val, grad, out):
+        self._inner.residual_u1(t, x, val, grad, out)
 
-    def residual_u2(self, comp, t, x, val, grad):
-        return self._inner.residual_u2(comp, t, x, val, grad)
+    def residual_u2(self, comp, t, x, val, grad, out):
+        self._inner.residual_u2(comp, t, x, val, grad, out)
 
     def divergence(self, u1_grad, u2_grads):
         return self._inner.divergence(u1_grad, u2_grads)

@@ -8,9 +8,13 @@ first-order least-squares formulation over the same product space plugs in.
 
 Axis order: every method takes point coordinates ``t`` and ``x`` and field
 values of matching (broadcastable) shape.  Gradients carry their
-coordinate axis (d/dt, d/dx) first, flux gradients ``(nc, 2, ...)``, and
-outputs stack the residual components in their first axis, so the trailing
-axes (the element axis last, in assembly) stay contiguous.
+coordinate axis (d/dt, d/dx) first, flux gradients ``(nc, 2, ...)``.  The
+residual methods write their components into the caller's ``out``, stacked
+in its first axis, ``(n_interior,) + field shape`` with at least one field
+axis; assembly passes a view of its image table there, so the trailing
+axes (the element axis last) stay contiguous and nothing is copied.  The
+residuals are linear in the fields, so assembly passes sqrt(w)-weighted
+values and gradients and gets weighted images.
 
 Parabolic instance (flux form):
 
@@ -81,33 +85,32 @@ class ParabolicSystem:
     def n_interior(self) -> int:
         return self.n_flux + 1
 
-    def residual_u1(self, t, x, val, grad):
+    def residual_u1(self, t, x, val, grad, out):
         """Interior residual components generated by the u1 field.
 
-        ``grad`` stacks (d/dt, d/dx) in its first axis; output stacks
+        ``grad`` stacks (d/dt, d/dx) in its first axis; ``out`` receives
         (flux residual, divergence residual) in its first axis.
         """
         coeff = self.problem.coefficients
-        a = sample(coeff.diffusion, t, x)
-        c = sample(coeff.reaction, t, x)
-        r_flux = a * grad[1]
-        r_div = grad[0] + c * val
-        if self.problem.form is ConvectionForm.GRADIENT:
-            b = sample(coeff.convection, t, x)
-            r_div = r_div + b * grad[1]
-        return np.stack(np.broadcast_arrays(r_flux, r_div))
+        np.multiply(sample(coeff.reaction, t, x), val, out=out[1])
+        out[1] += grad[0]
+        if self.problem.form is ConvectionForm.GRADIENT:  # out[0] as scratch
+            np.multiply(sample(coeff.convection, t, x), grad[1], out=out[0])
+            out[1] += out[0]
+        np.multiply(sample(coeff.diffusion, t, x), grad[1], out=out[0])
 
-    def residual_u2(self, comp, t, x, val, grad):
+    def residual_u2(self, comp, t, x, val, grad, out):
         if comp != 0:
             raise IndexError("parabolic system has a single flux component")
-        r_flux = np.asarray(val, dtype=float)
-        r_div = grad[1]
         if self.problem.form is ConvectionForm.FLUX:
             coeff = self.problem.coefficients
             b = sample(coeff.convection, t, x)
             a = sample(coeff.diffusion, t, x)
-            r_div = r_div - b / a * val
-        return np.stack(np.broadcast_arrays(r_flux, r_div))
+            np.multiply(b / a, val, out=out[1])
+            np.subtract(grad[1], out[1], out=out[1])
+        else:
+            out[1] = grad[1]
+        out[0] = val
 
     def data_interior(self, t, x):
         coeff, data = self.problem.coefficients, self.problem.data
@@ -143,18 +146,16 @@ class PoissonSystem:
     def n_interior(self) -> int:
         return self.n_flux + 1
 
-    def residual_u1(self, t, x, val, grad):
-        zero = np.zeros_like(np.asarray(val, dtype=float))
-        return np.stack(np.broadcast_arrays(grad[0], grad[1], zero))
+    def residual_u1(self, t, x, val, grad, out):
+        out[:2] = grad
+        out[2] = 0.0
 
-    def residual_u2(self, comp, t, x, val, grad):
+    def residual_u2(self, comp, t, x, val, grad, out):
         if comp not in (0, 1):
             raise IndexError("flux component out of range")
-        val = np.asarray(val, dtype=float)
-        zero = np.zeros_like(val)
-        rows = [zero, zero, grad[comp]]
-        rows[comp] = val
-        return np.stack(np.broadcast_arrays(*rows))
+        out[1 - comp] = 0.0  # the other flux component
+        out[comp] = val
+        out[2] = grad[comp]
 
     def data_interior(self, t, x):
         f = sample(self.f, t, x)
@@ -184,14 +185,17 @@ def eval_G(system, point, u1_val, u1_grad, u2_val, u2_grad) -> GImage:
     row per component; scalars are accepted for single-flux systems.
     """
     t, x = float(point[0]), float(point[1])
-    u1_grad = np.asarray(u1_grad, dtype=float)
+    u1_grad = np.asarray(u1_grad, dtype=float).reshape(2, 1)
     u2_val = np.atleast_1d(np.asarray(u2_val, dtype=float))
-    u2_grad = np.asarray(u2_grad, dtype=float).reshape(system.n_flux, 2)
+    u2_grad = np.asarray(u2_grad, dtype=float).reshape(system.n_flux, 2, 1)
 
-    interior = system.residual_u1(t, x, float(u1_val), u1_grad)
+    # One field axis of length 1, so that every component of ``out`` is an array.
+    out = np.empty((system.n_interior, 1))
+    system.residual_u1(t, x, np.full(1, float(u1_val)), u1_grad, out)
+    interior = out[:, 0].copy()
     for comp in range(system.n_flux):
-        interior = interior + system.residual_u2(comp, t, x, u2_val[comp], u2_grad[comp])
-    interior = np.asarray(interior, dtype=float)
+        system.residual_u2(comp, t, x, u2_val[comp:comp + 1], u2_grad[comp], out)
+        interior += out[:, 0]
     return GImage(
         flux=interior[:system.n_flux],
         div=float(interior[system.n_flux]),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +11,7 @@ from stfosls.assembly import (
     _initial_facet_tables,
     assemble,
     galerkin_orthogonality_check,
+    image_table,
     level_geometry,
     solve_cg,
 )
@@ -30,7 +33,7 @@ from stfosls.spaces import (
     edge_reference_points,
     level_rules,
 )
-from stfosls.system import parabolic_system, poisson_sine_case
+from stfosls.system import eval_G, parabolic_system, poisson_sine_case
 
 
 def _setup(name="heat-smooth", p=1, nt=2, nx=2, form=ConvectionForm.FLUX):
@@ -84,6 +87,62 @@ def test_matrix_exactly_symmetric():
         matrix = assemble(mesh, dofmap, system).matrix
         diff = (matrix - matrix.T).tocoo()
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
+
+
+def _variable_coefficient_system(form):
+    coefficients = CoefficientField(
+        diffusion=lambda t, x: 1.0 + 0.5 * np.sin(3.0 * (t + 2.0 * x)),
+        convection=lambda t, x: 1.5 * np.cos(np.pi * (x - t)),
+        reaction=lambda t, x: -0.7 * (1.0 + t * x),
+    )
+    data = ProblemData(f1=lambda t, x: 1.0 + t * x, f2=lambda t, x: t * x * (1.0 - x),
+                       u0=lambda x: np.sin(np.pi * x))
+    return parabolic_system(ParabolicProblem(coefficients, data, form))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("name", ["flux", "gradient", "poisson"])
+def test_table_written_in_place_matches_pointwise_images(name, p):
+    """Every image the systems write into the table through ``out`` equals
+    eval_G of that basis function at the point, times sqrt(w)."""
+    if name == "poisson":
+        system, _ = poisson_sine_case()
+    else:
+        system = _variable_coefficient_system(ConvectionForm(name))
+    mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), np.array([0, 3]))
+    dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux,
+                          dirichlet_tags=system.dirichlet_tags)
+    table = image_table(mesh, dofmap, system)
+    geometry = table.geometry
+    grads = geometry.basis_gradients()
+    nloc, nq = geometry.values.shape
+    rng = np.random.default_rng(0)
+    for e, q in zip(rng.integers(mesh.n_elements, size=12), rng.integers(nq, size=12)):
+        point = geometry.points[:, q, e]
+        for a in range(table.images.shape[0]):
+            field, loc = divmod(a, nloc)
+            fields = np.zeros((1 + system.n_flux, 3))  # value, d/dt, d/dx per field
+            fields[field] = geometry.values[loc, q], *grads[:, loc, q, e]
+            image = eval_G(system, point, fields[0, 0], fields[0, 1:], fields[1:, 0], fields[1:, 1:])
+            expected = np.append(image.flux, image.div) * np.sqrt(geometry.wdet[q, e])
+            got = table.images[a, :, q, e]
+            assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+def test_assemble_traced_peak_bounded_by_table():
+    """Assembly holds at most a small multiple of the image table at once:
+    the systems write into the table in place and the scatter runs on int32
+    dof ids, freeing each transient once it is used."""
+    mesh, system = _graded_incompatible(18)
+    dofmap = build_dofmap(mesh, 1, dirichlet_tags=system.dirichlet_tags)
+    images = assemble(mesh, dofmap, system).table.images.nbytes
+    tracemalloc.start()
+    try:
+        assemble(mesh, dofmap, system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * images
 
 
 def test_geometry_matches_per_element_affine_map():

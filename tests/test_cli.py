@@ -184,7 +184,12 @@ def test_verify_command(capsys):
     (["--out", "{out}", "run", "{cfg}"], "--out is an option of 'run'"),
     (["run", "{cfg}", "--seed", "1"], "unrecognized arguments: --seed"),
     (["--seed", "7", "verify"], "--seed is an option of 'verify'"),
-], ids=["out-before-run", "seed-on-run", "seed-before-verify"])
+    (["--o", "{out}", "run", "{cfg}"], "--out is an option of 'run'"),
+    (["--ou={out}", "run", "{cfg}"], "--out is an option of 'run'"),
+    (["--s", "7", "verify"], "--seed is an option of 'verify'"),
+    (["--se", "7", "verify"], "--seed is an option of 'verify'"),
+], ids=["out-before-run", "seed-on-run", "seed-before-verify", "o-before-run",
+        "ou-before-run", "s-before-verify", "se-before-verify"])
 def test_misplaced_flag_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     """``--out`` belongs to ``run`` and ``--seed`` to ``verify``; anywhere else
     the flag is rejected by name instead of the command silently ignoring it."""
@@ -209,6 +214,19 @@ def test_solver_failure_exit_3(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(INCOMPATIBLE_ADAPTIVE)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_singular_factor_exit_3(tmp_path, capsys):
+    """A denormal t_end makes every element degenerate; SuperLU's singular
+    factor is a solver failure that names the level's dofs, not a traceback."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case = heat-smooth\nmode = uniform\nlevels = 2\nt_end = 1e-320\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "error: solver failure: level solve on 12 dofs failed" in err
+    assert "Traceback" not in err
 
 
 def test_internal_invariant_exit_4(tmp_path, monkeypatch):
