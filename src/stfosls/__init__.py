@@ -49,7 +49,6 @@ from .system import (
     eval_data,
     parabolic_system,
     poisson_sine_case,
-    poisson_system,
 )
 
 __version__ = "0.1.0"

@@ -9,16 +9,18 @@ with the load b[i] = (data, G(phi_i))_L.  Constrained u1 dofs are eliminated
 (never enter the global system), so the matrix is symmetric positive
 definite on the free dofs.
 
-Both come from one per-level :class:`ImageTable` (local matrices R_K R_K^T,
-loads R_K D_K).  Only the upper triangle of each local matrix is scattered,
-its diagonal halved, into one sparse matrix H; the assembled matrix is
-H + H^T, bit-exactly symmetric because floating-point addition commutes.
+Both come from the sqrt(w)-weighted images R_K of the local basis (local
+matrices R_K R_K^T, loads R_K D_K).  The images are built, contracted and
+freed one block of elements at a time, so no level holds its whole image
+table.  Only the upper triangle of each local matrix is scattered, its
+diagonal halved, into one sparse matrix H; the assembled matrix is H + H^T,
+bit-exactly symmetric because floating-point addition commutes.
 
-The level's :class:`Geometry` and :class:`ImageTable` keep the element axis
-last, so their kernels (system images, Gram matrices, loads, residuals,
-field values) run numpy's inner loops along that long contiguous axis.  The
-geometry is built once per level, travels on the table, and also serves the
-indicators and the graph-norm error.
+The level's :class:`Geometry` keeps the element axis last, so its kernels
+(system images, Gram matrices, loads, residuals, field values) run numpy's
+inner loops along that long contiguous axis.  The geometry and the weighted
+data are built once per level, travel on the :class:`SparseSystem`, and
+also serve the indicators and the graph-norm error.
 """
 
 from __future__ import annotations
@@ -41,15 +43,19 @@ from .spaces import (
     level_rules,
 )
 
+# Elements per block of the image table: images of one block are built,
+# contracted and freed before the next, and a level below this size is one block.
+_BLOCK = 1024
+
 __all__ = [
     "SparseSystem",
     "Geometry",
-    "ImageTable",
+    "LevelData",
     "SolverReport",
     "DiscreteSolution",
     "assemble",
     "level_geometry",
-    "image_table",
+    "level_data",
     "solve_cg",
     "element_fields",
     "galerkin_orthogonality_check",
@@ -75,48 +81,34 @@ class Geometry:
     facet_x: np.ndarray  # (nf, nq_e) x of the facet points
     facet_wlen: np.ndarray  # (nf, nq_e) edge weight times facet length
 
-    def basis_gradients(self) -> np.ndarray:
-        """Physical gradients of the local basis, (2, nloc, nq, ne): one
-        matrix product per gradient component."""
+    def basis_gradients(self, block: slice = slice(None)) -> np.ndarray:
+        """Physical gradients of the local basis on the elements of ``block``,
+        (2, nloc, nq, nb): one matrix product per gradient component."""
         nloc, nq = self.values.shape
-        return (self.ref_grads.reshape(2, -1).T @ self.inv_t).reshape(2, nloc, nq, -1)
+        return (self.ref_grads.reshape(2, -1).T @ self.inv_t[..., block]).reshape(2, nloc, nq, -1)
 
 
 @dataclass(frozen=True)
-class ImageTable:
-    """System images and data of one level, weighted by sqrt(w) per point.
+class LevelData:
+    """Geometry of one level and its data, weighted by sqrt(w) per point.
 
-    ``images[a, r, q, K]`` is component r of G(phi_a) at point q of element
-    K (basis in field blocks, u1 first), ``data[r, q, K]`` the data there;
-    the facet arrays hold the weighted u1 traces and initial datum on each
-    initial facet.  ``geometry`` is the level geometry they were built from.
+    ``data[r, q, K]`` is component r of the interior data at point q of
+    element K, ``facet_data[q, f]`` the initial datum at point q of the
+    initial facet f of ``geometry``.
     """
 
-    images: np.ndarray  # (nloc_total, n_int, nq, ne)
-    data: np.ndarray  # (n_int, nq, ne)
-    facet_images: np.ndarray  # (nloc, nq_e, nf)
-    facet_data: np.ndarray  # (nq_e, nf)
     geometry: Geometry
-
-    def squared_residuals(self, dofmap: DofMap, coeffs: np.ndarray) -> np.ndarray:
-        """||D_K - R_K^T c_K||^2 of every element K, its initial facet included."""
-        local = _local_coeffs(dofmap, coeffs)
-        resid = self.data - np.einsum("arqe,ae->rqe", self.images, local)
-        eta2 = np.einsum("rqe,rqe->e", resid, resid)
-        elems = self.geometry.facet_elements
-        facet_local = local[: self.facet_images.shape[0], elems]
-        facet_resid = self.facet_data - np.einsum("aqf,af->qf", self.facet_images, facet_local)
-        np.add.at(eta2, elems, np.einsum("qf,qf->f", facet_resid, facet_resid))
-        return eta2
+    data: np.ndarray  # (n_int, nq, ne)
+    facet_data: np.ndarray  # (nq_e, nf)
 
 
 @dataclass(frozen=True)
 class SparseSystem:
-    """Assembled symmetric positive definite system and the table it came from."""
+    """Assembled symmetric positive definite system and the level data it came from."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    table: ImageTable
+    level: LevelData
 
 
 @dataclass(frozen=True)
@@ -149,18 +141,25 @@ def _geometry_tables(mesh: Mesh, dofmap: DofMap, quad: QuadratureRule):
     return values, ref_grads, inv_t, quad.points @ coords, np.outer(quad.weights, det)
 
 
-def _residual_tables(system, geometry: Geometry, sqrt_w: np.ndarray):
-    """sqrt(w)-weighted system images of all local basis functions, shape
-    (nloc_total, n_int, nq, ne).
+def _blocks(n_elements: int):
+    """Slices of the element axis, ``_BLOCK`` elements each, the last one shorter."""
+    return [slice(lo, lo + _BLOCK) for lo in range(0, n_elements, _BLOCK)]
+
+
+def _residual_tables(system, geometry: Geometry, sqrt_w: np.ndarray, block: slice):
+    """sqrt(w)-weighted system images of all local basis functions on the
+    elements of ``block``, shape (nloc_total, n_int, nq, nb); ``sqrt_w`` is
+    that of the whole level.
 
     The images are linear in the fields, so the basis values and gradients
     are weighted once and each field block (u1 first, then the u2
     components) is written by the system straight into its slab of one
     preallocated table, through a view with the component axis first.
     """
-    t, x = geometry.points
+    t, x = geometry.points[..., block]
+    sqrt_w = sqrt_w[:, block]
     val = geometry.values[:, :, None] * sqrt_w
-    grads = geometry.basis_gradients()
+    grads = geometry.basis_gradients(block)
     grads *= sqrt_w
     nloc = val.shape[0]
     out = np.empty((nloc * (1 + system.n_flux), system.n_interior) + val.shape[1:])
@@ -197,20 +196,18 @@ def level_geometry(mesh: Mesh, dofmap: DofMap, system) -> Geometry:
     )
 
 
-def image_table(mesh: Mesh, dofmap: DofMap, system) -> ImageTable:
-    """Image table of one level; affine_maps rejects det <= 0, so sqrt(w) is real."""
+def level_data(mesh: Mesh, dofmap: DofMap, system) -> LevelData:
+    """Geometry and weighted data of one level; affine_maps rejects det <= 0,
+    so sqrt(w) is real."""
     geometry = level_geometry(mesh, dofmap, system)
-    sqrt_w = np.sqrt(geometry.wdet)
-    images = _residual_tables(system, geometry, sqrt_w)
-    data = system.data_interior(*geometry.points) * sqrt_w
+    data = system.data_interior(*geometry.points)
+    data *= np.sqrt(geometry.wdet)
     xs = geometry.facet_x
     sqrt_len = np.sqrt(geometry.facet_wlen)
-    return ImageTable(
-        images=images,
-        data=data,
-        facet_images=(geometry.facet_basis * sqrt_len[..., None]).T,
-        facet_data=(sqrt_len * system.data_initial(xs) if xs.size else np.zeros_like(xs)).T,
+    return LevelData(
         geometry=geometry,
+        data=data,
+        facet_data=(sqrt_len * system.data_initial(xs) if xs.size else np.zeros_like(xs)).T,
     )
 
 
@@ -246,38 +243,55 @@ def _gram(images: np.ndarray) -> np.ndarray:
 
 
 def assemble(mesh: Mesh, dofmap: DofMap, system) -> SparseSystem:
-    """Matrix, load and image table of the least-squares Galerkin equation."""
-    table = image_table(mesh, dofmap, system)
-    n = dofmap.n_dofs
+    """Matrix, load and level data of the least-squares Galerkin equation."""
+    level = level_data(mesh, dofmap, system)
+    geometry = level.geometry
+    sqrt_w = np.sqrt(geometry.wdet)
+    n, ne = dofmap.n_dofs, sqrt_w.shape[1]
+    nloc = geometry.values.shape[0]
+    nloc_total = nloc * (1 + system.n_flux)
+    rows, cols = np.triu_indices(nloc_total)
+    upper = np.empty((rows.size, ne))
+    loads = np.empty((ne, nloc_total))
+    for block in _blocks(ne):
+        images = _residual_tables(system, geometry, sqrt_w, block)
+        upper[:, block] = _gram(images)
+        loads[block] = np.einsum("arqe,rqe->ae", images, level.data[..., block]).T
+        del images  # freed before the next block's images are built
+    del sqrt_w
     # An initial facet's Gram matrix and load join the u1 block of its element.
-    elems = table.geometry.facet_elements
-    nloc = table.facet_images.shape[0]
-    rows, cols = np.triu_indices(table.images.shape[0])
-    upper = _gram(table.images)
-    np.add.at(upper, (np.flatnonzero(cols < nloc)[:, None], elems), _gram(table.facet_images))
+    elems = geometry.facet_elements
+    facet_images = (geometry.facet_basis * np.sqrt(geometry.facet_wlen)[..., None]).T
+    np.add.at(upper, (np.flatnonzero(cols < nloc)[:, None], elems), _gram(facet_images))
     upper[rows == cols] *= 0.5  # H + H^T counts the diagonal twice
-    loads = np.einsum("arqe,rqe->ae", table.images, table.data).T
-    np.add.at(loads[:, :nloc], elems, np.einsum("aqf,qf->fa", table.facet_images, table.facet_data))
+    np.add.at(loads[:, :nloc], elems, np.einsum("aqf,qf->fa", facet_images, level.facet_data))
 
     gdofs = _global_dofs(dofmap)
     free = gdofs.T >= 0
     rhs = np.zeros(n)
     np.add.at(rhs, gdofs.T[free], loads[free])
-    gi, gj = gdofs[rows], gdofs[cols]
-    keep = (gi >= 0) & (gj >= 0)
-    entries = upper[keep], (gi[keep], gj[keep])
-    del upper, gi, gj, keep  # each transient is freed as soon as it is used
-    half = sp.csr_matrix(entries, shape=(n, n))
-    del entries
-    half = half.tocoo()
-    # H + H^T from H's entries and their mirror images: each position sums at
-    # most two terms, which commute, so the matrix is bit-exactly symmetric.
-    # Unlike scipy's H + H.T this keeps the exact zeros of the element
-    # pattern, on which the MMD ordering factorizes graded levels about 20 %
-    # faster.
-    mirrored = (np.concatenate([half.row, half.col]), np.concatenate([half.col, half.row]))
-    matrix = sp.csr_matrix((np.tile(half.data, 2), mirrored), shape=(n, n))
-    return SparseSystem(matrix=matrix, rhs=rhs, table=table)
+    del loads, free
+    keep = (gdofs >= 0)[rows] & (gdofs >= 0)[cols]
+    values = upper[keep]
+    del upper  # each transient is freed as soon as it is used
+    gi, gj = gdofs[rows][keep], gdofs[cols][keep]
+    del keep
+    half = sp.csr_matrix((values, (gi, gj)), shape=(n, n))
+    del values, gi, gj
+    return SparseSystem(matrix=_plus_transpose(half), rhs=rhs, level=level)
+
+
+def _plus_transpose(half: sp.csr_matrix) -> sp.csr_matrix:
+    """H + H^T from H's entries and their mirror images, the row ids read off
+    H's ``indptr``: each position sums at most two terms, which commute, so
+    the matrix is bit-exactly symmetric.  Unlike scipy's H + H.T this keeps
+    the exact zeros of the element pattern, on which the MMD ordering
+    factorizes graded levels about 20 % faster."""
+    n = half.shape[0]
+    row = np.repeat(np.arange(n, dtype=half.indices.dtype), np.diff(half.indptr))
+    mirrored = (np.concatenate([row, half.indices]), np.concatenate([half.indices, row]))
+    del row
+    return sp.csr_matrix((np.tile(half.data, 2), mirrored), shape=(n, n))
 
 
 def _lu_preconditioner(matrix):
@@ -371,18 +385,22 @@ def solve_cg(
 
 
 def element_fields(solution: DiscreteSolution, geometry: Geometry):
-    """Discrete field values at the quadrature points of every element.
+    """Discrete field values at the quadrature points, one block of elements
+    at a time, in the blocks of assembly.
 
-    Returns u1 values (nq, ne), u1 gradients (2, nq, ne), u2 values
-    (nc, nq, ne) and u2 gradients (nc, 2, nq, ne), element axis last.
+    Yields each block (a slice of the element axis) with its u1 values
+    (nq, nb), u1 gradients (2, nq, nb), u2 values (nc, nq, nb) and u2
+    gradients (nc, 2, nq, nb), element axis last.
     """
     nloc, ne = geometry.values.shape[0], geometry.inv_t.shape[-1]
     local = _local_coeffs(solution.dofmap, solution.coeffs).reshape(-1, nloc, ne)
-    values = geometry.values.T @ local
-    ref = geometry.ref_grads.transpose(0, 2, 1) @ local[:, None]  # (1 + nc, 2, nq, ne)
-    inv_t = geometry.inv_t[:, :, None, :]
-    grads = inv_t[:, 0] * ref[:, :1] + inv_t[:, 1] * ref[:, 1:]
-    return values[0], grads[0], values[1:], grads[1:]
+    for block in _blocks(ne):
+        coeffs = local[..., block]
+        values = geometry.values.T @ coeffs
+        ref = geometry.ref_grads.transpose(0, 2, 1) @ coeffs[:, None]  # (1 + nc, 2, nq, nb)
+        inv_t = geometry.inv_t[:, :, None, block]
+        grads = inv_t[:, 0] * ref[:, :1] + inv_t[:, 1] * ref[:, 1:]
+        yield block, (values[0], grads[0], values[1:], grads[1:])
 
 
 def galerkin_orthogonality_check(solution: DiscreteSolution, sparse_system: SparseSystem) -> float:

@@ -3,6 +3,7 @@ run logging and rate tables."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -13,6 +14,7 @@ from .assembly import (
     DiscreteSolution,
     SolverReport,
     assemble,
+    element_fields,
     galerkin_orthogonality_check,
     solve_cg,
 )
@@ -105,7 +107,7 @@ def _as_system(problem_or_system):
 
 
 def _solve_level(mesh, system, p, exact):
-    """Solve one level; indicators and error reuse the table assembly built, which dies here."""
+    """Solve one level; indicators and error reuse the geometry and data assembly built."""
     dofmap = build_dofmap(
         mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags
     )
@@ -121,10 +123,14 @@ def _solve_level(mesh, system, p, exact):
         )
     solution = DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
     defect = galerkin_orthogonality_check(solution, sparse)
-    indicators = compute_indicators(mesh, solution, system, table=sparse.table)
+    level = sparse.level
+    fields = element_fields(solution, level.geometry)
+    if exact is not None:  # the error reads the same per-block fields: evaluate them once
+        fields, error_fields = itertools.tee(fields)
+    indicators = compute_indicators(mesh, solution, system, level, fields)
     error = None
     if exact is not None:
-        error = u_norm_error(mesh, solution, exact, system, table=sparse.table).total
+        error = u_norm_error(mesh, solution, exact, system, level, error_fields).total
     return solution, report, defect, indicators, error
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "element_measures",
     "initial_facet_list",
     "is_conforming",
-    "boundary_tags_consistent",
     "write_mesh",
     "read_mesh",
 ]
@@ -308,15 +307,6 @@ def is_conforming(mesh: Mesh) -> bool:
     a, b, _, counts = _edge_incidence(mesh)
     single = counts == 1
     return bool(np.all(counts <= 2) and np.all(_side_tags(mesh, a[single], b[single]) >= 0))
-
-
-def boundary_tags_consistent(mesh: Mesh) -> bool:
-    """Check that tags mark exactly the boundary and match their side."""
-    a, b, edge_of, counts = _edge_incidence(mesh)
-    expected = np.full(counts.size, int(FacetTag.INTERIOR))
-    single = counts == 1
-    expected[single] = _side_tags(mesh, a[single], b[single])
-    return bool(np.all(counts <= 2) and np.array_equal(expected[edge_of], mesh.edge_tags))
 
 
 def write_mesh(mesh: Mesh, path) -> None:

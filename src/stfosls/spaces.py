@@ -289,14 +289,21 @@ def affine_map(mesh: Mesh, k: int):
 def affine_maps(mesh: Mesh):
     """Batched version of :func:`affine_map` over all elements, element axis
     last: vertex coordinates (2, 3, ne), J^{-T} (2, 2, ne) and det J (ne,).
-    Raises the same ValueError on the first degenerate or inverted element."""
+    Raises the same ValueError on the first degenerate or inverted element,
+    and on the first whose J^{-T} is not finite: a positive but denormal
+    det J makes the division overflow."""
     coords = mesh.points.T[:, mesh.elements.T]
     (a0, a1), (b0, b1) = coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]
     det = a0 * b1 - b0 * a1
     if not np.all(det > 0.0):
         k = int(np.flatnonzero(~(det > 0.0))[0])
         raise ValueError(f"element {k} is degenerate or inverted (det={det[k]})")
-    inv_t = np.array([[b1, -a1], [-b0, a0]]) / det
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_t = np.array([[b1, -a1], [-b0, a0]]) / det
+    finite = np.isfinite(inv_t).all(axis=(0, 1))
+    if not finite.all():
+        k = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"element {k} is degenerate: J^-T is not finite (det={det[k]})")
     return coords, inv_t, det
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "ParabolicSystem",
     "PoissonSystem",
     "parabolic_system",
-    "poisson_system",
     "eval_G",
     "eval_data",
     "eval_data_initial",
@@ -172,10 +171,6 @@ class PoissonSystem:
 
 def parabolic_system(problem: ParabolicProblem) -> ParabolicSystem:
     return ParabolicSystem(problem)
-
-
-def poisson_system(f: Callable) -> PoissonSystem:
-    return PoissonSystem(f)
 
 
 def eval_G(system, point, u1_val, u1_grad, u2_val, u2_grad) -> GImage:

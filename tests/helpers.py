@@ -1,8 +1,22 @@
-"""Mesh and interpolation helpers that only the tests use."""
+"""Mesh, interpolation and error-report helpers that only the tests use."""
 
 import numpy as np
 
-from stfosls.mesh import FacetTag
+from stfosls.mesh import FacetTag, _edge_incidence, _side_tags
+
+
+def boundary_tags_consistent(mesh) -> bool:
+    """Check that tags mark exactly the boundary and match their side."""
+    a, b, edge_of, counts = _edge_incidence(mesh)
+    expected = np.full(counts.size, int(FacetTag.INTERIOR))
+    single = counts == 1
+    expected[single] = _side_tags(mesh, a[single], b[single])
+    return bool(np.all(counts <= 2) and np.array_equal(expected[edge_of], mesh.edge_tags))
+
+
+def error_contributions(report):
+    """The squared-additive parts of an ``ErrorReport``, total excluded."""
+    return (report.u1_l2, report.u1_grad_l2, report.u2_l2, report.div_l2, report.initial_l2)
 
 
 def element_patch(mesh, k: int) -> np.ndarray:

@@ -5,13 +5,14 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from stfosls import oracles
+from stfosls import assembly, oracles
 from stfosls.assembly import (
     DiscreteSolution,
+    _global_dofs,
     _initial_facet_tables,
+    _residual_tables,
     assemble,
     galerkin_orthogonality_check,
-    image_table,
     level_geometry,
     solve_cg,
 )
@@ -112,37 +113,137 @@ def test_table_written_in_place_matches_pointwise_images(name, p):
     mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), np.array([0, 3]))
     dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux,
                           dirichlet_tags=system.dirichlet_tags)
-    table = image_table(mesh, dofmap, system)
-    geometry = table.geometry
+    geometry = level_geometry(mesh, dofmap, system)
+    images = _residual_tables(system, geometry, np.sqrt(geometry.wdet), slice(None))
     grads = geometry.basis_gradients()
     nloc, nq = geometry.values.shape
     rng = np.random.default_rng(0)
     for e, q in zip(rng.integers(mesh.n_elements, size=12), rng.integers(nq, size=12)):
         point = geometry.points[:, q, e]
-        for a in range(table.images.shape[0]):
+        for a in range(images.shape[0]):
             field, loc = divmod(a, nloc)
             fields = np.zeros((1 + system.n_flux, 3))  # value, d/dt, d/dx per field
             fields[field] = geometry.values[loc, q], *grads[:, loc, q, e]
             image = eval_G(system, point, fields[0, 0], fields[0, 1:], fields[1:, 0], fields[1:, 1:])
             expected = np.append(image.flux, image.div) * np.sqrt(geometry.wdet[q, e])
-            got = table.images[a, :, q, e]
+            got = images[a, :, q, e]
             assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
-def test_assemble_traced_peak_bounded_by_table():
-    """Assembly holds at most a small multiple of the image table at once:
-    the systems write into the table in place and the scatter runs on int32
-    dof ids, freeing each transient once it is used."""
-    mesh, system = _graded_incompatible(18)
-    dofmap = build_dofmap(mesh, 1, dirichlet_tags=system.dirichlet_tags)
-    images = assemble(mesh, dofmap, system).table.images.nbytes
+def _table_nbytes(mesh, dofmap, system):
+    """Bytes of the level's whole image table, (nloc_total, n_int, nq, ne) floats."""
+    nloc_total = build_reference(dofmap.degree).n_local * (1 + system.n_flux)
+    nq = level_rules(dofmap.degree)[0].weights.size
+    return 8 * nloc_total * system.n_interior * nq * mesh.n_elements
+
+
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        assemble(mesh, dofmap, system)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.0 * images
+
+
+def test_assemble_traced_peak_bounded_by_table(monkeypatch):
+    """Assembly holds at most a small multiple of the image table at once,
+    and with the level spread over many blocks its working memory (the
+    traced peak less the arrays it returns) stays below one whole table:
+    the images are built, contracted and freed block by block."""
+    mesh, system = _graded_incompatible(18)
+    dofmap = build_dofmap(mesh, 1, dirichlet_tags=system.dirichlet_tags)
+    table = _table_nbytes(mesh, dofmap, system)
+    _, peak = _traced_peak(assemble, mesh, dofmap, system)
+    assert peak <= 3.0 * table
+
+    monkeypatch.setattr(assembly, "_BLOCK", 64)
+    sparse, peak = _traced_peak(assemble, mesh, dofmap, system)
+    level = sparse.level
+    kept = sum(a.nbytes for a in (sparse.matrix.data, sparse.matrix.indices, sparse.matrix.indptr,
+                                  sparse.rhs, level.data, level.facet_data))
+    kept += sum(getattr(level.geometry, f).nbytes for f in level.geometry.__dataclass_fields__)
+    assert peak - kept < table
+
+
+def _solved_level(mesh, dofmap, system):
+    sparse = assemble(mesh, dofmap, system)
+    coeffs, report = solve_cg(sparse.matrix, sparse.rhs, factorize=True)
+    assert report.converged
+    return sparse, DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_streamed_level_independent_of_block_size(p, monkeypatch):
+    """One block, 7-element blocks and the default blocks give the same
+    matrix, load and indicators (einsum's vector kernels may round the tail
+    of a short block differently, by a few 1e-16), and the matrix stays
+    bit-exactly symmetric."""
+    mesh, system = _graded_incompatible(18)
+    dofmap = build_dofmap(mesh, p, dirichlet_tags=system.dirichlet_tags)
+    assert mesh.n_elements > assembly._BLOCK
+    reference, solution = _solved_level(mesh, dofmap, system)
+    eta = compute_indicators(mesh, solution, system, reference.level).per_element
+    for block in (mesh.n_elements, 7):
+        monkeypatch.setattr(assembly, "_BLOCK", block)
+        sparse = assemble(mesh, dofmap, system)
+        assert np.array_equal(sparse.matrix.indptr, reference.matrix.indptr)
+        assert np.array_equal(sparse.matrix.indices, reference.matrix.indices)
+        diff = np.abs(sparse.matrix.data - reference.matrix.data).max()
+        assert diff <= 1e-15 * np.abs(reference.matrix.data).max()
+        assert np.abs(sparse.rhs - reference.rhs).max() <= 1e-15 * np.abs(reference.rhs).max()
+        assert (sparse.matrix != sparse.matrix.T).nnz == 0
+        got = compute_indicators(mesh, solution, system, sparse.level).per_element
+        assert np.abs(got - eta).max() <= 1e-15 * eta.max()
+
+
+@pytest.mark.parametrize("name", ["heat-smooth", "incompatible", "poisson"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_indicators_match_table_contraction(name, p):
+    """eta_K^2 read off the solution's own image equals the contraction of
+    the whole image table, ||D_K - R_K^T c_K||^2 plus the same on an
+    initial facet of K."""
+    if name == "poisson":
+        system, _ = poisson_sine_case()
+        mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 4, 4), [0, 5, 17])
+    else:
+        mesh, system = _graded_incompatible(10)
+        if name == "heat-smooth":
+            system = parabolic_system(make_problem(name)[0])
+    dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux,
+                          dirichlet_tags=system.dirichlet_tags)
+    sparse, solution = _solved_level(mesh, dofmap, system)
+    level, geometry = sparse.level, sparse.level.geometry
+    images = _residual_tables(system, geometry, np.sqrt(geometry.wdet), slice(None))
+    dofs = _global_dofs(dofmap)
+    local = np.where(dofs >= 0, solution.coeffs[dofs], 0.0)
+    resid = level.data - np.einsum("arqe,ae->rqe", images, local)
+    expected = np.einsum("rqe,rqe->e", resid, resid)
+    nloc, elems = geometry.values.shape[0], geometry.facet_elements
+    facet_images = (geometry.facet_basis * np.sqrt(geometry.facet_wlen)[..., None]).T
+    facet_resid = level.facet_data - np.einsum("aqf,af->qf", facet_images, local[:nloc, elems])
+    np.add.at(expected, elems, np.einsum("qf,qf->f", facet_resid, facet_resid))
+    got = compute_indicators(mesh, solution, system, level).per_element ** 2
+    assert np.abs(got - expected).max() <= 1e-13 * expected.max()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_plus_transpose_matches_coo_route(p, monkeypatch):
+    """H + H^T mirrored from H's CSR arrays has the same indptr, indices
+    and data as the route through H.tocoo(), exact zeros included."""
+    mesh, system = _graded_incompatible(18)
+    dofmap = build_dofmap(mesh, p, dirichlet_tags=system.dirichlet_tags)
+    halves = []
+    plus_transpose = assembly._plus_transpose
+    monkeypatch.setattr(assembly, "_plus_transpose", lambda h: plus_transpose(halves.append(h) or h))
+    matrix = assemble(mesh, dofmap, system).matrix
+    coo = halves[0].tocoo()
+    mirrored = (np.concatenate([coo.row, coo.col]), np.concatenate([coo.col, coo.row]))
+    expected = sp.csr_matrix((np.tile(coo.data, 2), mirrored), shape=coo.shape)
+    assert np.array_equal(matrix.indptr, expected.indptr)
+    assert np.array_equal(matrix.indices, expected.indices)
+    assert np.array_equal(matrix.data, expected.data)
+    assert np.count_nonzero(matrix.data == 0.0) > 0
 
 
 def test_geometry_matches_per_element_affine_map():
@@ -194,15 +295,16 @@ def test_initial_facet_tables_match_per_facet_loop():
 
 
 def test_indicators_from_assembled_table_match_fresh_table():
-    """The level loop's path (the table assembly built) and the standalone path
-    (a table built by compute_indicators) give the same indicators."""
+    """The level loop's path (the level data assembly built) and the
+    standalone path (level data built by compute_indicators) give the same
+    indicators."""
     mesh, system = _graded_incompatible(12)
     dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     sparse_system = assemble(mesh, dofmap, system)
     coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs, factorize=True)
     assert report.converged
     solution = DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
-    shared = compute_indicators(mesh, solution, system, table=sparse_system.table)
+    shared = compute_indicators(mesh, solution, system, level=sparse_system.level)
     fresh = compute_indicators(mesh, solution, system)
     rel = np.abs(shared.per_element - fresh.per_element).max() / fresh.per_element.max()
     assert rel <= 1e-13
@@ -350,7 +452,7 @@ def test_galerkin_defect_zero_data():
     mesh, dofmap, system = _setup("heat-smooth", 1)
     sparse_system = assemble(mesh, dofmap, system)
     zero_system = type(sparse_system)(matrix=sparse_system.matrix, rhs=np.zeros_like(sparse_system.rhs),
-                                      table=sparse_system.table)
+                                      level=sparse_system.level)
     solution = DiscreteSolution(
         coeffs=np.zeros(dofmap.n_dofs), mesh=mesh, dofmap=dofmap
     )

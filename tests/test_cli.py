@@ -216,17 +216,42 @@ def test_solver_failure_exit_3(tmp_path, monkeypatch):
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-def test_singular_factor_exit_3(tmp_path, capsys):
-    """A denormal t_end makes every element degenerate; SuperLU's singular
-    factor is a solver failure that names the level's dofs, not a traceback."""
+def test_singular_factor_exit_3(tmp_path, capsys, monkeypatch):
+    """SuperLU's singular factor is a solver failure that names the level's
+    dofs, not a traceback."""
+    import dataclasses
+
+    import stfosls.driver as driver
+
+    assemble = driver.assemble
+
+    def singular(*args):  # the level's pattern with every entry zero
+        sparse = assemble(*args)
+        return dataclasses.replace(sparse, matrix=0.0 * sparse.matrix)
+
+    monkeypatch.setattr(driver, "assemble", singular)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("case = heat-smooth\nmode = uniform\nlevels = 2\nt_end = 1e-320\n")
+    cfg.write_text("case = heat-smooth\nmode = uniform\nlevels = 2\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "error: solver failure: level solve on 12 dofs failed" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("line,key", [("t_end = 1e-320", "t_end = 1e-320"),
+                                      ("x_hi = 1e-310", "x_hi - x_lo = 1e-310")])
+def test_degenerate_initial_mesh_exit_2(tmp_path, capsys, line, key):
+    """A positive but denormal extent makes J^-T overflow on every initial
+    element: invalid input, exit 2 naming the key, before any solve and
+    without a numpy warning."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"case = heat-smooth\nmode = uniform\nlevels = 2\n{line}\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: invalid config: {key} gives a degenerate initial mesh" in err
+    assert "J^-T is not finite" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_internal_invariant_exit_4(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import error_contributions
 from stfosls import oracles
 from stfosls.assembly import DiscreteSolution, assemble, solve_cg
 from stfosls.estimator import (
@@ -140,10 +141,11 @@ def test_u_norm_error_from_level_table_matches_standalone(name, p):
     coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs, factorize=True)
     assert report.converged
     solution = DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
-    shared = u_norm_error(mesh, solution, exact, system, table=sparse_system.table)
+    shared = u_norm_error(mesh, solution, exact, system, level=sparse_system.level)
     alone = u_norm_error(mesh, solution, exact, system)
     assert alone.total > 0.0
-    for a, b in zip(shared.contributions() + (shared.total,), alone.contributions() + (alone.total,)):
+    for a, b in zip(error_contributions(shared) + (shared.total,),
+                    error_contributions(alone) + (alone.total,)):
         assert abs(a - b) <= 1e-13 * alone.total
 
 
@@ -151,7 +153,7 @@ def test_error_report_sum_of_squares():
     mesh, _, system, solution, case = _solve("convection-reaction")
     exact = exact_error_data(case)
     report = u_norm_error(mesh, solution, exact, system)
-    parts = report.contributions()
+    parts = error_contributions(report)
     assert all(p >= 0 for p in parts)
     assert report.total**2 == pytest.approx(sum(p**2 for p in parts), rel=1e-13)
 

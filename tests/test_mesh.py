@@ -8,7 +8,6 @@ from stfosls.marking import MarkingConfig, MarkStrategy
 from stfosls.mesh import (
     FacetTag,
     bisect,
-    boundary_tags_consistent,
     element_measures,
     is_conforming,
     read_mesh,
@@ -16,7 +15,7 @@ from stfosls.mesh import (
     write_mesh,
 )
 from stfosls.oracles import bisect_reference, element_measure
-from helpers import element_patch, initial_facets, sorted_angles
+from helpers import boundary_tags_consistent, element_patch, initial_facets, sorted_angles
 from stfosls.problem import make_problem
 
 

@@ -15,8 +15,8 @@ from stfosls.system import (
     eval_data,
     eval_data_initial,
     parabolic_system,
+    PoissonSystem,
     poisson_sine_case,
-    poisson_system,
 )
 
 
@@ -116,7 +116,7 @@ def test_exact_fields_satisfy_system(name, form):
 
 
 def test_poisson_zero_fields():
-    system = poisson_system(lambda x1, x2: np.zeros_like(np.asarray(x1, dtype=float)))
+    system = PoissonSystem(lambda x1, x2: np.zeros_like(np.asarray(x1, dtype=float)))
     img = eval_G(system, (0.3, 0.4), 0.0, (0.0, 0.0), (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)))
     assert np.all(img.flux == 0.0)
     assert img.div == 0.0
@@ -124,7 +124,7 @@ def test_poisson_zero_fields():
 
 
 def test_poisson_flux_cancellation():
-    system = poisson_system(lambda x1, x2: np.zeros_like(np.asarray(x1, dtype=float)))
+    system = PoissonSystem(lambda x1, x2: np.zeros_like(np.asarray(x1, dtype=float)))
     img = eval_G(system, (0.3, 0.4), 0.0, (1.0, 0.0), (-1.0, 0.0), ((0.0, 0.0), (0.0, 0.0)))
     assert np.allclose(img.flux, 0.0, atol=0.0)
 
