@@ -16,9 +16,9 @@ process so far (the writes come after):
 
     python demos/adaptive_incompatible.py --max-dofs 367000
 
-gives eta/eta_0 = 0.208 at 367,596 dofs and s = -0.145 in 13.7-14.6 s at
-613-639 MB peak RSS on a 2-vCPU host; ``--max-dofs 106000`` ends at
-132,884 dofs (eta/eta_0 = 0.244) in 5.1 s at 275-282 MB.
+gives eta/eta_0 = 0.208 at 367,596 dofs and s = -0.145 in 15.7-17.7 s at
+534-561 MB peak RSS on a 2-vCPU host; ``--max-dofs 106000`` ends at
+132,884 dofs (eta/eta_0 = 0.244) in 5.0-6.0 s at 249-255 MB.
 """
 
 import argparse

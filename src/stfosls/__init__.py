@@ -41,14 +41,6 @@ from .problem import (
     make_problem,
 )
 from .spaces import build_dofmap, build_edge_quadrature, build_quadrature, build_reference
-from .system import (
-    GImage,
-    ParabolicSystem,
-    PoissonSystem,
-    eval_G,
-    eval_data,
-    parabolic_system,
-    poisson_sine_case,
-)
+from .system import InvalidDataError, ParabolicSystem, PoissonSystem, parabolic_system, poisson_sine_case
 
 __version__ = "0.1.0"

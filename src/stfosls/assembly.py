@@ -18,9 +18,12 @@ bit-exactly symmetric because floating-point addition commutes.
 
 The level's :class:`Geometry` keeps the element axis last, so its kernels
 (system images, Gram matrices, loads, residuals, field values) run numpy's
-inner loops along that long contiguous axis.  The geometry and the weighted
-data are built once per level, travel on the :class:`SparseSystem`, and
-also serve the indicators and the graph-norm error.
+inner loops along that long contiguous axis.  It holds per-element arrays
+only; quadrature points, weights times det J and physical gradients are
+formed for one block of elements where they are used.  The geometry and
+the weighted data are built once per level, travel on the
+:class:`SparseSystem`, and also serve the indicators and the graph-norm
+error.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .spaces import (
     edge_reference_points,
     level_rules,
 )
+from .system import _require
 
 # Elements per block of the image table: images of one block are built,
 # contracted and freed before the next, and a level below this size is one block.
@@ -66,16 +70,19 @@ __all__ = [
 class Geometry:
     """Quadrature geometry of one level, element axis last.
 
-    Physical gradients are not stored; they are mapped from the reference
-    gradients through J^{-T} where they are needed.  The facet arrays, facet
+    Per element it keeps the vertex coordinates, det J and J^{-T} (11
+    doubles); points, weights times det J and physical gradients are formed
+    for one block of elements by the methods below.  The facet arrays, facet
     axis first, list the facets tagged Initial in element order (none for
     systems without an initial trace)."""
 
+    quad_points: np.ndarray  # (nq, 3) barycentric points of the level's triangle rule
+    quad_weights: np.ndarray  # (nq,) its weights
     values: np.ndarray  # (nloc, nq) reference basis values
     ref_grads: np.ndarray  # (2, nloc, nq) reference basis gradients
+    coords: np.ndarray  # (2, 3, ne) vertex coordinates (t, x) of every element
+    det: np.ndarray  # (ne,) det J of every element
     inv_t: np.ndarray  # (2, 2, ne) J^{-T} of every element
-    points: np.ndarray  # (2, nq, ne) physical points (t, x)
-    wdet: np.ndarray  # (nq, ne) quadrature weight times det J
     facet_elements: np.ndarray  # (nf,)
     facet_basis: np.ndarray  # (nf, nq_e, nloc) basis values at the facet points
     facet_x: np.ndarray  # (nf, nq_e) x of the facet points
@@ -86,6 +93,14 @@ class Geometry:
         (2, nloc, nq, nb): one matrix product per gradient component."""
         nloc, nq = self.values.shape
         return (self.ref_grads.reshape(2, -1).T @ self.inv_t[..., block]).reshape(2, nloc, nq, -1)
+
+    def points(self, block: slice = slice(None)) -> np.ndarray:
+        """Physical quadrature points (t, x) on the elements of ``block``, (2, nq, nb)."""
+        return self.quad_points @ self.coords[..., block]
+
+    def wdet(self, block: slice = slice(None)) -> np.ndarray:
+        """Quadrature weight times det J on the elements of ``block``, (nq, nb)."""
+        return np.outer(self.quad_weights, self.det[block])
 
 
 @dataclass(frozen=True)
@@ -131,14 +146,14 @@ class DiscreteSolution:
 
 
 def _geometry_tables(mesh: Mesh, dofmap: DofMap, quad: QuadratureRule):
-    """Basis values (nloc, nq) and reference gradients (2, nloc, nq), then
-    J^{-T} (2, 2, ne), points (2, nq, ne) and weights times det J (nq, ne)."""
+    """The rule's points (nq, 3) and weights (nq,), basis values (nloc, nq),
+    reference gradients (2, nloc, nq), then vertex coordinates (2, 3, ne),
+    det J (ne,) and J^{-T} (2, 2, ne)."""
     ref = build_reference(dofmap.degree)
     coords, inv_t, det = affine_maps(mesh)
     refpts = quad.reference_points()
-    values = ref.values(refpts).T
-    ref_grads = ref.gradients(refpts).transpose(2, 1, 0)
-    return values, ref_grads, inv_t, quad.points @ coords, np.outer(quad.weights, det)
+    values, ref_grads = ref.values(refpts).T, ref.gradients(refpts).transpose(2, 1, 0)
+    return quad.points, quad.weights, values, ref_grads, coords, det, inv_t
 
 
 def _blocks(n_elements: int):
@@ -146,18 +161,17 @@ def _blocks(n_elements: int):
     return [slice(lo, lo + _BLOCK) for lo in range(0, n_elements, _BLOCK)]
 
 
-def _residual_tables(system, geometry: Geometry, sqrt_w: np.ndarray, block: slice):
+def _residual_tables(system, geometry: Geometry, block: slice):
     """sqrt(w)-weighted system images of all local basis functions on the
-    elements of ``block``, shape (nloc_total, n_int, nq, nb); ``sqrt_w`` is
-    that of the whole level.
+    elements of ``block``, shape (nloc_total, n_int, nq, nb).
 
     The images are linear in the fields, so the basis values and gradients
     are weighted once and each field block (u1 first, then the u2
     components) is written by the system straight into its slab of one
     preallocated table, through a view with the component axis first.
     """
-    t, x = geometry.points[..., block]
-    sqrt_w = sqrt_w[:, block]
+    t, x = geometry.points(block)
+    sqrt_w = np.sqrt(geometry.wdet(block))
     val = geometry.values[:, :, None] * sqrt_w
     grads = geometry.basis_gradients(block)
     grads *= sqrt_w
@@ -197,18 +211,22 @@ def level_geometry(mesh: Mesh, dofmap: DofMap, system) -> Geometry:
 
 
 def level_data(mesh: Mesh, dofmap: DofMap, system) -> LevelData:
-    """Geometry and weighted data of one level; affine_maps rejects det <= 0,
-    so sqrt(w) is real."""
+    """Geometry and weighted data of one level, the interior data written by
+    the system block by block into one array; affine_maps rejects det <= 0,
+    so sqrt(w) is real.  Raises InvalidDataError on non-finite data."""
     geometry = level_geometry(mesh, dofmap, system)
-    data = system.data_interior(*geometry.points)
-    data *= np.sqrt(geometry.wdet)
+    nq, ne = geometry.values.shape[1], geometry.det.size
+    data = np.empty((system.n_interior, nq, ne))
+    for block in _blocks(ne):
+        t, x = geometry.points(block)
+        out = data[..., block]
+        system.data_interior(t, x, out)
+        out *= np.sqrt(geometry.wdet(block))
+        _require(np.isfinite(out).all(axis=0), "weighted interior data is not finite", t, x)
     xs = geometry.facet_x
-    sqrt_len = np.sqrt(geometry.facet_wlen)
-    return LevelData(
-        geometry=geometry,
-        data=data,
-        facet_data=(sqrt_len * system.data_initial(xs) if xs.size else np.zeros_like(xs)).T,
-    )
+    facet_data = np.sqrt(geometry.facet_wlen) * system.data_initial(xs) if xs.size else np.zeros_like(xs)
+    _require(np.isfinite(facet_data), "weighted initial datum is not finite", 0.0, xs)
+    return LevelData(geometry=geometry, data=data, facet_data=facet_data.T)
 
 
 def _global_dofs(dofmap: DofMap) -> np.ndarray:
@@ -246,19 +264,17 @@ def assemble(mesh: Mesh, dofmap: DofMap, system) -> SparseSystem:
     """Matrix, load and level data of the least-squares Galerkin equation."""
     level = level_data(mesh, dofmap, system)
     geometry = level.geometry
-    sqrt_w = np.sqrt(geometry.wdet)
-    n, ne = dofmap.n_dofs, sqrt_w.shape[1]
+    n, ne = dofmap.n_dofs, geometry.det.size
     nloc = geometry.values.shape[0]
     nloc_total = nloc * (1 + system.n_flux)
     rows, cols = np.triu_indices(nloc_total)
     upper = np.empty((rows.size, ne))
     loads = np.empty((ne, nloc_total))
     for block in _blocks(ne):
-        images = _residual_tables(system, geometry, sqrt_w, block)
+        images = _residual_tables(system, geometry, block)
         upper[:, block] = _gram(images)
         loads[block] = np.einsum("arqe,rqe->ae", images, level.data[..., block]).T
         del images  # freed before the next block's images are built
-    del sqrt_w
     # An initial facet's Gram matrix and load join the u1 block of its element.
     elems = geometry.facet_elements
     facet_images = (geometry.facet_basis * np.sqrt(geometry.facet_wlen)[..., None]).T

@@ -108,10 +108,10 @@ def compute_indicators(
     geometry = level.geometry
     if fields is None:
         fields = element_fields(solution, geometry)
-    eta2 = np.empty(geometry.wdet.shape[1])
+    eta2 = np.empty(geometry.det.size)
     for block, block_fields in fields:
-        resid = _solution_image(system, *geometry.points[..., block], *block_fields)
-        resid *= np.sqrt(geometry.wdet[:, block])
+        resid = _solution_image(system, *geometry.points(block), *block_fields)
+        resid *= np.sqrt(geometry.wdet(block))
         np.subtract(level.data[..., block], resid, out=resid)
         eta2[block] = np.einsum("rqe,rqe->e", resid, resid)
     trace = _initial_trace(solution, geometry) * np.sqrt(geometry.facet_wlen)
@@ -140,7 +140,7 @@ def u_norm_error(
         fields = element_fields(solution, geometry)
     sq_u1 = sq_grad = sq_u2 = sq_div = 0.0
     for block, (u1_val, u1_grad, u2_val, u2_grad) in fields:
-        (t, x), wdet = geometry.points[..., block], geometry.wdet[:, block]
+        (t, x), wdet = geometry.points(block), geometry.wdet(block)
         e_u1 = u1_val - sample(exact.u1, t, x)
         e_grad = u1_grad - np.moveaxis(exact.u1_grad(t, x), -1, 0)
         e_u2 = u2_val - np.moveaxis(exact.u2(t, x), -1, 0)

@@ -12,6 +12,9 @@ the dense work at desk scale.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 import scipy.linalg
 
@@ -25,9 +28,12 @@ from .spaces import (
     evaluate_field,
     level_rules,
 )
-from .system import eval_G, eval_data, eval_data_initial
 
 __all__ = [
+    "GImage",
+    "eval_G",
+    "eval_data",
+    "eval_data_initial",
     "MAX_DENSE_DOFS",
     "bisect_reference",
     "dense_assemble",
@@ -42,6 +48,57 @@ __all__ = [
 ]
 
 MAX_DENSE_DOFS = 300
+
+
+@dataclass(frozen=True)
+class GImage:
+    """Pointwise image of the system operator.
+
+    ``flux`` holds the flux-residual components, ``div`` the divergence
+    residual, and ``initial`` the trace component (None for systems without
+    one; it only carries meaning on facets tagged Initial).
+    """
+
+    flux: np.ndarray
+    div: float
+    initial: Optional[float]
+
+
+def eval_G(system, point, u1_val, u1_grad, u2_val, u2_grad) -> GImage:
+    """Apply the system operator to field values at one point.
+
+    ``u2_val`` has one entry per flux component and ``u2_grad`` one gradient
+    row per component; scalars are accepted for single-flux systems.
+    """
+    t, x = float(point[0]), float(point[1])
+    u1_grad = np.asarray(u1_grad, dtype=float).reshape(2, 1)
+    u2_val = np.atleast_1d(np.asarray(u2_val, dtype=float))
+    u2_grad = np.asarray(u2_grad, dtype=float).reshape(system.n_flux, 2, 1)
+
+    # One field axis of length 1, so that every component of ``out`` is an array.
+    out = np.empty((system.n_interior, 1))
+    system.residual_u1(t, x, np.full(1, float(u1_val)), u1_grad, out)
+    interior = out[:, 0].copy()
+    for comp in range(system.n_flux):
+        system.residual_u2(comp, t, x, u2_val[comp:comp + 1], u2_grad[comp], out)
+        interior += out[:, 0]
+    return GImage(
+        flux=interior[:system.n_flux],
+        div=float(interior[system.n_flux]),
+        initial=float(u1_val) if system.has_initial_trace else None,
+    )
+
+
+def eval_data(system, point) -> np.ndarray:
+    """Interior residual targets at one point, flux components first."""
+    out = np.empty((system.n_interior, 1))
+    system.data_interior(np.full(1, float(point[0])), np.full(1, float(point[1])), out)
+    return out[:, 0]
+
+
+def eval_data_initial(system, x) -> float:
+    """Initial-trace target at a point of the t = 0 boundary."""
+    return float(system.data_initial(float(x)))
 
 
 def _initial_edges(mesh: Mesh):
@@ -385,18 +442,14 @@ class _DiscreteImageSystem:
             u2g[comp] = g
         return eval_G(self._inner, (t, x), u1v, u1g, u2v, u2g)
 
-    def data_interior(self, t, x):
-        t_arr = np.asarray(t, dtype=float)
-        x_arr = np.asarray(x, dtype=float)
-        t_b, x_b = np.broadcast_arrays(t_arr, x_arr)
-        out = np.empty((self.n_interior,) + t_b.shape)
+    def data_interior(self, t, x, out):
+        t_b, x_b = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
         it = np.nditer(t_b, flags=["multi_index"])
         for tv in it:
             idx = it.multi_index
             img = self._image_at(float(tv), float(x_b[idx]))
             out[(slice(None, self.n_flux),) + idx] = img.flux
             out[(self.n_flux,) + idx] = img.div
-        return out
 
     def data_initial(self, x):
         x_arr = np.asarray(x, dtype=float)

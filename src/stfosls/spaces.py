@@ -227,10 +227,10 @@ def build_dofmap(
     n_vertices = mesh.n_points
     elements = mesh.elements
 
-    if p == 1:
-        cell_nodes = elements.copy()
+    if p == 1:  # the mesh's own arrays: nothing writes to either
+        cell_nodes = elements
         n_scalar = n_vertices
-        node_coords = mesh.points.copy()
+        node_coords = mesh.points
     else:
         # Edge nodes are numbered after the vertices, in order of first appearance.
         _, first, inverse = np.unique(

@@ -9,12 +9,15 @@ first-order least-squares formulation over the same product space plugs in.
 Axis order: every method takes point coordinates ``t`` and ``x`` and field
 values of matching (broadcastable) shape.  Gradients carry their
 coordinate axis (d/dt, d/dx) first, flux gradients ``(nc, 2, ...)``.  The
-residual methods write their components into the caller's ``out``, stacked
-in its first axis, ``(n_interior,) + field shape`` with at least one field
-axis; assembly passes a view of its image table there, so the trailing
-axes (the element axis last) stay contiguous and nothing is copied.  The
-residuals are linear in the fields, so assembly passes sqrt(w)-weighted
-values and gradients and gets weighted images.
+residual methods and ``data_interior`` write their components into the
+caller's ``out``, stacked in its first axis, ``(n_interior,) + field
+shape`` with at least one field axis; assembly passes a view of one block
+of its image table or of its data there, so the trailing axes (the element
+axis last) stay contiguous and nothing is copied.  The residuals are
+linear in the fields, so assembly passes sqrt(w)-weighted values and
+gradients and gets weighted images.  Data that cannot define the problem
+(a diffusion that is not positive, non-finite values) raises
+:class:`InvalidDataError`.
 
 Parabolic instance (flux form):
 
@@ -35,8 +38,7 @@ with u constrained on the whole boundary and no initial-trace component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -44,29 +46,25 @@ from .mesh import FacetTag
 from .problem import ConvectionForm, ParabolicProblem, sample, sample_x
 
 __all__ = [
-    "GImage",
+    "InvalidDataError",
     "ParabolicSystem",
     "PoissonSystem",
     "parabolic_system",
-    "eval_G",
-    "eval_data",
-    "eval_data_initial",
     "poisson_sine_case",
 ]
 
 
-@dataclass(frozen=True)
-class GImage:
-    """Pointwise image of the system operator.
+class InvalidDataError(ValueError):
+    """Problem data that cannot define the least-squares problem."""
 
-    ``flux`` holds the flux-residual components, ``div`` the divergence
-    residual, and ``initial`` the trace component (None for systems without
-    one; it only carries meaning on facets tagged Initial).
-    """
 
-    flux: np.ndarray
-    div: float
-    initial: Optional[float]
+def _require(ok: np.ndarray, quantity: str, t, x) -> None:
+    """Raise :class:`InvalidDataError` naming ``quantity`` and the first
+    point (t, x) where the boolean array ``ok`` is False."""
+    if not ok.all():
+        at = np.unravel_index(np.argmin(ok), ok.shape)
+        t, x = np.broadcast_arrays(t, x)
+        raise InvalidDataError(f"{quantity} at (t, x) = ({float(t[at])!r}, {float(x[at])!r})")
 
 
 class ParabolicSystem:
@@ -111,13 +109,15 @@ class ParabolicSystem:
             out[1] = grad[1]
         out[0] = val
 
-    def data_interior(self, t, x):
+    def data_interior(self, t, x, out):
+        """Targets (f2, f1 - b A^{-1} f2) into ``out``; rejects a diffusion A
+        that is not positive (NaN included)."""
         coeff, data = self.problem.coefficients, self.problem.data
-        f2 = sample(data.f2, t, x)
-        b = sample(coeff.convection, t, x)
         a = sample(coeff.diffusion, t, x)
-        target_div = sample(data.f1, t, x) - b / a * f2
-        return np.stack([f2, target_div])
+        _require(a > 0.0, "diffusion A is not positive", t, x)
+        out[0] = sample(data.f2, t, x)
+        b = sample(coeff.convection, t, x)
+        np.subtract(sample(data.f1, t, x), b / a * out[0], out=out[1])
 
     def data_initial(self, x):
         return sample_x(self.problem.data.u0, x)
@@ -156,10 +156,9 @@ class PoissonSystem:
         out[comp] = val
         out[2] = grad[comp]
 
-    def data_interior(self, t, x):
-        f = sample(self.f, t, x)
-        zero = np.zeros_like(f)
-        return np.stack([zero, zero, f])
+    def data_interior(self, t, x, out):
+        out[:2] = 0.0
+        out[2] = sample(self.f, t, x)
 
     def data_initial(self, x):
         raise RuntimeError("stationary system has no initial-trace component")
@@ -171,42 +170,6 @@ class PoissonSystem:
 
 def parabolic_system(problem: ParabolicProblem) -> ParabolicSystem:
     return ParabolicSystem(problem)
-
-
-def eval_G(system, point, u1_val, u1_grad, u2_val, u2_grad) -> GImage:
-    """Apply the system operator to field values at one point.
-
-    ``u2_val`` has one entry per flux component and ``u2_grad`` one gradient
-    row per component; scalars are accepted for single-flux systems.
-    """
-    t, x = float(point[0]), float(point[1])
-    u1_grad = np.asarray(u1_grad, dtype=float).reshape(2, 1)
-    u2_val = np.atleast_1d(np.asarray(u2_val, dtype=float))
-    u2_grad = np.asarray(u2_grad, dtype=float).reshape(system.n_flux, 2, 1)
-
-    # One field axis of length 1, so that every component of ``out`` is an array.
-    out = np.empty((system.n_interior, 1))
-    system.residual_u1(t, x, np.full(1, float(u1_val)), u1_grad, out)
-    interior = out[:, 0].copy()
-    for comp in range(system.n_flux):
-        system.residual_u2(comp, t, x, u2_val[comp:comp + 1], u2_grad[comp], out)
-        interior += out[:, 0]
-    return GImage(
-        flux=interior[:system.n_flux],
-        div=float(interior[system.n_flux]),
-        initial=float(u1_val) if system.has_initial_trace else None,
-    )
-
-
-def eval_data(system, point) -> np.ndarray:
-    """Interior residual targets at one point, flux components first."""
-    t, x = float(point[0]), float(point[1])
-    return np.asarray(system.data_interior(t, x), dtype=float)
-
-
-def eval_data_initial(system, x) -> float:
-    """Initial-trace target at a point of the t = 0 boundary."""
-    return float(system.data_initial(float(x)))
 
 
 def poisson_sine_case():

@@ -34,7 +34,8 @@ from stfosls.spaces import (
     edge_reference_points,
     level_rules,
 )
-from stfosls.system import eval_G, parabolic_system, poisson_sine_case
+from stfosls.oracles import eval_G
+from stfosls.system import parabolic_system, poisson_sine_case
 
 
 def _setup(name="heat-smooth", p=1, nt=2, nx=2, form=ConvectionForm.FLUX):
@@ -114,18 +115,18 @@ def test_table_written_in_place_matches_pointwise_images(name, p):
     dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux,
                           dirichlet_tags=system.dirichlet_tags)
     geometry = level_geometry(mesh, dofmap, system)
-    images = _residual_tables(system, geometry, np.sqrt(geometry.wdet), slice(None))
+    images = _residual_tables(system, geometry, slice(None))
     grads = geometry.basis_gradients()
     nloc, nq = geometry.values.shape
     rng = np.random.default_rng(0)
     for e, q in zip(rng.integers(mesh.n_elements, size=12), rng.integers(nq, size=12)):
-        point = geometry.points[:, q, e]
+        point = geometry.points()[:, q, e]
         for a in range(images.shape[0]):
             field, loc = divmod(a, nloc)
             fields = np.zeros((1 + system.n_flux, 3))  # value, d/dt, d/dx per field
             fields[field] = geometry.values[loc, q], *grads[:, loc, q, e]
             image = eval_G(system, point, fields[0, 0], fields[0, 1:], fields[1:, 0], fields[1:, 1:])
-            expected = np.append(image.flux, image.div) * np.sqrt(geometry.wdet[q, e])
+            expected = np.append(image.flux, image.div) * np.sqrt(geometry.wdet()[q, e])
             got = images[a, :, q, e]
             assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
@@ -214,7 +215,7 @@ def test_indicators_match_table_contraction(name, p):
                           dirichlet_tags=system.dirichlet_tags)
     sparse, solution = _solved_level(mesh, dofmap, system)
     level, geometry = sparse.level, sparse.level.geometry
-    images = _residual_tables(system, geometry, np.sqrt(geometry.wdet), slice(None))
+    images = _residual_tables(system, geometry, slice(None))
     dofs = _global_dofs(dofmap)
     local = np.where(dofs >= 0, solution.coeffs[dofs], 0.0)
     resid = level.data - np.einsum("arqe,ae->rqe", images, local)
@@ -265,11 +266,39 @@ def test_geometry_matches_per_element_affine_map():
             points.append((corner + quad.reference_points() @ jac.T).T)
             wdet.append(quad.weights * det)
             expected.append(np.einsum("ab,qib->aiq", inv_t, ref_grads))
-        np.testing.assert_allclose(geometry.points, np.stack(points, axis=-1), rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(geometry.wdet, np.stack(wdet, axis=-1), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(geometry.points(), np.stack(points, axis=-1), rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(geometry.wdet(), np.stack(wdet, axis=-1), rtol=1e-14, atol=0)
         expected = np.stack(expected, axis=-1)
         scale = np.abs(expected).max(axis=(0, 1, 2))
         assert np.all(np.abs(grads - expected) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_geometry_keeps_element_size_arrays(p, monkeypatch):
+    """The level geometry keeps no per-element array with a quadrature axis:
+    vertex coordinates, det J and J^{-T} total at most 11 doubles per
+    element; its other arrays besides the facet arrays (the rule and the
+    reference tables) do not grow with the mesh.  Points and weights formed
+    block by block match those of the whole level."""
+    mesh, system = _graded_incompatible(10)
+    coarse = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
+    geometry, small = (level_geometry(m, build_dofmap(m, p, dirichlet_tags=system.dirichlet_tags), system)
+                       for m in (mesh, coarse))
+    ne, nq = mesh.n_elements, level_rules(p)[0].weights.size
+    fields = [f for f in geometry.__dataclass_fields__ if not f.startswith("facet_")]
+    per_element = [getattr(geometry, f) for f in fields if getattr(geometry, f).shape[-1] == ne]
+    assert not any(nq in a.shape for a in per_element)
+    assert sum(a.size for a in per_element) <= 11 * ne
+    for f in fields:
+        if getattr(geometry, f).shape[-1] != ne:
+            assert getattr(geometry, f).shape == getattr(small, f).shape, f
+
+    monkeypatch.setattr(assembly, "_BLOCK", 64)
+    blocks = assembly._blocks(ne)
+    assert len(blocks) > 1
+    np.testing.assert_allclose(np.concatenate([geometry.points(b) for b in blocks], axis=-1),
+                               geometry.points(), rtol=1e-15, atol=0)
+    assert np.array_equal(np.concatenate([geometry.wdet(b) for b in blocks], axis=-1), geometry.wdet())
 
 
 def test_initial_facet_tables_match_per_facet_loop():

@@ -283,3 +283,12 @@ def test_global_continuity_across_edges(p):
             val, _ = evaluate_field(coeffs, dm, mesh, e, pts, field=0)
             traces.append(val)
         assert np.allclose(traces[0], traces[1], atol=1e-13)
+
+
+def test_p1_dofmap_shares_mesh_arrays():
+    """At p = 1 the scalar nodes are the mesh vertices: the dof map
+    references the mesh's arrays instead of copying them."""
+    mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), [0, 3])
+    dm = build_dofmap(mesh, 1)
+    assert np.shares_memory(dm.cell_nodes, mesh.elements)
+    assert np.shares_memory(dm.node_coords, mesh.points)

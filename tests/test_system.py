@@ -10,10 +10,8 @@ from stfosls.problem import (
     exact_error_data,
     make_problem,
 )
+from stfosls.oracles import eval_G, eval_data, eval_data_initial
 from stfosls.system import (
-    eval_G,
-    eval_data,
-    eval_data_initial,
     parabolic_system,
     PoissonSystem,
     poisson_sine_case,
@@ -163,3 +161,40 @@ def test_data_initial_rejected_for_poisson():
     system, _ = poisson_sine_case()
     with pytest.raises(RuntimeError):
         system.data_initial(0.5)
+
+
+def _run_two_levels(problem):
+    from stfosls.driver import StopCriteria, run
+    from stfosls.mesh import uniform_initial_mesh
+
+    return run(problem, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1, StopCriteria(max_iterations=1))
+
+
+@pytest.mark.parametrize("diffusion", [-1.0, 0.0, np.nan])
+def test_nonpositive_diffusion_rejected(diffusion):
+    """A diffusion that is not positive (NaN included) is rejected by name
+    before any solve, instead of being solved as if it defined a problem."""
+    from stfosls import InvalidDataError
+
+    assert issubclass(InvalidDataError, ValueError)
+    problem = _problem(diffusion, 0.0, 0.0)
+    with pytest.raises(InvalidDataError, match="diffusion A is not positive at"):
+        _run_two_levels(problem)
+
+
+@pytest.mark.parametrize("where", ["f1", "f2", "u0"])
+def test_non_finite_data_rejected(where):
+    """NaN or infinite data on part of the domain is rejected by name,
+    not left to stall the solver."""
+    from stfosls import InvalidDataError
+
+    half_nan = lambda t, x: np.where(np.asarray(x) > 0.5, np.nan, 1.0)  # noqa: E731
+    data = {"f1": _constant(1.0), "f2": _constant(0.0), "u0": lambda x: np.sin(np.pi * x)}
+    data[where] = half_nan if where != "u0" else (lambda x: np.where(np.asarray(x) > 0.5, np.inf, 0.0))
+    problem = ParabolicProblem(
+        coefficients=CoefficientField(_constant(1.0), _constant(0.0), _constant(0.0)),
+        data=ProblemData(**data),
+    )
+    quantity = "initial datum" if where == "u0" else "interior data"
+    with pytest.raises(InvalidDataError, match=f"weighted {quantity} is not finite at"):
+        _run_two_levels(problem)
