@@ -18,7 +18,14 @@ process so far (the writes come after):
 
 gives eta/eta_0 = 0.208 at 367,596 dofs and s = -0.145 in 15.7-17.7 s at
 534-561 MB peak RSS on a 2-vCPU host; ``--max-dofs 106000`` ends at
-132,884 dofs (eta/eta_0 = 0.244) in 5.0-6.0 s at 249-255 MB.
+132,884 dofs (eta/eta_0 = 0.244) in 5.0-6.0 s at 249-255 MB.  ``--degree 2``
+runs the same loop at p=2:
+
+    python demos/adaptive_incompatible.py --degree 2 --max-dofs 100000
+
+first reaches eta/eta_0 <= 0.1 at 58,922 dofs (0.098) and ends at 107,858
+dofs with eta/eta_0 = 0.074 and s = -0.398, in 5.1-5.5 s at 242-243 MB
+peak RSS on the same host.
 """
 
 import argparse
@@ -40,7 +47,7 @@ from stfosls import (
 from stfosls.mesh import element_measures, write_mesh
 
 
-def main(out_dir=None, max_dofs=None):
+def main(out_dir=None, max_dofs=None, degree=1):
     start = time.perf_counter()
     out = Path(out_dir) if out_dir else Path(__file__).parent / "out_incompatible"
     out.mkdir(parents=True, exist_ok=True)
@@ -49,7 +56,7 @@ def main(out_dir=None, max_dofs=None):
     mesh0 = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     marking = MarkingConfig(MarkStrategy.DOERFLER, 0.5)
     stop = StopCriteria(max_iterations=18) if max_dofs is None else StopCriteria(max_dofs=max_dofs)
-    log = run(problem, mesh0, 1, stop, marking)
+    log = run(problem, mesh0, degree, stop, marking)
 
     print(f"{'level':>5} {'dofs':>7} {'elements':>9} {'estimator':>12} {'marked':>7}")
     for record in log.records:
@@ -82,5 +89,7 @@ if __name__ == "__main__":
     parser.add_argument("out_dir", nargs="?", default=None, help="output directory")
     parser.add_argument("--max-dofs", type=int, default=None,
                         help="refine until a level has this many dofs")
+    parser.add_argument("--degree", type=int, choices=(1, 2), default=1,
+                        help="polynomial degree p (default 1)")
     args = parser.parse_args()
-    main(args.out_dir, args.max_dofs)
+    main(args.out_dir, args.max_dofs, args.degree)

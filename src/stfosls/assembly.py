@@ -1,4 +1,5 @@
-"""Assembly of the least-squares Galerkin system and its conjugate-gradient solve.
+"""Assembly of the least-squares Galerkin system and its sparse LU solve with
+iterative refinement.
 
 The bilinear form is the L-inner product of system images,
 
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,6 +50,10 @@ from .system import _require
 # Elements per block of the image table: images of one block are built,
 # contracted and freed before the next, and a level below this size is one block.
 _BLOCK = 1024
+# Convergence bounds of the level solve (see SolverReport) and its refinement step cap.
+_REL_TOL = 1e-10
+_BACKWARD_TOL = 16 * 2.0**-53
+_MAX_STEPS = 3
 
 __all__ = [
     "SparseSystem",
@@ -128,11 +132,16 @@ class SparseSystem:
 
 @dataclass(frozen=True)
 class SolverReport:
-    """Iterations run, the true relative residual ||b - M x|| / ||b|| at exit,
-    and whether it meets the tolerance."""
+    """LU solves run (1 plus the refinement steps), and the relative residual
+    ||b - M x||_2 / ||b||_2 and normwise backward error
+    ||b - M x||_inf / (||M||_inf ||x||_inf + ||b||_inf) of the returned x.
+
+    ``converged``: the relative residual meets 1e-10, or the backward error
+    is at most 16 u (u = 2^-53, the unit roundoff)."""
 
     iterations: int
     relative_residual: float
+    backward_error: float
     converged: bool
 
 
@@ -301,8 +310,8 @@ def _plus_transpose(half: sp.csr_matrix) -> sp.csr_matrix:
     """H + H^T from H's entries and their mirror images, the row ids read off
     H's ``indptr``: each position sums at most two terms, which commute, so
     the matrix is bit-exactly symmetric.  Unlike scipy's H + H.T this keeps
-    the exact zeros of the element pattern, on which the MMD ordering
-    factorizes graded levels about 20 % faster."""
+    the exact zeros of the element pattern, on which the factorization of
+    graded levels under the MMD ordering is about 20 % faster."""
     n = half.shape[0]
     row = np.repeat(np.arange(n, dtype=half.indices.dtype), np.diff(half.indptr))
     mirrored = (np.concatenate([row, half.indices]), np.concatenate([half.indices, row]))
@@ -310,7 +319,7 @@ def _plus_transpose(half: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((np.tile(half.data, 2), mirrored), shape=(n, n))
 
 
-def _lu_preconditioner(matrix):
+def _lu_solve(matrix):
     """``lu.solve`` of one SuperLU factorization of a symmetric CSR matrix.
 
     The CSR arrays of a symmetric matrix are also its CSC arrays, so the
@@ -319,11 +328,12 @@ def _lu_preconditioner(matrix):
     nothing for ``scipy.sparse.linalg``.
 
     ``relax=1, panel_size=1`` turn off SuperLU's relaxed supernodes.  With
-    its defaults some levels factorize 9-270x slower at the same fill (a
-    33,024-dof uniform p=1 level: 41.5 s against 0.21 s), depending on
-    the matrix, not on its size alone.  MMD on A + A^T keeps less fill than
-    COLAMD here (2.73M against 6.49M entries at that level) and is faster
-    on every set of levels measured.  relax must not exceed panel_size.
+    its defaults the factorization of some levels is 9-270x slower at the
+    same fill (a 33,024-dof uniform p=1 level: 41.5 s against 0.21 s),
+    depending on the matrix, not on its size alone.  MMD on A + A^T keeps
+    less fill than COLAMD here (2.73M against 6.49M entries at that level)
+    and is faster on every set of levels measured.  relax must not exceed
+    panel_size.
     """
     from scipy.sparse.linalg import splu
 
@@ -339,65 +349,49 @@ def _lu_preconditioner(matrix):
     return lu.solve
 
 
-def solve_cg(
-    matrix,
-    rhs: np.ndarray,
-    rel_tol: float = 1e-10,
-    max_iters: Optional[int] = None,
-    factorize: bool = False,
-):
-    """Conjugate gradients with zero initial guess.
+def _inf_norm(matrix) -> float:
+    """||M||_inf, the largest absolute row sum, read off the CSR arrays."""
+    starts = matrix.indptr[:-1][np.diff(matrix.indptr) > 0]  # rows with entries
+    return float(np.add.reduceat(np.abs(matrix.data), starts).max()) if starts.size else 0.0
 
-    Stops when the true residual satisfies ||b - M x|| <= rel_tol ||b||;
-    deterministic for fixed inputs.  The recursively updated residual
-    drifts from b - M x in floating point, so whenever it meets the
-    tolerance it is replaced by the true residual (one matvec) and the
-    iteration goes on while that one does not (van der Vorst & Ye, SIAM
-    J. Sci. Comput. 2000).  The report always carries the true residual,
-    and non-convergence is reported through the flag, not raised.
 
-    With ``factorize`` the symmetric CSR ``matrix`` is factorized once by
-    SuperLU and its solve preconditions the iteration: one iteration is the
-    direct solve, and any further ones act as iterative refinement.
-    Without it the iteration is unpreconditioned, which keeps it
-    independent of the factorization as a reference.
+def solve_cg(matrix, rhs: np.ndarray):
+    """One SuperLU solve of the symmetric CSR ``matrix`` and iterative
+    refinement x += LU^{-1}(b - M x), deterministic for fixed inputs.
+
+    Stops at convergence (see :class:`SolverReport`), after 3 refinement
+    steps, or at a step that does not lower the residual, whose iterate is
+    dropped; a non-finite iterate or residual ends it at once, unconverged.
+    A backward-stable solve leaves a relative residual of up to about
+    u ||M|| ||x|| / ||b||, above 1e-10 on ill-conditioned levels, where only
+    the normwise backward error (Rigal & Gaches, J. ACM 1967; Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, sec. 7.1 and
+    ch. 12) can certify the solve.  SuperLU's singular factor raises
+    RuntimeError; every other failure is reported through the flag.
     """
-    n = rhs.shape[0]
-    if max_iters is None:
-        max_iters = 20 * max(n, 1)
-    x = np.zeros(n)
+    x = np.zeros(rhs.shape[0])
     b_norm = float(np.linalg.norm(rhs))
     if b_norm == 0.0:
-        return x, SolverReport(iterations=0, relative_residual=0.0, converged=True)
-    precondition = _lu_preconditioner(matrix) if factorize else (lambda v: v)
-
-    def relative(residual) -> float:
-        return math.sqrt(float(residual @ residual)) / b_norm
-
-    r = rhs.copy()
-    z = precondition(r)
-    p = z.copy()
-    rz = float(r @ z)
-    rel = 1.0
-    iterations = 0
-    while rel > rel_tol and iterations < max_iters:
-        q = matrix @ p
-        alpha = rz / float(p @ q)
-        x += alpha * p
-        r -= alpha * q
-        rel = relative(r)
-        if rel <= rel_tol:
-            r = rhs - matrix @ x
-            rel = relative(r)
-        iterations += 1
-        if rel > rel_tol:  # a converged iterate needs no next direction
-            z = precondition(r)
-            rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-    if rel > rel_tol:  # stopped by max_iters, possibly on the recursive residual
-        rel = relative(rhs - matrix @ x)
-    return x, SolverReport(iterations=iterations, relative_residual=rel, converged=rel <= rel_tol)
+        return x, SolverReport(iterations=0, relative_residual=0.0, backward_error=0.0, converged=True)
+    # ||M||_inf before the factorization, so that its transient never meets the factor
+    m_norm, b_inf = _inf_norm(matrix), float(np.abs(rhs).max())
+    solve = _lu_solve(matrix)
+    residual, rel, backward, solves = rhs, math.inf, math.inf, 0
+    while True:
+        candidate = x + solve(residual)
+        solves += 1
+        r = rhs - matrix @ candidate
+        candidate_rel = float(np.linalg.norm(r)) / b_norm
+        x_inf = float(np.abs(candidate).max())
+        if not math.isfinite(candidate_rel + x_inf):
+            return candidate, SolverReport(solves, candidate_rel, math.nan, False)
+        if candidate_rel >= rel:
+            break
+        x, residual, rel = candidate, r, candidate_rel
+        backward = float(np.abs(r).max()) / (m_norm * x_inf + b_inf)
+        if rel <= _REL_TOL or backward <= _BACKWARD_TOL or solves > _MAX_STEPS:
+            break
+    return x, SolverReport(solves, rel, backward, rel <= _REL_TOL or backward <= _BACKWARD_TOL)
 
 
 def element_fields(solution: DiscreteSolution, geometry: Geometry):

@@ -39,7 +39,7 @@ __all__ = [
 
 class SolverFailure(RuntimeError):
     """A level's linear solve failed: SuperLU found the matrix singular, or
-    the iteration did not reach its tolerance."""
+    the solve did not converge in the sense of SolverReport."""
 
 
 class MarkingPropertyError(RuntimeError):
@@ -113,13 +113,13 @@ def _solve_level(mesh, system, p, exact):
     )
     sparse = assemble(mesh, dofmap, system)
     try:
-        coeffs, report = solve_cg(sparse.matrix, sparse.rhs, factorize=True)
+        coeffs, report = solve_cg(sparse.matrix, sparse.rhs)
     except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
         raise SolverFailure(f"level solve on {sparse.rhs.size} dofs failed: {exc}") from exc
     if not report.converged:
         raise SolverFailure(
-            f"CG stalled at relative residual {report.relative_residual:.3e} "
-            f"after {report.iterations} iterations on {sparse.rhs.size} dofs"
+            f"level solve on {sparse.rhs.size} dofs stopped after {report.iterations} LU solve(s) "
+            f"at relative residual {report.relative_residual:.3e}, backward error {report.backward_error:.3e}"
         )
     solution = DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
     defect = galerkin_orthogonality_check(solution, sparse)

@@ -6,12 +6,15 @@ one by one, fields are evaluated pointwise per global basis function through
 :func:`evaluate_field` (on the elements that a direct scan of the cell dofs
 finds in its support), system images through the scalar :func:`eval_G`, and
 integrals are accumulated in plain loops or, for the dense Galerkin matrix,
-as one product of the weighted image table with itself.  A size guard keeps
-the dense work at desk scale.
+as one product of the weighted image table with itself, and linear systems
+are solved by dense Cholesky or by plain conjugate gradients, independent of
+the production LU factorization.  A size guard keeps the dense work at desk
+scale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,6 +41,8 @@ __all__ = [
     "bisect_reference",
     "dense_assemble",
     "dense_solve",
+    "CGReport",
+    "plain_cg",
     "min_eigenvalue",
     "fine_norm",
     "residual_norm_sweep",
@@ -343,6 +348,65 @@ def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"dense oracle limited to {MAX_DENSE_DOFS} dofs")
     factor = scipy.linalg.cho_factor(matrix, lower=True)
     return scipy.linalg.cho_solve(factor, rhs)
+
+
+@dataclass(frozen=True)
+class CGReport:
+    """Iterations run, the true relative residual ||b - M x|| / ||b|| at exit,
+    and whether it meets the tolerance."""
+
+    iterations: int
+    relative_residual: float
+    converged: bool
+
+
+def plain_cg(matrix, rhs: np.ndarray, rel_tol: float = 1e-10, max_iters: Optional[int] = None):
+    """Unpreconditioned conjugate gradients with zero initial guess.
+
+    Stops when the true residual satisfies ||b - M x|| <= rel_tol ||b||;
+    deterministic for fixed inputs.  The recursively updated residual
+    drifts from b - M x in floating point, so whenever it meets the
+    tolerance it is replaced by the true residual (one matvec) and the
+    iteration goes on while that one does not (van der Vorst & Ye, SIAM
+    J. Sci. Comput. 2000).  A non-finite residual ends the iteration at
+    once.  The report always carries the true residual, and
+    non-convergence is reported through the flag, not raised.
+    """
+    n = rhs.shape[0]
+    if max_iters is None:
+        max_iters = 20 * max(n, 1)
+    x = np.zeros(n)
+    b_norm = float(np.linalg.norm(rhs))
+    if b_norm == 0.0:
+        return x, CGReport(iterations=0, relative_residual=0.0, converged=True)
+
+    def relative(residual) -> float:
+        return math.sqrt(float(residual @ residual)) / b_norm
+
+    r = rhs.copy()
+    p = r.copy()
+    rr = float(r @ r)
+    rel = 1.0
+    iterations = 0
+    while rel > rel_tol and iterations < max_iters:
+        q = matrix @ p
+        alpha = rr / float(p @ q)
+        x += alpha * p
+        r -= alpha * q
+        rel = relative(r)
+        if rel <= rel_tol:
+            r = rhs - matrix @ x
+            rel = relative(r)
+        iterations += 1
+        if not math.isfinite(rel):
+            return x, CGReport(iterations=iterations, relative_residual=rel, converged=False)
+        if rel > rel_tol:  # a converged iterate needs no next direction
+            rr_new = float(r @ r)
+            p = r + (rr_new / rr) * p
+            rr = rr_new
+    if rel > rel_tol:  # stopped by max_iters, possibly on the recursive residual
+        rel = relative(rhs - matrix @ x)
+    return x, CGReport(iterations=iterations, relative_residual=rel, converged=rel <= rel_tol)
 
 
 def min_eigenvalue(matrix: np.ndarray) -> float:

@@ -169,7 +169,7 @@ def test_assemble_traced_peak_bounded_by_table(monkeypatch):
 
 def _solved_level(mesh, dofmap, system):
     sparse = assemble(mesh, dofmap, system)
-    coeffs, report = solve_cg(sparse.matrix, sparse.rhs, factorize=True)
+    coeffs, report = solve_cg(sparse.matrix, sparse.rhs)
     assert report.converged
     return sparse, DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
 
@@ -330,7 +330,7 @@ def test_indicators_from_assembled_table_match_fresh_table():
     mesh, system = _graded_incompatible(12)
     dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     sparse_system = assemble(mesh, dofmap, system)
-    coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs, factorize=True)
+    coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
     assert report.converged
     solution = DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
     shared = compute_indicators(mesh, solution, system, level=sparse_system.level)
@@ -366,7 +366,7 @@ def test_gradient_form_assembly_matches_dense():
 def test_cg_identity_matrix():
     matrix = sp.identity(7, format="csr")
     rhs = np.arange(1.0, 8.0)
-    x, report = solve_cg(matrix, rhs)
+    x, report = oracles.plain_cg(matrix, rhs)
     assert np.allclose(x, rhs, atol=1e-14)
     assert report.iterations == 1
     assert report.converged
@@ -374,7 +374,7 @@ def test_cg_identity_matrix():
 
 def test_cg_zero_rhs():
     matrix = sp.identity(5, format="csr")
-    x, report = solve_cg(matrix, np.zeros(5))
+    x, report = oracles.plain_cg(matrix, np.zeros(5))
     assert np.all(x == 0.0)
     assert report.iterations == 0
     assert report.converged
@@ -383,7 +383,7 @@ def test_cg_zero_rhs():
 def test_cg_matches_dense_solve():
     mesh, dofmap, system = _setup("heat-smooth", 1)
     sparse_system = assemble(mesh, dofmap, system)
-    x, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
+    x, report = oracles.plain_cg(sparse_system.matrix, sparse_system.rhs)
     dense, dense_rhs = oracles.dense_assemble(mesh, dofmap, system)
     x_direct = oracles.dense_solve(dense, dense_rhs)
     assert report.converged
@@ -393,7 +393,7 @@ def test_cg_matches_dense_solve():
 def test_cg_non_convergence_flagged():
     mesh, dofmap, system = _setup("heat-smooth", 1, nt=3, nx=3)
     sparse_system = assemble(mesh, dofmap, system)
-    _, report = solve_cg(sparse_system.matrix, sparse_system.rhs, rel_tol=1e-12, max_iters=2)
+    _, report = oracles.plain_cg(sparse_system.matrix, sparse_system.rhs, rel_tol=1e-12, max_iters=2)
     assert not report.converged
     assert report.relative_residual > 1e-12
 
@@ -428,11 +428,77 @@ def test_cg_converged_flag_means_true_residual(kappa):
     if kappa == 1e6:
         x_rec = _recursive_cg(matrix, rhs, 1e-10)
         assert np.linalg.norm(rhs - matrix @ x_rec) / np.linalg.norm(rhs) > 1e-10
-    x, report = solve_cg(matrix, rhs, rel_tol=1e-10)
+    x, report = oracles.plain_cg(matrix, rhs, rel_tol=1e-10)
     true = np.linalg.norm(rhs - matrix @ x) / np.linalg.norm(rhs)
     assert report.relative_residual == pytest.approx(true, rel=1e-12)
     assert report.converged == (kappa == 1e6)
     assert report.converged == (true <= 1e-10)
+
+
+def test_plain_cg_stops_at_non_finite_residual():
+    """A NaN from the fourth matvec on ends the oracle CG there, unconverged,
+    instead of ending the loop silently because NaN > tol is False."""
+    matrix, rhs = _ill_conditioned_spd(50, 1e6)
+
+    class Poisoned:
+        calls = 0
+
+        def __matmul__(self, v):
+            self.calls += 1
+            out = matrix @ v
+            if self.calls >= 4:
+                out[0] = np.nan
+            return out
+
+    poisoned = Poisoned()
+    _, report = oracles.plain_cg(poisoned, rhs)
+    assert not report.converged
+    assert np.isnan(report.relative_residual)
+    assert report.iterations == poisoned.calls == 4
+
+
+def test_level_solve_converges_on_backward_error():
+    """kappa = 1e12 with b along the lowest eigenvector: the LU solve's
+    relative residual misses 1e-10 by orders of magnitude, and so does plain
+    CG, but its normwise backward error is far below 16 u, which the level
+    solve reports as converged within 3 steps."""
+    n = 50
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    dense = (q * np.logspace(0, 12, n)) @ q.T
+    dense = 0.5 * (dense + dense.T)
+    eigenvalues, vectors = np.linalg.eigh(dense)
+    assert 0.5e12 <= eigenvalues[-1] / eigenvalues[0] <= 2e12
+    matrix, rhs = sp.csr_matrix(dense), vectors[:, 0]
+
+    x_lu = assembly._lu_solve(matrix)(rhs)
+    assert np.linalg.norm(rhs - matrix @ x_lu) / np.linalg.norm(rhs) > 1e-10
+    assert not oracles.plain_cg(matrix, rhs)[1].converged
+
+    x, report = solve_cg(matrix, rhs)
+    r = rhs - matrix @ x
+    backward = np.abs(r).max() / (np.abs(dense).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max())
+    assert report.converged and report.iterations <= 3
+    assert report.relative_residual == pytest.approx(np.linalg.norm(r) / np.linalg.norm(rhs), rel=1e-12)
+    assert report.relative_residual > 1e-10
+    assert report.backward_error == pytest.approx(backward, rel=1e-12)
+    assert report.backward_error <= 16 * 2.0**-53
+
+
+@pytest.mark.parametrize("scale,solves", [(1.5, 4), (3.0, 2)])
+def test_level_solve_step_cap_and_stagnation(scale, solves, monkeypatch):
+    """With a solve that returns 1.5 M^{-1} r, each step halves the error:
+    the solve stops after 1 + 3 steps, unconverged.  With 3 M^{-1} r the
+    error doubles: the second step does not lower the residual, and the
+    solve stops there, keeping the first iterate."""
+    matrix, rhs = _ill_conditioned_spd(20, 10.0)
+    monkeypatch.setattr(assembly, "_lu_solve", lambda m: (lambda r: scale * np.linalg.solve(m.toarray(), r)))
+    x, report = solve_cg(matrix, rhs)
+    assert report.iterations == solves and not report.converged
+    if scale == 3.0:
+        np.testing.assert_allclose(x, scale * np.linalg.solve(matrix.toarray(), rhs), rtol=1e-15)
+    assert report.relative_residual == pytest.approx(
+        np.linalg.norm(rhs - matrix @ x) / np.linalg.norm(rhs), rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["heat-smooth", "convection-reaction", "variable-a", "poisson"])
@@ -472,7 +538,7 @@ def test_galerkin_defect_small_after_solve():
     direct = DiscreteSolution(coeffs=x_direct, mesh=mesh, dofmap=dofmap)
     assert galerkin_orthogonality_check(direct, sparse_system) <= 1e-10
 
-    x, _ = solve_cg(sparse_system.matrix, sparse_system.rhs, rel_tol=1e-10)
+    x, _ = oracles.plain_cg(sparse_system.matrix, sparse_system.rhs, rel_tol=1e-10)
     cg_solution = DiscreteSolution(coeffs=x, mesh=mesh, dofmap=dofmap)
     assert galerkin_orthogonality_check(cg_solution, sparse_system) <= 1e-8
 
@@ -511,7 +577,7 @@ def test_random_smooth_coefficients_spd_and_galerkin(alpha, k, beta, gamma, form
     dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     sparse_system = assemble(mesh, dofmap, system)
     assert oracles.min_eigenvalue(sparse_system.matrix.toarray()) > 0
-    coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs, factorize=True)
+    coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
     assert report.converged
     solution = DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
     assert galerkin_orthogonality_check(solution, sparse_system) <= 1e-7

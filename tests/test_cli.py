@@ -238,6 +238,18 @@ def test_singular_factor_exit_3(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_thin_domain_uniform_run_exits_0(tmp_path):
+    """t_end = 1e-6: from 40 dofs on the LU solve's relative residual misses
+    1e-10 (about 4e-9 at 2,112 dofs) at a backward error near 7e-17, so
+    each level converges on the backward error in one solve."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case = heat-smooth\nmode = uniform\ndegree = 1\nt_end = 1e-6\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "runlog.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["12", "40", "144", "544", "2112"]
+    assert all(row.split(",")[-1] == "1" for row in rows)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("line,key", [("t_end = 1e-320", "t_end = 1e-320"),
                                       ("x_hi = 1e-310", "x_hi - x_lo = 1e-310")])

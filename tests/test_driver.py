@@ -52,9 +52,9 @@ def test_solver_failure_aborts_run(monkeypatch):
     import stfosls.driver as driver_mod
     from stfosls.driver import SolverFailure
 
-    def stalled(matrix, rhs, rel_tol=1e-10, max_iters=None, **kwargs):
+    def stalled(matrix, rhs):
         return np.zeros_like(rhs), SolverReport(
-            iterations=1, relative_residual=1.0, converged=False
+            iterations=1, relative_residual=1.0, backward_error=1.0, converged=False
         )
 
     monkeypatch.setattr(driver_mod, "solve_cg", stalled)
@@ -64,17 +64,48 @@ def test_solver_failure_aborts_run(monkeypatch):
         run(problem, mesh, 1, StopCriteria(max_iterations=2), DOERFLER)
 
 
-def test_level_solve_factorized_on_graded_mesh(monkeypatch):
-    """Every level solve of a graded run takes at most two LU-preconditioned
-    iterations and meets the tolerance in the true residual; the finest one
-    agrees with plain CG."""
+def test_non_finite_level_solve_aborts_run(monkeypatch):
+    """A NaN in the fourth LU solve of a run ends the run at that level
+    with a SolverFailure naming its dofs, after 4 solves in all."""
+    from stfosls import assembly
+    from stfosls.driver import SolverFailure
+
+    factor = assembly._lu_solve
+    solves = []
+
+    def poisoned(matrix):
+        solve = factor(matrix)
+
+        def nan_after_three(r):
+            solves.append(r.size)
+            x = solve(r)
+            if len(solves) >= 4:
+                x[0] = np.nan
+            return x
+
+        return nan_after_three
+
+    monkeypatch.setattr(assembly, "_lu_solve", poisoned)
+    problem, _ = make_problem("heat-smooth")
+    mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
+    message = r"on 544 dofs stopped after 1 LU solve\(s\) at relative residual nan"
+    with pytest.raises(SolverFailure, match=message):
+        run(problem, mesh, 1, StopCriteria(max_iterations=5))
+    assert solves == [12, 40, 144, 544]
+
+
+def test_level_solve_on_graded_mesh(monkeypatch):
+    """Every level solve of a graded run takes at most two LU solves and
+    meets the tolerance in the true residual; the finest one agrees with
+    plain CG."""
     import stfosls.driver as driver_mod
+    from stfosls import oracles
     from stfosls.assembly import solve_cg
 
     solves = []
 
-    def recording(matrix, rhs, **kwargs):
-        x, report = solve_cg(matrix, rhs, **kwargs)
+    def recording(matrix, rhs):
+        x, report = solve_cg(matrix, rhs)
         solves.append((matrix, rhs, x, report))
         return x, report
 
@@ -89,7 +120,7 @@ def test_level_solve_factorized_on_graded_mesh(monkeypatch):
         assert report.converged and report.iterations <= 2
         assert true <= 1e-10
     matrix, rhs, x, _ = solves[-1]
-    x_cg, cg_report = solve_cg(matrix, rhs, rel_tol=1e-12)
+    x_cg, cg_report = oracles.plain_cg(matrix, rhs, rel_tol=1e-12)
     assert cg_report.converged
     assert np.linalg.norm(x - x_cg) / np.linalg.norm(x_cg) <= 1e-8
 
@@ -184,7 +215,7 @@ def test_uniform_run_halves_mesh_width():
 
 def test_uniform_p1_33k_level_solve_has_no_cliff():
     """Seven uniform levels to 33,024 dofs.  SuperLU's default relaxed
-    supernodes factorized the last level in about 42 s; without them the
+    supernodes took about 42 s for the last level's factorization; without them the
     whole run takes about a second."""
     problem, _ = make_problem("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
@@ -210,7 +241,7 @@ def _fake_log(entries):
     records = [
         RunRecord(
             level=i, dofs=d, elements=d, estimator=e, error=err, marked=0,
-            solver=SolverReport(1, 0.0, True), galerkin_defect=0.0,
+            solver=SolverReport(1, 0.0, 0.0, True), galerkin_defect=0.0,
         )
         for i, (d, e, err) in enumerate(entries)
     ]
