@@ -20,13 +20,7 @@ from .driver import (
     run,
     write_runlog_csv,
 )
-from .estimator import (
-    ErrorReport,
-    Indicators,
-    compute_indicators,
-    efficiency_reliability_ratio,
-    u_norm_error,
-)
+from .estimator import ErrorReport, Indicators, compute_indicators, u_norm_error
 from .marking import MarkingConfig, MarkStrategy, mark, mark_doerfler, mark_maximum
 from .mesh import FacetTag, Mesh, bisect, is_conforming, uniform_initial_mesh
 from .problem import (

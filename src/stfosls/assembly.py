@@ -62,7 +62,6 @@ __all__ = [
     "SolverReport",
     "DiscreteSolution",
     "assemble",
-    "level_geometry",
     "level_data",
     "solve_cg",
     "element_fields",
@@ -150,7 +149,6 @@ class DiscreteSolution:
     """Coefficient vector of a least-squares approximation on one mesh."""
 
     coeffs: np.ndarray
-    mesh: Mesh
     dofmap: DofMap
 
 
@@ -210,20 +208,16 @@ def _initial_facet_tables(mesh: Mesh, dofmap: DofMap, equad: EdgeQuadratureRule,
     return elems, edge_tables[locs], xs, equad.weights * length[:, None]
 
 
-def level_geometry(mesh: Mesh, dofmap: DofMap, system) -> Geometry:
-    """Quadrature geometry of one level under its rules, initial facets included."""
+def level_data(mesh: Mesh, dofmap: DofMap, system) -> LevelData:
+    """Geometry of one level under its rules, initial facets included, and
+    its weighted data, the interior data written by the system block by
+    block into one array; affine_maps rejects det <= 0, so sqrt(w) is real.
+    Raises InvalidDataError on non-finite data."""
     quad, equad = level_rules(dofmap.degree)
-    return Geometry(
+    geometry = Geometry(
         *_geometry_tables(mesh, dofmap, quad),
         *_initial_facet_tables(mesh, dofmap, equad, system),
     )
-
-
-def level_data(mesh: Mesh, dofmap: DofMap, system) -> LevelData:
-    """Geometry and weighted data of one level, the interior data written by
-    the system block by block into one array; affine_maps rejects det <= 0,
-    so sqrt(w) is real.  Raises InvalidDataError on non-finite data."""
-    geometry = level_geometry(mesh, dofmap, system)
     nq, ne = geometry.values.shape[1], geometry.det.size
     data = np.empty((system.n_interior, nq, ne))
     for block in _blocks(ne):

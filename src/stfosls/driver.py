@@ -121,7 +121,7 @@ def _solve_level(mesh, system, p, exact):
             f"level solve on {sparse.rhs.size} dofs stopped after {report.iterations} LU solve(s) "
             f"at relative residual {report.relative_residual:.3e}, backward error {report.backward_error:.3e}"
         )
-    solution = DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
+    solution = DiscreteSolution(coeffs=coeffs, dofmap=dofmap)
     defect = galerkin_orthogonality_check(solution, sparse)
     level = sparse.level
     fields = element_fields(solution, level.geometry)
@@ -130,7 +130,7 @@ def _solve_level(mesh, system, p, exact):
     indicators = compute_indicators(mesh, solution, system, level, fields)
     error = None
     if exact is not None:
-        error = u_norm_error(mesh, solution, exact, system, level, error_fields).total
+        error = u_norm_error(solution, exact, system, level, error_fields).total
     return solution, report, defect, indicators, error
 
 
@@ -198,19 +198,18 @@ def run(
         level += 1
 
 
-def rate_table(runlog: RunLog, column: str = "auto"):
+def rate_table(runlog: RunLog):
     """Rows (dofs, estimator, error, order) with orders against mesh width.
 
     The order between consecutive records uses h ~ dofs^(-1/2) in the
     space-time plane: order = 2 log(v_prev / v) / log(dofs / dofs_prev).
-    ``column`` selects 'error' or 'estimator'; 'auto' prefers the error
-    when every record carries one.
+    The orders rate the error when every record carries one, otherwise the
+    estimator.
     """
     if len(runlog.records) < 2:
         raise ValueError("rate table needs at least two records")
-    if column == "auto":
-        column = "error" if all(r.error is not None for r in runlog.records) else "estimator"
-    values = runlog.errors() if column == "error" else runlog.estimators()
+    with_error = all(r.error is not None for r in runlog.records)
+    values = runlog.errors() if with_error else runlog.estimators()
     dofs = runlog.dofs().astype(float)
 
     rows = []

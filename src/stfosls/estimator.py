@@ -21,22 +21,18 @@ graph seminorm
 whose pieces the report keeps separate; the trace term is dropped for
 systems without an initial-trace component.  It reads the same per-block
 fields, which a caller computing both may evaluate once and pass to both.
+
+Everything here reads the level that assembly built (``SparseSystem.level``);
+nothing rebuilds its geometry or data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .assembly import (
-    DiscreteSolution,
-    LevelData,
-    element_fields,
-    level_data,
-    level_geometry,
-)
+from .assembly import DiscreteSolution, LevelData, element_fields
 from .mesh import Mesh
 from .problem import ExactFields, sample
 
@@ -45,7 +41,6 @@ __all__ = [
     "ErrorReport",
     "compute_indicators",
     "u_norm_error",
-    "efficiency_reliability_ratio",
     "data_norm",
 ]
 
@@ -93,18 +88,18 @@ def compute_indicators(
     mesh: Mesh,
     solution: DiscreteSolution,
     system,
-    level: Optional[LevelData] = None,
+    level: LevelData,
     fields=None,
 ) -> Indicators:
     """Least-squares indicators of a solved discrete solution.
 
     ``level`` is the level data the system was assembled from
-    (``SparseSystem.level``); without it the same data is built here.
-    ``fields`` iterates over ``element_fields(solution, level.geometry)``
-    when the caller shares those blocks with the error.
+    (``SparseSystem.level``).  ``fields`` iterates over
+    ``element_fields(solution, level.geometry)`` when the caller shares
+    those blocks with the error.  ``mesh`` is not read here; it stays the
+    first positional argument because the benchmark's tracer reads
+    (mesh, solution, system) off this call to count initial facets.
     """
-    if level is None:
-        level = level_data(mesh, solution.dofmap, system)
     geometry = level.geometry
     if fields is None:
         fields = element_fields(solution, geometry)
@@ -121,21 +116,20 @@ def compute_indicators(
 
 
 def u_norm_error(
-    mesh: Mesh,
     solution: DiscreteSolution,
     exact: ExactFields,
     system,
-    level: Optional[LevelData] = None,
+    level: LevelData,
     fields=None,
 ) -> ErrorReport:
     """Graph-norm error of a discrete solution against closed-form references.
 
     ``level`` is the level data the system was assembled from; its geometry
-    is reused, and without it the geometry is built here.  ``fields``
-    iterates over ``element_fields(solution, level.geometry)`` when the
-    caller shares those blocks with the indicators.
+    is reused.  ``fields`` iterates over ``element_fields(solution,
+    level.geometry)`` when the caller shares those blocks with the
+    indicators.
     """
-    geometry = level.geometry if level is not None else level_geometry(mesh, solution.dofmap, system)
+    geometry = level.geometry
     if fields is None:
         fields = element_fields(solution, geometry)
     sq_u1 = sq_grad = sq_u2 = sq_div = 0.0
@@ -167,14 +161,6 @@ def u_norm_error(
     )
 
 
-def efficiency_reliability_ratio(indicators: Indicators, report: ErrorReport) -> float:
-    """Ratio estimator / error; returns inf when the error vanishes."""
-    if report.total == 0.0:
-        return float("inf")
-    return indicators.total / report.total
-
-
-def data_norm(mesh: Mesh, dofmap, system) -> float:
-    """L-norm of the data vector (interior targets plus initial datum)."""
-    level = level_data(mesh, dofmap, system)
+def data_norm(level: LevelData) -> float:
+    """L-norm of the level's data vector (interior targets plus initial datum)."""
     return float(np.sqrt(np.sum(level.data**2) + np.sum(level.facet_data**2)))

@@ -27,8 +27,8 @@ from .spaces import (
     DofMap,
     build_edge_quadrature,
     build_quadrature,
+    build_reference,
     edge_reference_points,
-    evaluate_field,
     level_rules,
 )
 
@@ -38,6 +38,8 @@ __all__ = [
     "eval_data",
     "eval_data_initial",
     "MAX_DENSE_DOFS",
+    "affine_map",
+    "evaluate_field",
     "bisect_reference",
     "dense_assemble",
     "dense_solve",
@@ -114,6 +116,50 @@ def _initial_edges(mesh: Mesh):
             if mesh.edge_tags[e, loc] == FacetTag.INITIAL:
                 out.append((e, loc))
     return out
+
+
+def affine_map(mesh: Mesh, k: int):
+    """Jacobian, inverse transpose, and determinant of the reference map of element ``k``.
+
+    The map is F(xi) = P0 + J xi with J = [P1 - P0 | P2 - P0]; det J equals
+    twice the element area.  Physical gradients are J^{-T} times reference
+    gradients.  The per-element counterpart of
+    :func:`stfosls.spaces.affine_maps`, with the same error.
+    """
+    p = mesh.points[mesh.elements[k]]
+    jac = np.column_stack([p[1] - p[0], p[2] - p[0]])
+    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+    if det <= 0.0:
+        raise ValueError(f"element {k} is degenerate or inverted (det={det})")
+    inv_t = np.array([[jac[1, 1], -jac[1, 0]], [-jac[0, 1], jac[0, 0]]]) / det
+    return jac, inv_t, float(det)
+
+
+def evaluate_field(coeffs: np.ndarray, dofmap: DofMap, mesh: Mesh, k: int, point, field: int = 0):
+    """Value and space-time gradient of one solution field inside element ``k``.
+
+    ``point`` is given in reference coordinates (xi, eta).  ``field`` 0 is
+    the constrained u1 field, ``field`` c >= 1 the (c-1)-th u2 component.
+    Constrained u1 dofs contribute zero.
+    """
+    ref = build_reference(dofmap.degree)
+    pts = np.atleast_2d(np.asarray(point, dtype=float))
+    vals = ref.values(pts)
+    grads = ref.gradients(pts)
+    _, inv_t, _ = affine_map(mesh, k)
+
+    if field == 0:
+        dofs = dofmap.cell_dofs_u1[k]
+        local = np.where(dofs >= 0, coeffs[np.maximum(dofs, 0)], 0.0)
+    else:
+        local = coeffs[dofmap.u2_offset(field - 1) + dofmap.cell_nodes[k]]
+
+    value = vals @ local
+    grad_ref = np.einsum("qia,i->qa", grads, local)
+    grad = grad_ref @ inv_t.T
+    if np.asarray(point).ndim == 1:
+        return float(value[0]), grad[0]
+    return value, grad
 
 
 def bisect_reference(mesh: Mesh, marks) -> Mesh:
@@ -253,7 +299,7 @@ def _edge_geometry(mesh: Mesh, e: int, loc: int, s: np.ndarray):
 def _supports(dofmap: DofMap):
     """Elements whose cell dofs contain each global dof, by direct scan."""
     cells = np.hstack([dofmap.cell_dofs_u1]
-                      + [dofmap.cell_dofs_u2(c) for c in range(dofmap.n_u2_components)])
+                      + [dofmap.u2_offset(c) + dofmap.cell_nodes for c in range(dofmap.n_u2_components)])
     return [np.flatnonzero((cells == j).any(axis=1)) for j in range(dofmap.n_dofs)]
 
 

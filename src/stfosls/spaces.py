@@ -26,9 +26,7 @@ __all__ = [
     "build_edge_quadrature",
     "level_rules",
     "build_dofmap",
-    "affine_map",
     "affine_maps",
-    "evaluate_field",
     "edge_reference_points",
 ]
 
@@ -206,9 +204,6 @@ class DofMap:
     def u2_offset(self, comp: int) -> int:
         return self.n_u1 + comp * self.n_scalar
 
-    def cell_dofs_u2(self, comp: int) -> np.ndarray:
-        return self.u2_offset(comp) + self.cell_nodes
-
 
 def build_dofmap(
     mesh: Mesh,
@@ -270,28 +265,13 @@ def build_dofmap(
     )
 
 
-def affine_map(mesh: Mesh, k: int):
-    """Jacobian, inverse transpose, and determinant of the reference map of element ``k``.
-
-    The map is F(xi) = P0 + J xi with J = [P1 - P0 | P2 - P0]; det J equals
-    twice the element area.  Physical gradients are J^{-T} times reference
-    gradients.
-    """
-    p = mesh.points[mesh.elements[k]]
-    jac = np.column_stack([p[1] - p[0], p[2] - p[0]])
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    if det <= 0.0:
-        raise ValueError(f"element {k} is degenerate or inverted (det={det})")
-    inv_t = np.array([[jac[1, 1], -jac[1, 0]], [-jac[0, 1], jac[0, 0]]]) / det
-    return jac, inv_t, float(det)
-
-
 def affine_maps(mesh: Mesh):
-    """Batched version of :func:`affine_map` over all elements, element axis
-    last: vertex coordinates (2, 3, ne), J^{-T} (2, 2, ne) and det J (ne,).
-    Raises the same ValueError on the first degenerate or inverted element,
-    and on the first whose J^{-T} is not finite: a positive but denormal
-    det J makes the division overflow."""
+    """Reference maps F(xi) = P0 + J xi of all elements, J = [P1 - P0 | P2 - P0]
+    (det J is twice the element area), element axis last: vertex coordinates
+    (2, 3, ne), J^{-T} (2, 2, ne) and det J (ne,).  Physical gradients are
+    J^{-T} times reference gradients.  Raises ValueError on the first
+    degenerate or inverted element, and on the first whose J^{-T} is not
+    finite: a positive but denormal det J makes the division overflow."""
     coords = mesh.points.T[:, mesh.elements.T]
     (a0, a1), (b0, b1) = coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]
     det = a0 * b1 - b0 * a1
@@ -305,32 +285,3 @@ def affine_maps(mesh: Mesh):
         k = int(np.flatnonzero(~finite)[0])
         raise ValueError(f"element {k} is degenerate: J^-T is not finite (det={det[k]})")
     return coords, inv_t, det
-
-
-def evaluate_field(coeffs: np.ndarray, dofmap: DofMap, mesh: Mesh, k: int, point, field: int = 0):
-    """Value and space-time gradient of one solution field inside element ``k``.
-
-    ``point`` is given in reference coordinates (xi, eta).  ``field`` 0 is
-    the constrained u1 field, ``field`` c >= 1 the (c-1)-th u2 component.
-    Constrained u1 dofs contribute zero.
-    """
-    ref = build_reference(dofmap.degree)
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    vals = ref.values(pts)
-    grads = ref.gradients(pts)
-    _, inv_t, _ = affine_map(mesh, k)
-
-    if field == 0:
-        dofs = dofmap.cell_dofs_u1[k]
-        local = np.where(dofs >= 0, coeffs[np.maximum(dofs, 0)], 0.0)
-    else:
-        dofs = dofmap.cell_dofs_u2(field - 1)[k]
-        local = coeffs[dofs]
-
-    value = vals @ local
-    grad_ref = np.einsum("qia,i->qa", grads, local)
-    grad = grad_ref @ inv_t.T
-    if np.asarray(point).ndim == 1:
-        return float(value[0]), grad[0]
-    return value, grad
-

@@ -130,9 +130,9 @@ def _check_exact_reproduction(rng: np.random.Generator) -> CheckResult:
     sparse = assemble(mesh, dofmap, wrapped)
     coeffs, report = solve_cg(sparse.matrix, sparse.rhs)
     err = np.linalg.norm(coeffs - target) / np.linalg.norm(target)
-    solution = DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
-    eta = compute_indicators(mesh, solution, wrapped).total
-    fnorm = data_norm(mesh, dofmap, wrapped)
+    solution = DiscreteSolution(coeffs=coeffs, dofmap=dofmap)
+    eta = compute_indicators(mesh, solution, wrapped, sparse.level).total
+    fnorm = data_norm(sparse.level)
     ok = report.converged and err <= 1e-8 and eta <= 1e-8 * fnorm
     return CheckResult(
         "exact-solution-reproduction", ok, f"coeff err {err:.2e}, eta/|f| {eta / fnorm:.2e}"

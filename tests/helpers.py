@@ -19,6 +19,13 @@ def error_contributions(report):
     return (report.u1_l2, report.u1_grad_l2, report.u2_l2, report.div_l2, report.initial_l2)
 
 
+def efficiency_reliability_ratio(indicators, report) -> float:
+    """Ratio estimator / error; returns inf when the error vanishes."""
+    if report.total == 0.0:
+        return float("inf")
+    return indicators.total / report.total
+
+
 def element_patch(mesh, k: int) -> np.ndarray:
     """Indices of all elements sharing at least one vertex with element ``k``."""
     verts = set(int(v) for v in mesh.elements[k])

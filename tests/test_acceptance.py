@@ -104,7 +104,7 @@ def poisson_uniform_run():
 
 
 def _orders_last_levels(log, n_levels=3):
-    rows = rate_table(log, column="error")
+    rows = rate_table(log)
     return [row[3] for row in rows[-(n_levels - 1):]]
 
 
@@ -267,9 +267,9 @@ def test_criterion_7_exact_reproduction(p):
 
     sparse_system = assemble(mesh, dofmap, wrapped)
     coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
-    solution = DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
-    eta = compute_indicators(mesh, solution, wrapped).total
-    f_norm = data_norm(mesh, dofmap, wrapped)
+    solution = DiscreteSolution(coeffs=coeffs, dofmap=dofmap)
+    eta = compute_indicators(mesh, solution, wrapped, sparse_system.level).total
+    f_norm = data_norm(sparse_system.level)
     coeff_err = np.linalg.norm(coeffs - target) / np.linalg.norm(target)
     ok = report.converged and eta <= 1e-8 * f_norm and coeff_err <= 1e-8
     _report(

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import error_contributions
+from helpers import efficiency_reliability_ratio, error_contributions
 from stfosls import oracles
-from stfosls.assembly import DiscreteSolution, assemble, solve_cg
-from stfosls.estimator import (
-    compute_indicators,
-    data_norm,
-    efficiency_reliability_ratio,
-    u_norm_error,
-)
+from stfosls.assembly import DiscreteSolution, assemble, level_data, solve_cg
+from stfosls.estimator import compute_indicators, data_norm, u_norm_error
 from stfosls.mesh import bisect, element_measures, uniform_initial_mesh
 from stfosls.problem import exact_error_data, make_problem, sample
 from stfosls.spaces import build_dofmap, level_rules
@@ -24,12 +19,13 @@ def _solve(name="heat-smooth", p=1, nt=2, nx=2):
     sparse_system = assemble(mesh, dofmap, system)
     coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
     assert report.converged
-    return mesh, dofmap, system, DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap), case
+    solution = DiscreteSolution(coeffs=coeffs, dofmap=dofmap)
+    return mesh, dofmap, system, solution, case, sparse_system.level
 
 
 def test_indicator_additivity():
-    mesh, _, system, solution, _ = _solve(nt=3, nx=3)
-    ind = compute_indicators(mesh, solution, system)
+    mesh, _, system, solution, _, level = _solve(nt=3, nx=3)
+    ind = compute_indicators(mesh, solution, system, level)
     total_sq = float(np.sum(ind.per_element**2))
     assert abs(ind.total**2 - total_sq) <= 1e-13 * max(total_sq, 1.0)
 
@@ -49,9 +45,9 @@ def test_zero_solution_indicator_is_data_norm():
     system = parabolic_system(stripped)
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
-    solution = DiscreteSolution(coeffs=np.zeros(dofmap.n_dofs), mesh=mesh, dofmap=dofmap)
+    solution = DiscreteSolution(coeffs=np.zeros(dofmap.n_dofs), dofmap=dofmap)
     quad, _ = level_rules(1)
-    ind = compute_indicators(mesh, solution, system)
+    ind = compute_indicators(mesh, solution, system, level_data(mesh, dofmap, system))
 
     coords = mesh.element_coords()
     for k in range(mesh.n_elements):
@@ -63,8 +59,8 @@ def test_zero_solution_indicator_is_data_norm():
 
 def test_global_estimator_matches_flat_sweep():
     """eta equals the residual norm computed without any element partition."""
-    mesh, _, system, solution, _ = _solve("convection-reaction", p=1, nt=2, nx=3)
-    ind = compute_indicators(mesh, solution, system)
+    mesh, _, system, solution, _, level = _solve("convection-reaction", p=1, nt=2, nx=3)
+    ind = compute_indicators(mesh, solution, system, level)
     sweep = oracles.residual_norm_sweep(mesh, solution, system)
     assert abs(ind.total - sweep) <= 1e-13 * max(1.0, sweep)
 
@@ -83,9 +79,9 @@ def test_exact_discrete_data_gives_zero_estimator():
     coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
     assert report.converged
     assert np.linalg.norm(coeffs - target) <= 1e-8 * np.linalg.norm(target)
-    solution = DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
-    eta = compute_indicators(mesh, solution, wrapped).total
-    assert eta <= 1e-8 * data_norm(mesh, dofmap, wrapped)
+    solution = DiscreteSolution(coeffs=coeffs, dofmap=dofmap)
+    eta = compute_indicators(mesh, solution, wrapped, sparse_system.level).total
+    assert eta <= 1e-8 * data_norm(sparse_system.level)
 
 
 def test_unrefined_elements_keep_indicators():
@@ -100,7 +96,7 @@ def test_unrefined_elements_keep_indicators():
     coeffs = np.zeros(dofmap.n_dofs)
     coeffs[dofmap.n_u1:] = 1.0
     base = compute_indicators(
-        mesh, DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap), system
+        mesh, DiscreteSolution(coeffs=coeffs, dofmap=dofmap), system, level_data(mesh, dofmap, system)
     )
 
     marks = [k for k in range(mesh.n_elements) if mesh.element_coords()[k, :, 0].min() > 0.5]
@@ -109,7 +105,8 @@ def test_unrefined_elements_keep_indicators():
     coeffs_r = np.zeros(dofmap_r.n_dofs)
     coeffs_r[dofmap_r.n_u1:] = 1.0
     after = compute_indicators(
-        refined, DiscreteSolution(coeffs=coeffs_r, mesh=refined, dofmap=dofmap_r), system
+        refined, DiscreteSolution(coeffs=coeffs_r, dofmap=dofmap_r), system,
+        level_data(refined, dofmap_r, system),
     )
     for new, old in enumerate(refined.refined_from):
         if refined.generation[new] == mesh.generation[old]:
@@ -118,10 +115,10 @@ def test_unrefined_elements_keep_indicators():
 
 def test_u_norm_error_zero_solution_equals_fine_norm():
     """Zero discrete solution: error report equals the reference norm."""
-    mesh, dofmap, system, _, case = _solve("heat-smooth", nt=3, nx=2)
+    mesh, dofmap, system, _, case, level = _solve("heat-smooth", nt=3, nx=2)
     exact = exact_error_data(case)
-    zero = DiscreteSolution(coeffs=np.zeros(dofmap.n_dofs), mesh=mesh, dofmap=dofmap)
-    report = u_norm_error(mesh, zero, exact, system)
+    zero = DiscreteSolution(coeffs=np.zeros(dofmap.n_dofs), dofmap=dofmap)
+    report = u_norm_error(zero, exact, system, level)
     reference = oracles.fine_norm(exact, mesh, system, degree=4)  # the p = 1 level rule
     assert report.total == pytest.approx(reference, rel=1e-10)
 
@@ -129,7 +126,7 @@ def test_u_norm_error_zero_solution_equals_fine_norm():
 @pytest.mark.parametrize("name,p", [("heat-smooth", 1), ("heat-smooth", 2), ("poisson", 2)])
 def test_u_norm_error_from_level_table_matches_standalone(name, p):
     """The level loop's path (the geometry on the table assembly built) and
-    the standalone path (geometry built by u_norm_error) give the same error."""
+    the standalone path (geometry built by level_data) give the same error."""
     if name == "poisson":
         system, exact = poisson_sine_case()
     else:
@@ -140,9 +137,9 @@ def test_u_norm_error_from_level_table_matches_standalone(name, p):
     sparse_system = assemble(mesh, dofmap, system)
     coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
     assert report.converged
-    solution = DiscreteSolution(coeffs=coeffs, mesh=mesh, dofmap=dofmap)
-    shared = u_norm_error(mesh, solution, exact, system, level=sparse_system.level)
-    alone = u_norm_error(mesh, solution, exact, system)
+    solution = DiscreteSolution(coeffs=coeffs, dofmap=dofmap)
+    shared = u_norm_error(solution, exact, system, sparse_system.level)
+    alone = u_norm_error(solution, exact, system, level_data(mesh, dofmap, system))
     assert alone.total > 0.0
     for a, b in zip(error_contributions(shared) + (shared.total,),
                     error_contributions(alone) + (alone.total,)):
@@ -150,9 +147,9 @@ def test_u_norm_error_from_level_table_matches_standalone(name, p):
 
 
 def test_error_report_sum_of_squares():
-    mesh, _, system, solution, case = _solve("convection-reaction")
+    mesh, _, system, solution, case, level = _solve("convection-reaction")
     exact = exact_error_data(case)
-    report = u_norm_error(mesh, solution, exact, system)
+    report = u_norm_error(solution, exact, system, level)
     parts = error_contributions(report)
     assert all(p >= 0 for p in parts)
     assert report.total**2 == pytest.approx(sum(p**2 for p in parts), rel=1e-13)
@@ -165,11 +162,11 @@ def test_efficiency_ratio_flags():
     zero_report = ErrorReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert efficiency_reliability_ratio(ind, zero_report) == float("inf")
 
-    mesh, dofmap, system, _, case = _solve("heat-smooth")
+    mesh, dofmap, system, _, case, level = _solve("heat-smooth")
     exact = exact_error_data(case)
-    zero = DiscreteSolution(coeffs=np.zeros(dofmap.n_dofs), mesh=mesh, dofmap=dofmap)
-    report = u_norm_error(mesh, zero, exact, system)
-    ind = compute_indicators(mesh, zero, system)
+    zero = DiscreteSolution(coeffs=np.zeros(dofmap.n_dofs), dofmap=dofmap)
+    report = u_norm_error(zero, exact, system, level)
+    ind = compute_indicators(mesh, zero, system, level)
     ratio = efficiency_reliability_ratio(ind, report)
     assert 0.0 < ratio < float("inf")
 

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from stfosls.mesh import FacetTag, bisect, uniform_initial_mesh
-from stfosls.oracles import element_measure
+from stfosls.oracles import affine_map, element_measure, evaluate_field
 from stfosls.spaces import (
-    affine_map,
     affine_maps,
     build_dofmap,
     build_edge_quadrature,
     build_quadrature,
     build_reference,
     edge_reference_points,
-    evaluate_field,
 )
 from helpers import interpolate_nodes
 
