@@ -17,14 +17,15 @@ table.  Only the upper triangle of each local matrix is scattered, its
 diagonal halved, into one sparse matrix H; the assembled matrix is H + H^T,
 bit-exactly symmetric because floating-point addition commutes.
 
-The level's :class:`Geometry` keeps the element axis last, so its kernels
+The level's :class:`LevelData` keeps the element axis last, so its kernels
 (system images, Gram matrices, loads, residuals, field values) run numpy's
-inner loops along that long contiguous axis.  It holds per-element arrays
-only; quadrature points, weights times det J and physical gradients are
-formed for one block of elements where they are used.  The geometry and
-the weighted data are built once per level, travel on the
-:class:`SparseSystem`, and also serve the indicators and the graph-norm
-error.
+inner loops along that long contiguous axis.  Its geometry is held at
+element size; quadrature points, weights times det J and physical gradients
+are formed for one block of elements where they are used.  The level is
+built once, travels on the :class:`SparseSystem`, and also serves the
+indicators and the graph-norm error.  :func:`field_images` is the one place
+where the system's G is applied to discrete fields: to the weighted basis
+here, and to the solution's fields in the estimator.
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ _MAX_STEPS = 3
 
 __all__ = [
     "SparseSystem",
-    "Geometry",
     "LevelData",
     "SolverReport",
     "DiscreteSolution",
     "assemble",
     "level_data",
+    "field_images",
     "solve_cg",
     "element_fields",
     "galerkin_orthogonality_check",
@@ -70,14 +71,16 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Geometry:
-    """Quadrature geometry of one level, element axis last.
+class LevelData:
+    """Quadrature geometry and sqrt(w)-weighted data of one level, element axis last.
 
     Per element it keeps the vertex coordinates, det J and J^{-T} (11
     doubles); points, weights times det J and physical gradients are formed
     for one block of elements by the methods below.  The facet arrays, facet
     axis first, list the facets tagged Initial in element order (none for
-    systems without an initial trace)."""
+    systems without an initial trace).  ``data[r, q, K]`` is component r of
+    the interior data at point q of element K, ``facet_data[q, f]`` the
+    initial datum at point q of the initial facet f."""
 
     quad_points: np.ndarray  # (nq, 3) barycentric points of the level's triangle rule
     quad_weights: np.ndarray  # (nq,) its weights
@@ -90,6 +93,8 @@ class Geometry:
     facet_basis: np.ndarray  # (nf, nq_e, nloc) basis values at the facet points
     facet_x: np.ndarray  # (nf, nq_e) x of the facet points
     facet_wlen: np.ndarray  # (nf, nq_e) edge weight times facet length
+    data: np.ndarray  # (n_int, nq, ne)
+    facet_data: np.ndarray  # (nq_e, nf)
 
     def basis_gradients(self, block: slice = slice(None)) -> np.ndarray:
         """Physical gradients of the local basis on the elements of ``block``,
@@ -104,20 +109,6 @@ class Geometry:
     def wdet(self, block: slice = slice(None)) -> np.ndarray:
         """Quadrature weight times det J on the elements of ``block``, (nq, nb)."""
         return np.outer(self.quad_weights, self.det[block])
-
-
-@dataclass(frozen=True)
-class LevelData:
-    """Geometry of one level and its data, weighted by sqrt(w) per point.
-
-    ``data[r, q, K]`` is component r of the interior data at point q of
-    element K, ``facet_data[q, f]`` the initial datum at point q of the
-    initial facet f of ``geometry``.
-    """
-
-    geometry: Geometry
-    data: np.ndarray  # (n_int, nq, ne)
-    facet_data: np.ndarray  # (nq_e, nf)
 
 
 @dataclass(frozen=True)
@@ -168,26 +159,34 @@ def _blocks(n_elements: int):
     return [slice(lo, lo + _BLOCK) for lo in range(0, n_elements, _BLOCK)]
 
 
-def _residual_tables(system, geometry: Geometry, block: slice):
+def field_images(system, t, x, values, grads, out) -> None:
+    """Write the system image of field f into ``out[f]``, (nf, n_int, ...):
+    f = 0 is u1 and f = 1 + c flux component c.  ``values`` (nf, ...) and
+    ``grads`` (nf, 2, ...) stack the fields in that order."""
+    system.residual_u1(t, x, values[0], grads[0], out[0])
+    for comp in range(system.n_flux):
+        system.residual_u2(comp, t, x, values[1 + comp], grads[1 + comp], out[1 + comp])
+
+
+def _residual_tables(system, level: LevelData, block: slice):
     """sqrt(w)-weighted system images of all local basis functions on the
     elements of ``block``, shape (nloc_total, n_int, nq, nb).
 
     The images are linear in the fields, so the basis values and gradients
-    are weighted once and each field block (u1 first, then the u2
-    components) is written by the system straight into its slab of one
+    are weighted once, repeated for each field block (u1 first, then the u2
+    components), and each image is written straight into its slab of one
     preallocated table, through a view with the component axis first.
     """
-    t, x = geometry.points(block)
-    sqrt_w = np.sqrt(geometry.wdet(block))
-    val = geometry.values[:, :, None] * sqrt_w
-    grads = geometry.basis_gradients(block)
+    t, x = level.points(block)
+    sqrt_w = np.sqrt(level.wdet(block))
+    val = level.values[:, :, None] * sqrt_w
+    grads = level.basis_gradients(block)
     grads *= sqrt_w
-    nloc = val.shape[0]
-    out = np.empty((nloc * (1 + system.n_flux), system.n_interior) + val.shape[1:])
-    system.residual_u1(t, x, val, grads, out[:nloc].swapaxes(0, 1))
-    for comp in range(system.n_flux):
-        lo = (comp + 1) * nloc
-        system.residual_u2(comp, t, x, val, grads, out[lo: lo + nloc].swapaxes(0, 1))
+    nf, nloc = 1 + system.n_flux, val.shape[0]
+    out = np.empty((nf * nloc, system.n_interior) + val.shape[1:])
+    field_images(system, t, x, np.broadcast_to(val, (nf,) + val.shape),
+                 np.broadcast_to(grads, (nf,) + grads.shape),
+                 out.reshape((nf, nloc) + out.shape[1:]).swapaxes(1, 2))
     return out
 
 
@@ -214,22 +213,24 @@ def level_data(mesh: Mesh, dofmap: DofMap, system) -> LevelData:
     block into one array; affine_maps rejects det <= 0, so sqrt(w) is real.
     Raises InvalidDataError on non-finite data."""
     quad, equad = level_rules(dofmap.degree)
-    geometry = Geometry(
+    facets = _initial_facet_tables(mesh, dofmap, equad, system)
+    level = LevelData(
         *_geometry_tables(mesh, dofmap, quad),
-        *_initial_facet_tables(mesh, dofmap, equad, system),
+        *facets,
+        data=np.empty((system.n_interior, quad.weights.size, mesh.n_elements)),
+        facet_data=np.empty(facets[2].shape).T,
     )
-    nq, ne = geometry.values.shape[1], geometry.det.size
-    data = np.empty((system.n_interior, nq, ne))
-    for block in _blocks(ne):
-        t, x = geometry.points(block)
-        out = data[..., block]
+    for block in _blocks(mesh.n_elements):
+        t, x = level.points(block)
+        out = level.data[..., block]
         system.data_interior(t, x, out)
-        out *= np.sqrt(geometry.wdet(block))
+        out *= np.sqrt(level.wdet(block))
         _require(np.isfinite(out).all(axis=0), "weighted interior data is not finite", t, x)
-    xs = geometry.facet_x
-    facet_data = np.sqrt(geometry.facet_wlen) * system.data_initial(xs) if xs.size else np.zeros_like(xs)
-    _require(np.isfinite(facet_data), "weighted initial datum is not finite", 0.0, xs)
-    return LevelData(geometry=geometry, data=data, facet_data=facet_data.T)
+    xs = level.facet_x
+    if xs.size:
+        np.multiply(np.sqrt(level.facet_wlen), system.data_initial(xs), out=level.facet_data.T)
+    _require(np.isfinite(level.facet_data.T), "weighted initial datum is not finite", 0.0, xs)
+    return level
 
 
 def _global_dofs(dofmap: DofMap) -> np.ndarray:
@@ -266,21 +267,20 @@ def _gram(images: np.ndarray) -> np.ndarray:
 def assemble(mesh: Mesh, dofmap: DofMap, system) -> SparseSystem:
     """Matrix, load and level data of the least-squares Galerkin equation."""
     level = level_data(mesh, dofmap, system)
-    geometry = level.geometry
-    n, ne = dofmap.n_dofs, geometry.det.size
-    nloc = geometry.values.shape[0]
+    n, ne = dofmap.n_dofs, level.det.size
+    nloc = level.values.shape[0]
     nloc_total = nloc * (1 + system.n_flux)
     rows, cols = np.triu_indices(nloc_total)
     upper = np.empty((rows.size, ne))
     loads = np.empty((ne, nloc_total))
     for block in _blocks(ne):
-        images = _residual_tables(system, geometry, block)
+        images = _residual_tables(system, level, block)
         upper[:, block] = _gram(images)
         loads[block] = np.einsum("arqe,rqe->ae", images, level.data[..., block]).T
         del images  # freed before the next block's images are built
     # An initial facet's Gram matrix and load join the u1 block of its element.
-    elems = geometry.facet_elements
-    facet_images = (geometry.facet_basis * np.sqrt(geometry.facet_wlen)[..., None]).T
+    elems = level.facet_elements
+    facet_images = (level.facet_basis * np.sqrt(level.facet_wlen)[..., None]).T
     np.add.at(upper, (np.flatnonzero(cols < nloc)[:, None], elems), _gram(facet_images))
     upper[rows == cols] *= 0.5  # H + H^T counts the diagonal twice
     np.add.at(loads[:, :nloc], elems, np.einsum("aqf,qf->fa", facet_images, level.facet_data))
@@ -388,23 +388,22 @@ def solve_cg(matrix, rhs: np.ndarray):
     return x, SolverReport(solves, rel, backward, rel <= _REL_TOL or backward <= _BACKWARD_TOL)
 
 
-def element_fields(solution: DiscreteSolution, geometry: Geometry):
+def element_fields(solution: DiscreteSolution, level: LevelData):
     """Discrete field values at the quadrature points, one block of elements
     at a time, in the blocks of assembly.
 
-    Yields each block (a slice of the element axis) with its u1 values
-    (nq, nb), u1 gradients (2, nq, nb), u2 values (nc, nq, nb) and u2
-    gradients (nc, 2, nq, nb), element axis last.
+    Yields each block (a slice of the element axis) with the values
+    (nf, nq, nb) and gradients (nf, 2, nq, nb) of the fields stacked as in
+    :func:`field_images`, u1 first, element axis last.
     """
-    nloc, ne = geometry.values.shape[0], geometry.inv_t.shape[-1]
+    nloc, ne = level.values.shape[0], level.inv_t.shape[-1]
     local = _local_coeffs(solution.dofmap, solution.coeffs).reshape(-1, nloc, ne)
     for block in _blocks(ne):
         coeffs = local[..., block]
-        values = geometry.values.T @ coeffs
-        ref = geometry.ref_grads.transpose(0, 2, 1) @ coeffs[:, None]  # (1 + nc, 2, nq, nb)
-        inv_t = geometry.inv_t[:, :, None, block]
-        grads = inv_t[:, 0] * ref[:, :1] + inv_t[:, 1] * ref[:, 1:]
-        yield block, (values[0], grads[0], values[1:], grads[1:])
+        values = level.values.T @ coeffs
+        ref = level.ref_grads.transpose(0, 2, 1) @ coeffs[:, None]  # (nf, 2, nq, nb)
+        inv_t = level.inv_t[:, :, None, block]
+        yield block, values, inv_t[:, 0] * ref[:, :1] + inv_t[:, 1] * ref[:, 1:]
 
 
 def galerkin_orthogonality_check(solution: DiscreteSolution, sparse_system: SparseSystem) -> float:

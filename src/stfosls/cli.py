@@ -71,7 +71,6 @@ class RunConfig:
     degree: int
     mode: str
     marking: Optional[MarkingConfig]
-    levels: int
     stop: StopCriteria
     nt: int
     nx: int
@@ -89,7 +88,9 @@ def parse_config(text: str) -> RunConfig:
     it further only when set; in adaptive mode ``max_iterations`` bounds the
     run and ``levels`` caps it only when set.  ``max_dofs`` and
     ``estimator_tolerance`` stop either mode, and uniform mode rejects
-    ``marking`` and ``theta``.
+    ``marking`` and ``theta``.  ``system = poisson`` has the one case
+    ``poisson-sine`` and no convection form: it rejects any other ``case``
+    and any ``form``.  A key given twice keeps its last value.
     """
     values = dict(_DEFAULTS)
     given = set()
@@ -131,10 +132,11 @@ def parse_config(text: str) -> RunConfig:
     if system == "parabolic" and case not in BUILTIN_CASES:
         raise ConfigError(f"unknown parabolic case {case!r}; available: {', '.join(BUILTIN_CASES)}")
     if system == "poisson":
-        if case in BUILTIN_CASES:
-            case = "poisson-sine"
-        elif case != "poisson-sine":
-            raise ConfigError(f"unknown poisson case {case!r}; available: poisson-sine")
+        if "case" in given and case != "poisson-sine":
+            raise ConfigError(f"case {case!r} does not apply to system = poisson; available: poisson-sine")
+        if "form" in given:
+            raise ConfigError("form only applies to system = parabolic")
+        case = "poisson-sine"
 
     try:
         form = ConvectionForm(values["form"])
@@ -201,7 +203,6 @@ def parse_config(text: str) -> RunConfig:
         degree=degree,
         mode=mode,
         marking=marking,
-        levels=levels,
         stop=stop,
         nt=_int("nt", minimum=1),
         nx=_int("nx", minimum=1),

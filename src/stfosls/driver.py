@@ -107,7 +107,7 @@ def _as_system(problem_or_system):
 
 
 def _solve_level(mesh, system, p, exact):
-    """Solve one level; indicators and error reuse the geometry and data assembly built."""
+    """Solve one level; indicators and error reuse the level data assembly built."""
     dofmap = build_dofmap(
         mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags
     )
@@ -124,7 +124,7 @@ def _solve_level(mesh, system, p, exact):
     solution = DiscreteSolution(coeffs=coeffs, dofmap=dofmap)
     defect = galerkin_orthogonality_check(solution, sparse)
     level = sparse.level
-    fields = element_fields(solution, level.geometry)
+    fields = element_fields(solution, level)
     if exact is not None:  # the error reads the same per-block fields: evaluate them once
         fields, error_fields = itertools.tee(fields)
     indicators = compute_indicators(mesh, solution, system, level, fields)

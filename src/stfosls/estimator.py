@@ -9,8 +9,9 @@ Indicators are read off the solution's own image:
 eta_K^2 = ||D_K - sqrt(w) G(u_h)||_K^2 with the level's sqrt(w)-weighted
 data D_K, plus the same on an initial facet of K.  The fields of u_h come
 from :func:`stfosls.assembly.element_fields` in the blocks of assembly, and
-the system's ``residual_u1``/``residual_u2`` turn them into G(u_h), so no
-image table of the basis is needed once the level is assembled.
+:func:`stfosls.assembly.field_images`, the path that assembly applies G by,
+turns them into G(u_h), so no image table of the basis is needed once the
+level is assembled.
 
 The error against a manufactured reference is measured in the localized
 graph seminorm
@@ -23,7 +24,7 @@ systems without an initial-trace component.  It reads the same per-block
 fields, which a caller computing both may evaluate once and pass to both.
 
 Everything here reads the level that assembly built (``SparseSystem.level``);
-nothing rebuilds its geometry or data.
+nothing rebuilds it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import DiscreteSolution, LevelData, element_fields
+from .assembly import DiscreteSolution, LevelData, element_fields, field_images
 from .mesh import Mesh
 from .problem import ExactFields, sample
 
@@ -65,23 +66,11 @@ class ErrorReport:
     total: float
 
 
-def _solution_image(system, t, x, u1_val, u1_grad, u2_val, u2_grad) -> np.ndarray:
-    """G(u_h) at the points of one block, (n_int, nq, nb): the images of
-    the u1 field and of each u2 component, summed."""
-    image = np.empty((system.n_interior,) + u1_val.shape)
-    system.residual_u1(t, x, u1_val, u1_grad, image)
-    part = np.empty_like(image)
-    for comp in range(system.n_flux):
-        system.residual_u2(comp, t, x, u2_val[comp], u2_grad[comp], part)
-        image += part
-    return image
-
-
-def _initial_trace(solution: DiscreteSolution, geometry) -> np.ndarray:
+def _initial_trace(solution: DiscreteSolution, level: LevelData) -> np.ndarray:
     """u1 of the solution at the points of every initial facet, (nf, nq_e)."""
-    dofs = solution.dofmap.cell_dofs_u1[geometry.facet_elements]
+    dofs = solution.dofmap.cell_dofs_u1[level.facet_elements]
     local = np.where(dofs >= 0, solution.coeffs[dofs], 0.0)
-    return np.einsum("fqa,fa->fq", geometry.facet_basis, local)
+    return np.einsum("fqa,fa->fq", level.facet_basis, local)
 
 
 def compute_indicators(
@@ -95,23 +84,24 @@ def compute_indicators(
 
     ``level`` is the level data the system was assembled from
     (``SparseSystem.level``).  ``fields`` iterates over
-    ``element_fields(solution, level.geometry)`` when the caller shares
-    those blocks with the error.  ``mesh`` is not read here; it stays the
-    first positional argument because the benchmark's tracer reads
+    ``element_fields(solution, level)`` when the caller shares those blocks
+    with the error.  ``mesh`` is not read here; it stays the first
+    positional argument because the benchmark's tracer reads
     (mesh, solution, system) off this call to count initial facets.
     """
-    geometry = level.geometry
     if fields is None:
-        fields = element_fields(solution, geometry)
-    eta2 = np.empty(geometry.det.size)
-    for block, block_fields in fields:
-        resid = _solution_image(system, *geometry.points(block), *block_fields)
-        resid *= np.sqrt(geometry.wdet(block))
+        fields = element_fields(solution, level)
+    eta2 = np.empty(level.det.size)
+    for block, values, grads in fields:
+        images = np.empty((values.shape[0], system.n_interior) + values.shape[1:])
+        field_images(system, *level.points(block), values, grads, images)
+        resid = images.sum(axis=0)  # G(u_h): the images of all fields, summed
+        resid *= np.sqrt(level.wdet(block))
         np.subtract(level.data[..., block], resid, out=resid)
         eta2[block] = np.einsum("rqe,rqe->e", resid, resid)
-    trace = _initial_trace(solution, geometry) * np.sqrt(geometry.facet_wlen)
+    trace = _initial_trace(solution, level) * np.sqrt(level.facet_wlen)
     facet_resid = level.facet_data - trace.T
-    np.add.at(eta2, geometry.facet_elements, np.einsum("qf,qf->f", facet_resid, facet_resid))
+    np.add.at(eta2, level.facet_elements, np.einsum("qf,qf->f", facet_resid, facet_resid))
     return Indicators(per_element=np.sqrt(eta2), total=float(np.sqrt(eta2.sum())))
 
 
@@ -125,16 +115,15 @@ def u_norm_error(
     """Graph-norm error of a discrete solution against closed-form references.
 
     ``level`` is the level data the system was assembled from; its geometry
-    is reused.  ``fields`` iterates over ``element_fields(solution,
-    level.geometry)`` when the caller shares those blocks with the
-    indicators.
+    is reused.  ``fields`` iterates over ``element_fields(solution, level)``
+    when the caller shares those blocks with the indicators.
     """
-    geometry = level.geometry
     if fields is None:
-        fields = element_fields(solution, geometry)
+        fields = element_fields(solution, level)
     sq_u1 = sq_grad = sq_u2 = sq_div = 0.0
-    for block, (u1_val, u1_grad, u2_val, u2_grad) in fields:
-        (t, x), wdet = geometry.points(block), geometry.wdet(block)
+    for block, values, grads in fields:
+        (t, x), wdet = level.points(block), level.wdet(block)
+        u1_val, u1_grad, u2_val, u2_grad = values[0], grads[0], values[1:], grads[1:]
         e_u1 = u1_val - sample(exact.u1, t, x)
         e_grad = u1_grad - np.moveaxis(exact.u1_grad(t, x), -1, 0)
         e_u2 = u2_val - np.moveaxis(exact.u2(t, x), -1, 0)
@@ -146,9 +135,9 @@ def u_norm_error(
         sq_u2 += float(np.einsum("cqe,qe->", e_u2**2, wdet))
         sq_div += float(np.einsum("qe,qe->", e_div**2, wdet))
 
-    xs = geometry.facet_x
+    xs = level.facet_x
     ref = sample(exact.u1, np.zeros_like(xs), xs)
-    sq_trace = float(np.sum(geometry.facet_wlen * (_initial_trace(solution, geometry) - ref) ** 2))
+    sq_trace = float(np.sum(level.facet_wlen * (_initial_trace(solution, level) - ref) ** 2))
 
     total = float(np.sqrt(sq_u1 + sq_grad + sq_u2 + sq_div + sq_trace))
     return ErrorReport(

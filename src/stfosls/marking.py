@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -84,24 +83,18 @@ def mark(indicators: np.ndarray, config: MarkingConfig) -> np.ndarray:
     return mark_maximum(indicators, config.theta)
 
 
-def verify_marking_property(
-    indicators: np.ndarray,
-    marks: np.ndarray,
-    marking_function: Optional[Callable[[float], float]] = None,
-) -> bool:
-    """Check max over unmarked indicators <= M(max over marked indicators).
+def verify_marking_property(indicators: np.ndarray, marks: np.ndarray) -> bool:
+    """Check max over unmarked indicators <= max over marked indicators, the
+    marking property with the identity as marking function.
 
-    ``marking_function`` defaults to the identity.  An empty mark set is
-    admissible only when every indicator vanishes.
+    An empty mark set is admissible only when every indicator vanishes.
     """
     indicators = np.asarray(indicators, dtype=float)
     marks = np.asarray(marks, dtype=np.int64)
-    if marking_function is None:
-        marking_function = lambda t: t
     if marks.size == 0:
         return bool(np.all(indicators == 0.0))
     unmarked = np.ones(indicators.size, dtype=bool)
     unmarked[marks] = False
     if not unmarked.any():
         return True
-    return float(indicators[unmarked].max()) <= marking_function(float(indicators[marks].max()))
+    return float(indicators[unmarked].max()) <= float(indicators[marks].max())

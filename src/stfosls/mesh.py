@@ -120,44 +120,27 @@ def uniform_initial_mesh(t_end: float, omega: tuple, nt: int, nx: int) -> Mesh:
     if nt < 1 or nx < 1:
         raise ValueError(f"grid resolutions must be >= 1, got nt={nt}, nx={nx}")
 
+    # Point (i, j) = (t_i, x_j) has index i (nx + 1) + j.  Cell (i, j), in
+    # row-major order, is split along its diagonal (p00, p11), the
+    # refinement edge of both halves: lower-right (p00, p11, p01), then
+    # upper-left (p11, p00, p10).
     tv = np.linspace(0.0, t_end, nt + 1)
     xv = np.linspace(x_lo, x_hi, nx + 1)
-    points = np.empty(((nt + 1) * (nx + 1), 2))
-    for i in range(nt + 1):
-        for j in range(nx + 1):
-            points[i * (nx + 1) + j] = (tv[i], xv[j])
-
-    def vid(i, j):
-        return i * (nx + 1) + j
-
-    elements = []
-    tags = []
-    interior = int(FacetTag.INTERIOR)
-    for i in range(nt):
-        for j in range(nx):
-            p00, p01 = vid(i, j), vid(i, j + 1)
-            p10, p11 = vid(i + 1, j), vid(i + 1, j + 1)
-            # Lower-right triangle: diagonal (p00, p11) is the refinement edge.
-            elements.append((p00, p11, p01))
-            tags.append((
-                interior,
-                int(FacetTag.LATERAL_DIRICHLET) if j + 1 == nx else interior,
-                int(FacetTag.INITIAL) if i == 0 else interior,
-            ))
-            # Upper-left triangle shares the same diagonal as refinement edge.
-            elements.append((p11, p00, p10))
-            tags.append((
-                interior,
-                int(FacetTag.LATERAL_DIRICHLET) if j == 0 else interior,
-                int(FacetTag.FINAL) if i + 1 == nt else interior,
-            ))
-
-    n_elems = len(elements)
+    points = np.column_stack([np.repeat(tv, nx + 1), np.tile(xv, nt + 1)])
+    i, j = np.divmod(np.arange(nt * nx, dtype=np.int64), nx)
+    p00 = i * (nx + 1) + j
+    p11 = p00 + nx + 2
+    elements = np.column_stack([p00, p11, p00 + 1, p11, p00, p11 - 1]).reshape(-1, 3)
+    lateral, initial, final = int(FacetTag.LATERAL_DIRICHLET), int(FacetTag.INITIAL), int(FacetTag.FINAL)
+    interior = np.zeros_like(i)
+    tags = np.column_stack([interior, lateral * (j + 1 == nx), initial * (i == 0),
+                            interior, lateral * (j == 0), final * (i + 1 == nt)]).reshape(-1, 3)
+    n_elems = elements.shape[0]
     return Mesh(
         points=points,
-        elements=np.asarray(elements, dtype=np.int64),
+        elements=elements,
         generation=np.zeros(n_elems, dtype=np.int64),
-        edge_tags=np.asarray(tags, dtype=np.int64),
+        edge_tags=tags,
         t_end=float(t_end),
         x_lo=x_lo,
         x_hi=x_hi,
@@ -329,22 +312,52 @@ def write_mesh(mesh: Mesh, path) -> None:
 
 
 def read_mesh(path) -> Mesh:
-    """Read a mesh written by :func:`write_mesh`."""
+    """Read a mesh written by :func:`write_mesh`.
+
+    A malformed dump raises ValueError naming its line: a bad header or
+    count line, fewer lines than the counts, a vertex or element index out
+    of range, a local edge outside 0..2, or an unknown tag.
+    """
     with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if lines[0] != "spacetime-mesh v1":
-        raise ValueError(f"unsupported mesh format header: {lines[0]!r}")
-    n_points, n_elements = (int(tok) for tok in lines[1].split())
-    points = np.array(
-        [[float(tok) for tok in lines[2 + i].split()] for i in range(n_points)]
-    )
-    rows = [lines[2 + n_points + i].split() for i in range(n_elements)]
-    elements = np.array([[int(r[0]), int(r[1]), int(r[2])] for r in rows], dtype=np.int64)
-    generation = np.array([int(r[3]) for r in rows], dtype=np.int64)
+        lines = [(n, line.split()) for n, line in enumerate(fh, start=1) if line.strip()]
+    end = (lines[-1][0] + 1 if lines else 1, [])
+
+    def row(k, kinds, expected):
+        """The tokens of non-blank line k converted by ``kinds``; ValueError
+        naming the line when their number or a conversion is wrong."""
+        lineno, tokens = lines[k] if k < len(lines) else end
+        try:
+            if len(tokens) == len(kinds):
+                return [kind(tok) for kind, tok in zip(kinds, tokens)]
+        except ValueError:
+            pass
+        got = repr(" ".join(tokens)) if tokens else "the end of the file"
+        raise ValueError(f"line {lineno}: expected {expected}, got {got}")
+
+    lineno, header = lines[0] if lines else end
+    if header != ["spacetime-mesh", "v1"]:
+        raise ValueError(f"line {lineno}: expected the header 'spacetime-mesh v1', got {' '.join(header)!r}")
+    n_points, n_elements = row(1, (int, int), "'<#points> <#elements>'")
+    if n_points < 3 or n_elements < 1:
+        raise ValueError(f"line {lines[1][0]}: a mesh needs at least 3 points and 1 element")
+    points = np.array([row(2 + i, (float, float), "'t x'") for i in range(n_points)])
+    rows = [row(2 + n_points + k, (int,) * 4, "'v0 v1 v2 generation'") for k in range(n_elements)]
+    for k, r in enumerate(rows):
+        if not all(0 <= v < n_points for v in r[:3]):
+            raise ValueError(f"line {lines[2 + n_points + k][0]}: vertex index out of range 0..{n_points - 1}")
+    elements = np.array([r[:3] for r in rows], dtype=np.int64)
+    generation = np.array([r[3] for r in rows], dtype=np.int64)
     edge_tags = np.zeros((n_elements, 3), dtype=np.int64)
-    for line in lines[2 + n_points + n_elements:]:
-        e, loc, name = line.split()
-        edge_tags[int(e), int(loc)] = int(_NAME_TAGS[name])
+    for k in range(2 + n_points + n_elements, len(lines)):
+        e, loc, name = row(k, (int, int, str), "'elem edge tag'")
+        where = f"line {lines[k][0]}"
+        if not 0 <= e < n_elements:
+            raise ValueError(f"{where}: element index {e} out of range 0..{n_elements - 1}")
+        if not 0 <= loc <= 2:
+            raise ValueError(f"{where}: local edge {loc} outside 0..2")
+        if name not in _NAME_TAGS:
+            raise ValueError(f"{where}: unknown tag {name!r}; known: {', '.join(_NAME_TAGS)}")
+        edge_tags[e, loc] = int(_NAME_TAGS[name])
     return Mesh(
         points=points,
         elements=elements,

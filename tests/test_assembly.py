@@ -113,7 +113,7 @@ def test_table_written_in_place_matches_pointwise_images(name, p):
     mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), np.array([0, 3]))
     dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux,
                           dirichlet_tags=system.dirichlet_tags)
-    geometry = level_data(mesh, dofmap, system).geometry
+    geometry = level_data(mesh, dofmap, system)
     images = _residual_tables(system, geometry, slice(None))
     grads = geometry.basis_gradients()
     nloc, nq = geometry.values.shape
@@ -161,8 +161,8 @@ def test_assemble_traced_peak_bounded_by_table(monkeypatch):
     sparse, peak = _traced_peak(assemble, mesh, dofmap, system)
     level = sparse.level
     kept = sum(a.nbytes for a in (sparse.matrix.data, sparse.matrix.indices, sparse.matrix.indptr,
-                                  sparse.rhs, level.data, level.facet_data))
-    kept += sum(getattr(level.geometry, f).nbytes for f in level.geometry.__dataclass_fields__)
+                                  sparse.rhs))
+    kept += sum(getattr(level, f).nbytes for f in level.__dataclass_fields__)
     assert peak - kept < table
 
 
@@ -213,14 +213,14 @@ def test_indicators_match_table_contraction(name, p):
     dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux,
                           dirichlet_tags=system.dirichlet_tags)
     sparse, solution = _solved_level(mesh, dofmap, system)
-    level, geometry = sparse.level, sparse.level.geometry
-    images = _residual_tables(system, geometry, slice(None))
+    level = sparse.level
+    images = _residual_tables(system, level, slice(None))
     dofs = _global_dofs(dofmap)
     local = np.where(dofs >= 0, solution.coeffs[dofs], 0.0)
     resid = level.data - np.einsum("arqe,ae->rqe", images, local)
     expected = np.einsum("rqe,rqe->e", resid, resid)
-    nloc, elems = geometry.values.shape[0], geometry.facet_elements
-    facet_images = (geometry.facet_basis * np.sqrt(geometry.facet_wlen)[..., None]).T
+    nloc, elems = level.values.shape[0], level.facet_elements
+    facet_images = (level.facet_basis * np.sqrt(level.facet_wlen)[..., None]).T
     facet_resid = level.facet_data - np.einsum("aqf,af->qf", facet_images, local[:nloc, elems])
     np.add.at(expected, elems, np.einsum("qf,qf->f", facet_resid, facet_resid))
     got = compute_indicators(mesh, solution, system, level).per_element ** 2
@@ -254,7 +254,7 @@ def test_geometry_matches_per_element_affine_map():
     for p in (1, 2):
         dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
         quad, _ = level_rules(p)
-        geometry = level_data(mesh, dofmap, system).geometry
+        geometry = level_data(mesh, dofmap, system)
         grads = geometry.basis_gradients()
         ref = build_reference(p)
         ref_grads = ref.gradients(quad.reference_points())  # (nq, nloc, 2)
@@ -281,10 +281,10 @@ def test_geometry_keeps_element_size_arrays(p, monkeypatch):
     block by block match those of the whole level."""
     mesh, system = _graded_incompatible(10)
     coarse = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    geometry, small = (level_data(m, build_dofmap(m, p, dirichlet_tags=system.dirichlet_tags), system).geometry
+    geometry, small = (level_data(m, build_dofmap(m, p, dirichlet_tags=system.dirichlet_tags), system)
                        for m in (mesh, coarse))
     ne, nq = mesh.n_elements, level_rules(p)[0].weights.size
-    fields = [f for f in geometry.__dataclass_fields__ if not f.startswith("facet_")]
+    fields = [f for f in geometry.__dataclass_fields__ if not f.startswith("facet_") and f != "data"]
     per_element = [getattr(geometry, f) for f in fields if getattr(geometry, f).shape[-1] == ne]
     assert not any(nq in a.shape for a in per_element)
     assert sum(a.size for a in per_element) <= 11 * ne

@@ -37,7 +37,7 @@ def test_parse_defaults_and_overrides():
     config = parse_config(HEAT_UNIFORM)
     assert config.case == "heat-smooth"
     assert config.mode == "uniform"
-    assert config.levels == 3
+    assert config.stop.max_iterations == 2
     assert config.write_mesh
     assert config.nt == 2 and config.nx == 2
 
@@ -300,6 +300,30 @@ def test_poisson_config(tmp_path):
     rows = (out / "runlog.csv").read_text().splitlines()[1:]
     assert len(rows) == 2
     assert float(rows[0].split(",")[4]) > 0  # manufactured reference available
+    assert parse_config("system = poisson\n").case == "poisson-sine"
+    assert parse_config("system = poisson\ncase = poisson-sine\n").case == "poisson-sine"
+
+
+@pytest.mark.parametrize("line,key", [("case = incompatible", "case"), ("case = heat-smooth", "case"),
+                                      ("form = gradient", "form"), ("form = flux", "form")])
+def test_poisson_rejects_parabolic_keys_exit_2(tmp_path, capsys, line, key):
+    """A Poisson config has the one case poisson-sine and no convection form:
+    any other case, and any form, is rejected by name instead of ignored."""
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(f"system = poisson\nmode = uniform\nlevels = 2\n{line}\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: invalid config: {key} " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_repeated_key_keeps_last_value():
+    """A key given twice keeps its last value; the benchmark's warm-up
+    appends ``levels`` and ``max_iterations`` to configs that already set them."""
+    config = parse_config("case = heat-smooth\ncase = incompatible\ndegree = 2\ndegree = 1\n"
+                          "max_iterations = 40\nmax_iterations = 1\n")
+    assert config.case == "incompatible" and config.degree == 1
+    assert config.stop.max_iterations == 1
+    assert parse_config("mode = uniform\nlevels = 5\nlevels = 2\n").stop.max_iterations == 1
 
 
 @pytest.mark.parametrize("config", sorted((DEMOS / "configs").glob("*.cfg")),

@@ -64,12 +64,6 @@ def test_marking_property_counterexample():
     assert not verify_marking_property(eta, np.empty(0, dtype=np.int64))
 
 
-def test_marking_property_custom_function():
-    eta = np.array([3.0, 2.0, 1.0])
-    assert verify_marking_property(eta, np.array([1]), marking_function=lambda t: 2 * t)
-    assert not verify_marking_property(eta, np.array([2]), marking_function=lambda t: 2 * t)
-
-
 def test_random_property_and_minimality():
     """Both strategies satisfy the marking property; the Doerfler set is
     minimal: dropping its smallest member breaks the bulk inequality."""

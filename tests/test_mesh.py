@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +37,29 @@ def test_two_by_two_facet_tags():
     assert counts[FacetTag.FINAL] == 2
     assert counts[FacetTag.LATERAL_DIRICHLET] == 4
     assert boundary_tags_consistent(mesh)
+
+
+def test_non_square_grid_layout():
+    """nt=3, nx=5: points row by row in t, each cell split along its
+    diagonal (p00, p11), the shared refinement edge of its two halves, and
+    every side of the rectangle tagged once per grid edge."""
+    nt, nx = 3, 5
+    mesh = uniform_initial_mesh(1.5, (-1.0, 1.5), nt, nx)
+    t, x = np.meshgrid(np.linspace(0.0, 1.5, nt + 1), np.linspace(-1.0, 1.5, nx + 1), indexing="ij")
+    assert np.array_equal(mesh.points, np.column_stack([t.ravel(), x.ravel()]))
+    assert mesh.elements.dtype == mesh.edge_tags.dtype == np.int64
+    assert mesh.elements[:4].tolist() == [[0, 7, 1], [7, 0, 6], [1, 8, 2], [8, 1, 7]]
+    assert mesh.elements[-2:].tolist() == [[16, 23, 17], [23, 16, 22]]  # cell (2, 4)
+    lower, upper = mesh.elements[0::2], mesh.elements[1::2]
+    assert np.array_equal(lower[:, :2], upper[:, 1::-1])  # one diagonal per cell
+    diagonal = mesh.points[lower[:, 1]] - mesh.points[lower[:, 0]]
+    assert np.allclose(diagonal, [1.5 / nt, 2.5 / nx])
+    assert np.all(element_measures(mesh) > 0)
+    counts = {tag: int((mesh.edge_tags == tag).sum()) for tag in FacetTag}
+    assert counts == {FacetTag.INTERIOR: 6 * nt * nx - 2 * (nt + nx), FacetTag.LATERAL_DIRICHLET: 2 * nt,
+                      FacetTag.INITIAL: nx, FacetTag.FINAL: nx}
+    assert np.all(mesh.edge_tags[:, 0] == FacetTag.INTERIOR)
+    assert boundary_tags_consistent(mesh) and is_conforming(mesh)
 
 
 def test_invalid_dimensions_rejected():
@@ -286,3 +311,34 @@ def test_mesh_dump_roundtrip(tmp_path):
     assert np.array_equal(back.elements, mesh.elements)
     assert np.array_equal(back.generation, mesh.generation)
     assert np.array_equal(back.edge_tags, mesh.edge_tags)
+
+
+_DUMP = "spacetime-mesh v1\n4 2\n0.0 0.0\n0.0 1.0\n1.0 0.0\n1.0 1.0\n0 3 1 0\n3 0 2 0\n0 2 initial\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "line 1: expected the header 'spacetime-mesh v1'"),
+    ("spacetime-mesh v2\n4 2\n", "line 1: expected the header"),
+    (_DUMP.replace("4 2", "4"), "line 2: expected '<#points> <#elements>'"),
+    (_DUMP.replace("4 2", "4 0"), "line 2: a mesh needs at least 3 points and 1 element"),
+    (_DUMP.replace("4 2", "4 3"), "line 9: expected 'v0 v1 v2 generation', got '0 2 initial'"),
+    (_DUMP.replace("4 2", "5 2"), "line 7: expected 't x', got '0 3 1 0'"),
+    (_DUMP[:_DUMP.index("0 3 1 0")], "line 7: expected 'v0 v1 v2 generation', got the end of the file"),
+    (_DUMP.replace("1.0 1.0", "1.0 x"), "line 6: expected 't x', got '1.0 x'"),
+    (_DUMP.replace("0 3 1 0", "0 99 1 0"), "line 7: vertex index out of range 0..3"),
+    (_DUMP.replace("3 0 2 0", "3 -1 2 0"), "line 8: vertex index out of range 0..3"),
+    (_DUMP.replace("0 2 initial", "-1 2 initial"), "line 9: element index -1 out of range 0..1"),
+    (_DUMP.replace("0 2 initial", "0 3 initial"), "line 9: local edge 3 outside 0..2"),
+    (_DUMP.replace("0 2 initial", "0 2 sideways"), "line 9: unknown tag 'sideways'"),
+    (_DUMP.replace("0 2 initial", "0 2"), "line 9: expected 'elem edge tag', got '0 2'"),
+], ids=["empty", "header", "count-line", "no-elements", "element-count", "point-count", "truncated", "bad-point",
+        "vertex-99", "vertex-negative", "facet-element-negative", "local-edge", "unknown-tag", "short-facet"])
+def test_read_mesh_rejects_malformed_dump(tmp_path, text, message):
+    """Every malformed dump raises ValueError naming the line, instead of an
+    IndexError or KeyError, or a silently wrong mesh."""
+    path = tmp_path / "mesh.txt"
+    path.write_text(_DUMP)
+    assert read_mesh(path).edge_tags[0, 2] == FacetTag.INITIAL  # the unbroken dump reads
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_mesh(path)
