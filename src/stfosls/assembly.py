@@ -245,9 +245,9 @@ def _global_dofs(dofmap: DofMap) -> np.ndarray:
 
 
 def _local_coeffs(dofmap: DofMap, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of the local basis, (nloc_total, ne); constrained u1 dofs are zero."""
-    dofs = _global_dofs(dofmap)
-    return np.where(dofs >= 0, coeffs[dofs], 0.0)
+    """Coefficients of the local basis, (nloc_total, ne); constrained u1 dofs
+    (global dof -1) read the zero appended to ``coeffs``."""
+    return np.append(coeffs, 0.0)[_global_dofs(dofmap)]
 
 
 def _gram(images: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import DiscreteSolution, LevelData, element_fields, field_images
+from .assembly import DiscreteSolution, LevelData, _local_coeffs, element_fields, field_images
 from .mesh import Mesh
 from .problem import ExactFields, sample
 
@@ -68,9 +68,9 @@ class ErrorReport:
 
 def _initial_trace(solution: DiscreteSolution, level: LevelData) -> np.ndarray:
     """u1 of the solution at the points of every initial facet, (nf, nq_e)."""
-    dofs = solution.dofmap.cell_dofs_u1[level.facet_elements]
-    local = np.where(dofs >= 0, solution.coeffs[dofs], 0.0)
-    return np.einsum("fqa,fa->fq", level.facet_basis, local)
+    nloc = level.values.shape[0]
+    local = _local_coeffs(solution.dofmap, solution.coeffs)[:nloc, level.facet_elements]
+    return np.einsum("fqa,af->fq", level.facet_basis, local)
 
 
 def compute_indicators(

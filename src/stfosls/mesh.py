@@ -35,7 +35,6 @@ __all__ = [
     "initial_facet_list",
     "is_conforming",
     "write_mesh",
-    "read_mesh",
 ]
 
 
@@ -53,7 +52,6 @@ _TAG_NAMES = {
     FacetTag.INITIAL: "initial",
     FacetTag.FINAL: "final",
 }
-_NAME_TAGS = {name: tag for tag, name in _TAG_NAMES.items()}
 
 
 @dataclass(frozen=True)
@@ -310,61 +308,3 @@ def write_mesh(mesh: Mesh, path) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def read_mesh(path) -> Mesh:
-    """Read a mesh written by :func:`write_mesh`.
-
-    A malformed dump raises ValueError naming its line: a bad header or
-    count line, fewer lines than the counts, a vertex or element index out
-    of range, a local edge outside 0..2, or an unknown tag.
-    """
-    with open(path) as fh:
-        lines = [(n, line.split()) for n, line in enumerate(fh, start=1) if line.strip()]
-    end = (lines[-1][0] + 1 if lines else 1, [])
-
-    def row(k, kinds, expected):
-        """The tokens of non-blank line k converted by ``kinds``; ValueError
-        naming the line when their number or a conversion is wrong."""
-        lineno, tokens = lines[k] if k < len(lines) else end
-        try:
-            if len(tokens) == len(kinds):
-                return [kind(tok) for kind, tok in zip(kinds, tokens)]
-        except ValueError:
-            pass
-        got = repr(" ".join(tokens)) if tokens else "the end of the file"
-        raise ValueError(f"line {lineno}: expected {expected}, got {got}")
-
-    lineno, header = lines[0] if lines else end
-    if header != ["spacetime-mesh", "v1"]:
-        raise ValueError(f"line {lineno}: expected the header 'spacetime-mesh v1', got {' '.join(header)!r}")
-    n_points, n_elements = row(1, (int, int), "'<#points> <#elements>'")
-    if n_points < 3 or n_elements < 1:
-        raise ValueError(f"line {lines[1][0]}: a mesh needs at least 3 points and 1 element")
-    points = np.array([row(2 + i, (float, float), "'t x'") for i in range(n_points)])
-    rows = [row(2 + n_points + k, (int,) * 4, "'v0 v1 v2 generation'") for k in range(n_elements)]
-    for k, r in enumerate(rows):
-        if not all(0 <= v < n_points for v in r[:3]):
-            raise ValueError(f"line {lines[2 + n_points + k][0]}: vertex index out of range 0..{n_points - 1}")
-    elements = np.array([r[:3] for r in rows], dtype=np.int64)
-    generation = np.array([r[3] for r in rows], dtype=np.int64)
-    edge_tags = np.zeros((n_elements, 3), dtype=np.int64)
-    for k in range(2 + n_points + n_elements, len(lines)):
-        e, loc, name = row(k, (int, int, str), "'elem edge tag'")
-        where = f"line {lines[k][0]}"
-        if not 0 <= e < n_elements:
-            raise ValueError(f"{where}: element index {e} out of range 0..{n_elements - 1}")
-        if not 0 <= loc <= 2:
-            raise ValueError(f"{where}: local edge {loc} outside 0..2")
-        if name not in _NAME_TAGS:
-            raise ValueError(f"{where}: unknown tag {name!r}; known: {', '.join(_NAME_TAGS)}")
-        edge_tags[e, loc] = int(_NAME_TAGS[name])
-    return Mesh(
-        points=points,
-        elements=elements,
-        generation=generation,
-        edge_tags=edge_tags,
-        t_end=float(points[:, 0].max()),
-        x_lo=float(points[:, 1].min()),
-        x_hi=float(points[:, 1].max()),
-        refined_from=np.arange(n_elements, dtype=np.int64),
-    )

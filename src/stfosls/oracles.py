@@ -149,7 +149,7 @@ def evaluate_field(coeffs: np.ndarray, dofmap: DofMap, mesh: Mesh, k: int, point
     _, inv_t, _ = affine_map(mesh, k)
 
     if field == 0:
-        dofs = dofmap.cell_dofs_u1[k]
+        dofs = dofmap.free_index[dofmap.cell_nodes[k]]
         local = np.where(dofs >= 0, coeffs[np.maximum(dofs, 0)], 0.0)
     else:
         local = coeffs[dofmap.u2_offset(field - 1) + dofmap.cell_nodes[k]]
@@ -298,7 +298,7 @@ def _edge_geometry(mesh: Mesh, e: int, loc: int, s: np.ndarray):
 
 def _supports(dofmap: DofMap):
     """Elements whose cell dofs contain each global dof, by direct scan."""
-    cells = np.hstack([dofmap.cell_dofs_u1]
+    cells = np.hstack([dofmap.free_index[dofmap.cell_nodes]]
                       + [dofmap.u2_offset(c) + dofmap.cell_nodes for c in range(dofmap.n_u2_components)])
     return [np.flatnonzero((cells == j).any(axis=1)) for j in range(dofmap.n_dofs)]
 

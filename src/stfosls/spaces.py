@@ -43,11 +43,6 @@ class ReferenceElement:
     """
 
     degree: int
-    nodes: np.ndarray  # (n_local, 2) reference coordinates
-
-    @property
-    def n_local(self) -> int:
-        return self.nodes.shape[0]
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -91,14 +86,9 @@ class ReferenceElement:
 
 def build_reference(p: int) -> ReferenceElement:
     """Nodal basis of degree ``p`` on the reference triangle."""
-    if p == 1:
-        nodes = _REF_VERTICES.copy()
-    elif p == 2:
-        mids = 0.5 * (_REF_VERTICES + np.roll(_REF_VERTICES, -1, axis=0))
-        nodes = np.vstack([_REF_VERTICES, mids])
-    else:
+    if p not in (1, 2):
         raise ValueError(f"unsupported polynomial degree {p}; only 1 and 2 are available")
-    return ReferenceElement(degree=p, nodes=nodes)
+    return ReferenceElement(degree=p)
 
 
 @dataclass(frozen=True)
@@ -196,10 +186,6 @@ class DofMap:
     @property
     def n_dofs(self) -> int:
         return self.n_u1 + self.n_u2_components * self.n_scalar
-
-    @property
-    def cell_dofs_u1(self) -> np.ndarray:
-        return self.free_index[self.cell_nodes]
 
     def u2_offset(self, comp: int) -> int:
         return self.n_u1 + comp * self.n_scalar

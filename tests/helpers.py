@@ -1,8 +1,26 @@
-"""Mesh, interpolation and error-report helpers that only the tests use."""
+"""Mesh, dump, interpolation and error-report helpers that only the tests use."""
+
+from pathlib import Path
 
 import numpy as np
 
-from stfosls.mesh import FacetTag, _edge_incidence, _side_tags
+from stfosls.mesh import FacetTag, Mesh, _edge_incidence, _side_tags
+
+_DUMP_TAGS = {"lateral": FacetTag.LATERAL_DIRICHLET, "initial": FacetTag.INITIAL, "final": FacetTag.FINAL}
+
+
+def read_mesh_dump(path) -> Mesh:
+    """The mesh in a ``spacetime-mesh v1`` dump that ``write_mesh`` wrote, unvalidated."""
+    rows = [line.split() for line in Path(path).read_text().splitlines()[1:]]
+    n_points, n_elements = map(int, rows[0])
+    points = np.array(rows[1:1 + n_points], dtype=float)
+    cells = np.array(rows[1 + n_points:1 + n_points + n_elements], dtype=np.int64)
+    edge_tags = np.zeros((n_elements, 3), dtype=np.int64)
+    for e, loc, name in rows[1 + n_points + n_elements:]:
+        edge_tags[int(e), int(loc)] = _DUMP_TAGS[name]
+    return Mesh(points, cells[:, :3], cells[:, 3], edge_tags, t_end=float(points[:, 0].max()),
+                x_lo=float(points[:, 1].min()), x_hi=float(points[:, 1].max()),
+                refined_from=np.arange(n_elements))
 
 
 def boundary_tags_consistent(mesh) -> bool:

@@ -1,23 +1,27 @@
 """Every function that a production module exports has a caller in the
-program, and every dataclass field a reader.
+program, every method a caller and every dataclass field a reader.
 
 A function listed in the ``__all__`` of a module under ``src/stfosls`` (the
 oracles excepted: they are the tests' reference) must be read, as a name or
 an attribute, somewhere in ``src/`` or ``demos/`` outside its own
-definition.  A field of a dataclass defined in such a module must be read
-as an attribute there.  Imports and ``__all__`` entries do not count, and
-neither do the oracles or the tests.
+definition.  A method or property of a class defined in such a module
+(dunders excepted) must be read as an attribute there, outside its own
+definition, and a field of a dataclass defined there must be read as an
+attribute.  Imports and ``__all__`` entries do not count, and neither do
+the oracles or the tests.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "stfosls"
 # Exported functions without a caller in the program, each with its reason.
-ALLOWED = {
-    "read_mesh": "reads the documented mesh dump format that write_mesh writes",
-}
+ALLOWED = {}
+# Methods and properties (``Class.method``) without a caller in the program,
+# each with its reason.
+ALLOWED_METHODS = {}
 # Dataclass fields without a reader in the program, each with its reason.
 ALLOWED_FIELDS = {
     **{f"ErrorReport.{part}": "a documented contribution of the error report"
@@ -30,6 +34,13 @@ ALLOWED_FIELDS = {
 
 def _production_modules():
     return [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "oracles.py"]
+
+
+def _program_trees():
+    """Parsed production modules by path, and the parsed demos."""
+    modules = {path: ast.parse(path.read_text()) for path in _production_modules()}
+    demos = [ast.parse(path.read_text()) for path in sorted((ROOT / "demos").glob("*.py"))]
+    return modules, demos
 
 
 def _exported_functions(tree):
@@ -55,8 +66,7 @@ def _references(tree):
 
 
 def test_every_exported_function_has_a_caller():
-    modules = {path: ast.parse(path.read_text()) for path in _production_modules()}
-    demos = [ast.parse(path.read_text()) for path in sorted((ROOT / "demos").glob("*.py"))]
+    modules, demos = _program_trees()
     references = [ref for tree in list(modules.values()) + demos for ref in _references(tree)]
     exported = [(path, d) for path, tree in modules.items() for d in _exported_functions(tree)]
     assert set(ALLOWED) <= {d.name for _, d in exported}  # the allowlist cannot outlive what it excuses
@@ -67,6 +77,29 @@ def test_every_exported_function_has_a_caller():
         and not any(name == definition.name and top is not definition for name, top in references)
     ]
     assert not uncalled, f"exported but never called in src/ or demos/: {uncalled}"
+
+
+def test_every_method_has_a_caller():
+    modules, demos = _program_trees()
+    reads = [node for tree in list(modules.values()) + demos
+             for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+
+    def called(name, definition):
+        own = {id(node) for node in ast.walk(definition)}
+        return any(node.attr == name and id(node) not in own for node in reads)
+
+    uncalled = {
+        f"{node.name}.{method.name}"
+        for tree in modules.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, ast.FunctionDef) and not re.fullmatch(r"__\w+__", method.name)
+        and not called(method.name, method)
+    }
+    assert set(ALLOWED_METHODS) <= uncalled  # the allowlist cannot outlive what it excuses
+    assert not uncalled - set(ALLOWED_METHODS), \
+        f"methods never called in src/ or demos/: {sorted(uncalled - set(ALLOWED_METHODS))}"
 
 
 def _dataclass_fields(tree):
@@ -86,8 +119,8 @@ def _dataclass_fields(tree):
 
 
 def test_every_dataclass_field_is_read():
-    trees = [ast.parse(path.read_text()) for path in _production_modules()]
-    demos = [ast.parse(path.read_text()) for path in sorted((ROOT / "demos").glob("*.py"))]
+    modules, demos = _program_trees()
+    trees = list(modules.values())
     read = {
         node.attr
         for tree in trees + demos

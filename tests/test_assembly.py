@@ -132,7 +132,7 @@ def test_table_written_in_place_matches_pointwise_images(name, p):
 
 def _table_nbytes(mesh, dofmap, system):
     """Bytes of the level's whole image table, (nloc_total, n_int, nq, ne) floats."""
-    nloc_total = build_reference(dofmap.degree).n_local * (1 + system.n_flux)
+    nloc_total = dofmap.cell_nodes.shape[1] * (1 + system.n_flux)
     nq = level_rules(dofmap.degree)[0].weights.size
     return 8 * nloc_total * system.n_interior * nq * mesh.n_elements
 

@@ -8,7 +8,7 @@ import pytest
 
 from stfosls.cli import ConfigError, main, parse_config
 from stfosls.driver import StopCriteria
-from stfosls.mesh import read_mesh
+from helpers import read_mesh_dump
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -75,7 +75,7 @@ def test_run_uniform_heat(tmp_path):
     assert len(lines) == 1 + 3
     summary = (out / "summary.txt").read_text()
     assert "reason = levels" in summary
-    mesh = read_mesh(out / "mesh_final.txt")
+    mesh = read_mesh_dump(out / "mesh_final.txt")
     assert mesh.n_elements == 128
 
 
@@ -248,6 +248,20 @@ def test_thin_domain_uniform_run_exits_0(tmp_path):
     rows = (tmp_path / "o" / "runlog.csv").read_text().splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == ["12", "40", "144", "544", "2112"]
     assert all(row.split(",")[-1] == "1" for row in rows)
+
+
+@pytest.mark.parametrize("t_end,code", [("1e-20", 3), ("1e-300", 3), ("1e-15", 0)])
+def test_tiny_t_end_exit_code(tmp_path, capsys, t_end, code):
+    """A tiny normal t_end passes the config checks.  At 1e-20 the
+    Jacobi-scaled level-0 matrix has eigenvalues from about 4e-16 to 3.4,
+    so SuperLU finds it singular at level 0 (exit 3), long before
+    refinement could make J^-T overflow; 1e-15 still runs (exit 0)."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"t_end = {t_end}\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == code
+    if code == 3:
+        assert "error: solver failure: level solve on 12 dofs failed: Factor is exactly singular" \
+            in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error")
