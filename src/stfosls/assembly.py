@@ -233,21 +233,11 @@ def level_data(mesh: Mesh, dofmap: DofMap, system) -> LevelData:
     return level
 
 
-def _global_dofs(dofmap: DofMap) -> np.ndarray:
-    """Global dofs of the local basis in field blocks, (nloc_total, ne), -1
-    for constrained u1.  int32, scipy's own index type below 2^31 dofs, so
-    the scatter neither doubles its index arrays nor has scipy copy them."""
-    nodes = dofmap.cell_nodes.T
-    blocks = [dofmap.free_index[nodes]]
-    for comp in range(dofmap.n_u2_components):
-        blocks.append(dofmap.u2_offset(comp) + nodes)
-    return np.concatenate(blocks, dtype=np.int32)
-
-
-def _local_coeffs(dofmap: DofMap, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of the local basis, (nloc_total, ne); constrained u1 dofs
-    (global dof -1) read the zero appended to ``coeffs``."""
-    return np.append(coeffs, 0.0)[_global_dofs(dofmap)]
+def _local_coeffs(coeffs: np.ndarray, dofs: np.ndarray) -> np.ndarray:
+    """Coefficients of the local functions with global ``dofs`` (columns of
+    ``DofMap.cell_dofs``); a constrained u1 dof (global dof -1) reads the
+    zero appended to ``coeffs``."""
+    return np.append(coeffs, 0.0)[dofs]
 
 
 def _gram(images: np.ndarray) -> np.ndarray:
@@ -267,9 +257,9 @@ def _gram(images: np.ndarray) -> np.ndarray:
 def assemble(mesh: Mesh, dofmap: DofMap, system) -> SparseSystem:
     """Matrix, load and level data of the least-squares Galerkin equation."""
     level = level_data(mesh, dofmap, system)
-    n, ne = dofmap.n_dofs, level.det.size
+    dofs, n = dofmap.cell_dofs, dofmap.n_dofs
+    nloc_total, ne = dofs.shape
     nloc = level.values.shape[0]
-    nloc_total = nloc * (1 + system.n_flux)
     rows, cols = np.triu_indices(nloc_total)
     upper = np.empty((rows.size, ne))
     loads = np.empty((ne, nloc_total))
@@ -285,15 +275,14 @@ def assemble(mesh: Mesh, dofmap: DofMap, system) -> SparseSystem:
     upper[rows == cols] *= 0.5  # H + H^T counts the diagonal twice
     np.add.at(loads[:, :nloc], elems, np.einsum("aqf,qf->fa", facet_images, level.facet_data))
 
-    gdofs = _global_dofs(dofmap)
-    free = gdofs.T >= 0
+    free = dofs.T >= 0
     rhs = np.zeros(n)
-    np.add.at(rhs, gdofs.T[free], loads[free])
+    np.add.at(rhs, dofs.T[free], loads[free])
     del loads, free
-    keep = (gdofs >= 0)[rows] & (gdofs >= 0)[cols]
+    keep = (dofs >= 0)[rows] & (dofs >= 0)[cols]
     values = upper[keep]
     del upper  # each transient is freed as soon as it is used
-    gi, gj = gdofs[rows][keep], gdofs[cols][keep]
+    gi, gj = dofs[rows][keep], dofs[cols][keep]
     del keep
     half = sp.csr_matrix((values, (gi, gj)), shape=(n, n))
     del values, gi, gj
@@ -397,7 +386,7 @@ def element_fields(solution: DiscreteSolution, level: LevelData):
     :func:`field_images`, u1 first, element axis last.
     """
     nloc, ne = level.values.shape[0], level.inv_t.shape[-1]
-    local = _local_coeffs(solution.dofmap, solution.coeffs).reshape(-1, nloc, ne)
+    local = _local_coeffs(solution.coeffs, solution.dofmap.cell_dofs).reshape(-1, nloc, ne)
     for block in _blocks(ne):
         coeffs = local[..., block]
         values = level.values.T @ coeffs

@@ -28,7 +28,7 @@ from .driver import (
 from .marking import MarkingConfig, MarkStrategy
 from .mesh import uniform_initial_mesh, write_mesh
 from .problem import BUILTIN_CASES, ConvectionForm, exact_error_data, make_problem
-from .spaces import affine_maps
+from .spaces import DegenerateElementError, affine_maps
 from .system import parabolic_system, poisson_sine_case
 
 __all__ = ["RunConfig", "parse_config", "cmd_run", "cmd_verify", "main", "entry"]
@@ -214,17 +214,23 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
+def _degenerate(config: RunConfig, which: str, exc: DegenerateElementError) -> ConfigError:
+    """The config error of a mesh whose elements are degenerate in floating
+    point, naming the extent with the smaller initial cell side."""
+    width = config.x_hi - config.x_lo
+    key, value = ("t_end", config.t_end) if config.t_end / config.nt <= width / config.nx \
+        else ("x_hi - x_lo", width)
+    return ConfigError(f"{key} = {value!r} gives a degenerate {which} mesh: {exc}")
+
+
 def _build_run(config: RunConfig):
     """Initial mesh, system and exact fields of a parsed config; a config
     whose initial elements are degenerate in floating point is invalid."""
     mesh0 = uniform_initial_mesh(config.t_end, (config.x_lo, config.x_hi), config.nt, config.nx)
     try:
         affine_maps(mesh0)
-    except ValueError as exc:  # e.g. a positive but denormal t_end
-        width = config.x_hi - config.x_lo
-        key, value = ("t_end", config.t_end) if config.t_end / config.nt <= width / config.nx \
-            else ("x_hi - x_lo", width)
-        raise ConfigError(f"{key} = {value!r} gives a degenerate initial mesh: {exc}") from exc
+    except DegenerateElementError as exc:  # e.g. a positive but denormal t_end
+        raise _degenerate(config, "initial", exc) from exc
     if config.system == "poisson":
         system, exact = poisson_sine_case()
     else:
@@ -252,6 +258,9 @@ def cmd_run(config_path, out_dir=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         log = run(system, mesh0, config.degree, config.stop, marking=config.marking, exact=exact)
+    except DegenerateElementError as exc:  # refinement made an element degenerate
+        print(f"error: invalid config: {_degenerate(config, 'refined', exc)}", file=sys.stderr)
+        return 2
     except SolverFailure as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return 3

@@ -69,7 +69,7 @@ class ErrorReport:
 def _initial_trace(solution: DiscreteSolution, level: LevelData) -> np.ndarray:
     """u1 of the solution at the points of every initial facet, (nf, nq_e)."""
     nloc = level.values.shape[0]
-    local = _local_coeffs(solution.dofmap, solution.coeffs)[:nloc, level.facet_elements]
+    local = _local_coeffs(solution.coeffs, solution.dofmap.cell_dofs[:nloc, level.facet_elements])
     return np.einsum("fqa,af->fq", level.facet_basis, local)
 
 

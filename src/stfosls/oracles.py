@@ -148,11 +148,9 @@ def evaluate_field(coeffs: np.ndarray, dofmap: DofMap, mesh: Mesh, k: int, point
     grads = ref.gradients(pts)
     _, inv_t, _ = affine_map(mesh, k)
 
-    if field == 0:
-        dofs = dofmap.free_index[dofmap.cell_nodes[k]]
-        local = np.where(dofs >= 0, coeffs[np.maximum(dofs, 0)], 0.0)
-    else:
-        local = coeffs[dofmap.u2_offset(field - 1) + dofmap.cell_nodes[k]]
+    nloc = vals.shape[1]
+    dofs = dofmap.cell_dofs[field * nloc:(field + 1) * nloc, k]
+    local = np.where(dofs >= 0, coeffs[np.maximum(dofs, 0)], 0.0)
 
     value = vals @ local
     grad_ref = np.einsum("qia,i->qa", grads, local)
@@ -298,9 +296,7 @@ def _edge_geometry(mesh: Mesh, e: int, loc: int, s: np.ndarray):
 
 def _supports(dofmap: DofMap):
     """Elements whose cell dofs contain each global dof, by direct scan."""
-    cells = np.hstack([dofmap.free_index[dofmap.cell_nodes]]
-                      + [dofmap.u2_offset(c) + dofmap.cell_nodes for c in range(dofmap.n_u2_components)])
-    return [np.flatnonzero((cells == j).any(axis=1)) for j in range(dofmap.n_dofs)]
+    return [np.flatnonzero((dofmap.cell_dofs == j).any(axis=0)) for j in range(dofmap.n_dofs)]
 
 
 def _basis_images(mesh: Mesh, dofmap: DofMap, system, quad, equad):
@@ -317,7 +313,7 @@ def _basis_images(mesh: Mesh, dofmap: DofMap, system, quad, equad):
     refpts = quad.reference_points()
     nq = refpts.shape[0]
     n_int = system.n_interior
-    nc = dofmap.n_u2_components
+    nc = system.n_flux
     supports = _supports(dofmap)
 
     pts = np.empty((ne, nq, 2))
@@ -543,7 +539,7 @@ class _DiscreteImageSystem:
     def _image_at(self, t, x):
         e, ref = locate_point(self._mesh, t, x)
         u1v, u1g = evaluate_field(self._coeffs, self._dofmap, self._mesh, e, ref, field=0)
-        nc = self._dofmap.n_u2_components
+        nc = self.n_flux
         u2v = np.empty(nc)
         u2g = np.empty((nc, 2))
         for comp in range(nc):
@@ -584,7 +580,7 @@ def residual_norm_sweep(mesh: Mesh, solution, system) -> float:
     dofmap = solution.dofmap
     quad, equad = level_rules(dofmap.degree)
     refpts = quad.reference_points()
-    nc = dofmap.n_u2_components
+    nc = system.n_flux
 
     acc = 0.0
     for e in range(mesh.n_elements):

@@ -21,6 +21,7 @@ __all__ = [
     "QuadratureRule",
     "EdgeQuadratureRule",
     "DofMap",
+    "DegenerateElementError",
     "build_reference",
     "build_quadrature",
     "build_edge_quadrature",
@@ -172,36 +173,26 @@ class DofMap:
     midpoints for p = 2), which enforces global continuity.  Field u1 drops
     the nodes sitting on constrained facets; the free u1 dofs come first in
     the global vector, followed by the u2 components one block at a time.
+
+    ``cell_dofs[f * nloc + a, K]`` is the global dof of local function a of
+    field f (u1 first) on element K, -1 for a constrained u1 dof.  It is
+    int32, scipy's own index type below 2^31 dofs, so the scatter of
+    assembly neither doubles its index arrays nor has scipy copy them.
     """
 
     degree: int
-    n_scalar: int
     node_coords: np.ndarray  # (n_scalar, 2)
-    cell_nodes: np.ndarray  # (n_elements, n_local) scalar node ids
-    free_index: np.ndarray  # (n_scalar,) free u1 dof id or -1
     constrained_nodes: np.ndarray  # sorted scalar node ids removed from u1
-    n_u1: int
-    n_u2_components: int
-
-    @property
-    def n_dofs(self) -> int:
-        return self.n_u1 + self.n_u2_components * self.n_scalar
-
-    def u2_offset(self, comp: int) -> int:
-        return self.n_u1 + comp * self.n_scalar
+    cell_dofs: np.ndarray  # (nloc * (1 + n_u2_components), ne) int32
+    n_dofs: int
 
 
-def build_dofmap(
-    mesh: Mesh,
-    p: int,
-    n_u2_components: int = 1,
-    dirichlet_tags=None,
-) -> DofMap:
+def build_dofmap(mesh: Mesh, p: int, n_u2_components: int, dirichlet_tags) -> DofMap:
     """Construct the dof map for degree ``p`` on ``mesh``.
 
     Field u1 drops the nodes lying on facets whose tag is in
-    ``dirichlet_tags``: LateralDirichlet when it is None, nothing for an
-    empty set, the whole boundary for the stationary instance.
+    ``dirichlet_tags``: nothing for an empty set, the whole boundary for the
+    stationary instance.
     """
     if p not in (1, 2):
         raise ValueError(f"unsupported polynomial degree {p}; only 1 and 2 are available")
@@ -210,7 +201,6 @@ def build_dofmap(
 
     if p == 1:  # the mesh's own arrays: nothing writes to either
         cell_nodes = elements
-        n_scalar = n_vertices
         node_coords = mesh.points
     else:
         # Edge nodes are numbered after the vertices, in order of first appearance.
@@ -220,15 +210,12 @@ def build_dofmap(
         rank = np.empty_like(first)
         rank[np.argsort(first)] = np.arange(first.size)
         cell_nodes = np.hstack([elements, n_vertices + rank[inverse].reshape(-1, 3)])
-        n_scalar = n_vertices + first.size
         e, loc = np.divmod(np.sort(first), 3)
         midpoints = 0.5 * (mesh.points[elements[e, loc]] + mesh.points[elements[e, (loc + 1) % 3]])
         node_coords = np.vstack([mesh.points, midpoints])
+    n_scalar = node_coords.shape[0]
 
-    if dirichlet_tags is None:
-        dirichlet_tags = (FacetTag.LATERAL_DIRICHLET,)
     tags = [int(FacetTag(int(t))) for t in dirichlet_tags]
-
     elems, locs = np.nonzero(np.isin(mesh.edge_tags, tags))
     ends = [elements[elems, locs], elements[elems, (locs + 1) % 3]]
     if p == 2:
@@ -238,36 +225,41 @@ def build_dofmap(
     is_free = np.ones(n_scalar, dtype=bool)
     is_free[constrained] = False
     free_index = np.where(is_free, np.cumsum(is_free) - 1, -1)
+    n_u1 = n_scalar - constrained.size
+    nodes = cell_nodes.T
+    u2_blocks = [n_u1 + comp * n_scalar + nodes for comp in range(n_u2_components)]
 
     return DofMap(
         degree=p,
-        n_scalar=n_scalar,
         node_coords=node_coords,
-        cell_nodes=cell_nodes,
-        free_index=free_index,
         constrained_nodes=constrained,
-        n_u1=int(n_scalar - constrained.size),
-        n_u2_components=int(n_u2_components),
+        cell_dofs=np.concatenate([free_index[nodes]] + u2_blocks, dtype=np.int32),
+        n_dofs=int(n_u1 + n_u2_components * n_scalar),
     )
+
+
+class DegenerateElementError(ValueError):
+    """An element whose reference map is degenerate, inverted or not
+    finitely invertible in floating point."""
 
 
 def affine_maps(mesh: Mesh):
     """Reference maps F(xi) = P0 + J xi of all elements, J = [P1 - P0 | P2 - P0]
     (det J is twice the element area), element axis last: vertex coordinates
     (2, 3, ne), J^{-T} (2, 2, ne) and det J (ne,).  Physical gradients are
-    J^{-T} times reference gradients.  Raises ValueError on the first
-    degenerate or inverted element, and on the first whose J^{-T} is not
-    finite: a positive but denormal det J makes the division overflow."""
+    J^{-T} times reference gradients.  Raises DegenerateElementError on the
+    first degenerate or inverted element, and on the first whose J^{-T} is
+    not finite: a positive but denormal det J makes the division overflow."""
     coords = mesh.points.T[:, mesh.elements.T]
     (a0, a1), (b0, b1) = coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]
     det = a0 * b1 - b0 * a1
     if not np.all(det > 0.0):
         k = int(np.flatnonzero(~(det > 0.0))[0])
-        raise ValueError(f"element {k} is degenerate or inverted (det={det[k]})")
+        raise DegenerateElementError(f"element {k} is degenerate or inverted (det={det[k]})")
     with np.errstate(over="ignore", invalid="ignore"):
         inv_t = np.array([[b1, -a1], [-b0, a0]]) / det
     finite = np.isfinite(inv_t).all(axis=(0, 1))
     if not finite.all():
         k = int(np.flatnonzero(~finite)[0])
-        raise ValueError(f"element {k} is degenerate: J^-T is not finite (det={det[k]})")
+        raise DegenerateElementError(f"element {k} is degenerate: J^-T is not finite (det={det[k]})")
     return coords, inv_t, det

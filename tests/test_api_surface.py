@@ -1,5 +1,6 @@
 """Every function that a production module exports has a caller in the
-program, every method a caller and every dataclass field a reader.
+program, every method a caller, every dataclass field a reader and every
+parameter of a module-level function a read in its body.
 
 A function listed in the ``__all__`` of a module under ``src/stfosls`` (the
 oracles excepted: they are the tests' reference) must be read, as a name or
@@ -8,7 +9,9 @@ definition.  A method or property of a class defined in such a module
 (dunders excepted) must be read as an attribute there, outside its own
 definition, and a field of a dataclass defined there must be read as an
 attribute.  Imports and ``__all__`` entries do not count, and neither do
-the oracles or the tests.
+the oracles or the tests.  Methods are exempt from the parameter check:
+the systems' methods implement one protocol, whose parameters not every
+system reads.
 """
 
 import ast
@@ -29,6 +32,11 @@ ALLOWED_FIELDS = {
     "Mesh.refined_from": "bisect's documented order contract, which the tests check",
     "DofMap.node_coords": "the lifting of inhomogeneous Dirichlet data will read it",
     "DofMap.constrained_nodes": "the lifting of inhomogeneous Dirichlet data will read it",
+}
+# Parameters (``module.function.parameter``) that the function's body never
+# reads, each with its reason.
+ALLOWED_PARAMS = {
+    "estimator.compute_indicators.mesh": "perfbench/tracer.py reads it positionally",
 }
 
 
@@ -133,3 +141,22 @@ def test_every_dataclass_field_is_read():
     assert set(ALLOWED_FIELDS) <= unread
     assert not unread - set(ALLOWED_FIELDS), \
         f"dataclass fields never read in src/ or demos/: {sorted(unread - set(ALLOWED_FIELDS))}"
+
+
+def test_every_parameter_is_read():
+    modules, _ = _program_trees()
+    unread = set()
+    for path, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread |= {f"{path.stem}.{node.name}.{a.arg}" for a in params if a.arg not in loaded}
+    # the allowlist cannot outlive what it excuses: a parameter that gains a read leaves it
+    assert set(ALLOWED_PARAMS) <= unread
+    assert not unread - set(ALLOWED_PARAMS), \
+        f"parameters never read in their function: {sorted(unread - set(ALLOWED_PARAMS))}"

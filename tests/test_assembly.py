@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from stfosls import assembly, oracles
 from stfosls.assembly import (
     DiscreteSolution,
-    _global_dofs,
     _initial_facet_tables,
     _residual_tables,
     assemble,
@@ -17,7 +17,7 @@ from stfosls.assembly import (
     solve_cg,
 )
 from stfosls.driver import StopCriteria, run
-from stfosls.estimator import compute_indicators
+from stfosls.estimator import compute_indicators, u_norm_error
 from stfosls.marking import MarkingConfig, MarkStrategy
 from stfosls.mesh import bisect, uniform_initial_mesh
 from stfosls.problem import (
@@ -25,6 +25,7 @@ from stfosls.problem import (
     ConvectionForm,
     ParabolicProblem,
     ProblemData,
+    exact_error_data,
     make_problem,
 )
 from stfosls.spaces import (
@@ -83,7 +84,8 @@ def test_matrix_exactly_symmetric():
              (("heat-smooth", 1), ("convection-reaction", 2), ("poisson", 1), ("poisson", 2))]
     mesh, system = _graded_incompatible(18)
     assert mesh.n_elements >= 1000
-    cases.append((mesh, build_dofmap(mesh, 1, dirichlet_tags=system.dirichlet_tags), system))
+    dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+    cases.append((mesh, dofmap, system))
     for mesh, dofmap, system in cases:
         matrix = assemble(mesh, dofmap, system).matrix
         diff = (matrix - matrix.T).tocoo()
@@ -132,7 +134,7 @@ def test_table_written_in_place_matches_pointwise_images(name, p):
 
 def _table_nbytes(mesh, dofmap, system):
     """Bytes of the level's whole image table, (nloc_total, n_int, nq, ne) floats."""
-    nloc_total = dofmap.cell_nodes.shape[1] * (1 + system.n_flux)
+    nloc_total = dofmap.cell_dofs.shape[0]
     nq = level_rules(dofmap.degree)[0].weights.size
     return 8 * nloc_total * system.n_interior * nq * mesh.n_elements
 
@@ -152,7 +154,7 @@ def test_assemble_traced_peak_bounded_by_table(monkeypatch):
     traced peak less the arrays it returns) stays below one whole table:
     the images are built, contracted and freed block by block."""
     mesh, system = _graded_incompatible(18)
-    dofmap = build_dofmap(mesh, 1, dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     table = _table_nbytes(mesh, dofmap, system)
     _, peak = _traced_peak(assemble, mesh, dofmap, system)
     assert peak <= 3.0 * table
@@ -174,13 +176,48 @@ def _solved_level(mesh, dofmap, system):
 
 
 @pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("name", ["heat-smooth", "poisson"])
+def test_relabelled_dof_table_permutes_the_level(name, p):
+    """Every consumer reads the one cell dof table: relabelling its dofs
+    with a permutation P gives P b exactly, P A P^T with the same pattern
+    and entries up to the order in which scipy sums an entry's element
+    contributions (its COO->CSR sort is not stable), and the solved level
+    the same indicators and error."""
+    if name == "poisson":
+        system, exact = poisson_sine_case()
+    else:
+        problem, case = make_problem(name)
+        system, exact = parabolic_system(problem), exact_error_data(case)
+    mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 3, 3), [0, 4, 7])
+    dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags)
+    perm = np.random.default_rng(7).permutation(dofmap.n_dofs)  # old dof -> new dof
+    dofs = dofmap.cell_dofs
+    relabelled = dataclasses.replace(dofmap, cell_dofs=np.where(dofs >= 0, perm[dofs], -1).astype(np.int32))
+    sparse, solution = _solved_level(mesh, dofmap, system)
+    sparse_p, solution_p = _solved_level(mesh, relabelled, system)
+    old = np.argsort(perm)  # new dof -> old dof
+    assert np.array_equal(sparse_p.rhs, sparse.rhs[old])
+    assert sparse_p.matrix.nnz == sparse.matrix.nnz
+    permuted = sparse.matrix.toarray()[np.ix_(old, old)]
+    defect = np.abs(sparse_p.matrix.toarray() - permuted).max()
+    assert defect <= 4 * np.finfo(float).eps * np.abs(permuted).max()
+
+    eta, eta_p = (compute_indicators(mesh, s, system, level.level) for s, level in
+                  ((solution, sparse), (solution_p, sparse_p)))
+    assert np.allclose(eta_p.per_element, eta.per_element, rtol=1e-12, atol=0.0)
+    err, err_p = (u_norm_error(s, exact, system, level.level) for s, level in
+                  ((solution, sparse), (solution_p, sparse_p)))
+    assert np.allclose(dataclasses.astuple(err_p), dataclasses.astuple(err), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [1, 2])
 def test_streamed_level_independent_of_block_size(p, monkeypatch):
     """One block, 7-element blocks and the default blocks give the same
     matrix, load and indicators (einsum's vector kernels may round the tail
     of a short block differently, by a few 1e-16), and the matrix stays
     bit-exactly symmetric."""
     mesh, system = _graded_incompatible(18)
-    dofmap = build_dofmap(mesh, p, dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     assert mesh.n_elements > assembly._BLOCK
     reference, solution = _solved_level(mesh, dofmap, system)
     eta = compute_indicators(mesh, solution, system, reference.level).per_element
@@ -215,7 +252,7 @@ def test_indicators_match_table_contraction(name, p):
     sparse, solution = _solved_level(mesh, dofmap, system)
     level = sparse.level
     images = _residual_tables(system, level, slice(None))
-    dofs = _global_dofs(dofmap)
+    dofs = dofmap.cell_dofs
     local = np.where(dofs >= 0, solution.coeffs[dofs], 0.0)
     resid = level.data - np.einsum("arqe,ae->rqe", images, local)
     expected = np.einsum("rqe,rqe->e", resid, resid)
@@ -232,7 +269,7 @@ def test_plus_transpose_matches_coo_route(p, monkeypatch):
     """H + H^T mirrored from H's CSR arrays has the same indptr, indices
     and data as the route through H.tocoo(), exact zeros included."""
     mesh, system = _graded_incompatible(18)
-    dofmap = build_dofmap(mesh, p, dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     halves = []
     plus_transpose = assembly._plus_transpose
     monkeypatch.setattr(assembly, "_plus_transpose", lambda h: plus_transpose(halves.append(h) or h))
@@ -281,8 +318,10 @@ def test_geometry_keeps_element_size_arrays(p, monkeypatch):
     block by block match those of the whole level."""
     mesh, system = _graded_incompatible(10)
     coarse = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    geometry, small = (level_data(m, build_dofmap(m, p, dirichlet_tags=system.dirichlet_tags), system)
-                       for m in (mesh, coarse))
+    geometry, small = (
+        level_data(m, build_dofmap(m, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags), system)
+        for m in (mesh, coarse)
+    )
     ne, nq = mesh.n_elements, level_rules(p)[0].weights.size
     fields = [f for f in geometry.__dataclass_fields__ if not f.startswith("facet_") and f != "data"]
     per_element = [getattr(geometry, f) for f in fields if getattr(geometry, f).shape[-1] == ne]

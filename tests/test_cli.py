@@ -8,6 +8,7 @@ import pytest
 
 from stfosls.cli import ConfigError, main, parse_config
 from stfosls.driver import StopCriteria
+from stfosls.system import InvalidDataError
 from helpers import read_mesh_dump
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -278,6 +279,36 @@ def test_degenerate_initial_mesh_exit_2(tmp_path, capsys, line, key):
     assert f"error: invalid config: {key} gives a degenerate initial mesh" in err
     assert "J^-T is not finite" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_degenerate_refined_mesh_exit_2(tmp_path, capsys):
+    """x_hi = 1e-305 passes the initial-mesh check, but refinement makes an
+    element's J^-T overflow at a later level: invalid input, exit 2 naming
+    the extent, without a traceback and without a run log."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case = incompatible\nx_hi = 1e-305\nmax_iterations = 35\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error: invalid config: x_hi - x_lo = 1e-305 gives a degenerate refined mesh" in err
+    assert "J^-T is not finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "runlog.csv").exists()
+
+
+@pytest.mark.parametrize("error", [ValueError("a bug"), InvalidDataError("bad data")])
+def test_other_value_errors_are_not_config_errors(tmp_path, monkeypatch, error):
+    """Only a degenerate element maps to exit 2; any other ValueError raised
+    during the run propagates."""
+    import stfosls.cli as cli
+
+    def boom(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run", boom)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case = heat-smooth\n")
+    with pytest.raises(type(error)):
+        main(["run", str(cfg), "--out", str(tmp_path / "o")])
 
 
 def test_internal_invariant_exit_4(tmp_path, monkeypatch):

@@ -94,7 +94,7 @@ def test_unrefined_elements_keep_indicators():
     dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     # u1 = 0, u2 = 1 is in the space on every refinement
     coeffs = np.zeros(dofmap.n_dofs)
-    coeffs[dofmap.n_u1:] = 1.0
+    coeffs[dofmap.cell_dofs[3:]] = 1.0  # every u2 dof
     base = compute_indicators(
         mesh, DiscreteSolution(coeffs=coeffs, dofmap=dofmap), system, level_data(mesh, dofmap, system)
     )
@@ -103,7 +103,7 @@ def test_unrefined_elements_keep_indicators():
     refined = bisect(mesh, marks)
     dofmap_r = build_dofmap(refined, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     coeffs_r = np.zeros(dofmap_r.n_dofs)
-    coeffs_r[dofmap_r.n_u1:] = 1.0
+    coeffs_r[dofmap_r.cell_dofs[3:]] = 1.0
     after = compute_indicators(
         refined, DiscreteSolution(coeffs=coeffs_r, dofmap=dofmap_r), system,
         level_data(refined, dofmap_r, system),

@@ -22,6 +22,7 @@ _REFERENCE_NODES = {
     1: [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
     2: [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]],
 }
+_LATERAL = (FacetTag.LATERAL_DIRICHLET,)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -85,25 +86,26 @@ def test_edge_quadrature_exactness(degree):
 
 def test_dofmap_counts_single_cell():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 1, 1)
-    free = build_dofmap(mesh, 1, dirichlet_tags=())
-    assert free.n_scalar == 4
-    constrained = build_dofmap(mesh, 1)
+    free = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=())
+    assert free.node_coords.shape[0] == 4
+    assert free.n_dofs == 8
+    constrained = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=_LATERAL)
     # all four corners sit on the lateral boundary x in {0, 1}
-    assert constrained.n_u1 == 0
+    assert np.all(constrained.cell_dofs[:3] == -1)
     assert constrained.n_dofs == 4
 
 
 def test_dofmap_counts_two_by_two():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    dm = build_dofmap(mesh, 1)
-    assert dm.n_u1 == 3  # the x = 1/2 column
+    dm = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=_LATERAL)
+    assert set(dm.cell_dofs[:3].ravel()) == {-1, 0, 1, 2}  # the x = 1/2 column
     assert dm.n_dofs == 3 + 9
 
 
 def test_constrained_nodes_match_geometry():
     mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), [0, 1, 4])
     for p in (1, 2):
-        dm = build_dofmap(mesh, p)
+        dm = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=_LATERAL)
         on_lateral = np.flatnonzero(
             (dm.node_coords[:, 1] == mesh.x_lo) | (dm.node_coords[:, 1] == mesh.x_hi)
         )
@@ -126,31 +128,38 @@ def _edge_nodes_by_scan(mesh):
 
 def test_dofmap_numbering_on_graded_mesh():
     """Edge nodes follow the element scan, constrained nodes are exactly the
-    nodes on the tagged sides, and the free u1 dofs number the remaining
-    scalar nodes in ascending order."""
+    nodes on the tagged sides, and the cell dof table holds the ascending
+    free numbering of the scalar nodes (or -1) in its u1 block and
+    n_u1 + c n_scalar + node in the block of u2 component c."""
     rng = np.random.default_rng(3)
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     for _ in range(6):
         mesh = bisect(mesh, rng.choice(mesh.n_elements, size=mesh.n_elements // 3, replace=False))
     cell_edges, midpoints = _edge_nodes_by_scan(mesh)
-    dm = build_dofmap(mesh, 2)
-    assert np.array_equal(dm.cell_nodes[:, 3:], cell_edges)
-    assert np.array_equal(dm.node_coords[mesh.n_points:], midpoints)
     whole = (FacetTag.LATERAL_DIRICHLET, FacetTag.INITIAL, FacetTag.FINAL)
     for p in (1, 2):
-        for tags in (None, whole, ()):
-            dm = build_dofmap(mesh, p, dirichlet_tags=tags)
-            t, x = dm.node_coords[:, 0], dm.node_coords[:, 1]
+        nodes = mesh.elements if p == 1 else np.hstack([mesh.elements, cell_edges])
+        coords = mesh.points if p == 1 else np.vstack([mesh.points, midpoints])
+        n_scalar = coords.shape[0]
+        t, x = coords[:, 0], coords[:, 1]
+        for tags in (_LATERAL, whole, ()):
             on_side = (x == mesh.x_lo) | (x == mesh.x_hi)
             if tags == whole:
                 on_side |= (t == 0.0) | (t == mesh.t_end)
             elif tags == ():
                 on_side[:] = False
-            assert np.array_equal(dm.constrained_nodes, np.flatnonzero(on_side))
-            expected = np.full(dm.n_scalar, -1)
-            expected[~on_side] = np.arange(np.count_nonzero(~on_side))
-            assert np.array_equal(dm.free_index, expected)
-            assert dm.n_u1 == np.count_nonzero(~on_side)
+            n_u1 = np.count_nonzero(~on_side)
+            free = np.full(n_scalar, -1)
+            free[~on_side] = np.arange(n_u1)
+            for n_comp in (1, 2):
+                dm = build_dofmap(mesh, p, n_u2_components=n_comp, dirichlet_tags=tags)
+                assert np.array_equal(dm.node_coords, coords)
+                assert np.array_equal(dm.constrained_nodes, np.flatnonzero(on_side))
+                u2_blocks = [n_u1 + c * n_scalar + nodes.T for c in range(n_comp)]
+                expected = np.vstack([free[nodes.T]] + u2_blocks)
+                assert dm.cell_dofs.dtype == np.int32
+                assert np.array_equal(dm.cell_dofs, expected)
+                assert dm.n_dofs == n_u1 + n_comp * n_scalar
 
 
 def test_affine_maps_reject_inverted_element():
@@ -203,7 +212,7 @@ def test_interpolation_reproduces_polynomials(p):
     """Nodal interpolation of total degree <= p is exact in value and gradient."""
     rng = np.random.default_rng(11)
     mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), [0, 3])
-    dm = build_dofmap(mesh, p, dirichlet_tags=())
+    dm = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=())
 
     if p == 1:
         f = lambda t, x: 0.5 + 2.0 * t - x
@@ -212,10 +221,9 @@ def test_interpolation_reproduces_polynomials(p):
         f = lambda t, x: 1.0 + t - 2 * x + t * t - t * x + 0.5 * x * x
         grad = lambda t, x: (1.0 + 2 * t - x, -2.0 - t + x)
 
-    nodal = interpolate_nodes(f, dm)
-    coeffs = np.concatenate([nodal[dm.free_index >= 0], np.zeros(0)])
-    # unconstrained map: u1 numbering covers all scalar nodes
-    assert dm.n_u1 == dm.n_scalar
+    coeffs = interpolate_nodes(f, dm)
+    # unconstrained map: the u1 dofs number the scalar nodes themselves
+    assert dm.constrained_nodes.size == 0
 
     for k in range(mesh.n_elements):
         pts = rng.random((20, 2))
@@ -233,7 +241,7 @@ def test_interpolation_reproduces_polynomials(p):
 
 def test_evaluate_field_linear_interpolant():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    dm = build_dofmap(mesh, 1, dirichlet_tags=())
+    dm = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=())
     coeffs = interpolate_nodes(lambda t, x: x, dm)
     val, grad = evaluate_field(coeffs, dm, mesh, 3, np.array([0.3, 0.2]), field=0)
     jac, _, _ = affine_map(mesh, 3)
@@ -245,7 +253,7 @@ def test_evaluate_field_linear_interpolant():
 
 def test_evaluate_field_zero_coefficients():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 1, 1)
-    dm = build_dofmap(mesh, 1)
+    dm = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=_LATERAL)
     val, grad = evaluate_field(np.zeros(dm.n_dofs), dm, mesh, 0, np.array([0.25, 0.25]), field=1)
     assert val == 0.0
     assert np.all(grad == 0.0)
@@ -253,7 +261,7 @@ def test_evaluate_field_zero_coefficients():
 
 def test_evaluate_field_p2_quadratic_exact():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    dm = build_dofmap(mesh, 2, dirichlet_tags=())
+    dm = build_dofmap(mesh, 2, n_u2_components=1, dirichlet_tags=())
     coeffs = interpolate_nodes(lambda t, x: t * t, dm)
     for k in (0, 5):
         val, grad = evaluate_field(coeffs, dm, mesh, k, np.array([0.2, 0.3]), field=0)
@@ -270,7 +278,7 @@ def test_global_continuity_across_edges(p):
     """Traces of every field from both sides of interior edges agree."""
     rng = np.random.default_rng(5)
     mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), [0, 2, 7])
-    dm = build_dofmap(mesh, p, dirichlet_tags=())
+    dm = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=())
     coeffs = rng.standard_normal(dm.n_dofs)
 
     incidence = {}
@@ -293,8 +301,7 @@ def test_global_continuity_across_edges(p):
 
 def test_p1_dofmap_shares_mesh_arrays():
     """At p = 1 the scalar nodes are the mesh vertices: the dof map
-    references the mesh's arrays instead of copying them."""
+    references the mesh's points instead of copying them."""
     mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), [0, 3])
-    dm = build_dofmap(mesh, 1)
-    assert np.shares_memory(dm.cell_nodes, mesh.elements)
+    dm = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=_LATERAL)
     assert np.shares_memory(dm.node_coords, mesh.points)
