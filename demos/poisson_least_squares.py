@@ -20,7 +20,7 @@ def main():
         order_str = "  --  " if order is None else f"{order:6.3f}"
         print(f"{dofs:8d} {eta:12.4e} {err:12.4e} {order_str:>7}")
     print(f"\nmax normalized orthogonality defect: "
-          f"{max(r.galerkin_defect for r in log.records):.2e}")
+          f"{max(r.solver.galerkin_defect for r in log.records):.2e}")
 
 
 if __name__ == "__main__":

@@ -66,7 +66,6 @@ __all__ = [
     "field_images",
     "solve_cg",
     "element_fields",
-    "galerkin_orthogonality_check",
 ]
 
 
@@ -122,9 +121,12 @@ class SparseSystem:
 
 @dataclass(frozen=True)
 class SolverReport:
-    """LU solves run (1 plus the refinement steps), and the relative residual
-    ||b - M x||_2 / ||b||_2 and normwise backward error
-    ||b - M x||_inf / (||M||_inf ||x||_inf + ||b||_inf) of the returned x.
+    """LU solves run (1 plus the refinement steps), and of the returned x with
+    residual r = b - M x: the relative residual ||r||_2 / ||b||_2, the
+    normwise backward error ||r||_inf / (||M||_inf ||x||_inf + ||b||_inf)
+    and the Galerkin defect ||r||_inf / ||b||_2.  The entries of r are the
+    inner products (f - G u, G phi_j)_L, so the defect measures how far the
+    coefficients are from discrete orthogonality.
 
     ``converged``: the relative residual meets 1e-10, or the backward error
     is at most 16 u (u = 2^-53, the unit roundoff)."""
@@ -132,6 +134,7 @@ class SolverReport:
     iterations: int
     relative_residual: float
     backward_error: float
+    galerkin_defect: float
     converged: bool
 
 
@@ -349,32 +352,38 @@ def solve_cg(matrix, rhs: np.ndarray):
     u ||M|| ||x|| / ||b||, above 1e-10 on ill-conditioned levels, where only
     the normwise backward error (Rigal & Gaches, J. ACM 1967; Higham,
     Accuracy and Stability of Numerical Algorithms, 2002, sec. 7.1 and
-    ch. 12) can certify the solve.  SuperLU's singular factor raises
-    RuntimeError; every other failure is reported through the flag.
+    ch. 12) can certify the solve.  The 2-norms are taken of b and r divided
+    by the power of two just above ||b||_inf, which is exact, so that they
+    neither underflow nor overflow: any non-zero load is solved and judged,
+    and only b = 0 returns x = 0 without a solve.  SuperLU's singular factor
+    raises RuntimeError; every other failure is reported through the flag.
     """
     x = np.zeros(rhs.shape[0])
-    b_norm = float(np.linalg.norm(rhs))
-    if b_norm == 0.0:
-        return x, SolverReport(iterations=0, relative_residual=0.0, backward_error=0.0, converged=True)
+    b_inf = float(np.abs(rhs).max(initial=0.0))
+    if b_inf == 0.0:
+        return x, SolverReport(0, 0.0, 0.0, 0.0, True)
+    exponent = -math.frexp(b_inf)[1]  # scales b and r exactly, ||b||_inf into [1/2, 1)
+    b_norm = float(np.linalg.norm(np.ldexp(rhs, exponent)))
     # ||M||_inf before the factorization, so that its transient never meets the factor
-    m_norm, b_inf = _inf_norm(matrix), float(np.abs(rhs).max())
+    m_norm = _inf_norm(matrix)
     solve = _lu_solve(matrix)
-    residual, rel, backward, solves = rhs, math.inf, math.inf, 0
+    residual, rel, backward, r_max, solves = rhs, math.inf, math.inf, math.inf, 0
     while True:
         candidate = x + solve(residual)
         solves += 1
         r = rhs - matrix @ candidate
-        candidate_rel = float(np.linalg.norm(r)) / b_norm
+        candidate_rel = float(np.linalg.norm(np.ldexp(r, exponent))) / b_norm
         x_inf = float(np.abs(candidate).max())
         if not math.isfinite(candidate_rel + x_inf):
-            return candidate, SolverReport(solves, candidate_rel, math.nan, False)
+            return candidate, SolverReport(solves, candidate_rel, math.nan, math.nan, False)
         if candidate_rel >= rel:
             break
-        x, residual, rel = candidate, r, candidate_rel
-        backward = float(np.abs(r).max()) / (m_norm * x_inf + b_inf)
+        x, residual, rel, r_max = candidate, r, candidate_rel, float(np.abs(r).max())
+        backward = r_max / (m_norm * x_inf + b_inf)
         if rel <= _REL_TOL or backward <= _BACKWARD_TOL or solves > _MAX_STEPS:
             break
-    return x, SolverReport(solves, rel, backward, rel <= _REL_TOL or backward <= _BACKWARD_TOL)
+    defect = math.ldexp(r_max, exponent) / b_norm
+    return x, SolverReport(solves, rel, backward, defect, rel <= _REL_TOL or backward <= _BACKWARD_TOL)
 
 
 def element_fields(solution: DiscreteSolution, level: LevelData):
@@ -394,17 +403,3 @@ def element_fields(solution: DiscreteSolution, level: LevelData):
         inv_t = level.inv_t[:, :, None, block]
         yield block, values, inv_t[:, 0] * ref[:, :1] + inv_t[:, 1] * ref[:, 1:]
 
-
-def galerkin_orthogonality_check(solution: DiscreteSolution, sparse_system: SparseSystem) -> float:
-    """Largest normalized defect max_j |(f - G u, G phi_j)_L| / ||(f, G phi)_L||.
-
-    The inner products are exactly the algebraic residual entries of the
-    system the solution was computed from, so the defect measures how far
-    the computed coefficients are from discrete orthogonality.
-    """
-    r = sparse_system.rhs - sparse_system.matrix @ solution.coeffs
-    b_norm = float(np.linalg.norm(sparse_system.rhs))
-    r_max = float(np.max(np.abs(r))) if r.size else 0.0
-    if b_norm == 0.0:
-        return 0.0 if r_max == 0.0 else float("inf")
-    return r_max / b_norm

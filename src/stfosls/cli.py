@@ -254,8 +254,6 @@ def cmd_run(config_path, out_dir=None) -> int:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
 
-    out = Path(out_dir) if out_dir is not None else Path(config.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
     try:
         log = run(system, mesh0, config.degree, config.stop, marking=config.marking, exact=exact)
     except DegenerateElementError as exc:  # refinement made an element degenerate
@@ -268,6 +266,8 @@ def cmd_run(config_path, out_dir=None) -> int:
         print(f"error: internal invariant violation: {exc}", file=sys.stderr)
         return 4
 
+    out = Path(out_dir) if out_dir is not None else Path(config.out or ".")
+    out.mkdir(parents=True, exist_ok=True)  # only now: a failed run leaves no directory
     write_runlog_csv(log, out / "runlog.csv")
     if config.write_mesh and log.final_mesh is not None:
         write_mesh(log.final_mesh, out / "mesh_final.txt")

@@ -15,7 +15,6 @@ from .assembly import (
     SolverReport,
     assemble,
     element_fields,
-    galerkin_orthogonality_check,
     solve_cg,
 )
 from .estimator import compute_indicators, u_norm_error
@@ -81,7 +80,6 @@ class RunRecord:
     error: Optional[float]
     marked: int
     solver: SolverReport
-    galerkin_defect: float
 
 
 @dataclass
@@ -122,7 +120,6 @@ def _solve_level(mesh, system, p, exact):
             f"at relative residual {report.relative_residual:.3e}, backward error {report.backward_error:.3e}"
         )
     solution = DiscreteSolution(coeffs=coeffs, dofmap=dofmap)
-    defect = galerkin_orthogonality_check(solution, sparse)
     level = sparse.level
     fields = element_fields(solution, level)
     if exact is not None:  # the error reads the same per-block fields: evaluate them once
@@ -131,7 +128,7 @@ def _solve_level(mesh, system, p, exact):
     error = None
     if exact is not None:
         error = u_norm_error(solution, exact, system, level, error_fields).total
-    return solution, report, defect, indicators, error
+    return solution, report, indicators, error
 
 
 def run(
@@ -151,14 +148,14 @@ def run(
     twice, which splits each triangle into four similar children and halves
     the mesh width.  Such a run ends only by ``stop``, and its
     ``max_iterations`` reason is reported as ``"levels"``.  Every record
-    carries the Galerkin defect of its level's solve.
+    carries its level's SolverReport, the Galerkin defect included.
     """
     system = _as_system(problem_or_system)
     log = RunLog()
     mesh = mesh0
     level = 0
     while True:
-        solution, report, defect, indicators, error = _solve_level(mesh, system, p, exact)
+        solution, report, indicators, error = _solve_level(mesh, system, p, exact)
         record = RunRecord(
             level=level,
             dofs=solution.dofmap.n_dofs,
@@ -167,7 +164,6 @@ def run(
             error=error,
             marked=0,
             solver=report,
-            galerkin_defect=defect,
         )
         log.records.append(record)
 

@@ -1,5 +1,6 @@
-"""Mesh, dump, interpolation and error-report helpers that only the tests use."""
+"""Mesh, dump, interpolation, solve and error-report helpers that only the tests use."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,17 @@ def boundary_tags_consistent(mesh) -> bool:
     single = counts == 1
     expected[single] = _side_tags(mesh, a[single], b[single])
     return bool(np.all(counts <= 2) and np.array_equal(expected[edge_of], mesh.edge_tags))
+
+
+def galerkin_defect(matrix, rhs, x) -> float:
+    """max_j |(b - M x)_j| / ||b||_2, the Galerkin defect that ``SolverReport``
+    reports, recomputed without scaling; for b = 0 it is 0 when M x = 0 and
+    inf otherwise."""
+    r_max = float(np.abs(rhs - matrix @ x).max(initial=0.0))
+    b_norm = float(np.linalg.norm(rhs))
+    if b_norm == 0.0:
+        return 0.0 if r_max == 0.0 else math.inf
+    return r_max / b_norm
 
 
 def error_contributions(report):

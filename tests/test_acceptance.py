@@ -181,7 +181,7 @@ def test_criterion_3_incompatible_reduction(adaptive_logs, strategy):
 def test_criterion_4_galerkin_orthogonality(heat_uniform_runs, adaptive_logs, poisson_uniform_run):
     defects = []
     for log in list(heat_uniform_runs) + list(adaptive_logs.values()) + [poisson_uniform_run]:
-        defects.extend(r.galerkin_defect for r in log.records)
+        defects.extend(r.solver.galerkin_defect for r in log.records)
     worst = max(defects)
     _report(
         "criterion-4 galerkin-orthogonality",
@@ -357,11 +357,11 @@ def test_criterion_9_marking_properties():
 def test_criterion_10_poisson_instance(poisson_uniform_run):
     orders = _orders_last_levels(poisson_uniform_run)
     rate_ok = all(0.85 <= o <= 1.15 for o in orders)
-    defect_ok = max(r.galerkin_defect for r in poisson_uniform_run.records) <= 1e-7
+    defect_ok = max(r.solver.galerkin_defect for r in poisson_uniform_run.records) <= 1e-7
     _report(
         "criterion-10 poisson-instance",
         rate_ok and defect_ok,
         f"orders {np.round(orders, 3)}, max defect "
-        f"{max(r.galerkin_defect for r in poisson_uniform_run.records):.2e} "
+        f"{max(r.solver.galerkin_defect for r in poisson_uniform_run.records):.2e} "
         "(spd and oracle equivalence covered in criteria 5 and 6)",
     )

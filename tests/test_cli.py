@@ -215,6 +215,7 @@ def test_solver_failure_exit_3(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(INCOMPATIBLE_ADAPTIVE)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert not (tmp_path / "o").exists()  # a failed run leaves no output directory
 
 
 def test_singular_factor_exit_3(tmp_path, capsys, monkeypatch):
@@ -281,10 +282,17 @@ def test_degenerate_initial_mesh_exit_2(tmp_path, capsys, line, key):
     assert not (tmp_path / "o").exists()
 
 
-def test_degenerate_refined_mesh_exit_2(tmp_path, capsys):
-    """x_hi = 1e-305 passes the initial-mesh check, but refinement makes an
-    element's J^-T overflow at a later level: invalid input, exit 2 naming
-    the extent, without a traceback and without a run log."""
+def test_degenerate_refined_mesh_exit_2(tmp_path, capsys, monkeypatch):
+    """An element that refinement makes degenerate is invalid input: exit 2
+    naming the extent, without a traceback and without an output directory.
+    With x_hi = 1e-305 the level solve fails at level 0 (see the next test),
+    so the solve is stubbed to return x = 0: the data then drive refinement
+    towards the corner until J^-T of an element overflows."""
+    import stfosls.driver as driver
+    from stfosls.assembly import SolverReport
+
+    monkeypatch.setattr(driver, "solve_cg",
+                        lambda matrix, rhs: (0.0 * rhs, SolverReport(0, 0.0, 0.0, 0.0, True)))
     cfg = tmp_path / "run.cfg"
     cfg.write_text("case = incompatible\nx_hi = 1e-305\nmax_iterations = 35\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -292,7 +300,23 @@ def test_degenerate_refined_mesh_exit_2(tmp_path, capsys):
     assert "error: invalid config: x_hi - x_lo = 1e-305 gives a degenerate refined mesh" in err
     assert "J^-T is not finite" in err
     assert "Traceback" not in err
-    assert not (tmp_path / "o" / "runlog.csv").exists()
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("max_iterations", [30, 35])
+def test_tiny_domain_solve_fails_at_level_0(tmp_path, capsys, max_iterations):
+    """x_hi = 1e-305: the level-0 load has max|b| = 5e-306, whose unscaled
+    2-norm underflows.  It is still solved, and the solve is judged: the
+    solution underflows to 0, so the relative residual stays 1 and the run
+    exits 3 at level 0, with no traceback and no output directory."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"case = incompatible\nx_hi = 1e-305\nmax_iterations = {max_iterations}\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "error: solver failure: level solve on 12 dofs stopped after 2 LU solve(s) " \
+           "at relative residual 1.000e+00" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("error", [ValueError("a bug"), InvalidDataError("bad data")])
@@ -322,6 +346,7 @@ def test_internal_invariant_exit_4(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(INCOMPATIBLE_ADAPTIVE)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert not (tmp_path / "o").exists()  # a failed run leaves no output directory
 
 
 def test_import_leaves_sparse_linalg_unloaded():

@@ -22,6 +22,7 @@ from stfosls.problem import (
     exact_error_data,
     make_problem,
 )
+from helpers import galerkin_defect
 
 DOERFLER = MarkingConfig(MarkStrategy.DOERFLER, 0.5)
 
@@ -54,7 +55,7 @@ def test_solver_failure_aborts_run(monkeypatch):
 
     def stalled(matrix, rhs):
         return np.zeros_like(rhs), SolverReport(
-            iterations=1, relative_residual=1.0, backward_error=1.0, converged=False
+            iterations=1, relative_residual=1.0, backward_error=1.0, galerkin_defect=1.0, converged=False
         )
 
     monkeypatch.setattr(driver_mod, "solve_cg", stalled)
@@ -144,6 +145,50 @@ def test_level_solve_on_graded_mesh(monkeypatch):
     assert np.linalg.norm(x - x_cg) / np.linalg.norm(x_cg) <= 1e-8
 
 
+@pytest.fixture(scope="module")
+def benchmark_solves():
+    """(matrix, rhs, x, report) of every level solve of the benchmark's
+    ``graded-p1`` run and of its ``rate-sweep`` run heat-smooth-flux-p2,
+    with the records of each run."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name, case, p, stop, marking in (
+            ("graded-p1", "incompatible", 1, StopCriteria(max_iterations=40, estimator_tolerance=0.33), DOERFLER),
+            ("heat-smooth-flux-p2", "heat-smooth", 2, StopCriteria(max_iterations=3), None),
+        ):
+            solves = _record_level_solves(monkeypatch)
+            log = run(make_problem(case)[0], uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), p, stop, marking)
+            runs[name] = solves, log.records
+    return runs
+
+
+def test_level_report_carries_the_galerkin_defect(benchmark_solves):
+    """On every level of both runs the report's defect is max|b - M x| / ||b||_2
+    of the returned x, and the run record carries that report."""
+    graded, sweep = benchmark_solves["graded-p1"], benchmark_solves["heat-smooth-flux-p2"]
+    assert graded[1][-1].dofs == 8686 and sweep[1][-1].dofs == 2112
+    for solves, records in (graded, sweep):
+        assert [r.solver for r in records] == [report for *_, report in solves]
+        for matrix, rhs, x, report in solves:
+            assert report.galerkin_defect == pytest.approx(galerkin_defect(matrix, rhs, x), rel=1e-15)
+            assert 0.0 < report.galerkin_defect <= 1e-7
+
+
+@pytest.mark.parametrize("name", ["graded-p1", "heat-smooth-flux-p2"])
+def test_tiny_load_is_solved_like_its_unscaled_load(benchmark_solves, name):
+    """A load scaled by 2^-900, whose 2-norm underflows in plain double
+    precision, is still solved: the same solves and flag as unscaled, and
+    the unscaled solution times 2^-900."""
+    from stfosls.assembly import solve_cg
+
+    matrix, rhs, x, report = benchmark_solves[name][0][-1]
+    scaled_x, scaled = solve_cg(matrix, np.ldexp(rhs, -900))
+    assert np.linalg.norm(np.ldexp(rhs, -900)) == 0.0
+    assert scaled.iterations == report.iterations >= 1
+    assert scaled.converged == report.converged
+    assert np.abs(np.ldexp(scaled_x, 900) - x).max() <= 1e-12 * np.abs(x).max()
+
+
 def test_one_geometry_per_level_with_exact_solution(monkeypatch):
     """Assembly, indicators and the error share one geometry per level."""
     from stfosls import assembly
@@ -181,7 +226,7 @@ def test_adaptive_heat_estimator_decreases():
     assert log.reason == "max_dofs"
     assert np.all(np.diff(eta[-5:]) < 0)
     assert eta[-1] < eta[0]
-    assert all(r.galerkin_defect <= 1e-7 for r in log.records)
+    assert all(r.solver.galerkin_defect <= 1e-7 for r in log.records)
     dofs = log.dofs()
     assert np.all(np.diff(dofs) >= 0)
 
@@ -261,7 +306,7 @@ def _fake_log(entries):
     records = [
         RunRecord(
             level=i, dofs=d, elements=d, estimator=e, error=err, marked=0,
-            solver=SolverReport(1, 0.0, 0.0, True), galerkin_defect=0.0,
+            solver=SolverReport(1, 0.0, 0.0, 0.0, True),
         )
         for i, (d, e, err) in enumerate(entries)
     ]

@@ -1,9 +1,12 @@
-"""The benchmark's tracer wraps names that the driver and the CLI import.
+"""The benchmark's contract with the program: its tracer and its output gate.
 
-Its contract with the program: the driver calls every layer function through
-its module globals, ``compute_indicators`` gets (mesh, solution, system)
-positionally, and the system constructors are looked up in ``stfosls.cli``.
-A change that breaks it blinds the benchmark; these runs make it fail here.
+The tracer wraps names that the driver and the CLI import: the driver calls
+every layer function through its module globals, ``compute_indicators`` gets
+(mesh, solution, system) positionally, and the system constructors are
+looked up in ``stfosls.cli``.  A change that breaks it blinds the benchmark;
+these runs make it fail here.  Every benchmark run's log must also pass the
+benchmark's own gate against its reference rows, so that an output drift
+fails here before the benchmark runs.
 """
 
 from pathlib import Path
@@ -38,3 +41,23 @@ def test_tracer_sees_every_expected_layer(tmp_path, monkeypatch):
         assert run.expect <= tracer.called_layers(run.name), run.name
     assert tracer.counts["estimator.initial_facets"] > 0
     assert tracer.counts["assembly.solve_cg.false_converged"] == 0
+
+
+def test_benchmark_runs_pass_the_output_gate(tmp_path, monkeypatch):
+    """Every run of every workload, through the command line, against
+    ``perfbench/reference/`` with the benchmark worker's ``gate``."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from worker import gate
+    from workloads import WORKLOADS
+
+    checked = 0
+    for workload in WORKLOADS.values():
+        for run in workload.runs:
+            cfg = tmp_path / f"{run.name}.cfg"
+            cfg.write_text(run.config_text())
+            out = tmp_path / workload.name / run.name
+            assert main(["run", str(cfg), "--out", str(out)]) == 0, run.name
+            reference = PERFBENCH / "reference" / workload.name / f"{run.name}.csv"
+            assert gate(out / "runlog.csv", reference) is None, run.name
+            checked += 1
+    assert checked == 15
