@@ -21,7 +21,9 @@ The level's :class:`LevelData` keeps the element axis last, so its kernels
 (system images, Gram matrices, loads, residuals, field values) run numpy's
 inner loops along that long contiguous axis.  Its geometry is held at
 element size; quadrature points, weights times det J and physical gradients
-are formed for one block of elements where they are used.  The level is
+are formed for one block of elements where they are used.  Its reference
+tables (the basis at the quadrature points and on the local edges) are
+built once per degree, read-only, and shared by every level.  The level is
 built once, travels on the :class:`SparseSystem`, and also serves the
 indicators and the graph-norm error.  :func:`field_images` is the one place
 where the system's G is applied to discrete fields: to the weighted basis
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,8 +42,6 @@ import scipy.sparse as sp
 from .mesh import Mesh, initial_facet_list
 from .spaces import (
     DofMap,
-    EdgeQuadratureRule,
-    QuadratureRule,
     affine_maps,
     build_reference,
     edge_reference_points,
@@ -146,15 +147,19 @@ class DiscreteSolution:
     dofmap: DofMap
 
 
-def _geometry_tables(mesh: Mesh, dofmap: DofMap, quad: QuadratureRule):
-    """The rule's points (nq, 3) and weights (nq,), basis values (nloc, nq),
-    reference gradients (2, nloc, nq), then vertex coordinates (2, 3, ne),
-    det J (ne,) and J^{-T} (2, 2, ne)."""
-    ref = build_reference(dofmap.degree)
-    coords, inv_t, det = affine_maps(mesh)
-    refpts = quad.reference_points()
-    values, ref_grads = ref.values(refpts).T, ref.gradients(refpts).transpose(2, 1, 0)
-    return quad.points, quad.weights, values, ref_grads, coords, det, inv_t
+@cache
+def _reference_tables(p: int):
+    """Basis values (nloc, nq) and reference gradients (2, nloc, nq) at the
+    points of degree ``p``'s triangle rule, and the basis at its edge rule's
+    points on each local edge (3, nq_e, nloc): built once per degree and
+    shared by every level, so they are read-only."""
+    quad, equad = level_rules(p)
+    ref, refpts = build_reference(p), quad.reference_points()
+    tables = (ref.values(refpts).T, ref.gradients(refpts).transpose(2, 1, 0),
+              np.array([ref.values(edge_reference_points(k, equad.points)) for k in range(3)]))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _blocks(n_elements: int):
@@ -193,12 +198,11 @@ def _residual_tables(system, level: LevelData, block: slice):
     return out
 
 
-def _initial_facet_tables(mesh: Mesh, dofmap: DofMap, equad: EdgeQuadratureRule, system):
+def _initial_facet_tables(mesh: Mesh, p: int, system):
     """Element (nf,), basis values (nf, nq_e, nloc), x points (nf, nq_e) and
     weighted lengths (nf, nq_e) of every facet tagged Initial, in element
-    order; empty for a system without an initial-trace component."""
-    ref = build_reference(dofmap.degree)
-    edge_tables = np.array([ref.values(edge_reference_points(k, equad.points)) for k in range(3)])
+    order, under degree ``p``'s edge rule; empty without an initial trace."""
+    equad = level_rules(p)[1]
     facets = initial_facet_list(mesh)
     if not system.has_initial_trace:
         facets = facets[:0]
@@ -207,7 +211,7 @@ def _initial_facet_tables(mesh: Mesh, dofmap: DofMap, equad: EdgeQuadratureRule,
     pb = mesh.points[mesh.elements[elems, (locs + 1) % 3]]
     length = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
     xs = pa[:, 1:] + equad.points * (pb[:, 1:] - pa[:, 1:])
-    return elems, edge_tables[locs], xs, equad.weights * length[:, None]
+    return elems, _reference_tables(p)[2][locs], xs, equad.weights * length[:, None]
 
 
 def level_data(mesh: Mesh, dofmap: DofMap, system) -> LevelData:
@@ -215,10 +219,11 @@ def level_data(mesh: Mesh, dofmap: DofMap, system) -> LevelData:
     its weighted data, the interior data written by the system block by
     block into one array; affine_maps rejects det <= 0, so sqrt(w) is real.
     Raises InvalidDataError on non-finite data."""
-    quad, equad = level_rules(dofmap.degree)
-    facets = _initial_facet_tables(mesh, dofmap, equad, system)
+    quad = level_rules(dofmap.degree)[0]
+    coords, inv_t, det = affine_maps(mesh)
+    facets = _initial_facet_tables(mesh, dofmap.degree, system)
     level = LevelData(
-        *_geometry_tables(mesh, dofmap, quad),
+        quad.points, quad.weights, *_reference_tables(dofmap.degree)[:2], coords, det, inv_t,
         *facets,
         data=np.empty((system.n_interior, quad.weights.size, mesh.n_elements)),
         facet_data=np.empty(facets[2].shape).T,
@@ -401,5 +406,7 @@ def element_fields(solution: DiscreteSolution, level: LevelData):
         values = level.values.T @ coeffs
         ref = level.ref_grads.transpose(0, 2, 1) @ coeffs[:, None]  # (nf, 2, nq, nb)
         inv_t = level.inv_t[:, :, None, block]
-        yield block, values, inv_t[:, 0] * ref[:, :1] + inv_t[:, 1] * ref[:, 1:]
+        grads = np.multiply(inv_t[:, 0], ref[:, :1])
+        grads += inv_t[:, 1] * ref[:, 1:]
+        yield block, values, grads
 

@@ -5,8 +5,8 @@ Usage:
     stfosls verify [--seed N]
 
 Configs are flat ``key = value`` text files; ``#`` starts a comment.  Exit
-codes: 0 success, 1 failed verification, 2 invalid configuration, 3 solver
-failure, 4 internal invariant violation.
+codes: 0 success, 1 failed verification, 2 invalid configuration or output
+path, 3 solver failure, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -254,6 +254,12 @@ def cmd_run(config_path, out_dir=None) -> int:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
 
+    out = Path(out_dir) if out_dir is not None else Path(config.out or ".")
+    for path in (out, *out.parents):  # before level 0: the nearest existing one must be a directory
+        if path.exists() and not path.is_dir():
+            print(f"error: cannot write output to {out}: {path} is not a directory", file=sys.stderr)
+            return 2
+
     try:
         log = run(system, mesh0, config.degree, config.stop, marking=config.marking, exact=exact)
     except DegenerateElementError as exc:  # refinement made an element degenerate
@@ -266,11 +272,6 @@ def cmd_run(config_path, out_dir=None) -> int:
         print(f"error: internal invariant violation: {exc}", file=sys.stderr)
         return 4
 
-    out = Path(out_dir) if out_dir is not None else Path(config.out or ".")
-    out.mkdir(parents=True, exist_ok=True)  # only now: a failed run leaves no directory
-    write_runlog_csv(log, out / "runlog.csv")
-    if config.write_mesh and log.final_mesh is not None:
-        write_mesh(log.final_mesh, out / "mesh_final.txt")
     summary = [
         f"system = {config.system}",
         f"case = {config.case}",
@@ -282,7 +283,15 @@ def cmd_run(config_path, out_dir=None) -> int:
         f"final estimator = {log.records[-1].estimator!r}",
         f"final dofs = {log.records[-1].dofs}",
     ]
-    (out / "summary.txt").write_text("\n".join(summary) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)  # only now: a failed run leaves no directory
+        write_runlog_csv(log, out / "runlog.csv")
+        if config.write_mesh and log.final_mesh is not None:
+            write_mesh(log.final_mesh, out / "mesh_final.txt")
+        (out / "summary.txt").write_text("\n".join(summary) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write output to {out}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

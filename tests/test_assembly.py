@@ -18,7 +18,7 @@ from stfosls.assembly import (
 from stfosls.driver import StopCriteria, run
 from stfosls.estimator import compute_indicators, u_norm_error
 from stfosls.marking import MarkingConfig, MarkStrategy
-from stfosls.mesh import bisect, uniform_initial_mesh
+from stfosls.mesh import bisect, initial_facet_list, uniform_initial_mesh
 from stfosls.problem import (
     CoefficientField,
     ConvectionForm,
@@ -346,7 +346,7 @@ def test_initial_facet_tables_match_per_facet_loop():
     for p in (1, 2):
         dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
         _, equad = level_rules(p)
-        elems, basis, xs, wlen = _initial_facet_tables(mesh, dofmap, equad, system)
+        elems, basis, xs, wlen = _initial_facet_tables(mesh, p, system)
         edges = oracles._initial_edges(mesh)
         assert len(edges) > 4  # refinement reached the initial boundary
         assert np.array_equal(elems, [e for e, _ in edges])
@@ -358,7 +358,25 @@ def test_initial_facet_tables_match_per_facet_loop():
             np.testing.assert_allclose(xs[f], xs_ref, rtol=1e-15, atol=1e-15)
             np.testing.assert_allclose(wlen[f], equad.weights * length, rtol=1e-15, atol=0)
     poisson, _ = poisson_sine_case()
-    assert _initial_facet_tables(mesh, dofmap, equad, poisson)[0].size == 0
+    assert _initial_facet_tables(mesh, p, poisson)[0].size == 0
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_reference_tables_shared_and_read_only(p):
+    """Two levels of one degree hold the same reference tables, built once
+    per degree, and no caller can write to them."""
+    fine, system = _graded_incompatible(10)
+    coarse = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
+    a, b = (level_data(m, build_dofmap(m, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags),
+                       system) for m in (coarse, fine))
+    values, ref_grads, edges = assembly._reference_tables(p)
+    assert a.values is b.values is values and a.ref_grads is b.ref_grads is ref_grads
+    assert assembly._reference_tables(p)[2] is edges and edges.shape[0] == 3
+    locs = initial_facet_list(fine)[:, 1]
+    assert np.array_equal(b.facet_basis, edges[locs])
+    for table in (values, ref_grads, edges):
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1.0
 
 
 def test_indicators_from_assembled_table_match_fresh_table():

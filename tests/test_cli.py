@@ -218,6 +218,47 @@ def test_solver_failure_exit_3(tmp_path, monkeypatch):
     assert not (tmp_path / "o").exists()  # a failed run leaves no output directory
 
 
+def test_unusable_out_path_exit_2_before_level_0(tmp_path, capsys, monkeypatch):
+    """An --out that is a plain file, or lies below one, exits 2 naming the
+    path before level 0; a directory that cannot be made, or an output file
+    that cannot be written, after the run exits 2 too, without a traceback."""
+    import stfosls.cli as cli
+
+    plain = tmp_path / "plain"
+    plain.write_text("kept\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case = heat-smooth\nmode = uniform\nlevels = 2\n")
+    real_run = cli.run
+    monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("the run started"))
+    for out in (plain, plain / "sub" / "dir"):
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write output to {out}: {plain} is not a directory" in err
+        assert "Traceback" not in err
+    assert plain.read_text() == "kept\n"
+
+    late = tmp_path / "late"
+
+    def run_then_block(*args, **kwargs):  # the path turns into a file during the run
+        log = real_run(*args, **kwargs)
+        late.write_text("")
+        return log
+
+    monkeypatch.setattr(cli, "run", run_then_block)
+    assert main(["run", str(cfg), "--out", str(late)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write output to {late}:" in err
+    assert "Traceback" not in err
+
+    monkeypatch.setattr(cli, "run", real_run)
+    taken = tmp_path / "taken"
+    (taken / "runlog.csv").mkdir(parents=True)
+    assert main(["run", str(cfg), "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write output to {taken}:" in err and "runlog.csv" in err
+    assert "Traceback" not in err
+
+
 def test_singular_factor_exit_3(tmp_path, capsys, monkeypatch):
     """SuperLU's singular factor is a solver failure that names the level's
     dofs, not a traceback."""

@@ -193,7 +193,7 @@ def test_one_geometry_per_level_with_exact_solution(monkeypatch):
     """Assembly, indicators and the error share one geometry per level."""
     from stfosls import assembly
 
-    calls = {"_geometry_tables": 0, "_initial_facet_tables": 0}
+    calls = {"affine_maps": 0, "_initial_facet_tables": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(assembly, name), **kwargs):
             calls[_name] += 1
@@ -204,7 +204,7 @@ def test_one_geometry_per_level_with_exact_solution(monkeypatch):
     log = run(problem, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1,
               StopCriteria(max_iterations=2), exact=exact_error_data(case))
     assert [r.error is not None for r in log.records] == [True] * 3
-    assert calls == {"_geometry_tables": 3, "_initial_facet_tables": 3}
+    assert calls == {"affine_maps": 3, "_initial_facet_tables": 3}
 
 
 def test_zero_data_stops_at_level_zero():
