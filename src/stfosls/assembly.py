@@ -21,9 +21,9 @@ The level's :class:`LevelData` keeps the element axis last, so its kernels
 (system images, Gram matrices, loads, residuals, field values) run numpy's
 inner loops along that long contiguous axis.  Its geometry is held at
 element size; quadrature points, weights times det J and physical gradients
-are formed for one block of elements where they are used.  Its reference
-tables (the basis at the quadrature points and on the local edges) are
-built once per degree, read-only, and shared by every level.  The level is
+are formed for one block of elements where they are used.  Its rules and
+the reference basis on them are :func:`stfosls.spaces.level_tables`, built
+once per degree, read-only, and shared by every level.  The level is
 built once, travels on the :class:`SparseSystem`, and also serves the
 indicators and the graph-norm error.  :func:`field_images` is the one place
 where the system's G is applied to discrete fields: to the weighted basis
@@ -34,19 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh, initial_facet_list
-from .spaces import (
-    DofMap,
-    affine_maps,
-    build_reference,
-    edge_reference_points,
-    level_rules,
-)
+from .spaces import DofMap, LevelTables, affine_maps, level_tables
 from .system import _require
 
 # Elements per block of the image table: images of one block are built,
@@ -82,10 +75,7 @@ class LevelData:
     the interior data at point q of element K, ``facet_data[q, f]`` the
     initial datum at point q of the initial facet f."""
 
-    quad_points: np.ndarray  # (nq, 3) barycentric points of the level's triangle rule
-    quad_weights: np.ndarray  # (nq,) its weights
-    values: np.ndarray  # (nloc, nq) reference basis values
-    ref_grads: np.ndarray  # (2, nloc, nq) reference basis gradients
+    tables: LevelTables  # the rules of the level's degree and the reference basis on them
     coords: np.ndarray  # (2, 3, ne) vertex coordinates (t, x) of every element
     det: np.ndarray  # (ne,) det J of every element
     inv_t: np.ndarray  # (2, 2, ne) J^{-T} of every element
@@ -99,16 +89,16 @@ class LevelData:
     def basis_gradients(self, block: slice = slice(None)) -> np.ndarray:
         """Physical gradients of the local basis on the elements of ``block``,
         (2, nloc, nq, nb): one matrix product per gradient component."""
-        nloc, nq = self.values.shape
-        return (self.ref_grads.reshape(2, -1).T @ self.inv_t[..., block]).reshape(2, nloc, nq, -1)
+        ref_grads = self.tables.ref_grads
+        return (ref_grads.reshape(2, -1).T @ self.inv_t[..., block]).reshape(ref_grads.shape + (-1,))
 
     def points(self, block: slice = slice(None)) -> np.ndarray:
         """Physical quadrature points (t, x) on the elements of ``block``, (2, nq, nb)."""
-        return self.quad_points @ self.coords[..., block]
+        return self.tables.quad_points @ self.coords[..., block]
 
     def wdet(self, block: slice = slice(None)) -> np.ndarray:
         """Quadrature weight times det J on the elements of ``block``, (nq, nb)."""
-        return np.outer(self.quad_weights, self.det[block])
+        return np.outer(self.tables.quad_weights, self.det[block])
 
 
 @dataclass(frozen=True)
@@ -147,21 +137,6 @@ class DiscreteSolution:
     dofmap: DofMap
 
 
-@cache
-def _reference_tables(p: int):
-    """Basis values (nloc, nq) and reference gradients (2, nloc, nq) at the
-    points of degree ``p``'s triangle rule, and the basis at its edge rule's
-    points on each local edge (3, nq_e, nloc): built once per degree and
-    shared by every level, so they are read-only."""
-    quad, equad = level_rules(p)
-    ref, refpts = build_reference(p), quad.reference_points()
-    tables = (ref.values(refpts).T, ref.gradients(refpts).transpose(2, 1, 0),
-              np.array([ref.values(edge_reference_points(k, equad.points)) for k in range(3)]))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
 def _blocks(n_elements: int):
     """Slices of the element axis, ``_BLOCK`` elements each, the last one shorter."""
     return [slice(lo, lo + _BLOCK) for lo in range(0, n_elements, _BLOCK)]
@@ -187,7 +162,7 @@ def _residual_tables(system, level: LevelData, block: slice):
     """
     t, x = level.points(block)
     sqrt_w = np.sqrt(level.wdet(block))
-    val = level.values[:, :, None] * sqrt_w
+    val = level.tables.values[:, :, None] * sqrt_w
     grads = level.basis_gradients(block)
     grads *= sqrt_w
     nf, nloc = 1 + system.n_flux, val.shape[0]
@@ -198,11 +173,10 @@ def _residual_tables(system, level: LevelData, block: slice):
     return out
 
 
-def _initial_facet_tables(mesh: Mesh, p: int, system):
+def _initial_facet_tables(mesh: Mesh, tables: LevelTables, system):
     """Element (nf,), basis values (nf, nq_e, nloc), x points (nf, nq_e) and
     weighted lengths (nf, nq_e) of every facet tagged Initial, in element
-    order, under degree ``p``'s edge rule; empty without an initial trace."""
-    equad = level_rules(p)[1]
+    order, under the edge rule of ``tables``; empty without an initial trace."""
     facets = initial_facet_list(mesh)
     if not system.has_initial_trace:
         facets = facets[:0]
@@ -210,8 +184,8 @@ def _initial_facet_tables(mesh: Mesh, p: int, system):
     pa = mesh.points[mesh.elements[elems, locs]]
     pb = mesh.points[mesh.elements[elems, (locs + 1) % 3]]
     length = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
-    xs = pa[:, 1:] + equad.points * (pb[:, 1:] - pa[:, 1:])
-    return elems, _reference_tables(p)[2][locs], xs, equad.weights * length[:, None]
+    xs = pa[:, 1:] + tables.edge_points * (pb[:, 1:] - pa[:, 1:])
+    return elems, tables.edge_values[locs], xs, tables.edge_weights * length[:, None]
 
 
 def level_data(mesh: Mesh, dofmap: DofMap, system) -> LevelData:
@@ -219,13 +193,12 @@ def level_data(mesh: Mesh, dofmap: DofMap, system) -> LevelData:
     its weighted data, the interior data written by the system block by
     block into one array; affine_maps rejects det <= 0, so sqrt(w) is real.
     Raises InvalidDataError on non-finite data."""
-    quad = level_rules(dofmap.degree)[0]
+    tables = level_tables(dofmap.degree)
     coords, inv_t, det = affine_maps(mesh)
-    facets = _initial_facet_tables(mesh, dofmap.degree, system)
+    facets = _initial_facet_tables(mesh, tables, system)
     level = LevelData(
-        quad.points, quad.weights, *_reference_tables(dofmap.degree)[:2], coords, det, inv_t,
-        *facets,
-        data=np.empty((system.n_interior, quad.weights.size, mesh.n_elements)),
+        tables, coords, det, inv_t, *facets,
+        data=np.empty((system.n_interior, tables.quad_weights.size, mesh.n_elements)),
         facet_data=np.empty(facets[2].shape).T,
     )
     for block in _blocks(mesh.n_elements):
@@ -267,7 +240,7 @@ def assemble(mesh: Mesh, dofmap: DofMap, system) -> SparseSystem:
     level = level_data(mesh, dofmap, system)
     dofs, n = dofmap.cell_dofs, dofmap.n_dofs
     nloc_total, ne = dofs.shape
-    nloc = level.values.shape[0]
+    nloc = level.tables.values.shape[0]
     rows, cols = np.triu_indices(nloc_total)
     upper = np.empty((rows.size, ne))
     loads = np.empty((ne, nloc_total))
@@ -399,12 +372,12 @@ def element_fields(solution: DiscreteSolution, level: LevelData):
     (nf, nq, nb) and gradients (nf, 2, nq, nb) of the fields stacked as in
     :func:`field_images`, u1 first, element axis last.
     """
-    nloc, ne = level.values.shape[0], level.inv_t.shape[-1]
+    nloc, ne = level.tables.values.shape[0], level.inv_t.shape[-1]
     local = _local_coeffs(solution.coeffs, solution.dofmap.cell_dofs).reshape(-1, nloc, ne)
     for block in _blocks(ne):
         coeffs = local[..., block]
-        values = level.values.T @ coeffs
-        ref = level.ref_grads.transpose(0, 2, 1) @ coeffs[:, None]  # (nf, 2, nq, nb)
+        values = level.tables.values.T @ coeffs
+        ref = level.tables.ref_grads.transpose(0, 2, 1) @ coeffs[:, None]  # (nf, 2, nq, nb)
         inv_t = level.inv_t[:, :, None, block]
         grads = np.multiply(inv_t[:, 0], ref[:, :1])
         grads += inv_t[:, 1] * ref[:, 1:]

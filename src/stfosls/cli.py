@@ -191,6 +191,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"t_end must be positive, got {t_end}")
     if not x_lo < x_hi:
         raise ConfigError(f"need x_lo < x_hi, got ({x_lo}, {x_hi})")
+    if not math.isfinite(x_hi - x_lo):
+        raise ConfigError(f"x_hi - x_lo must be finite, got {x_hi - x_lo} from ({x_lo}, {x_hi})")
 
     flag = values["write_mesh"].lower()
     if flag not in ("true", "false", "0", "1", "yes", "no"):
@@ -225,8 +227,13 @@ def _degenerate(config: RunConfig, which: str, exc: DegenerateElementError) -> C
 
 def _build_run(config: RunConfig):
     """Initial mesh, system and exact fields of a parsed config; a config
-    whose initial elements are degenerate in floating point is invalid."""
-    mesh0 = uniform_initial_mesh(config.t_end, (config.x_lo, config.x_hi), config.nt, config.nx)
+    whose initial mesh cannot be allocated, or whose initial elements are
+    degenerate in floating point, is invalid."""
+    try:
+        mesh0 = uniform_initial_mesh(config.t_end, (config.x_lo, config.x_hi), config.nt, config.nx)
+    except MemoryError as exc:
+        raise ConfigError(f"nt = {config.nt}, nx = {config.nx} give an initial mesh "
+                          f"too large to allocate: {exc}") from exc
     try:
         affine_maps(mesh0)
     except DegenerateElementError as exc:  # e.g. a positive but denormal t_end
@@ -244,7 +251,7 @@ def cmd_run(config_path, out_dir=None) -> int:
     """Execute one configured run; writes runlog.csv, summary.txt, optional mesh dump."""
     try:
         text = Path(config_path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:

@@ -29,7 +29,7 @@ from .spaces import (
     build_quadrature,
     build_reference,
     edge_reference_points,
-    level_rules,
+    level_tables,
 )
 
 __all__ = [
@@ -299,18 +299,19 @@ def _supports(dofmap: DofMap):
     return [np.flatnonzero((dofmap.cell_dofs == j).any(axis=0)) for j in range(dofmap.n_dofs)]
 
 
-def _basis_images(mesh: Mesh, dofmap: DofMap, system, quad, equad):
+def _basis_images(mesh: Mesh, dofmap: DofMap, system, rules):
     """System image of every global basis function at every quadrature point.
 
     Each function is evaluated only on the elements whose cell dofs contain
     it; it vanishes identically elsewhere.  Returns the interior image table
     (n_dofs, n_elements, nq, n_int), the trace table (n_dofs, n_facets,
     nq_edge), the physical points, the weighted measures, and the
-    initial-facet list.
+    initial-facet list.  Only the rules are read from ``rules``, the
+    level's :class:`~stfosls.spaces.LevelTables`; the basis is evaluated here.
     """
     n = dofmap.n_dofs
     ne = mesh.n_elements
-    refpts = quad.reference_points()
+    refpts = rules.quad_points[:, 1:]
     nq = refpts.shape[0]
     n_int = system.n_interior
     nc = system.n_flux
@@ -324,7 +325,7 @@ def _basis_images(mesh: Mesh, dofmap: DofMap, system, quad, equad):
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         for q in range(nq):
             pts[e, q] = tri[0] + jac @ refpts[q]
-            wdet[e, q] = quad.weights[q] * det
+            wdet[e, q] = rules.quad_weights[q] * det
 
     table = np.zeros((n, ne, nq, n_int))
     for j in range(n):
@@ -344,13 +345,13 @@ def _basis_images(mesh: Mesh, dofmap: DofMap, system, quad, equad):
                 table[j, e, q, system.n_flux] = img.div
 
     facets = _initial_edges(mesh) if system.has_initial_trace else []
-    trace = np.zeros((n, len(facets), equad.points.size))
+    trace = np.zeros((n, len(facets), rules.edge_points.size))
     for j in range(n):
         unit = np.zeros(n)
         unit[j] = 1.0
         for fi, (e, loc) in enumerate(facets):
             if e in supports[j]:
-                edge_pts = edge_reference_points(loc, equad.points)
+                edge_pts = edge_reference_points(loc, rules.edge_points)
                 trace[j, fi] = evaluate_field(unit, dofmap, mesh, e, edge_pts, field=0)[0]
     return table, trace, pts, wdet, facets
 
@@ -360,9 +361,9 @@ def dense_assemble(mesh: Mesh, dofmap: DofMap, system):
     n = dofmap.n_dofs
     if n > MAX_DENSE_DOFS:
         raise ValueError(f"dense oracle limited to {MAX_DENSE_DOFS} dofs, got {n}")
-    quad, equad = level_rules(dofmap.degree)
+    rules = level_tables(dofmap.degree)
 
-    table, trace, pts, wdet, facets = _basis_images(mesh, dofmap, system, quad, equad)
+    table, trace, pts, wdet, facets = _basis_images(mesh, dofmap, system, rules)
 
     data = np.empty(pts.shape[:2] + (system.n_interior,))
     for e in range(pts.shape[0]):
@@ -374,8 +375,8 @@ def dense_assemble(mesh: Mesh, dofmap: DofMap, system):
     rhs = weighted @ (data * sqrt_w).ravel()
 
     for fi, (e, loc) in enumerate(facets):
-        xs, length = _edge_geometry(mesh, e, loc, equad.points)
-        sqrt_len = np.sqrt(equad.weights * length)
+        xs, length = _edge_geometry(mesh, e, loc, rules.edge_points)
+        sqrt_len = np.sqrt(rules.edge_weights * length)
         u0 = np.array([eval_data_initial(system, xv) for xv in xs])
         traces = trace[:, fi] * sqrt_len
         matrix += traces @ traces.T
@@ -466,7 +467,7 @@ def fine_norm(exact: ExactFields, mesh: Mesh, system, degree: int = 8) -> float:
     """
     quad = build_quadrature(degree)
     equad = build_edge_quadrature(degree)
-    refpts = quad.reference_points()
+    refpts = quad.points[:, 1:]
 
     total = 0.0
     for e in range(mesh.n_elements):
@@ -578,8 +579,8 @@ def residual_norm_sweep(mesh: Mesh, solution, system) -> float:
     used to cross-check the additivity of the element indicators.
     """
     dofmap = solution.dofmap
-    quad, equad = level_rules(dofmap.degree)
-    refpts = quad.reference_points()
+    rules = level_tables(dofmap.degree)
+    refpts = rules.quad_points[:, 1:]
     nc = system.n_flux
 
     acc = 0.0
@@ -599,15 +600,15 @@ def residual_norm_sweep(mesh: Mesh, solution, system) -> float:
             img = eval_G(system, point, u1v[q], u1g[q], u2v[q], u2g[q])
             target = eval_data(system, point)
             diff = target - np.concatenate([img.flux, [img.div]])
-            acc += quad.weights[q] * det * float(diff @ diff)
+            acc += rules.quad_weights[q] * det * float(diff @ diff)
 
     if system.has_initial_trace:
         for e, loc in _initial_edges(mesh):
-            xs, length = _edge_geometry(mesh, e, loc, equad.points)
+            xs, length = _edge_geometry(mesh, e, loc, rules.edge_points)
             vals, _ = evaluate_field(
-                solution.coeffs, dofmap, mesh, e, edge_reference_points(loc, equad.points), field=0
+                solution.coeffs, dofmap, mesh, e, edge_reference_points(loc, rules.edge_points), field=0
             )
             for q, xv in enumerate(xs):
                 mismatch = vals[q] - eval_data_initial(system, xv)
-                acc += equad.weights[q] * length * mismatch**2
+                acc += rules.edge_weights[q] * length * mismatch**2
     return float(np.sqrt(acc))

@@ -20,12 +20,13 @@ __all__ = [
     "ReferenceElement",
     "QuadratureRule",
     "EdgeQuadratureRule",
+    "LevelTables",
     "DofMap",
     "DegenerateElementError",
     "build_reference",
     "build_quadrature",
     "build_edge_quadrature",
-    "level_rules",
+    "level_tables",
     "build_dofmap",
     "affine_maps",
     "edge_reference_points",
@@ -99,10 +100,6 @@ class QuadratureRule:
     points: np.ndarray  # (nq, 3) barycentric coordinates
     weights: np.ndarray  # (nq,)
 
-    def reference_points(self) -> np.ndarray:
-        """Points in (xi, eta) coordinates, shape (nq, 2)."""
-        return self.points[:, 1:]
-
 
 @dataclass(frozen=True)
 class EdgeQuadratureRule:
@@ -142,18 +139,37 @@ def build_edge_quadrature(exactness: int) -> EdgeQuadratureRule:
     return EdgeQuadratureRule(points=0.5 * (gp + 1.0), weights=0.5 * gw)
 
 
-@cache
-def level_rules(p: int) -> tuple[QuadratureRule, EdgeQuadratureRule]:
-    """Triangle and edge rules of every level at degree ``p``, exact for degree 2p + 2.
+@dataclass(frozen=True)
+class LevelTables:
+    """The triangle and edge rules of every level at degree p, exact for
+    degree 2p + 2 (products of system images of basis functions under
+    constant coefficients, with headroom for smooth data), and the reference
+    basis on them.  Shared by every level of the degree, so read-only."""
 
-    The Galerkin matrix, the indicators and the graph-norm error all
-    integrate with these rules.  They are exact for products of system
-    images of basis functions under constant coefficients, with headroom
-    for smooth data.  They are built once per degree and shared, so callers
-    must not modify their arrays: building them takes about 0.4 ms (two
-    Gauss-Legendre eigenproblems), which every level would otherwise pay.
-    """
-    return build_quadrature(2 * p + 2), build_edge_quadrature(2 * p + 2)
+    quad_points: np.ndarray  # (nq, 3) barycentric points of the triangle rule
+    quad_weights: np.ndarray  # (nq,) its weights
+    edge_points: np.ndarray  # (nq_e,) points of the edge rule in (0, 1)
+    edge_weights: np.ndarray  # (nq_e,) its weights
+    values: np.ndarray  # (nloc, nq) basis values at the triangle rule's points
+    ref_grads: np.ndarray  # (2, nloc, nq) reference gradients there
+    edge_values: np.ndarray  # (3, nq_e, nloc) basis at the edge rule's points on each local edge
+
+
+@cache
+def level_tables(p: int) -> LevelTables:
+    """The :class:`LevelTables` of degree ``p``, built once: the two
+    Gauss-Legendre eigenproblems take about 0.4 ms, which every level would
+    otherwise pay."""
+    quad, equad = build_quadrature(2 * p + 2), build_edge_quadrature(2 * p + 2)
+    ref, refpts = build_reference(p), quad.points[:, 1:]
+    tables = LevelTables(
+        quad.points, quad.weights, equad.points, equad.weights,
+        ref.values(refpts).T, ref.gradients(refpts).transpose(2, 1, 0),
+        np.array([ref.values(edge_reference_points(k, equad.points)) for k in range(3)]),
+    )
+    for table in vars(tables).values():
+        table.flags.writeable = False
+    return tables
 
 
 def edge_reference_points(loc: int, s: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from stfosls.spaces import (
     build_dofmap,
     build_reference,
     edge_reference_points,
-    level_rules,
+    level_tables,
 )
 from stfosls.oracles import affine_map, eval_G
 from stfosls.system import parabolic_system, poisson_sine_case
@@ -118,14 +118,14 @@ def test_table_written_in_place_matches_pointwise_images(name, p):
     geometry = level_data(mesh, dofmap, system)
     images = _residual_tables(system, geometry, slice(None))
     grads = geometry.basis_gradients()
-    nloc, nq = geometry.values.shape
+    nloc, nq = geometry.tables.values.shape
     rng = np.random.default_rng(0)
     for e, q in zip(rng.integers(mesh.n_elements, size=12), rng.integers(nq, size=12)):
         point = geometry.points()[:, q, e]
         for a in range(images.shape[0]):
             field, loc = divmod(a, nloc)
             fields = np.zeros((1 + system.n_flux, 3))  # value, d/dt, d/dx per field
-            fields[field] = geometry.values[loc, q], *grads[:, loc, q, e]
+            fields[field] = geometry.tables.values[loc, q], *grads[:, loc, q, e]
             image = eval_G(system, point, fields[0, 0], fields[0, 1:], fields[1:, 0], fields[1:, 1:])
             expected = np.append(image.flux, image.div) * np.sqrt(geometry.wdet()[q, e])
             got = images[a, :, q, e]
@@ -135,8 +135,13 @@ def test_table_written_in_place_matches_pointwise_images(name, p):
 def _table_nbytes(mesh, dofmap, system):
     """Bytes of the level's whole image table, (nloc_total, n_int, nq, ne) floats."""
     nloc_total = dofmap.cell_dofs.shape[0]
-    nq = level_rules(dofmap.degree)[0].weights.size
+    nq = level_tables(dofmap.degree).quad_weights.size
     return 8 * nloc_total * system.n_interior * nq * mesh.n_elements
+
+
+def _level_arrays(level):
+    """Every array of a level by name: its own fields and those of its tables."""
+    return {f: a for f, a in vars(level).items() if f != "tables"} | vars(level.tables)
 
 
 def _traced_peak(fn, *args):
@@ -164,7 +169,7 @@ def test_assemble_traced_peak_bounded_by_table(monkeypatch):
     level = sparse.level
     kept = sum(a.nbytes for a in (sparse.matrix.data, sparse.matrix.indices, sparse.matrix.indptr,
                                   sparse.rhs))
-    kept += sum(getattr(level, f).nbytes for f in level.__dataclass_fields__)
+    kept += sum(a.nbytes for a in _level_arrays(level).values())
     assert peak - kept < table
 
 
@@ -256,7 +261,7 @@ def test_indicators_match_table_contraction(name, p):
     local = np.where(dofs >= 0, solution.coeffs[dofs], 0.0)
     resid = level.data - np.einsum("arqe,ae->rqe", images, local)
     expected = np.einsum("rqe,rqe->e", resid, resid)
-    nloc, elems = level.values.shape[0], level.facet_elements
+    nloc, elems = level.tables.values.shape[0], level.facet_elements
     facet_images = (level.facet_basis * np.sqrt(level.facet_wlen)[..., None]).T
     facet_resid = level.facet_data - np.einsum("aqf,af->qf", facet_images, local[:nloc, elems])
     np.add.at(expected, elems, np.einsum("qf,qf->f", facet_resid, facet_resid))
@@ -290,17 +295,18 @@ def test_geometry_matches_per_element_affine_map():
     assert mesh.n_elements >= 1000
     for p in (1, 2):
         dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
-        quad, _ = level_rules(p)
+        rules = level_tables(p)
+        refpts = rules.quad_points[:, 1:]
         geometry = level_data(mesh, dofmap, system)
         grads = geometry.basis_gradients()
         ref = build_reference(p)
-        ref_grads = ref.gradients(quad.reference_points())  # (nq, nloc, 2)
+        ref_grads = ref.gradients(refpts)  # (nq, nloc, 2)
         points, wdet, expected = [], [], []
         for k in range(mesh.n_elements):
             jac, inv_t, det = affine_map(mesh, k)
             corner = mesh.points[mesh.elements[k, 0]]
-            points.append((corner + quad.reference_points() @ jac.T).T)
-            wdet.append(quad.weights * det)
+            points.append((corner + refpts @ jac.T).T)
+            wdet.append(rules.quad_weights * det)
             expected.append(np.einsum("ab,qib->aiq", inv_t, ref_grads))
         np.testing.assert_allclose(geometry.points(), np.stack(points, axis=-1), rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(geometry.wdet(), np.stack(wdet, axis=-1), rtol=1e-14, atol=0)
@@ -322,14 +328,15 @@ def test_geometry_keeps_element_size_arrays(p, monkeypatch):
         level_data(m, build_dofmap(m, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags), system)
         for m in (mesh, coarse)
     )
-    ne, nq = mesh.n_elements, level_rules(p)[0].weights.size
-    fields = [f for f in geometry.__dataclass_fields__ if not f.startswith("facet_") and f != "data"]
-    per_element = [getattr(geometry, f) for f in fields if getattr(geometry, f).shape[-1] == ne]
+    ne, nq = mesh.n_elements, level_tables(p).quad_weights.size
+    arrays, small_arrays = _level_arrays(geometry), _level_arrays(small)
+    fields = [f for f in arrays if not f.startswith("facet_") and f != "data"]
+    per_element = [arrays[f] for f in fields if arrays[f].shape[-1] == ne]
     assert not any(nq in a.shape for a in per_element)
     assert sum(a.size for a in per_element) <= 11 * ne
     for f in fields:
-        if getattr(geometry, f).shape[-1] != ne:
-            assert getattr(geometry, f).shape == getattr(small, f).shape, f
+        if arrays[f].shape[-1] != ne:
+            assert arrays[f].shape == small_arrays[f].shape, f
 
     monkeypatch.setattr(assembly, "_BLOCK", 64)
     blocks = assembly._blocks(ne)
@@ -345,36 +352,36 @@ def test_initial_facet_tables_match_per_facet_loop():
     mesh, system = _graded_incompatible(10)
     for p in (1, 2):
         dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
-        _, equad = level_rules(p)
-        elems, basis, xs, wlen = _initial_facet_tables(mesh, p, system)
+        rules = level_tables(p)
+        elems, basis, xs, wlen = _initial_facet_tables(mesh, rules, system)
         edges = oracles._initial_edges(mesh)
         assert len(edges) > 4  # refinement reached the initial boundary
         assert np.array_equal(elems, [e for e, _ in edges])
         ref = build_reference(p)
         for f, (e, loc) in enumerate(edges):
-            xs_ref, length = oracles._edge_geometry(mesh, e, loc, equad.points)
-            values = ref.values(edge_reference_points(loc, equad.points))
+            xs_ref, length = oracles._edge_geometry(mesh, e, loc, rules.edge_points)
+            values = ref.values(edge_reference_points(loc, rules.edge_points))
             np.testing.assert_allclose(basis[f], values, rtol=0, atol=1e-15)
             np.testing.assert_allclose(xs[f], xs_ref, rtol=1e-15, atol=1e-15)
-            np.testing.assert_allclose(wlen[f], equad.weights * length, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(wlen[f], rules.edge_weights * length, rtol=1e-15, atol=0)
     poisson, _ = poisson_sine_case()
-    assert _initial_facet_tables(mesh, p, poisson)[0].size == 0
+    assert _initial_facet_tables(mesh, rules, poisson)[0].size == 0
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_reference_tables_shared_and_read_only(p):
-    """Two levels of one degree hold the same reference tables, built once
-    per degree, and no caller can write to them."""
+    """Two levels of one degree hold the very same table of rules and
+    reference basis, built once per degree, and no caller can write to any
+    of its arrays; the facet basis is rows of its edge table."""
     fine, system = _graded_incompatible(10)
     coarse = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     a, b = (level_data(m, build_dofmap(m, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags),
                        system) for m in (coarse, fine))
-    values, ref_grads, edges = assembly._reference_tables(p)
-    assert a.values is b.values is values and a.ref_grads is b.ref_grads is ref_grads
-    assert assembly._reference_tables(p)[2] is edges and edges.shape[0] == 3
+    tables = level_tables(p)
+    assert a.tables is b.tables is tables and tables.edge_values.shape[0] == 3
     locs = initial_facet_list(fine)[:, 1]
-    assert np.array_equal(b.facet_basis, edges[locs])
-    for table in (values, ref_grads, edges):
+    assert np.array_equal(b.facet_basis, tables.edge_values[locs])
+    for table in vars(tables).values():
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 1.0
 

@@ -323,6 +323,43 @@ def test_degenerate_initial_mesh_exit_2(tmp_path, capsys, line, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("content,message", [
+    (b"case = heat-smooth\xff\n", "error: cannot read config: 'utf-8' codec can't decode"),
+    (b"# r\xe9sum\xe9 of the heat case\ncase = heat-smooth\n", "error: cannot read config: 'utf-8'"),
+    (b"x_lo = -1e308\nx_hi = 1e308\n", "error: invalid config: x_hi - x_lo must be finite, got inf"),
+], ids=["stray-byte", "latin-1-comment", "overflowing-width"])
+def test_unreadable_or_overflowing_config_exit_2(tmp_path, capsys, content, message):
+    """A config that is not UTF-8 (a stray byte, a Latin-1 comment) cannot be
+    read, and finite bounds whose width overflows are rejected by that name,
+    not as a degenerate mesh: exit 2, no traceback, no output directory."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(content)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_initial_mesh_too_large_exit_2(tmp_path, capsys, monkeypatch):
+    """An initial grid that cannot be allocated is invalid input naming nt
+    and nx: exit 2, no traceback, no output directory.  The allocation
+    failure is stubbed, so no oversized grid is ever requested."""
+    import stfosls.cli as cli
+
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000001,)")
+
+    monkeypatch.setattr(cli, "uniform_initial_mesh", too_large)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nt = 100000000000\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error: invalid config: nt = 100000000000, nx = 2 give an initial mesh too large" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_degenerate_refined_mesh_exit_2(tmp_path, capsys, monkeypatch):
     """An element that refinement makes degenerate is invalid input: exit 2
     naming the extent, without a traceback and without an output directory.

@@ -7,7 +7,7 @@ from stfosls.assembly import DiscreteSolution, assemble, level_data, solve_cg
 from stfosls.estimator import compute_indicators, data_norm, u_norm_error
 from stfosls.mesh import bisect, element_measures, uniform_initial_mesh
 from stfosls.problem import exact_error_data, make_problem, sample
-from stfosls.spaces import build_dofmap, level_rules
+from stfosls.spaces import build_dofmap, level_tables
 from stfosls.system import parabolic_system, poisson_sine_case
 
 
@@ -46,14 +46,14 @@ def test_zero_solution_indicator_is_data_norm():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     solution = DiscreteSolution(coeffs=np.zeros(dofmap.n_dofs), dofmap=dofmap)
-    quad, _ = level_rules(1)
+    rules = level_tables(1)
     ind = compute_indicators(mesh, solution, system, level_data(mesh, dofmap, system))
 
     coords = mesh.element_coords()
     for k in range(mesh.n_elements):
-        pts = np.einsum("qk,kc->qc", quad.points, coords[k])
+        pts = np.einsum("qk,kc->qc", rules.quad_points, coords[k])
         f1 = sample(stripped.data.f1, pts[:, 0], pts[:, 1])
-        local = float(np.dot(quad.weights, f1**2)) * 2.0 * element_measures(mesh)[k]
+        local = float(np.dot(rules.quad_weights, f1**2)) * 2.0 * element_measures(mesh)[k]
         assert ind.per_element[k] ** 2 == pytest.approx(local, rel=1e-10)
 
 

@@ -6,14 +6,20 @@ every layer function through its module globals, ``compute_indicators`` gets
 looked up in ``stfosls.cli``.  A change that breaks it blinds the benchmark;
 these runs make it fail here.  Every benchmark run's log must also pass the
 benchmark's own gate against its reference rows, so that an output drift
-fails here before the benchmark runs.
+fails here before the benchmark runs.  The set-up probe calls
+``cli.parse_config`` and ``cli._build_run`` in a process of its own; it must
+keep running, or ``setup_s`` cannot be measured.
 """
 
+import math
+import subprocess
+import sys
 from pathlib import Path
 
 from stfosls.cli import main
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_tracer_sees_every_expected_layer(tmp_path, monkeypatch):
@@ -61,3 +67,18 @@ def test_benchmark_runs_pass_the_output_gate(tmp_path, monkeypatch):
             assert gate(out / "runlog.csv", reference) is None, run.name
             checked += 1
     assert checked == 15
+
+
+def test_setup_probe_runs_on_each_workload(tmp_path, monkeypatch):
+    """``perfbench/probe.py SRC CONFIG``, run as the benchmark runs it on each
+    workload's first config, exits 0 with a float on its last line."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import WORKLOADS
+
+    for workload in WORKLOADS.values():
+        cfg = tmp_path / f"{workload.name}.cfg"
+        cfg.write_text(workload.runs[0].config_text())
+        probe = subprocess.run([sys.executable, str(PERFBENCH / "probe.py"), str(ROOT / "src"), str(cfg)],
+                               capture_output=True, text=True, timeout=120)
+        assert probe.returncode == 0, (workload.name, probe.stderr)
+        assert math.isfinite(float(probe.stdout.splitlines()[-1])), workload.name
