@@ -23,8 +23,9 @@ inner loops along that long contiguous axis.  Its geometry is held at
 element size; quadrature points, weights times det J and physical gradients
 are formed for one block of elements where they are used.  Its rules and
 the reference basis on them are :func:`stfosls.spaces.level_tables`, built
-once per degree, read-only, and shared by every level.  The level is
-built once, travels on the :class:`SparseSystem`, and also serves the
+once per degree, read-only, and shared by every level.  It holds the dof
+map it was built from, so a solution is its coefficient vector.  The level
+is built once, travels on the :class:`SparseSystem`, and also serves the
 indicators and the graph-norm error.  :func:`field_images` is the one place
 where the system's G is applied to discrete fields: to the weighted basis
 here, and to the solution's fields in the estimator.
@@ -54,7 +55,6 @@ __all__ = [
     "SparseSystem",
     "LevelData",
     "SolverReport",
-    "DiscreteSolution",
     "assemble",
     "level_data",
     "field_images",
@@ -75,6 +75,7 @@ class LevelData:
     the interior data at point q of element K, ``facet_data[q, f]`` the
     initial datum at point q of the initial facet f."""
 
+    dofmap: DofMap  # the level's dof map: its cell->dof table places a coefficient vector
     tables: LevelTables  # the rules of the level's degree and the reference basis on them
     coords: np.ndarray  # (2, 3, ne) vertex coordinates (t, x) of every element
     det: np.ndarray  # (ne,) det J of every element
@@ -129,14 +130,6 @@ class SolverReport:
     converged: bool
 
 
-@dataclass(frozen=True)
-class DiscreteSolution:
-    """Coefficient vector of a least-squares approximation on one mesh."""
-
-    coeffs: np.ndarray
-    dofmap: DofMap
-
-
 def _blocks(n_elements: int):
     """Slices of the element axis, ``_BLOCK`` elements each, the last one shorter."""
     return [slice(lo, lo + _BLOCK) for lo in range(0, n_elements, _BLOCK)]
@@ -189,15 +182,15 @@ def _initial_facet_tables(mesh: Mesh, tables: LevelTables, system):
 
 
 def level_data(mesh: Mesh, dofmap: DofMap, system) -> LevelData:
-    """Geometry of one level under its rules, initial facets included, and
-    its weighted data, the interior data written by the system block by
+    """Dof map and geometry of one level under its rules, initial facets
+    included, and its weighted data, the interior data written block by
     block into one array; affine_maps rejects det <= 0, so sqrt(w) is real.
     Raises InvalidDataError on non-finite data."""
     tables = level_tables(dofmap.degree)
     coords, inv_t, det = affine_maps(mesh)
     facets = _initial_facet_tables(mesh, tables, system)
     level = LevelData(
-        tables, coords, det, inv_t, *facets,
+        dofmap, tables, coords, det, inv_t, *facets,
         data=np.empty((system.n_interior, tables.quad_weights.size, mesh.n_elements)),
         facet_data=np.empty(facets[2].shape).T,
     )
@@ -347,11 +340,12 @@ def solve_cg(matrix, rhs: np.ndarray):
     solve = _lu_solve(matrix)
     residual, rel, backward, r_max, solves = rhs, math.inf, math.inf, math.inf, 0
     while True:
-        candidate = x + solve(residual)
+        with np.errstate(over="ignore", invalid="ignore"):  # a garbage iterate is judged below
+            candidate = x + solve(residual)
+            r = rhs - matrix @ candidate
+            candidate_rel = float(np.linalg.norm(np.ldexp(r, exponent))) / b_norm
+            x_inf = float(np.abs(candidate).max())
         solves += 1
-        r = rhs - matrix @ candidate
-        candidate_rel = float(np.linalg.norm(np.ldexp(r, exponent))) / b_norm
-        x_inf = float(np.abs(candidate).max())
         if not math.isfinite(candidate_rel + x_inf):
             return candidate, SolverReport(solves, candidate_rel, math.nan, math.nan, False)
         if candidate_rel >= rel:
@@ -364,20 +358,20 @@ def solve_cg(matrix, rhs: np.ndarray):
     return x, SolverReport(solves, rel, backward, defect, rel <= _REL_TOL or backward <= _BACKWARD_TOL)
 
 
-def element_fields(solution: DiscreteSolution, level: LevelData):
-    """Discrete field values at the quadrature points, one block of elements
-    at a time, in the blocks of assembly.
+def element_fields(coeffs: np.ndarray, level: LevelData):
+    """Fields of the coefficients ``coeffs`` of ``level`` at the quadrature
+    points, one block of elements at a time, in the blocks of assembly.
 
     Yields each block (a slice of the element axis) with the values
     (nf, nq, nb) and gradients (nf, 2, nq, nb) of the fields stacked as in
     :func:`field_images`, u1 first, element axis last.
     """
     nloc, ne = level.tables.values.shape[0], level.inv_t.shape[-1]
-    local = _local_coeffs(solution.coeffs, solution.dofmap.cell_dofs).reshape(-1, nloc, ne)
+    local = _local_coeffs(coeffs, level.dofmap.cell_dofs).reshape(-1, nloc, ne)
     for block in _blocks(ne):
-        coeffs = local[..., block]
-        values = level.tables.values.T @ coeffs
-        ref = level.tables.ref_grads.transpose(0, 2, 1) @ coeffs[:, None]  # (nf, 2, nq, nb)
+        on_block = local[..., block]
+        values = level.tables.values.T @ on_block
+        ref = level.tables.ref_grads.transpose(0, 2, 1) @ on_block[:, None]  # (nf, 2, nq, nb)
         inv_t = level.inv_t[:, :, None, block]
         grads = np.multiply(inv_t[:, 0], ref[:, :1])
         grads += inv_t[:, 1] * ref[:, 1:]

@@ -345,6 +345,8 @@ def main(argv=None) -> int:
                          f"stfosls {owners[flag]} {flag} ...")
     args = parser.parse_args(argv)
     if args.command == "verify":
+        if args.seed < 0:  # numpy's generators take no negative seed
+            verify_parser.error(f"--seed must be a non-negative integer, got {args.seed}")
         return cmd_verify(seed=args.seed)
     return cmd_run(args.config, out_dir=args.out)
 

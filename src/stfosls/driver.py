@@ -10,13 +10,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .assembly import (
-    DiscreteSolution,
-    SolverReport,
-    assemble,
-    element_fields,
-    solve_cg,
-)
+from .assembly import SolverReport, assemble, element_fields, solve_cg
 from .estimator import compute_indicators, u_norm_error
 from .marking import MarkingConfig, mark, verify_marking_property
 from .mesh import Mesh, bisect
@@ -119,16 +113,15 @@ def _solve_level(mesh, system, p, exact):
             f"level solve on {sparse.rhs.size} dofs stopped after {report.iterations} LU solve(s) "
             f"at relative residual {report.relative_residual:.3e}, backward error {report.backward_error:.3e}"
         )
-    solution = DiscreteSolution(coeffs=coeffs, dofmap=dofmap)
     level = sparse.level
-    fields = element_fields(solution, level)
+    fields = element_fields(coeffs, level)
     if exact is not None:  # the error reads the same per-block fields: evaluate them once
         fields, error_fields = itertools.tee(fields)
-    indicators = compute_indicators(mesh, solution, system, level, fields)
+    indicators = compute_indicators(mesh, coeffs, system, level, fields)
     error = None
     if exact is not None:
-        error = u_norm_error(solution, exact, system, level, error_fields).total
-    return solution, report, indicators, error
+        error = u_norm_error(coeffs, exact, system, level, error_fields).total
+    return dofmap.n_dofs, report, indicators, error
 
 
 def run(
@@ -155,10 +148,10 @@ def run(
     mesh = mesh0
     level = 0
     while True:
-        solution, report, indicators, error = _solve_level(mesh, system, p, exact)
+        dofs, report, indicators, error = _solve_level(mesh, system, p, exact)
         record = RunRecord(
             level=level,
-            dofs=solution.dofmap.n_dofs,
+            dofs=dofs,
             elements=mesh.n_elements,
             estimator=indicators.total,
             error=error,
@@ -172,7 +165,7 @@ def run(
             log.reason = "estimator_tolerance"
         elif marking is not None and np.all(indicators.per_element == 0.0):
             log.reason = "converged"
-        elif stop.max_dofs is not None and solution.dofmap.n_dofs >= stop.max_dofs:
+        elif stop.max_dofs is not None and dofs >= stop.max_dofs:
             log.reason = "max_dofs"
         elif stop.max_iterations is not None and level >= stop.max_iterations:
             log.reason = "max_iterations" if marking is not None else "levels"

@@ -23,8 +23,8 @@ whose pieces the report keeps separate; the trace term is dropped for
 systems without an initial-trace component.  It reads the same per-block
 fields, which a caller computing both may evaluate once and pass to both.
 
-Everything here reads the level that assembly built (``SparseSystem.level``);
-nothing rebuilds it.
+A solution is its coefficient vector, read through the dof map of the level
+that assembly built (``SparseSystem.level``); nothing rebuilds the level.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import DiscreteSolution, LevelData, _local_coeffs, element_fields, field_images
+from .assembly import LevelData, _local_coeffs, element_fields, field_images
 from .mesh import Mesh
 from .problem import ExactFields, sample
 
@@ -66,31 +66,31 @@ class ErrorReport:
     total: float
 
 
-def _initial_trace(solution: DiscreteSolution, level: LevelData) -> np.ndarray:
-    """u1 of the solution at the points of every initial facet, (nf, nq_e)."""
+def _initial_trace(coeffs: np.ndarray, level: LevelData) -> np.ndarray:
+    """u1 of ``coeffs`` at the points of every initial facet of ``level``, (nf, nq_e)."""
     nloc = level.tables.values.shape[0]
-    local = _local_coeffs(solution.coeffs, solution.dofmap.cell_dofs[:nloc, level.facet_elements])
+    local = _local_coeffs(coeffs, level.dofmap.cell_dofs[:nloc, level.facet_elements])
     return np.einsum("fqa,af->fq", level.facet_basis, local)
 
 
 def compute_indicators(
     mesh: Mesh,
-    solution: DiscreteSolution,
+    coeffs: np.ndarray,
     system,
     level: LevelData,
     fields=None,
 ) -> Indicators:
-    """Least-squares indicators of a solved discrete solution.
+    """Least-squares indicators of the solved coefficients ``coeffs``.
 
     ``level`` is the level data the system was assembled from
     (``SparseSystem.level``).  ``fields`` iterates over
-    ``element_fields(solution, level)`` when the caller shares those blocks
+    ``element_fields(coeffs, level)`` when the caller shares those blocks
     with the error.  ``mesh`` is not read here; it stays the first
     positional argument because the benchmark's tracer reads
-    (mesh, solution, system) off this call to count initial facets.
+    (mesh, coeffs, system) off this call to count initial facets.
     """
     if fields is None:
-        fields = element_fields(solution, level)
+        fields = element_fields(coeffs, level)
     eta2 = np.empty(level.det.size)
     for block, values, grads in fields:
         images = np.empty((values.shape[0], system.n_interior) + values.shape[1:])
@@ -99,27 +99,27 @@ def compute_indicators(
         resid *= np.sqrt(level.wdet(block))
         np.subtract(level.data[..., block], resid, out=resid)
         eta2[block] = np.einsum("rqe,rqe->e", resid, resid)
-    trace = _initial_trace(solution, level) * np.sqrt(level.facet_wlen)
+    trace = _initial_trace(coeffs, level) * np.sqrt(level.facet_wlen)
     facet_resid = level.facet_data - trace.T
     np.add.at(eta2, level.facet_elements, np.einsum("qf,qf->f", facet_resid, facet_resid))
     return Indicators(per_element=np.sqrt(eta2), total=float(np.sqrt(eta2.sum())))
 
 
 def u_norm_error(
-    solution: DiscreteSolution,
+    coeffs: np.ndarray,
     exact: ExactFields,
     system,
     level: LevelData,
     fields=None,
 ) -> ErrorReport:
-    """Graph-norm error of a discrete solution against closed-form references.
+    """Graph-norm error of the coefficients ``coeffs`` against closed-form references.
 
     ``level`` is the level data the system was assembled from; its geometry
-    is reused.  ``fields`` iterates over ``element_fields(solution, level)``
+    is reused.  ``fields`` iterates over ``element_fields(coeffs, level)``
     when the caller shares those blocks with the indicators.
     """
     if fields is None:
-        fields = element_fields(solution, level)
+        fields = element_fields(coeffs, level)
     sq_u1 = sq_grad = sq_u2 = sq_div = 0.0
     for block, values, grads in fields:
         (t, x), wdet = level.points(block), level.wdet(block)
@@ -137,7 +137,7 @@ def u_norm_error(
 
     xs = level.facet_x
     ref = sample(exact.u1, np.zeros_like(xs), xs)
-    sq_trace = float(np.sum(level.facet_wlen * (_initial_trace(solution, level) - ref) ** 2))
+    sq_trace = float(np.sum(level.facet_wlen * (_initial_trace(coeffs, level) - ref) ** 2))
 
     total = float(np.sqrt(sq_u1 + sq_grad + sq_u2 + sq_div + sq_trace))
     return ErrorReport(

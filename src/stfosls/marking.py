@@ -55,7 +55,7 @@ def mark_doerfler(indicators: np.ndarray, theta: float) -> np.ndarray:
     if indicators.size == 0:
         return np.empty(0, dtype=np.int64)
     eta2 = indicators**2
-    order = np.lexsort((np.arange(indicators.size), -eta2))
+    order = np.argsort(-eta2, kind="stable")  # descending, ties by element index
     csum = np.cumsum(eta2[order])
     total = csum[-1]
     if total == 0.0:

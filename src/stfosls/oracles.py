@@ -572,13 +572,13 @@ def discrete_image_system(mesh: Mesh, dofmap: DofMap, system, coeffs: np.ndarray
     return _DiscreteImageSystem(mesh, dofmap, system, coeffs)
 
 
-def residual_norm_sweep(mesh: Mesh, solution, system) -> float:
-    """Global residual norm by one flat sweep over all quadrature points.
+def residual_norm_sweep(mesh: Mesh, coeffs: np.ndarray, dofmap: DofMap, system) -> float:
+    """Global residual norm of the coefficient vector ``coeffs`` of ``dofmap``
+    by one flat sweep over all quadrature points.
 
     No per-element partition of the result: a single scalar accumulator,
     used to cross-check the additivity of the element indicators.
     """
-    dofmap = solution.dofmap
     rules = level_tables(dofmap.degree)
     refpts = rules.quad_points[:, 1:]
     nc = system.n_flux
@@ -588,11 +588,11 @@ def residual_norm_sweep(mesh: Mesh, solution, system) -> float:
         tri = mesh.points[mesh.elements[e]]
         jac = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        u1v, u1g = evaluate_field(solution.coeffs, dofmap, mesh, e, refpts, field=0)
+        u1v, u1g = evaluate_field(coeffs, dofmap, mesh, e, refpts, field=0)
         u2v = np.empty((refpts.shape[0], nc))
         u2g = np.empty((refpts.shape[0], nc, 2))
         for comp in range(nc):
-            v, g = evaluate_field(solution.coeffs, dofmap, mesh, e, refpts, field=comp + 1)
+            v, g = evaluate_field(coeffs, dofmap, mesh, e, refpts, field=comp + 1)
             u2v[:, comp] = v
             u2g[:, comp, :] = g
         for q in range(refpts.shape[0]):
@@ -606,7 +606,7 @@ def residual_norm_sweep(mesh: Mesh, solution, system) -> float:
         for e, loc in _initial_edges(mesh):
             xs, length = _edge_geometry(mesh, e, loc, rules.edge_points)
             vals, _ = evaluate_field(
-                solution.coeffs, dofmap, mesh, e, edge_reference_points(loc, rules.edge_points), field=0
+                coeffs, dofmap, mesh, e, edge_reference_points(loc, rules.edge_points), field=0
             )
             for q, xv in enumerate(xs):
                 mismatch = vals[q] - eval_data_initial(system, xv)

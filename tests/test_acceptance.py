@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from stfosls import oracles
-from stfosls.assembly import DiscreteSolution, assemble, solve_cg
+from stfosls.assembly import assemble, solve_cg
 from stfosls.driver import StopCriteria, rate_table, run
 from stfosls.estimator import compute_indicators, data_norm
 from stfosls.marking import (
@@ -267,8 +267,7 @@ def test_criterion_7_exact_reproduction(p):
 
     sparse_system = assemble(mesh, dofmap, wrapped)
     coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
-    solution = DiscreteSolution(coeffs=coeffs, dofmap=dofmap)
-    eta = compute_indicators(mesh, solution, wrapped, sparse_system.level).total
+    eta = compute_indicators(mesh, coeffs, wrapped, sparse_system.level).total
     f_norm = data_norm(sparse_system.level)
     coeff_err = np.linalg.norm(coeffs - target) / np.linalg.norm(target)
     ok = report.converged and eta <= 1e-8 * f_norm and coeff_err <= 1e-8

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from stfosls import assembly, oracles
 from stfosls.assembly import (
-    DiscreteSolution,
     _initial_facet_tables,
     _residual_tables,
     assemble,
@@ -140,8 +139,9 @@ def _table_nbytes(mesh, dofmap, system):
 
 
 def _level_arrays(level):
-    """Every array of a level by name: its own fields and those of its tables."""
-    return {f: a for f, a in vars(level).items() if f != "tables"} | vars(level.tables)
+    """Every array of a level by name: its own fields and those of its tables,
+    without the dof map that the level was built from."""
+    return {f: a for f, a in vars(level).items() if f not in ("tables", "dofmap")} | vars(level.tables)
 
 
 def _traced_peak(fn, *args):
@@ -177,7 +177,7 @@ def _solved_level(mesh, dofmap, system):
     sparse = assemble(mesh, dofmap, system)
     coeffs, report = solve_cg(sparse.matrix, sparse.rhs)
     assert report.converged
-    return sparse, DiscreteSolution(coeffs=coeffs, dofmap=dofmap)
+    return sparse, coeffs
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -198,8 +198,9 @@ def test_relabelled_dof_table_permutes_the_level(name, p):
     perm = np.random.default_rng(7).permutation(dofmap.n_dofs)  # old dof -> new dof
     dofs = dofmap.cell_dofs
     relabelled = dataclasses.replace(dofmap, cell_dofs=np.where(dofs >= 0, perm[dofs], -1).astype(np.int32))
-    sparse, solution = _solved_level(mesh, dofmap, system)
-    sparse_p, solution_p = _solved_level(mesh, relabelled, system)
+    sparse, coeffs = _solved_level(mesh, dofmap, system)
+    sparse_p, coeffs_p = _solved_level(mesh, relabelled, system)
+    assert sparse_p.level.dofmap is relabelled  # the level reads the table it was built from
     old = np.argsort(perm)  # new dof -> old dof
     assert np.array_equal(sparse_p.rhs, sparse.rhs[old])
     assert sparse_p.matrix.nnz == sparse.matrix.nnz
@@ -207,11 +208,11 @@ def test_relabelled_dof_table_permutes_the_level(name, p):
     defect = np.abs(sparse_p.matrix.toarray() - permuted).max()
     assert defect <= 4 * np.finfo(float).eps * np.abs(permuted).max()
 
-    eta, eta_p = (compute_indicators(mesh, s, system, level.level) for s, level in
-                  ((solution, sparse), (solution_p, sparse_p)))
+    eta, eta_p = (compute_indicators(mesh, c, system, level.level) for c, level in
+                  ((coeffs, sparse), (coeffs_p, sparse_p)))
     assert np.allclose(eta_p.per_element, eta.per_element, rtol=1e-12, atol=0.0)
-    err, err_p = (u_norm_error(s, exact, system, level.level) for s, level in
-                  ((solution, sparse), (solution_p, sparse_p)))
+    err, err_p = (u_norm_error(c, exact, system, level.level) for c, level in
+                  ((coeffs, sparse), (coeffs_p, sparse_p)))
     assert np.allclose(dataclasses.astuple(err_p), dataclasses.astuple(err), rtol=1e-12, atol=0.0)
 
 
@@ -224,8 +225,8 @@ def test_streamed_level_independent_of_block_size(p, monkeypatch):
     mesh, system = _graded_incompatible(18)
     dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     assert mesh.n_elements > assembly._BLOCK
-    reference, solution = _solved_level(mesh, dofmap, system)
-    eta = compute_indicators(mesh, solution, system, reference.level).per_element
+    reference, coeffs = _solved_level(mesh, dofmap, system)
+    eta = compute_indicators(mesh, coeffs, system, reference.level).per_element
     for block in (mesh.n_elements, 7):
         monkeypatch.setattr(assembly, "_BLOCK", block)
         sparse = assemble(mesh, dofmap, system)
@@ -235,7 +236,7 @@ def test_streamed_level_independent_of_block_size(p, monkeypatch):
         assert diff <= 1e-15 * np.abs(reference.matrix.data).max()
         assert np.abs(sparse.rhs - reference.rhs).max() <= 1e-15 * np.abs(reference.rhs).max()
         assert (sparse.matrix != sparse.matrix.T).nnz == 0
-        got = compute_indicators(mesh, solution, system, sparse.level).per_element
+        got = compute_indicators(mesh, coeffs, system, sparse.level).per_element
         assert np.abs(got - eta).max() <= 1e-15 * eta.max()
 
 
@@ -254,18 +255,18 @@ def test_indicators_match_table_contraction(name, p):
             system = parabolic_system(make_problem(name)[0])
     dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux,
                           dirichlet_tags=system.dirichlet_tags)
-    sparse, solution = _solved_level(mesh, dofmap, system)
+    sparse, coeffs = _solved_level(mesh, dofmap, system)
     level = sparse.level
     images = _residual_tables(system, level, slice(None))
     dofs = dofmap.cell_dofs
-    local = np.where(dofs >= 0, solution.coeffs[dofs], 0.0)
+    local = np.where(dofs >= 0, coeffs[dofs], 0.0)
     resid = level.data - np.einsum("arqe,ae->rqe", images, local)
     expected = np.einsum("rqe,rqe->e", resid, resid)
     nloc, elems = level.tables.values.shape[0], level.facet_elements
     facet_images = (level.facet_basis * np.sqrt(level.facet_wlen)[..., None]).T
     facet_resid = level.facet_data - np.einsum("aqf,af->qf", facet_images, local[:nloc, elems])
     np.add.at(expected, elems, np.einsum("qf,qf->f", facet_resid, facet_resid))
-    got = compute_indicators(mesh, solution, system, level).per_element ** 2
+    got = compute_indicators(mesh, coeffs, system, level).per_element ** 2
     assert np.abs(got - expected).max() <= 1e-13 * expected.max()
 
 
@@ -395,9 +396,8 @@ def test_indicators_from_assembled_table_match_fresh_table():
     sparse_system = assemble(mesh, dofmap, system)
     coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
     assert report.converged
-    solution = DiscreteSolution(coeffs=coeffs, dofmap=dofmap)
-    shared = compute_indicators(mesh, solution, system, sparse_system.level)
-    fresh = compute_indicators(mesh, solution, system, level_data(mesh, dofmap, system))
+    shared = compute_indicators(mesh, coeffs, system, sparse_system.level)
+    fresh = compute_indicators(mesh, coeffs, system, level_data(mesh, dofmap, system))
     rel = np.abs(shared.per_element - fresh.per_element).max() / fresh.per_element.max()
     assert rel <= 1e-13
     assert abs(shared.total - fresh.total) <= 1e-13 * fresh.total
@@ -588,8 +588,7 @@ def test_functional_non_increasing_under_uniform_refinement():
         sparse_system = assemble(mesh, dofmap, system)
         coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
         assert report.converged
-        solution = DiscreteSolution(coeffs=coeffs, dofmap=dofmap)
-        values.append(compute_indicators(mesh, solution, system, sparse_system.level).total ** 2)
+        values.append(compute_indicators(mesh, coeffs, system, sparse_system.level).total ** 2)
         mesh = bisect(mesh, np.arange(mesh.n_elements))
         mesh = bisect(mesh, np.arange(mesh.n_elements))
     assert values[1] <= values[0] + 1e-10

@@ -397,6 +397,37 @@ def test_tiny_domain_solve_fails_at_level_0(tmp_path, capsys, max_iterations):
     assert not (tmp_path / "o").exists()
 
 
+def test_overflowing_iterate_fails_without_warning(tmp_path):
+    """heat-smooth on x_hi = 1e-100: the level-0 LU solve returns an iterate
+    whose residual norm overflows.  The solve judges it as not converged
+    without a numpy warning, so even under -W error::RuntimeWarning the run
+    exits 3 with one error line."""
+    import stfosls
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case = heat-smooth\ndegree = 1\nmode = uniform\nlevels = 3\nx_hi = 1e-100\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(stfosls.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "stfosls.cli", "run", str(cfg),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 3
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: solver failure: level solve on 12 dofs")
+    assert "Warning" not in out.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_negative_seed_exit_2(capsys):
+    """numpy's generators take no negative seed: it is bad usage (exit 2),
+    named by its flag, not a failed verification."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("error", [ValueError("a bug"), InvalidDataError("bad data")])
 def test_other_value_errors_are_not_config_errors(tmp_path, monkeypatch, error):
     """Only a degenerate element maps to exit 2; any other ValueError raised

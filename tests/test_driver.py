@@ -375,7 +375,7 @@ def test_runs_are_deterministic(tmp_path):
 
 def test_marking_property_holds_every_iteration():
     """Replicate the loop by hand and verify the marking property per level."""
-    from stfosls.assembly import DiscreteSolution, assemble, solve_cg
+    from stfosls.assembly import assemble, solve_cg
     from stfosls.estimator import compute_indicators
     from stfosls.marking import mark, verify_marking_property
     from stfosls.mesh import bisect
@@ -390,8 +390,7 @@ def test_marking_property_holds_every_iteration():
         sparse_system = assemble(mesh, dofmap, system)
         coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
         assert report.converged
-        solution = DiscreteSolution(coeffs=coeffs, dofmap=dofmap)
-        indicators = compute_indicators(mesh, solution, system, sparse_system.level)
+        indicators = compute_indicators(mesh, coeffs, system, sparse_system.level)
         marks = mark(indicators.per_element, DOERFLER)
         assert verify_marking_property(indicators.per_element, marks)
         mesh = bisect(mesh, marks)

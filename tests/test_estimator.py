@@ -3,7 +3,7 @@ import pytest
 
 from helpers import efficiency_reliability_ratio, error_contributions
 from stfosls import oracles
-from stfosls.assembly import DiscreteSolution, assemble, level_data, solve_cg
+from stfosls.assembly import assemble, level_data, solve_cg
 from stfosls.estimator import compute_indicators, data_norm, u_norm_error
 from stfosls.mesh import bisect, element_measures, uniform_initial_mesh
 from stfosls.problem import exact_error_data, make_problem, sample
@@ -19,13 +19,12 @@ def _solve(name="heat-smooth", p=1, nt=2, nx=2):
     sparse_system = assemble(mesh, dofmap, system)
     coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
     assert report.converged
-    solution = DiscreteSolution(coeffs=coeffs, dofmap=dofmap)
-    return mesh, dofmap, system, solution, case, sparse_system.level
+    return mesh, dofmap, system, coeffs, case, sparse_system.level
 
 
 def test_indicator_additivity():
-    mesh, _, system, solution, _, level = _solve(nt=3, nx=3)
-    ind = compute_indicators(mesh, solution, system, level)
+    mesh, _, system, coeffs, _, level = _solve(nt=3, nx=3)
+    ind = compute_indicators(mesh, coeffs, system, level)
     total_sq = float(np.sum(ind.per_element**2))
     assert abs(ind.total**2 - total_sq) <= 1e-13 * max(total_sq, 1.0)
 
@@ -45,9 +44,8 @@ def test_zero_solution_indicator_is_data_norm():
     system = parabolic_system(stripped)
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
-    solution = DiscreteSolution(coeffs=np.zeros(dofmap.n_dofs), dofmap=dofmap)
     rules = level_tables(1)
-    ind = compute_indicators(mesh, solution, system, level_data(mesh, dofmap, system))
+    ind = compute_indicators(mesh, np.zeros(dofmap.n_dofs), system, level_data(mesh, dofmap, system))
 
     coords = mesh.element_coords()
     for k in range(mesh.n_elements):
@@ -59,9 +57,9 @@ def test_zero_solution_indicator_is_data_norm():
 
 def test_global_estimator_matches_flat_sweep():
     """eta equals the residual norm computed without any element partition."""
-    mesh, _, system, solution, _, level = _solve("convection-reaction", p=1, nt=2, nx=3)
-    ind = compute_indicators(mesh, solution, system, level)
-    sweep = oracles.residual_norm_sweep(mesh, solution, system)
+    mesh, dofmap, system, coeffs, _, level = _solve("convection-reaction", p=1, nt=2, nx=3)
+    ind = compute_indicators(mesh, coeffs, system, level)
+    sweep = oracles.residual_norm_sweep(mesh, coeffs, dofmap, system)
     assert abs(ind.total - sweep) <= 1e-13 * max(1.0, sweep)
 
 
@@ -79,8 +77,7 @@ def test_exact_discrete_data_gives_zero_estimator():
     coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
     assert report.converged
     assert np.linalg.norm(coeffs - target) <= 1e-8 * np.linalg.norm(target)
-    solution = DiscreteSolution(coeffs=coeffs, dofmap=dofmap)
-    eta = compute_indicators(mesh, solution, wrapped, sparse_system.level).total
+    eta = compute_indicators(mesh, coeffs, wrapped, sparse_system.level).total
     assert eta <= 1e-8 * data_norm(sparse_system.level)
 
 
@@ -95,19 +92,14 @@ def test_unrefined_elements_keep_indicators():
     # u1 = 0, u2 = 1 is in the space on every refinement
     coeffs = np.zeros(dofmap.n_dofs)
     coeffs[dofmap.cell_dofs[3:]] = 1.0  # every u2 dof
-    base = compute_indicators(
-        mesh, DiscreteSolution(coeffs=coeffs, dofmap=dofmap), system, level_data(mesh, dofmap, system)
-    )
+    base = compute_indicators(mesh, coeffs, system, level_data(mesh, dofmap, system))
 
     marks = [k for k in range(mesh.n_elements) if mesh.element_coords()[k, :, 0].min() > 0.5]
     refined = bisect(mesh, marks)
     dofmap_r = build_dofmap(refined, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     coeffs_r = np.zeros(dofmap_r.n_dofs)
     coeffs_r[dofmap_r.cell_dofs[3:]] = 1.0
-    after = compute_indicators(
-        refined, DiscreteSolution(coeffs=coeffs_r, dofmap=dofmap_r), system,
-        level_data(refined, dofmap_r, system),
-    )
+    after = compute_indicators(refined, coeffs_r, system, level_data(refined, dofmap_r, system))
     for new, old in enumerate(refined.refined_from):
         if refined.generation[new] == mesh.generation[old]:
             assert after.per_element[new] == pytest.approx(base.per_element[old], rel=1e-14)
@@ -117,8 +109,7 @@ def test_u_norm_error_zero_solution_equals_fine_norm():
     """Zero discrete solution: error report equals the reference norm."""
     mesh, dofmap, system, _, case, level = _solve("heat-smooth", nt=3, nx=2)
     exact = exact_error_data(case)
-    zero = DiscreteSolution(coeffs=np.zeros(dofmap.n_dofs), dofmap=dofmap)
-    report = u_norm_error(zero, exact, system, level)
+    report = u_norm_error(np.zeros(dofmap.n_dofs), exact, system, level)
     reference = oracles.fine_norm(exact, mesh, system, degree=4)  # the p = 1 level rule
     assert report.total == pytest.approx(reference, rel=1e-10)
 
@@ -137,9 +128,8 @@ def test_u_norm_error_from_level_table_matches_standalone(name, p):
     sparse_system = assemble(mesh, dofmap, system)
     coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
     assert report.converged
-    solution = DiscreteSolution(coeffs=coeffs, dofmap=dofmap)
-    shared = u_norm_error(solution, exact, system, sparse_system.level)
-    alone = u_norm_error(solution, exact, system, level_data(mesh, dofmap, system))
+    shared = u_norm_error(coeffs, exact, system, sparse_system.level)
+    alone = u_norm_error(coeffs, exact, system, level_data(mesh, dofmap, system))
     assert alone.total > 0.0
     for a, b in zip(error_contributions(shared) + (shared.total,),
                     error_contributions(alone) + (alone.total,)):
@@ -147,9 +137,9 @@ def test_u_norm_error_from_level_table_matches_standalone(name, p):
 
 
 def test_error_report_sum_of_squares():
-    mesh, _, system, solution, case, level = _solve("convection-reaction")
+    mesh, _, system, coeffs, case, level = _solve("convection-reaction")
     exact = exact_error_data(case)
-    report = u_norm_error(solution, exact, system, level)
+    report = u_norm_error(coeffs, exact, system, level)
     parts = error_contributions(report)
     assert all(p >= 0 for p in parts)
     assert report.total**2 == pytest.approx(sum(p**2 for p in parts), rel=1e-13)
@@ -164,7 +154,7 @@ def test_efficiency_ratio_flags():
 
     mesh, dofmap, system, _, case, level = _solve("heat-smooth")
     exact = exact_error_data(case)
-    zero = DiscreteSolution(coeffs=np.zeros(dofmap.n_dofs), dofmap=dofmap)
+    zero = np.zeros(dofmap.n_dofs)
     report = u_norm_error(zero, exact, system, level)
     ind = compute_indicators(mesh, zero, system, level)
     ratio = efficiency_reliability_ratio(ind, report)
