@@ -7,7 +7,6 @@ global estimator tracks the error within a few percent on every level.
 
 from stfosls import (
     StopCriteria,
-    exact_error_data,
     make_problem,
     rate_table,
     run,
@@ -16,8 +15,7 @@ from stfosls import (
 
 
 def main():
-    problem, case = make_problem("heat-smooth")
-    exact = exact_error_data(case)
+    problem, exact = make_problem("heat-smooth")
     mesh0 = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
 
     for p, levels in ((1, 5), (2, 4)):

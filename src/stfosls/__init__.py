@@ -27,11 +27,8 @@ from .problem import (
     CoefficientField,
     ConvectionForm,
     ExactFields,
-    ManufacturedCase,
     ParabolicProblem,
     ProblemData,
-    exact_error_data,
-    from_manufactured,
     make_problem,
 )
 from .spaces import build_dofmap, build_edge_quadrature, build_quadrature, build_reference

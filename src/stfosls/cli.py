@@ -27,9 +27,9 @@ from .driver import (
 )
 from .marking import MarkingConfig, MarkStrategy
 from .mesh import uniform_initial_mesh, write_mesh
-from .problem import BUILTIN_CASES, ConvectionForm, exact_error_data, make_problem
+from .problem import BUILTIN_CASES, ConvectionForm, make_problem
 from .spaces import DegenerateElementError, affine_maps
-from .system import parabolic_system, poisson_sine_case
+from .system import InvalidDataError, parabolic_system, poisson_sine_case
 
 __all__ = ["RunConfig", "parse_config", "cmd_run", "cmd_verify", "main", "entry"]
 
@@ -241,9 +241,8 @@ def _build_run(config: RunConfig):
     if config.system == "poisson":
         system, exact = poisson_sine_case()
     else:
-        problem, case = make_problem(config.case, config.form)
+        problem, exact = make_problem(config.case, config.form)
         system = parabolic_system(problem)
-        exact = exact_error_data(case) if case is not None else None
     return mesh0, system, exact
 
 
@@ -271,6 +270,9 @@ def cmd_run(config_path, out_dir=None) -> int:
         log = run(system, mesh0, config.degree, config.stop, marking=config.marking, exact=exact)
     except DegenerateElementError as exc:  # refinement made an element degenerate
         print(f"error: invalid config: {_degenerate(config, 'refined', exc)}", file=sys.stderr)
+        return 2
+    except InvalidDataError as exc:  # e.g. a diffusion that is not positive on the config's domain
+        print(f"error: invalid config: case = {config.case}: {exc}", file=sys.stderr)
         return 2
     except SolverFailure as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)

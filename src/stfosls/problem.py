@@ -1,6 +1,6 @@
 """Problem data for the parabolic solver: coefficients, right-hand sides,
-convection-form selection, and manufactured solutions with closed-form
-derivatives.
+convection-form selection, and the built-in cases: manufactured solutions
+given by closed-form derivatives, each with its exact fields.
 
 All coefficient and data fields are point-evaluable callables ``f(t, x)``
 that accept numpy arrays; a scalar-only callable fails with its own error.
@@ -19,12 +19,9 @@ __all__ = [
     "CoefficientField",
     "ProblemData",
     "ParabolicProblem",
-    "ManufacturedCase",
     "ExactFields",
     "sample",
     "sample_x",
-    "from_manufactured",
-    "exact_error_data",
     "make_problem",
     "BUILTIN_CASES",
 ]
@@ -95,25 +92,6 @@ class ParabolicProblem:
 
 
 @dataclass(frozen=True)
-class ManufacturedCase:
-    """A closed-form solution u with the derivatives the solver verifies against.
-
-    ``flux`` is the exact flux variable -A du/dx and ``flux_x`` its spatial
-    derivative -d/dx(A du/dx); supplying both in closed form keeps every
-    reference evaluation free of numerical differentiation, also for
-    space-dependent diffusion.
-    """
-
-    name: str
-    u: Callable
-    u_t: Callable
-    u_x: Callable
-    u_xx: Callable
-    flux: Callable
-    flux_x: Callable
-
-
-@dataclass(frozen=True)
 class ExactFields:
     """Reference fields for graph-norm error evaluation.
 
@@ -129,108 +107,43 @@ class ExactFields:
     div: Callable
 
 
-def from_manufactured(
-    case: ManufacturedCase,
-    coefficients: CoefficientField,
-    form: ConvectionForm = ConvectionForm.FLUX,
-) -> ParabolicProblem:
-    """Problem whose strong-form source matches the manufactured solution.
+def _parabolic_case(coefficients: CoefficientField, form: ConvectionForm,
+                    u: Callable, u_t: Callable, u_x: Callable, flux: Callable, flux_x: Callable):
+    """A manufactured problem and the exact fields of its solution.
 
-    The source is f1 = u_t - d/dx(A u_x) + b u_x + c u with f2 = 0 and
-    u0 = u(0, .); the second-derivative term comes from the case's
-    closed-form ``flux_x``.
+    Built from the closed forms of the solution ``u``, its derivatives
+    ``u_t`` and ``u_x``, the flux variable ``flux`` = -A du/dx and its
+    spatial derivative ``flux_x`` = -d/dx(A du/dx); supplying both in closed
+    form keeps the source and every reference evaluation free of numerical
+    differentiation, also for space-dependent diffusion.  The source is
+    f1 = u_t - d/dx(A u_x) + b u_x + c u with f2 = 0 and u0 = u(0, .).
     """
 
     def f1(t, x):
         return (
-            sample(case.u_t, t, x)
-            + sample(case.flux_x, t, x)
-            + sample(coefficients.convection, t, x) * sample(case.u_x, t, x)
-            + sample(coefficients.reaction, t, x) * sample(case.u, t, x)
+            sample(u_t, t, x)
+            + sample(flux_x, t, x)
+            + sample(coefficients.convection, t, x) * sample(u_x, t, x)
+            + sample(coefficients.reaction, t, x) * sample(u, t, x)
         )
 
     data = ProblemData(
         f1=f1,
         f2=lambda t, x: np.zeros_like(np.asarray(t, dtype=float)),
-        u0=lambda x: sample(case.u, np.zeros_like(np.asarray(x, dtype=float)), x),
+        u0=lambda x: sample(u, np.zeros_like(np.asarray(x, dtype=float)), x),
     )
-    return ParabolicProblem(coefficients=coefficients, data=data, form=form)
-
-
-def exact_error_data(case: ManufacturedCase) -> ExactFields:
-    """Reference fields (u, -A du/dx) and their derivatives for error norms."""
-
-    def u1_grad(t, x):
-        return np.stack([sample(case.u_t, t, x), sample(case.u_x, t, x)], axis=-1)
-
-    def u2(t, x):
-        return sample(case.flux, t, x)[..., None]
-
-    def div(t, x):
+    exact = ExactFields(
+        u1=lambda t, x: sample(u, t, x),
+        u1_grad=lambda t, x: np.stack([sample(u_t, t, x), sample(u_x, t, x)], axis=-1),
+        u2=lambda t, x: sample(flux, t, x)[..., None],
         # Space-time divergence of (u1, u2): u_t + d/dx(flux).
-        return sample(case.u_t, t, x) + sample(case.flux_x, t, x)
-
-    return ExactFields(
-        u1=lambda t, x: sample(case.u, t, x),
-        u1_grad=u1_grad,
-        u2=u2,
-        div=div,
+        div=lambda t, x: sample(u_t, t, x) + sample(flux_x, t, x),
     )
+    return ParabolicProblem(coefficients=coefficients, data=data, form=form), exact
 
 
 def _constant(value: float) -> Callable:
     return lambda t, x: np.full_like(np.asarray(t, dtype=float), value)
-
-
-def _unit_coefficients() -> CoefficientField:
-    return CoefficientField(diffusion=_constant(1.0), convection=_constant(0.0),
-                            reaction=_constant(0.0))
-
-
-def _decaying_sine_case() -> ManufacturedCase:
-    """u(t, x) = exp(-t) sin(pi x) with unit diffusion flux."""
-    pi = np.pi
-    return ManufacturedCase(
-        name="decaying-sine",
-        u=lambda t, x: np.exp(-t) * np.sin(pi * x),
-        u_t=lambda t, x: -np.exp(-t) * np.sin(pi * x),
-        u_x=lambda t, x: pi * np.exp(-t) * np.cos(pi * x),
-        u_xx=lambda t, x: -pi * pi * np.exp(-t) * np.sin(pi * x),
-        flux=lambda t, x: -pi * np.exp(-t) * np.cos(pi * x),
-        flux_x=lambda t, x: pi * pi * np.exp(-t) * np.sin(pi * x),
-    )
-
-
-def _variable_a_case() -> tuple:
-    """Same decaying sine solution under A(t, x) = 1 + t x / 2.
-
-    flux = -(1 + t x / 2) u_x; flux_x = -(t/2) u_x - (1 + t x / 2) u_xx,
-    both written out in closed form.
-    """
-    pi = np.pi
-    base = _decaying_sine_case()
-
-    def a(t, x):
-        return 1.0 + 0.5 * np.asarray(t, dtype=float) * np.asarray(x, dtype=float)
-
-    def flux(t, x):
-        return -a(t, x) * base.u_x(t, x)
-
-    def flux_x(t, x):
-        t = np.asarray(t, dtype=float)
-        return -0.5 * t * base.u_x(t, x) - a(t, x) * base.u_xx(t, x)
-
-    case = ManufacturedCase(
-        name="variable-a",
-        u=base.u,
-        u_t=base.u_t,
-        u_x=base.u_x,
-        u_xx=base.u_xx,
-        flux=flux,
-        flux_x=flux_x,
-    )
-    coeff = CoefficientField(diffusion=a, convection=_constant(0.0), reaction=_constant(0.0))
-    return case, coeff
 
 
 def _incompatible_problem(form: ConvectionForm) -> ParabolicProblem:
@@ -242,7 +155,8 @@ def _incompatible_problem(form: ConvectionForm) -> ParabolicProblem:
         f2=_constant(0.0),
         u0=lambda x: np.ones_like(np.asarray(x, dtype=float)),
     )
-    return ParabolicProblem(coefficients=_unit_coefficients(), data=data, form=form)
+    coeff = CoefficientField(diffusion=_constant(1.0), convection=_constant(0.0), reaction=_constant(0.0))
+    return ParabolicProblem(coefficients=coeff, data=data, form=form)
 
 
 BUILTIN_CASES = ("heat-smooth", "convection-reaction", "variable-a", "incompatible")
@@ -251,21 +165,46 @@ BUILTIN_CASES = ("heat-smooth", "convection-reaction", "variable-a", "incompatib
 def make_problem(name: str, form: ConvectionForm = ConvectionForm.FLUX):
     """Built-in named problems.
 
-    Returns ``(problem, case)`` where ``case`` is the manufactured solution
-    or None for the estimator-only 'incompatible' run.
+    Returns ``(problem, exact)`` where ``exact`` holds the exact fields of
+    the manufactured solution u(t, x) = exp(-t) sin(pi x), or None for the
+    estimator-only 'incompatible' run.
     """
-    if name == "heat-smooth":
-        case = _decaying_sine_case()
-        return from_manufactured(case, _unit_coefficients(), form), case
-    if name == "convection-reaction":
-        case = _decaying_sine_case()
-        coeff = CoefficientField(
-            diffusion=_constant(1.0), convection=_constant(1.0), reaction=_constant(1.0)
-        )
-        return from_manufactured(case, coeff, form), case
-    if name == "variable-a":
-        case, coeff = _variable_a_case()
-        return from_manufactured(case, coeff, form), case
     if name == "incompatible":
         return _incompatible_problem(form), None
-    raise ValueError(f"unknown case {name!r}; available: {', '.join(BUILTIN_CASES)}")
+    if name not in BUILTIN_CASES:
+        raise ValueError(f"unknown case {name!r}; available: {', '.join(BUILTIN_CASES)}")
+    pi = np.pi
+
+    def u(t, x):
+        return np.exp(-t) * np.sin(pi * x)
+
+    def u_t(t, x):
+        return -np.exp(-t) * np.sin(pi * x)
+
+    def u_x(t, x):
+        return pi * np.exp(-t) * np.cos(pi * x)
+
+    if name == "variable-a":
+        # A(t, x) = 1 + t x / 2: flux = -A u_x, flux_x = -(t/2) u_x - A u_xx.
+        def a(t, x):
+            return 1.0 + 0.5 * np.asarray(t, dtype=float) * np.asarray(x, dtype=float)
+
+        def u_xx(t, x):
+            return -pi * pi * np.exp(-t) * np.sin(pi * x)
+
+        def flux(t, x):
+            return -a(t, x) * u_x(t, x)
+
+        def flux_x(t, x):
+            t = np.asarray(t, dtype=float)
+            return -0.5 * t * u_x(t, x) - a(t, x) * u_xx(t, x)
+
+        coeff = CoefficientField(diffusion=a, convection=_constant(0.0), reaction=_constant(0.0))
+        return _parabolic_case(coeff, form, u, u_t, u_x, flux, flux_x)
+    bc = _constant(1.0 if name == "convection-reaction" else 0.0)
+    coeff = CoefficientField(diffusion=_constant(1.0), convection=bc, reaction=bc)
+    return _parabolic_case(
+        coeff, form, u, u_t, u_x,
+        flux=lambda t, x: -pi * np.exp(-t) * np.cos(pi * x),
+        flux_x=lambda t, x: pi * pi * np.exp(-t) * np.sin(pi * x),
+    )

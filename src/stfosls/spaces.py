@@ -264,18 +264,21 @@ def affine_maps(mesh: Mesh):
     (det J is twice the element area), element axis last: vertex coordinates
     (2, 3, ne), J^{-T} (2, 2, ne) and det J (ne,).  Physical gradients are
     J^{-T} times reference gradients.  Raises DegenerateElementError on the
-    first degenerate or inverted element, and on the first whose J^{-T} is
-    not finite: a positive but denormal det J makes the division overflow."""
+    first degenerate or inverted element, and on the first whose det J or
+    J^{-T} is not finite: huge sides make the product overflow, and a
+    positive but denormal det J the division."""
     coords = mesh.points.T[:, mesh.elements.T]
     (a0, a1), (b0, b1) = coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]
-    det = a0 * b1 - b0 * a1
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = a0 * b1 - b0 * a1
     if not np.all(det > 0.0):
         k = int(np.flatnonzero(~(det > 0.0))[0])
         raise DegenerateElementError(f"element {k} is degenerate or inverted (det={det[k]})")
     with np.errstate(over="ignore", invalid="ignore"):
         inv_t = np.array([[b1, -a1], [-b0, a0]]) / det
-    finite = np.isfinite(inv_t).all(axis=(0, 1))
+    finite = np.isfinite(inv_t).all(axis=(0, 1)) & np.isfinite(det)
     if not finite.all():
         k = int(np.flatnonzero(~finite)[0])
-        raise DegenerateElementError(f"element {k} is degenerate: J^-T is not finite (det={det[k]})")
+        raise DegenerateElementError(
+            f"element {k} is degenerate: det J or J^-T is not finite (det={det[k]})")
     return coords, inv_t, det

@@ -141,15 +141,14 @@ def _check_exact_reproduction(rng: np.random.Generator) -> CheckResult:
 def _check_manufactured_residual(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for name in ("heat-smooth", "convection-reaction", "variable-a"):
-        problem, case = make_problem(name)
+        problem, exact = make_problem(name)
         coeff = problem.coefficients
         t = rng.random(1000)
         x = rng.random(1000)
         lhs = (
-            sample(case.u_t, t, x)
-            + sample(case.flux_x, t, x)
-            + sample(coeff.convection, t, x) * sample(case.u_x, t, x)
-            + sample(coeff.reaction, t, x) * sample(case.u, t, x)
+            exact.div(t, x)
+            + sample(coeff.convection, t, x) * exact.u1_grad(t, x)[..., 1]
+            + sample(coeff.reaction, t, x) * exact.u1(t, x)
         )
         resid = np.abs(sample(problem.data.f1, t, x) - lhs).max()
         worst = max(worst, resid)

@@ -39,7 +39,7 @@ from stfosls.mesh import (
     is_conforming,
     uniform_initial_mesh,
 )
-from stfosls.problem import ConvectionForm, exact_error_data, make_problem
+from stfosls.problem import ConvectionForm, make_problem
 from stfosls.spaces import build_dofmap
 from stfosls.system import parabolic_system, poisson_sine_case
 from helpers import sorted_angles
@@ -59,8 +59,7 @@ def _mesh0():
 
 @pytest.fixture(scope="module")
 def heat_uniform_runs():
-    problem, case = make_problem("heat-smooth")
-    exact = exact_error_data(case)
+    problem, exact = make_problem("heat-smooth")
     run_p1 = run(problem, _mesh0(), 1, StopCriteria(max_iterations=4), exact=exact)
     run_p2 = run(problem, _mesh0(), 2, StopCriteria(max_iterations=3), exact=exact)
     return run_p1, run_p2

@@ -429,9 +429,10 @@ def test_verify_negative_seed_exit_2(capsys):
 
 
 @pytest.mark.parametrize("error", [ValueError("a bug"), InvalidDataError("bad data")])
-def test_other_value_errors_are_not_config_errors(tmp_path, monkeypatch, error):
-    """Only a degenerate element maps to exit 2; any other ValueError raised
-    during the run propagates."""
+def test_other_value_errors_are_not_config_errors(tmp_path, monkeypatch, capsys, error):
+    """A degenerate element and invalid problem data (named by the config's
+    case) map to exit 2; any other ValueError raised during the run
+    propagates."""
     import stfosls.cli as cli
 
     def boom(*args, **kwargs):
@@ -440,8 +441,35 @@ def test_other_value_errors_are_not_config_errors(tmp_path, monkeypatch, error):
     monkeypatch.setattr(cli, "run", boom)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("case = heat-smooth\n")
-    with pytest.raises(type(error)):
-        main(["run", str(cfg), "--out", str(tmp_path / "o")])
+    argv = ["run", str(cfg), "--out", str(tmp_path / "o")]
+    if isinstance(error, InvalidDataError):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: invalid config: case = heat-smooth: bad data\n"
+    else:
+        with pytest.raises(ValueError, match="a bug"):
+            main(argv)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("case = variable-a\nt_end = 5\nx_lo = -1\n",
+     "error: invalid config: case = variable-a: diffusion A is not positive at (t, x) = "),
+    ("t_end = 1e200\nx_hi = 1e200\nmode = uniform\nlevels = 2\n",
+     "error: invalid config: t_end = 1e+200 gives a degenerate initial mesh: element 0 is "
+     "degenerate: det J or J^-T is not finite (det=inf)"),
+], ids=["nonpositive-diffusion", "overflowing-det"])
+def test_invalid_problem_data_exit_2(tmp_path, capsys, text, message):
+    """Valid-looking keys can still give invalid data: variable-a's
+    A = 1 + t x / 2 is negative for t_end = 5 and x_lo = -1, and det J of
+    1e200-sized initial elements overflows.  Both exit 2 with one error
+    line, without a numpy warning (the suite turns RuntimeWarning into an
+    error) and without an output directory."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
+    assert not (tmp_path / "o").exists()
 
 
 def test_internal_invariant_exit_4(tmp_path, monkeypatch):
@@ -511,13 +539,34 @@ def test_demo_config_runs(config, tmp_path):
     assert main(["run", str(config), "--out", str(tmp_path)]) == 0
 
 
+def _load_demo(path):
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_demo_scripts_import():
     """Each demo runs its main() only as a script; importing it resolves every
     name it takes from the package."""
     paths = sorted(DEMOS.glob("*.py"))
     assert paths
     for path in paths:
-        spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        assert callable(module.main)
+        assert callable(_load_demo(path).main)
+
+
+@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")), ids=lambda path: path.stem)
+def test_demo_script_runs(path, tmp_path, capsys, monkeypatch):
+    """Each demo's main() runs in process and prints its table; the adaptive
+    demo writes only into the directory it is given, and nothing is written
+    under demos/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    before = sorted(DEMOS.rglob("*"))
+    module = _load_demo(path)
+    if path.stem == "adaptive_incompatible":
+        module.main(out_dir=tmp_path, max_dofs=300)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mesh_final.txt", "runlog.csv"]
+    else:
+        module.main()
+    assert capsys.readouterr().out.strip()
+    assert sorted(DEMOS.rglob("*")) == before

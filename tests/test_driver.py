@@ -19,7 +19,6 @@ from stfosls.problem import (
     CoefficientField,
     ParabolicProblem,
     ProblemData,
-    exact_error_data,
     make_problem,
 )
 from helpers import galerkin_defect
@@ -200,9 +199,9 @@ def test_one_geometry_per_level_with_exact_solution(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(assembly, name, counted)
-    problem, case = make_problem("heat-smooth")
+    problem, exact = make_problem("heat-smooth")
     log = run(problem, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1,
-              StopCriteria(max_iterations=2), exact=exact_error_data(case))
+              StopCriteria(max_iterations=2), exact=exact)
     assert [r.error is not None for r in log.records] == [True] * 3
     assert calls == {"affine_maps": 3, "_initial_facet_tables": 3}
 
@@ -216,12 +215,9 @@ def test_zero_data_stops_at_level_zero():
 
 
 def test_adaptive_heat_estimator_decreases():
-    problem, case = make_problem("heat-smooth")
+    problem, exact = make_problem("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = run(
-        problem, mesh, 1, StopCriteria(max_dofs=5000), DOERFLER,
-        exact=exact_error_data(case),
-    )
+    log = run(problem, mesh, 1, StopCriteria(max_dofs=5000), DOERFLER, exact=exact)
     eta = log.estimators()
     assert log.reason == "max_dofs"
     assert np.all(np.diff(eta[-5:]) < 0)
@@ -257,12 +253,12 @@ def test_incompatible_concentrates_near_initial_time():
 
 
 def test_uniform_run_zero_data():
-    from stfosls.problem import ManufacturedCase
+    from stfosls.problem import _parabolic_case
 
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     problem = _zero_problem()
     zero = lambda t, x: np.zeros_like(np.asarray(t, dtype=float))
-    zero_exact = exact_error_data(ManufacturedCase("zero", zero, zero, zero, zero, zero, zero))
+    _, zero_exact = _parabolic_case(problem.coefficients, problem.form, *[zero] * 5)
     log = run(problem, mesh, 1, StopCriteria(max_iterations=2), exact=zero_exact)
     assert len(log.records) == 3 and log.reason == "levels"
     assert np.all(log.estimators() == 0.0)
@@ -332,17 +328,17 @@ def test_rate_table_hand_examples():
 
 
 def test_rate_table_reproduces_uniform_rates():
-    problem, case = make_problem("heat-smooth")
+    problem, exact = make_problem("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = run(problem, mesh, 1, StopCriteria(max_iterations=3), exact=exact_error_data(case))
+    log = run(problem, mesh, 1, StopCriteria(max_iterations=3), exact=exact)
     orders = [row[3] for row in rate_table(log)[1:]]
     assert all(0.85 <= o <= 1.3 for o in orders)
 
 
 def test_runlog_csv_format(tmp_path):
-    problem, case = make_problem("heat-smooth")
+    problem, exact = make_problem("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = run(problem, mesh, 1, StopCriteria(max_iterations=1), exact=exact_error_data(case))
+    log = run(problem, mesh, 1, StopCriteria(max_iterations=1), exact=exact)
     path = tmp_path / "runlog.csv"
     write_runlog_csv(log, path)
     lines = path.read_text().splitlines()

@@ -6,20 +6,20 @@ from stfosls import oracles
 from stfosls.assembly import assemble, level_data, solve_cg
 from stfosls.estimator import compute_indicators, data_norm, u_norm_error
 from stfosls.mesh import bisect, element_measures, uniform_initial_mesh
-from stfosls.problem import exact_error_data, make_problem, sample
+from stfosls.problem import make_problem, sample
 from stfosls.spaces import build_dofmap, level_tables
 from stfosls.system import parabolic_system, poisson_sine_case
 
 
 def _solve(name="heat-smooth", p=1, nt=2, nx=2):
-    problem, case = make_problem(name)
+    problem, exact = make_problem(name)
     system = parabolic_system(problem)
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), nt, nx)
     dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     sparse_system = assemble(mesh, dofmap, system)
     coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
     assert report.converged
-    return mesh, dofmap, system, coeffs, case, sparse_system.level
+    return mesh, dofmap, system, coeffs, exact, sparse_system.level
 
 
 def test_indicator_additivity():
@@ -107,8 +107,7 @@ def test_unrefined_elements_keep_indicators():
 
 def test_u_norm_error_zero_solution_equals_fine_norm():
     """Zero discrete solution: error report equals the reference norm."""
-    mesh, dofmap, system, _, case, level = _solve("heat-smooth", nt=3, nx=2)
-    exact = exact_error_data(case)
+    mesh, dofmap, system, _, exact, level = _solve("heat-smooth", nt=3, nx=2)
     report = u_norm_error(np.zeros(dofmap.n_dofs), exact, system, level)
     reference = oracles.fine_norm(exact, mesh, system, degree=4)  # the p = 1 level rule
     assert report.total == pytest.approx(reference, rel=1e-10)
@@ -121,8 +120,8 @@ def test_u_norm_error_from_level_table_matches_standalone(name, p):
     if name == "poisson":
         system, exact = poisson_sine_case()
     else:
-        problem, case = make_problem(name)
-        system, exact = parabolic_system(problem), exact_error_data(case)
+        problem, exact = make_problem(name)
+        system = parabolic_system(problem)
     mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 4, 4), [0, 5, 17])
     dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags)
     sparse_system = assemble(mesh, dofmap, system)
@@ -137,8 +136,7 @@ def test_u_norm_error_from_level_table_matches_standalone(name, p):
 
 
 def test_error_report_sum_of_squares():
-    mesh, _, system, coeffs, case, level = _solve("convection-reaction")
-    exact = exact_error_data(case)
+    mesh, _, system, coeffs, exact, level = _solve("convection-reaction")
     report = u_norm_error(coeffs, exact, system, level)
     parts = error_contributions(report)
     assert all(p >= 0 for p in parts)
@@ -152,8 +150,7 @@ def test_efficiency_ratio_flags():
     zero_report = ErrorReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert efficiency_reliability_ratio(ind, zero_report) == float("inf")
 
-    mesh, dofmap, system, _, case, level = _solve("heat-smooth")
-    exact = exact_error_data(case)
+    mesh, dofmap, system, _, exact, level = _solve("heat-smooth")
     zero = np.zeros(dofmap.n_dofs)
     report = u_norm_error(zero, exact, system, level)
     ind = compute_indicators(mesh, zero, system, level)
@@ -166,8 +163,7 @@ def test_efficiency_ratio_stable_across_uniform_levels():
     < 4 over a six-level sequence (two-sided equivalence)."""
     from stfosls.driver import StopCriteria, run
 
-    problem, case = make_problem("heat-smooth")
-    exact = exact_error_data(case)
+    problem, exact = make_problem("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     log = run(problem, mesh, 1, StopCriteria(max_iterations=5), exact=exact)
     ratios = log.estimators() / log.errors()
@@ -176,9 +172,8 @@ def test_efficiency_ratio_stable_across_uniform_levels():
 
 
 def test_fine_norm_examples():
-    problem, case = make_problem("heat-smooth")
+    problem, exact = make_problem("heat-smooth")
     system = parabolic_system(problem)
-    exact = exact_error_data(case)
 
     from stfosls.problem import ExactFields
 

@@ -7,9 +7,7 @@ import sympy as sp
 from stfosls.problem import (
     CoefficientField,
     ConvectionForm,
-    ManufacturedCase,
-    exact_error_data,
-    from_manufactured,
+    _parabolic_case,
     make_problem,
     sample,
     sample_x,
@@ -86,76 +84,81 @@ def test_heat_source_closed_form():
     assert np.allclose(sample(problem.data.f1, tt, xx), expected, atol=1e-14)
 
 
-def test_zero_case():
-    zero = ManufacturedCase(
-        name="zero",
-        u=_constant(0.0),
-        u_t=_constant(0.0),
-        u_x=_constant(0.0),
-        u_xx=_constant(0.0),
-        flux=_constant(0.0),
-        flux_x=_constant(0.0),
-    )
+def _zero_case():
     coeff = CoefficientField(_constant(1.0), _constant(0.0), _constant(0.0))
-    problem = from_manufactured(zero, coeff)
+    return _parabolic_case(coeff, ConvectionForm.FLUX, *[_constant(0.0)] * 5)
+
+
+def test_zero_case():
+    """All-zero closed forms give zero data."""
+    problem, _ = _zero_case()
     tt = np.linspace(0, 1, 5)
     assert np.all(sample(problem.data.f1, tt, tt) == 0.0)
     assert np.all(problem.data.u0(tt) == 0.0)
 
 
-def test_exact_error_data_reference_flux():
-    _, case = make_problem("heat-smooth")
-    exact = exact_error_data(case)
+def test_exact_error_data_zero_case():
+    """All-zero closed forms give zero exact fields for the error norms."""
+    _, exact = _zero_case()
+    assert exact.u1(0.3, 0.4) == 0.0
+    assert np.all(exact.u1_grad(0.3, 0.4) == 0.0)
+    assert np.all(exact.u2(0.3, 0.4) == 0.0)
+    assert exact.div(0.3, 0.4) == 0.0
+
+
+def test_exact_fields_reference_flux():
+    problem, exact = make_problem("heat-smooth")
     # flux reference at (0.5, 0.5): -pi e^{-1/2} cos(pi/2) = 0
     assert exact.u2(0.5, 0.5)[..., 0] == pytest.approx(0.0, abs=1e-15)
     # divergence identity: with b = c = 0 and f2 = 0 the space-time divergence
     # of the exact pair equals the source
-    problem, _ = make_problem("heat-smooth")
     rng = np.random.default_rng(1)
     tt, xx = rng.random(100), rng.random(100)
     assert np.allclose(exact.div(tt, xx), sample(problem.data.f1, tt, xx), atol=1e-12)
 
 
-def test_exact_error_data_zero_case():
-    zero = ManufacturedCase(
-        "zero", _constant(0.0), _constant(0.0), _constant(0.0), _constant(0.0),
-        _constant(0.0), _constant(0.0),
-    )
-    exact = exact_error_data(zero)
-    assert exact.u1(0.3, 0.4) == 0.0
-    assert np.all(exact.u1_grad(0.3, 0.4) == 0.0)
-    assert np.all(exact.u2(0.3, 0.4) == 0.0)
+@pytest.mark.parametrize("name", ["heat-smooth", "convection-reaction", "variable-a"])
+def test_exact_fields_against_symbolic_oracle(name):
+    """u1_grad = (du/dt, du/dx), u2 = -A du/dx and div = du/dt + du2/dx,
+    each differentiated symbolically."""
+    t, x = sp.symbols("t x")
+    u = sp.exp(-t) * sp.sin(sp.pi * x)
+    a = 1 + t * x / 2 if name == "variable-a" else sp.Integer(1)
+    flux = -a * sp.diff(u, x)
+    oracle = [sp.lambdify((t, x), expr, "numpy")
+              for expr in (u, sp.diff(u, t), sp.diff(u, x), flux, sp.diff(u, t) + sp.diff(flux, x))]
+
+    _, exact = make_problem(name)
+    rng = np.random.default_rng(5)
+    tt, xx = rng.random(200), rng.random(200)
+    got = np.column_stack([exact.u1(tt, xx), exact.u1_grad(tt, xx), exact.u2(tt, xx), exact.div(tt, xx)])
+    want = np.column_stack([f(tt, xx) for f in oracle])
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["heat-smooth", "convection-reaction", "variable-a"])
 def test_strong_form_residual_vanishes(name):
     """f1 - (u_t - (A u_x)_x + b u_x + c u) = 0 at 1000 random points."""
-    problem, case = make_problem(name)
+    problem, exact = make_problem(name)
     coeff = problem.coefficients
     rng = np.random.default_rng(42)
     t = rng.random(1000)
     x = rng.random(1000)
     lhs = (
-        sample(case.u_t, t, x)
-        + sample(case.flux_x, t, x)
-        + sample(coeff.convection, t, x) * sample(case.u_x, t, x)
-        + sample(coeff.reaction, t, x) * sample(case.u, t, x)
+        exact.div(t, x)
+        + sample(coeff.convection, t, x) * exact.u1_grad(t, x)[..., 1]
+        + sample(coeff.reaction, t, x) * exact.u1(t, x)
     )
     assert np.abs(sample(problem.data.f1, t, x) - lhs).max() <= 1e-12
 
 
 def test_variable_a_flux_consistency():
-    t, x = sp.symbols("t x")
-    u_expr = sp.exp(-t) * sp.sin(sp.pi * x)
-    a_expr = 1 + t * x / 2
-    flux_expr = sp.lambdify((t, x), -a_expr * sp.diff(u_expr, x), "numpy")
-    flux_x_expr = sp.lambdify((t, x), sp.diff(-a_expr * sp.diff(u_expr, x), x), "numpy")
-
-    _, case = make_problem("variable-a")
+    """The exact flux is -A du/dx with the problem's own diffusion A."""
+    problem, exact = make_problem("variable-a")
     rng = np.random.default_rng(2)
     tt, xx = rng.random(100), rng.random(100)
-    assert np.allclose(sample(case.flux, tt, xx), flux_expr(tt, xx), atol=1e-13)
-    assert np.allclose(sample(case.flux_x, tt, xx), flux_x_expr(tt, xx), atol=1e-12)
+    a = sample(problem.coefficients.diffusion, tt, xx)
+    assert np.allclose(exact.u2(tt, xx)[..., 0], -a * exact.u1_grad(tt, xx)[..., 1], rtol=0.0, atol=1e-13)
 
 
 def test_data_consistent_across_forms():
