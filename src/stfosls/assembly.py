@@ -20,15 +20,16 @@ bit-exactly symmetric because floating-point addition commutes.
 The level's :class:`LevelData` keeps the element axis last, so its kernels
 (system images, Gram matrices, loads, residuals, field values) run numpy's
 inner loops along that long contiguous axis.  Its geometry is held at
-element size; quadrature points, weights times det J and physical gradients
-are formed for one block of elements where they are used.  Its rules and
-the reference basis on them are :func:`stfosls.spaces.level_tables`, built
-once per degree, read-only, and shared by every level.  It holds the dof
-map it was built from, so a solution is its coefficient vector.  The level
-is built once, travels on the :class:`SparseSystem`, and also serves the
-indicators and the graph-norm error.  :func:`field_images` is the one place
-where the system's G is applied to discrete fields: to the weighted basis
-here, and to the solution's fields in the estimator.
+element size.  :func:`assemble` builds it in one block walk that forms a
+block's points and weights times det J once, for its data and its images,
+and :func:`element_fields` yields them again with a solution's fields.  Its
+rules and the reference basis on them are :func:`stfosls.spaces.level_tables`,
+built once per degree, read-only, and shared by every level.  It holds the
+dof map it was built from, so a solution is its coefficient vector.  The
+level travels on the :class:`SparseSystem` and also serves the indicators
+and the graph-norm error.  :func:`field_images` is the one place where the
+system's G is applied to discrete fields: to the weighted basis here, and
+to the solution's fields in the estimator.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
     "LevelData",
     "SolverReport",
     "assemble",
-    "level_data",
     "field_images",
     "solve_cg",
     "element_fields",
@@ -67,13 +67,14 @@ __all__ = [
 class LevelData:
     """Quadrature geometry and sqrt(w)-weighted data of one level, element axis last.
 
-    Per element it keeps the vertex coordinates, det J and J^{-T} (11
-    doubles); points, weights times det J and physical gradients are formed
-    for one block of elements by the methods below.  The facet arrays, facet
-    axis first, list the facets tagged Initial in element order (none for
-    systems without an initial trace).  ``data[r, q, K]`` is component r of
-    the interior data at point q of element K, ``facet_data[q, f]`` the
-    initial datum at point q of the initial facet f."""
+    Built by :func:`assemble` only.  Per element it keeps the vertex
+    coordinates, det J and J^{-T} (11 doubles); points, weights times det J
+    and physical gradients are formed for one block of elements by the
+    methods below.  The facet arrays, facet axis first, list the facets
+    tagged Initial in element order (none for systems without an initial
+    trace).  ``data[r, q, K]`` is component r of the interior data at point
+    q of element K, ``facet_data[q, f]`` the initial datum at point q of the
+    initial facet f."""
 
     dofmap: DofMap  # the level's dof map: its cell->dof table places a coefficient vector
     tables: LevelTables  # the rules of the level's degree and the reference basis on them
@@ -144,17 +145,16 @@ def field_images(system, t, x, values, grads, out) -> None:
         system.residual_u2(comp, t, x, values[1 + comp], grads[1 + comp], out[1 + comp])
 
 
-def _residual_tables(system, level: LevelData, block: slice):
+def _residual_tables(system, level: LevelData, block: slice, t, x, sqrt_w):
     """sqrt(w)-weighted system images of all local basis functions on the
-    elements of ``block``, shape (nloc_total, n_int, nq, nb).
+    elements of ``block``, shape (nloc_total, n_int, nq, nb), from the
+    block's points ``t``, ``x`` and ``sqrt_w`` = sqrt(w det J), (nq, nb).
 
     The images are linear in the fields, so the basis values and gradients
     are weighted once, repeated for each field block (u1 first, then the u2
     components), and each image is written straight into its slab of one
     preallocated table, through a view with the component axis first.
     """
-    t, x = level.points(block)
-    sqrt_w = np.sqrt(level.wdet(block))
     val = level.tables.values[:, :, None] * sqrt_w
     grads = level.basis_gradients(block)
     grads *= sqrt_w
@@ -181,32 +181,6 @@ def _initial_facet_tables(mesh: Mesh, tables: LevelTables, system):
     return elems, tables.edge_values[locs], xs, tables.edge_weights * length[:, None]
 
 
-def level_data(mesh: Mesh, dofmap: DofMap, system) -> LevelData:
-    """Dof map and geometry of one level under its rules, initial facets
-    included, and its weighted data, the interior data written block by
-    block into one array; affine_maps rejects det <= 0, so sqrt(w) is real.
-    Raises InvalidDataError on non-finite data."""
-    tables = level_tables(dofmap.degree)
-    coords, inv_t, det = affine_maps(mesh)
-    facets = _initial_facet_tables(mesh, tables, system)
-    level = LevelData(
-        dofmap, tables, coords, det, inv_t, *facets,
-        data=np.empty((system.n_interior, tables.quad_weights.size, mesh.n_elements)),
-        facet_data=np.empty(facets[2].shape).T,
-    )
-    for block in _blocks(mesh.n_elements):
-        t, x = level.points(block)
-        out = level.data[..., block]
-        system.data_interior(t, x, out)
-        out *= np.sqrt(level.wdet(block))
-        _require(np.isfinite(out).all(axis=0), "weighted interior data is not finite", t, x)
-    xs = level.facet_x
-    if xs.size:
-        np.multiply(np.sqrt(level.facet_wlen), system.data_initial(xs), out=level.facet_data.T)
-    _require(np.isfinite(level.facet_data.T), "weighted initial datum is not finite", 0.0, xs)
-    return level
-
-
 def _local_coeffs(coeffs: np.ndarray, dofs: np.ndarray) -> np.ndarray:
     """Coefficients of the local functions with global ``dofs`` (columns of
     ``DofMap.cell_dofs``); a constrained u1 dof (global dof -1) reads the
@@ -229,22 +203,42 @@ def _gram(images: np.ndarray) -> np.ndarray:
 
 
 def assemble(mesh: Mesh, dofmap: DofMap, system) -> SparseSystem:
-    """Matrix, load and level data of the least-squares Galerkin equation."""
-    level = level_data(mesh, dofmap, system)
+    """Matrix, load and level data of the least-squares Galerkin equation,
+    in one walk over the element blocks: a block's points and sqrt(w det J)
+    give both its weighted data and its images.  affine_maps rejects
+    det <= 0, so sqrt(w) is real.  Raises InvalidDataError on non-finite data."""
+    tables = level_tables(dofmap.degree)
+    coords, inv_t, det = affine_maps(mesh)
+    elems, facet_basis, xs, wlen = _initial_facet_tables(mesh, tables, system)
     dofs, n = dofmap.cell_dofs, dofmap.n_dofs
     nloc_total, ne = dofs.shape
-    nloc = level.tables.values.shape[0]
+    level = LevelData(
+        dofmap, tables, coords, det, inv_t, elems, facet_basis, xs, wlen,
+        data=np.empty((system.n_interior, tables.quad_weights.size, ne)),
+        facet_data=np.empty(xs.shape).T,
+    )
+    nloc = tables.values.shape[0]
     rows, cols = np.triu_indices(nloc_total)
     upper = np.empty((rows.size, ne))
     loads = np.empty((ne, nloc_total))
     for block in _blocks(ne):
-        images = _residual_tables(system, level, block)
+        t, x = level.points(block)
+        sqrt_w = np.sqrt(level.wdet(block))
+        data = level.data[..., block]
+        system.data_interior(t, x, data)
+        data *= sqrt_w
+        _require(np.isfinite(data).all(axis=0), "weighted interior data is not finite", t, x)
+        images = _residual_tables(system, level, block, t, x, sqrt_w)
         upper[:, block] = _gram(images)
-        loads[block] = np.einsum("arqe,rqe->ae", images, level.data[..., block]).T
+        loads[block] = np.einsum("arqe,rqe->ae", images, data).T
         del images  # freed before the next block's images are built
-    # An initial facet's Gram matrix and load join the u1 block of its element.
-    elems = level.facet_elements
-    facet_images = (level.facet_basis * np.sqrt(level.facet_wlen)[..., None]).T
+    # The weighted initial datum; an initial facet's Gram matrix and load join
+    # the u1 block of its element.
+    sqrt_wlen = np.sqrt(wlen)
+    if xs.size:
+        np.multiply(sqrt_wlen, system.data_initial(xs), out=level.facet_data.T)
+    _require(np.isfinite(level.facet_data.T), "weighted initial datum is not finite", 0.0, xs)
+    facet_images = (facet_basis * sqrt_wlen[..., None]).T
     np.add.at(upper, (np.flatnonzero(cols < nloc)[:, None], elems), _gram(facet_images))
     upper[rows == cols] *= 0.5  # H + H^T counts the diagonal twice
     np.add.at(loads[:, :nloc], elems, np.einsum("aqf,qf->fa", facet_images, level.facet_data))
@@ -362,7 +356,8 @@ def element_fields(coeffs: np.ndarray, level: LevelData):
     """Fields of the coefficients ``coeffs`` of ``level`` at the quadrature
     points, one block of elements at a time, in the blocks of assembly.
 
-    Yields each block (a slice of the element axis) with the values
+    Yields each block (a slice of the element axis) with its points (t, x),
+    (2, nq, nb), its weights times det J, (nq, nb), and the values
     (nf, nq, nb) and gradients (nf, 2, nq, nb) of the fields stacked as in
     :func:`field_images`, u1 first, element axis last.
     """
@@ -375,5 +370,4 @@ def element_fields(coeffs: np.ndarray, level: LevelData):
         inv_t = level.inv_t[:, :, None, block]
         grads = np.multiply(inv_t[:, 0], ref[:, :1])
         grads += inv_t[:, 1] * ref[:, 1:]
-        yield block, values, grads
-
+        yield block, level.points(block), level.wdet(block), values, grads

@@ -8,7 +8,8 @@ t = 0.  Squared indicators add up exactly to the squared global estimator.
 Indicators are read off the solution's own image:
 eta_K^2 = ||D_K - sqrt(w) G(u_h)||_K^2 with the level's sqrt(w)-weighted
 data D_K, plus the same on an initial facet of K.  The fields of u_h come
-from :func:`stfosls.assembly.element_fields` in the blocks of assembly, and
+from :func:`stfosls.assembly.element_fields` in the blocks of assembly,
+each block with its points and weights times det J, and
 :func:`stfosls.assembly.field_images`, the path that assembly applies G by,
 turns them into G(u_h), so no image table of the basis is needed once the
 level is assembled.
@@ -24,7 +25,8 @@ systems without an initial-trace component.  It reads the same per-block
 fields, which a caller computing both may evaluate once and pass to both.
 
 A solution is its coefficient vector, read through the dof map of the level
-that assembly built (``SparseSystem.level``); nothing rebuilds the level.
+that assembly built (``SparseSystem.level``); nothing here rebuilds the
+level or forms its geometry.
 """
 
 from __future__ import annotations
@@ -92,11 +94,11 @@ def compute_indicators(
     if fields is None:
         fields = element_fields(coeffs, level)
     eta2 = np.empty(level.det.size)
-    for block, values, grads in fields:
+    for block, points, wdet, values, grads in fields:
         images = np.empty((values.shape[0], system.n_interior) + values.shape[1:])
-        field_images(system, *level.points(block), values, grads, images)
+        field_images(system, *points, values, grads, images)
         resid = images.sum(axis=0)  # G(u_h): the images of all fields, summed
-        resid *= np.sqrt(level.wdet(block))
+        resid *= np.sqrt(wdet)
         np.subtract(level.data[..., block], resid, out=resid)
         eta2[block] = np.einsum("rqe,rqe->e", resid, resid)
     trace = _initial_trace(coeffs, level) * np.sqrt(level.facet_wlen)
@@ -121,8 +123,7 @@ def u_norm_error(
     if fields is None:
         fields = element_fields(coeffs, level)
     sq_u1 = sq_grad = sq_u2 = sq_div = 0.0
-    for block, values, grads in fields:
-        (t, x), wdet = level.points(block), level.wdet(block)
+    for _, (t, x), wdet, values, grads in fields:
         u1_val, u1_grad, u2_val, u2_grad = values[0], grads[0], values[1:], grads[1:]
         e_u1 = u1_val - sample(exact.u1, t, x)
         e_grad = u1_grad - np.moveaxis(exact.u1_grad(t, x), -1, 0)

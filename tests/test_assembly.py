@@ -11,7 +11,6 @@ from stfosls.assembly import (
     _initial_facet_tables,
     _residual_tables,
     assemble,
-    level_data,
     solve_cg,
 )
 from stfosls.driver import StopCriteria, run
@@ -113,8 +112,8 @@ def test_table_written_in_place_matches_pointwise_images(name, p):
     mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), np.array([0, 3]))
     dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux,
                           dirichlet_tags=system.dirichlet_tags)
-    geometry = level_data(mesh, dofmap, system)
-    images = _residual_tables(system, geometry, slice(None))
+    geometry = assemble(mesh, dofmap, system).level
+    images = _residual_tables(system, geometry, slice(None), *geometry.points(), np.sqrt(geometry.wdet()))
     grads = geometry.basis_gradients()
     nloc, nq = geometry.tables.values.shape
     rng = np.random.default_rng(0)
@@ -256,7 +255,7 @@ def test_indicators_match_table_contraction(name, p):
                           dirichlet_tags=system.dirichlet_tags)
     sparse, coeffs = _solved_level(mesh, dofmap, system)
     level = sparse.level
-    images = _residual_tables(system, level, slice(None))
+    images = _residual_tables(system, level, slice(None), *level.points(), np.sqrt(level.wdet()))
     dofs = dofmap.cell_dofs
     local = np.where(dofs >= 0, coeffs[dofs], 0.0)
     resid = level.data - np.einsum("arqe,ae->rqe", images, local)
@@ -297,7 +296,7 @@ def test_geometry_matches_per_element_affine_map():
         dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
         rules = level_tables(p)
         refpts = rules.quad_points[:, 1:]
-        geometry = level_data(mesh, dofmap, system)
+        geometry = assemble(mesh, dofmap, system).level
         grads = geometry.basis_gradients()
         ref = build_reference(p)
         ref_grads = ref.gradients(refpts)  # (nq, nloc, 2)
@@ -325,7 +324,7 @@ def test_geometry_keeps_element_size_arrays(p, monkeypatch):
     mesh, system = _graded_incompatible(10)
     coarse = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     geometry, small = (
-        level_data(m, build_dofmap(m, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags), system)
+        assemble(m, build_dofmap(m, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags), system).level
         for m in (mesh, coarse)
     )
     ne, nq = mesh.n_elements, level_tables(p).quad_weights.size
@@ -375,8 +374,8 @@ def test_reference_tables_shared_and_read_only(p):
     of its arrays; the facet basis is rows of its edge table."""
     fine, system = _graded_incompatible(10)
     coarse = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    a, b = (level_data(m, build_dofmap(m, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags),
-                       system) for m in (coarse, fine))
+    a, b = (assemble(m, build_dofmap(m, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags),
+                     system).level for m in (coarse, fine))
     tables = level_tables(p)
     assert a.tables is b.tables is tables and tables.edge_values.shape[0] == 3
     locs = initial_facet_list(fine)[:, 1]
@@ -384,22 +383,6 @@ def test_reference_tables_shared_and_read_only(p):
     for table in vars(tables).values():
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 1.0
-
-
-def test_indicators_from_assembled_table_match_fresh_table():
-    """The level loop's path (the level data assembly built) and the
-    standalone path (level data built by level_data) give the same
-    indicators."""
-    mesh, system = _graded_incompatible(12)
-    dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
-    sparse_system = assemble(mesh, dofmap, system)
-    coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
-    assert report.converged
-    shared = compute_indicators(mesh, coeffs, system, sparse_system.level)
-    fresh = compute_indicators(mesh, coeffs, system, level_data(mesh, dofmap, system))
-    rel = np.abs(shared.per_element - fresh.per_element).max() / fresh.per_element.max()
-    assert rel <= 1e-13
-    assert abs(shared.total - fresh.total) <= 1e-13 * fresh.total
 
 
 @pytest.mark.parametrize("p", [1, 2])

@@ -206,6 +206,29 @@ def test_one_geometry_per_level_with_exact_solution(monkeypatch):
     assert calls == {"affine_maps": 3, "_initial_facet_tables": 3}
 
 
+@pytest.mark.parametrize("name", ["heat-smooth", "incompatible"])
+def test_level_forms_block_geometry_twice(name, monkeypatch):
+    """A solved level forms each block's points and weights times det J
+    twice: in assemble's one block walk, which writes the data and the
+    images from them, and in element_fields, whose blocks the indicators
+    share with the error when the case has an exact solution."""
+    from stfosls import assembly
+
+    calls = {"points": 0, "wdet": 0}
+    for method in calls:
+        def counted(level, block=slice(None), _method=method, _original=getattr(assembly.LevelData, method)):
+            calls[_method] += 1
+            return _original(level, block)
+        monkeypatch.setattr(assembly.LevelData, method, counted)
+    problem, exact = make_problem(name)
+    assert (exact is None) == (name == "incompatible")
+    mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 40, 40)
+    n_blocks = len(assembly._blocks(mesh.n_elements))
+    assert mesh.n_elements == 3200 and n_blocks == 4
+    assert len(run(problem, mesh, 1, StopCriteria(max_iterations=0), exact=exact).records) == 1
+    assert calls == {"points": 2 * n_blocks, "wdet": 2 * n_blocks}
+
+
 def test_zero_data_stops_at_level_zero():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     log = run(_zero_problem(), mesh, 1, StopCriteria(max_iterations=10), DOERFLER)

@@ -3,12 +3,12 @@ import pytest
 
 from helpers import efficiency_reliability_ratio, error_contributions
 from stfosls import oracles
-from stfosls.assembly import assemble, level_data, solve_cg
+from stfosls.assembly import assemble, solve_cg
 from stfosls.estimator import compute_indicators, data_norm, u_norm_error
 from stfosls.mesh import bisect, element_measures, uniform_initial_mesh
 from stfosls.problem import make_problem, sample
 from stfosls.spaces import build_dofmap, level_tables
-from stfosls.system import parabolic_system, poisson_sine_case
+from stfosls.system import parabolic_system
 
 
 def _solve(name="heat-smooth", p=1, nt=2, nx=2):
@@ -45,7 +45,7 @@ def test_zero_solution_indicator_is_data_norm():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     rules = level_tables(1)
-    ind = compute_indicators(mesh, np.zeros(dofmap.n_dofs), system, level_data(mesh, dofmap, system))
+    ind = compute_indicators(mesh, np.zeros(dofmap.n_dofs), system, assemble(mesh, dofmap, system).level)
 
     coords = mesh.element_coords()
     for k in range(mesh.n_elements):
@@ -92,14 +92,14 @@ def test_unrefined_elements_keep_indicators():
     # u1 = 0, u2 = 1 is in the space on every refinement
     coeffs = np.zeros(dofmap.n_dofs)
     coeffs[dofmap.cell_dofs[3:]] = 1.0  # every u2 dof
-    base = compute_indicators(mesh, coeffs, system, level_data(mesh, dofmap, system))
+    base = compute_indicators(mesh, coeffs, system, assemble(mesh, dofmap, system).level)
 
     marks = [k for k in range(mesh.n_elements) if mesh.element_coords()[k, :, 0].min() > 0.5]
     refined = bisect(mesh, marks)
     dofmap_r = build_dofmap(refined, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     coeffs_r = np.zeros(dofmap_r.n_dofs)
     coeffs_r[dofmap_r.cell_dofs[3:]] = 1.0
-    after = compute_indicators(refined, coeffs_r, system, level_data(refined, dofmap_r, system))
+    after = compute_indicators(refined, coeffs_r, system, assemble(refined, dofmap_r, system).level)
     for new, old in enumerate(refined.refined_from):
         if refined.generation[new] == mesh.generation[old]:
             assert after.per_element[new] == pytest.approx(base.per_element[old], rel=1e-14)
@@ -111,28 +111,6 @@ def test_u_norm_error_zero_solution_equals_fine_norm():
     report = u_norm_error(np.zeros(dofmap.n_dofs), exact, system, level)
     reference = oracles.fine_norm(exact, mesh, system, degree=4)  # the p = 1 level rule
     assert report.total == pytest.approx(reference, rel=1e-10)
-
-
-@pytest.mark.parametrize("name,p", [("heat-smooth", 1), ("heat-smooth", 2), ("poisson", 2)])
-def test_u_norm_error_from_level_table_matches_standalone(name, p):
-    """The level loop's path (the geometry on the table assembly built) and
-    the standalone path (geometry built by level_data) give the same error."""
-    if name == "poisson":
-        system, exact = poisson_sine_case()
-    else:
-        problem, exact = make_problem(name)
-        system = parabolic_system(problem)
-    mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 4, 4), [0, 5, 17])
-    dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags)
-    sparse_system = assemble(mesh, dofmap, system)
-    coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
-    assert report.converged
-    shared = u_norm_error(coeffs, exact, system, sparse_system.level)
-    alone = u_norm_error(coeffs, exact, system, level_data(mesh, dofmap, system))
-    assert alone.total > 0.0
-    for a, b in zip(error_contributions(shared) + (shared.total,),
-                    error_contributions(alone) + (alone.total,)):
-        assert abs(a - b) <= 1e-13 * alone.total
 
 
 def test_error_report_sum_of_squares():
