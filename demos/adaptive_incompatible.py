@@ -44,7 +44,8 @@ from stfosls import (
     uniform_initial_mesh,
     write_runlog_csv,
 )
-from stfosls.mesh import element_measures, write_mesh
+from stfosls.mesh import write_mesh
+from stfosls.spaces import affine_maps
 
 
 def main(out_dir=None, max_dofs=None, degree=1):
@@ -66,11 +67,12 @@ def main(out_dir=None, max_dofs=None, degree=1):
         )
 
     final = log.final_mesh
-    tmin = final.element_coords()[:, :, 0].min(axis=1)
+    coords, _, det = affine_maps(final)
+    tmin = coords[0].min(axis=0)
     share = float(np.mean(tmin < 0.1))
     print(f"\nfinal mesh: {final.n_elements} elements")
     print(f"share of elements touching t < 0.1: {share:.2f} (area share is 0.10)")
-    print(f"smallest element diameter: {np.sqrt(2.0 * element_measures(final).min()):.2e}")
+    print(f"smallest element diameter: {np.sqrt(det.min()):.2e}")
     eta, dofs = log.estimators(), log.dofs()
     print(f"estimator reduced by factor {eta[0] / eta[-1]:.2f}: eta/eta_0 = {eta[-1] / eta[0]:.3f}")
     half = len(eta) // 2

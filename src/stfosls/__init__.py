@@ -31,7 +31,7 @@ from .problem import (
     ProblemData,
     make_problem,
 )
-from .spaces import build_dofmap, build_edge_quadrature, build_quadrature, build_reference
+from .spaces import build_dofmap, build_edge_quadrature, build_quadrature, reference_basis
 from .system import InvalidDataError, ParabolicSystem, PoissonSystem, parabolic_system, poisson_sine_case
 
 __version__ = "0.1.0"

@@ -181,11 +181,15 @@ def _initial_facet_tables(mesh: Mesh, tables: LevelTables, system):
     return elems, tables.edge_values[locs], xs, tables.edge_weights * length[:, None]
 
 
-def _local_coeffs(coeffs: np.ndarray, dofs: np.ndarray) -> np.ndarray:
-    """Coefficients of the local functions with global ``dofs`` (columns of
-    ``DofMap.cell_dofs``); a constrained u1 dof (global dof -1) reads the
-    zero appended to ``coeffs``."""
-    return np.append(coeffs, 0.0)[dofs]
+def _local_coeffs(coeffs: np.ndarray, level: LevelData, elements=slice(None)) -> np.ndarray:
+    """Coefficients of the local functions of ``elements`` of ``level``,
+    shaped like the columns of its ``cell_dofs``; a constrained u1 dof
+    (global dof -1) reads the zero appended to ``coeffs``.  Raises
+    ValueError unless ``coeffs`` holds one value per dof of the level."""
+    n_dofs = level.dofmap.n_dofs
+    if np.shape(coeffs) != (n_dofs,):
+        raise ValueError(f"coefficient vector of shape {np.shape(coeffs)} for a level of {n_dofs} dofs")
+    return np.append(coeffs, 0.0)[level.dofmap.cell_dofs[:, elements]]
 
 
 def _gram(images: np.ndarray) -> np.ndarray:
@@ -362,7 +366,7 @@ def element_fields(coeffs: np.ndarray, level: LevelData):
     :func:`field_images`, u1 first, element axis last.
     """
     nloc, ne = level.tables.values.shape[0], level.inv_t.shape[-1]
-    local = _local_coeffs(coeffs, level.dofmap.cell_dofs).reshape(-1, nloc, ne)
+    local = _local_coeffs(coeffs, level).reshape(-1, nloc, ne)
     for block in _blocks(ne):
         on_block = local[..., block]
         values = level.tables.values.T @ on_block

@@ -71,7 +71,7 @@ class ErrorReport:
 def _initial_trace(coeffs: np.ndarray, level: LevelData) -> np.ndarray:
     """u1 of ``coeffs`` at the points of every initial facet of ``level``, (nf, nq_e)."""
     nloc = level.tables.values.shape[0]
-    local = _local_coeffs(coeffs, level.dofmap.cell_dofs[:nloc, level.facet_elements])
+    local = _local_coeffs(coeffs, level, level.facet_elements)[:nloc]
     return np.einsum("fqa,af->fq", level.facet_basis, local)
 
 

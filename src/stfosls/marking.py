@@ -13,6 +13,8 @@ from enum import Enum
 
 import numpy as np
 
+from .mesh import _element_indices
+
 __all__ = [
     "MarkStrategy",
     "MarkingConfig",
@@ -88,9 +90,10 @@ def verify_marking_property(indicators: np.ndarray, marks: np.ndarray) -> bool:
     marking property with the identity as marking function.
 
     An empty mark set is admissible only when every indicator vanishes.
+    Marks are checked like those of :func:`stfosls.mesh.bisect`.
     """
     indicators = np.asarray(indicators, dtype=float)
-    marks = np.asarray(marks, dtype=np.int64)
+    marks = _element_indices(marks, indicators.size)
     if marks.size == 0:
         return bool(np.all(indicators == 0.0))
     unmarked = np.ones(indicators.size, dtype=bool)

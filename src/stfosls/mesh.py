@@ -31,7 +31,6 @@ __all__ = [
     "Mesh",
     "uniform_initial_mesh",
     "bisect",
-    "element_measures",
     "initial_facet_list",
     "is_conforming",
     "write_mesh",
@@ -73,6 +72,11 @@ class Mesh:
         Index of the ancestor element in the mesh this one was produced
         from by :func:`bisect` (the element's own index for an unrefined
         copy, and ``arange`` for an initial mesh).
+
+    The mesh holds combinatorics and coordinates only.  The vertex
+    coordinates of every element are ``points[elements]``, and the reference
+    map of every element, with det J = 2 x area, is
+    :func:`stfosls.spaces.affine_maps`.
     """
 
     points: np.ndarray
@@ -91,10 +95,6 @@ class Mesh:
     @property
     def n_elements(self) -> int:
         return self.elements.shape[0]
-
-    def element_coords(self) -> np.ndarray:
-        """Vertex coordinates per element, shape (n_elements, 3, 2)."""
-        return self.points[self.elements]
 
 
 def uniform_initial_mesh(t_end: float, omega: tuple, nt: int, nx: int) -> Mesh:
@@ -170,6 +170,19 @@ _SPLIT_COUNTS = np.array([len(c) for c in _CASES])
 _SPLIT_TABLE = np.array([c + c[:1] * (4 - len(c)) for c in _CASES], dtype=np.int64)
 
 
+def _element_indices(marks, n_elements: int) -> np.ndarray:
+    """``marks`` as sorted distinct int64 indices of elements.  Raises
+    TypeError unless they are integers (an empty list passes: its dtype is
+    float) and IndexError unless each lies in [0, n_elements)."""
+    marks = np.asarray(marks)
+    if marks.size and not np.issubdtype(marks.dtype, np.integer):
+        raise TypeError(f"element marks must be integer indices, got dtype {marks.dtype}")
+    marks = np.unique(marks.astype(np.int64))
+    if marks.size and (marks[0] < 0 or marks[-1] >= n_elements):
+        raise IndexError("marked element index out of range")
+    return marks
+
+
 def bisect(mesh: Mesh, marks) -> Mesh:
     """Refine at least the marked elements by newest-vertex bisection.
 
@@ -188,12 +201,10 @@ def bisect(mesh: Mesh, marks) -> Mesh:
     their edge.
 
     Facet tags are inherited: the halves of a tagged edge keep its tag, the
-    interior edges created by bisection are untagged.
+    interior edges created by bisection are untagged.  Marks must be integer
+    indices in [0, n_elements): others raise TypeError or IndexError.
     """
-    marks = np.unique(np.asarray(marks, dtype=np.int64))
-    if marks.size and (marks[0] < 0 or marks[-1] >= mesh.n_elements):
-        raise IndexError("marked element index out of range")
-
+    marks = _element_indices(marks, mesh.n_elements)
     n0 = mesh.n_points
     lo, hi, edge_id, _ = _edge_incidence(mesh)
     sched = np.zeros(lo.size, dtype=bool)
@@ -235,14 +246,6 @@ def bisect(mesh: Mesh, marks) -> Mesh:
         x_hi=mesh.x_hi,
         refined_from=parent,
     )
-
-
-def element_measures(mesh: Mesh) -> np.ndarray:
-    """Signed areas of all elements (positive for valid meshes)."""
-    coords = mesh.element_coords()
-    d1 = coords[:, 1] - coords[:, 0]
-    d2 = coords[:, 2] - coords[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def initial_facet_list(mesh: Mesh) -> np.ndarray:

@@ -27,9 +27,9 @@ from .spaces import (
     DofMap,
     build_edge_quadrature,
     build_quadrature,
-    build_reference,
     edge_reference_points,
     level_tables,
+    reference_basis,
 )
 
 __all__ = [
@@ -142,10 +142,7 @@ def evaluate_field(coeffs: np.ndarray, dofmap: DofMap, mesh: Mesh, k: int, point
     the constrained u1 field, ``field`` c >= 1 the (c-1)-th u2 component.
     Constrained u1 dofs contribute zero.
     """
-    ref = build_reference(dofmap.degree)
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    vals = ref.values(pts)
-    grads = ref.gradients(pts)
+    vals, grads = reference_basis(dofmap.degree, np.asarray(point, dtype=float))
     _, inv_t, _ = affine_map(mesh, k)
 
     nloc = vals.shape[1]
@@ -465,9 +462,9 @@ def fine_norm(exact: ExactFields, mesh: Mesh, system, degree: int = 8) -> float:
     Independent of the estimator path; the value is mesh-partition
     independent because the seminorms are additive over elements.
     """
-    quad = build_quadrature(degree)
-    equad = build_edge_quadrature(degree)
-    refpts = quad.points[:, 1:]
+    quad_points, quad_weights = build_quadrature(degree)
+    edge_points, edge_weights = build_edge_quadrature(degree)
+    refpts = quad_points[:, 1:]
 
     total = 0.0
     for e in range(mesh.n_elements):
@@ -484,19 +481,19 @@ def fine_norm(exact: ExactFields, mesh: Mesh, system, degree: int = 8) -> float:
         for axis in system.spatial_axes:
             dens = dens + grad[..., axis] ** 2
         dens = dens + (u2**2).sum(axis=-1)
-        total += float(np.dot(quad.weights * det, dens))
+        total += float(np.dot(quad_weights * det, dens))
 
     if system.has_initial_trace:
         for e, loc in _initial_edges(mesh):
-            xs, length = _edge_geometry(mesh, e, loc, equad.points)
+            xs, length = _edge_geometry(mesh, e, loc, edge_points)
             vals = sample(exact.u1, np.zeros_like(xs), xs)
-            total += float(np.dot(equad.weights * length, vals**2))
+            total += float(np.dot(edge_weights * length, vals**2))
     return float(np.sqrt(total))
 
 
 def locate_point(mesh: Mesh, t: float, x: float):
     """Element containing (t, x) and its reference coordinates, by linear scan."""
-    coords = mesh.element_coords()
+    coords = mesh.points[mesh.elements]
     for e in range(mesh.n_elements):
         p0 = coords[e, 0]
         jac = np.column_stack([coords[e, 1] - p0, coords[e, 2] - p0])

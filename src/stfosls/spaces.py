@@ -1,11 +1,16 @@
-"""Continuous Lagrange spaces on space-time triangles, quadrature, and dof maps.
+"""Continuous Lagrange spaces on space-time triangles: the reference basis,
+quadrature, the reference map of every element, and dof maps.
 
 Supports degrees p in {1, 2}.  The reference triangle has vertices
 (0,0), (1,0), (0,1); reference coordinates are written (xi, eta) and the
 barycentric coordinates are (1 - xi - eta, xi, eta).  For p = 2 the extra
 Lagrange nodes sit at the edge midpoints, ordered like the local edges:
 node 3 on edge (v0,v1), node 4 on edge (v1,v2), node 5 on edge (v2,v0).
-"""
+
+The element is functions and arrays: :func:`reference_basis` evaluates the
+basis at any reference points, the two rules are (points, weights) pairs,
+:func:`level_tables` holds both rules and the basis on them once per degree,
+and :func:`affine_maps` is the one map of the elements of a mesh."""
 
 from __future__ import annotations
 
@@ -17,13 +22,10 @@ import numpy as np
 from .mesh import FacetTag, Mesh, _edge_keys
 
 __all__ = [
-    "ReferenceElement",
-    "QuadratureRule",
-    "EdgeQuadratureRule",
     "LevelTables",
     "DofMap",
     "DegenerateElementError",
-    "build_reference",
+    "reference_basis",
     "build_quadrature",
     "build_edge_quadrature",
     "level_tables",
@@ -35,82 +37,28 @@ __all__ = [
 _REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-@dataclass(frozen=True)
-class ReferenceElement:
-    """Nodal Lagrange basis on the reference triangle.
-
-    ``values`` and ``gradients`` evaluate all basis functions at an array of
-    reference points; the basis is nodal (`phi_i(node_j) = delta_ij`) and
-    sums to one everywhere.
-    """
-
-    degree: int
-
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        xi, eta = pts[:, 0], pts[:, 1]
-        lam = np.stack([1.0 - xi - eta, xi, eta], axis=1)
-        if self.degree == 1:
-            return lam
-        l0, l1, l2 = lam[:, 0], lam[:, 1], lam[:, 2]
-        return np.stack(
-            [
-                l0 * (2.0 * l0 - 1.0),
-                l1 * (2.0 * l1 - 1.0),
-                l2 * (2.0 * l2 - 1.0),
-                4.0 * l0 * l1,
-                4.0 * l1 * l2,
-                4.0 * l2 * l0,
-            ],
-            axis=1,
-        )
-
-    def gradients(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        n = pts.shape[0]
-        if self.degree == 1:
-            g = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-            return np.broadcast_to(g, (n, 3, 2)).copy()
-        xi, eta = pts[:, 0], pts[:, 1]
-        l0 = 1.0 - xi - eta
-        dl0 = np.array([-1.0, -1.0])
-        dl1 = np.array([1.0, 0.0])
-        dl2 = np.array([0.0, 1.0])
-        out = np.empty((n, 6, 2))
-        out[:, 0] = (4.0 * l0 - 1.0)[:, None] * dl0
-        out[:, 1] = (4.0 * xi - 1.0)[:, None] * dl1
-        out[:, 2] = (4.0 * eta - 1.0)[:, None] * dl2
-        out[:, 3] = 4.0 * (xi[:, None] * dl0 + l0[:, None] * dl1)
-        out[:, 4] = 4.0 * (eta[:, None] * dl1 + xi[:, None] * dl2)
-        out[:, 5] = 4.0 * (l0[:, None] * dl2 + eta[:, None] * dl0)
-        return out
-
-
-def build_reference(p: int) -> ReferenceElement:
-    """Nodal basis of degree ``p`` on the reference triangle."""
+def reference_basis(p: int, pts):
+    """Nodal Lagrange basis of degree ``p`` at the reference points ``pts``
+    (n, 2): values (n, nloc) and reference gradients (n, nloc, 2).  The basis
+    is nodal (phi_i(node_j) = delta_ij) and sums to one everywhere."""
     if p not in (1, 2):
         raise ValueError(f"unsupported polynomial degree {p}; only 1 and 2 are available")
-    return ReferenceElement(degree=p)
+    pts = np.atleast_2d(pts)
+    lam = np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]], axis=1)
+    dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    if p == 1:
+        return lam, np.broadcast_to(dlam, (pts.shape[0], 3, 2)).copy()
+    # Edge node 3 + k sits on local edge k, from v_i = v_k to v_j = v_{k+1}.
+    i, j = [0, 1, 2], [1, 2, 0]
+    values = np.concatenate([lam * (2.0 * lam - 1.0), 4.0 * lam[:, i] * lam[:, j]], axis=1)
+    grads = np.concatenate([(4.0 * lam - 1.0)[:, :, None] * dlam,
+                            4.0 * (lam[:, j, None] * dlam[i] + lam[:, i, None] * dlam[j])], axis=1)
+    return values, grads
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Quadrature on the reference triangle; weights sum to 1/2."""
-
-    points: np.ndarray  # (nq, 3) barycentric coordinates
-    weights: np.ndarray  # (nq,)
-
-
-@dataclass(frozen=True)
-class EdgeQuadratureRule:
-    """Gauss rule on the unit interval; weights sum to 1."""
-
-    points: np.ndarray  # (nq,) in (0, 1)
-    weights: np.ndarray
-
-
-def build_quadrature(exactness: int) -> QuadratureRule:
-    """Triangle rule exact for total degree ``exactness``.
+def build_quadrature(exactness: int):
+    """Triangle rule exact for total degree ``exactness``: barycentric points
+    (nq, 3) and weights (nq,) summing to 1/2.
 
     Built as a collapsed tensor Gauss-Legendre rule: the unit square is
     mapped onto the triangle by (u, v) -> (u, v(1-u)), whose Jacobian 1-u
@@ -126,17 +74,17 @@ def build_quadrature(exactness: int) -> QuadratureRule:
     xi = np.repeat(u, n)
     eta = np.tile(u, n) * (1.0 - xi)
     w = np.repeat(wu, n) * np.tile(wu, n) * (1.0 - xi)
-    bary = np.column_stack([1.0 - xi - eta, xi, eta])
-    return QuadratureRule(points=bary, weights=w)
+    return np.column_stack([1.0 - xi - eta, xi, eta]), w
 
 
-def build_edge_quadrature(exactness: int) -> EdgeQuadratureRule:
-    """Gauss-Legendre rule on (0, 1) exact for degree ``exactness``."""
+def build_edge_quadrature(exactness: int):
+    """Gauss-Legendre rule on (0, 1) exact for degree ``exactness``: points
+    (nq,) and weights (nq,) summing to 1."""
     if exactness < 0:
         raise ValueError("quadrature exactness must be nonnegative")
     n = max(1, (int(exactness) + 2) // 2)
     gp, gw = np.polynomial.legendre.leggauss(n)
-    return EdgeQuadratureRule(points=0.5 * (gp + 1.0), weights=0.5 * gw)
+    return 0.5 * (gp + 1.0), 0.5 * gw
 
 
 @dataclass(frozen=True)
@@ -160,13 +108,12 @@ def level_tables(p: int) -> LevelTables:
     """The :class:`LevelTables` of degree ``p``, built once: the two
     Gauss-Legendre eigenproblems take about 0.4 ms, which every level would
     otherwise pay."""
-    quad, equad = build_quadrature(2 * p + 2), build_edge_quadrature(2 * p + 2)
-    ref, refpts = build_reference(p), quad.points[:, 1:]
-    tables = LevelTables(
-        quad.points, quad.weights, equad.points, equad.weights,
-        ref.values(refpts).T, ref.gradients(refpts).transpose(2, 1, 0),
-        np.array([ref.values(edge_reference_points(k, equad.points)) for k in range(3)]),
-    )
+    quad_points, quad_weights = build_quadrature(2 * p + 2)
+    edge_points, edge_weights = build_edge_quadrature(2 * p + 2)
+    values, grads = reference_basis(p, quad_points[:, 1:])
+    edge_values = [reference_basis(p, edge_reference_points(k, edge_points))[0] for k in range(3)]
+    tables = LevelTables(quad_points, quad_weights, edge_points, edge_weights,
+                         values.T, grads.transpose(2, 1, 0), np.array(edge_values))
     for table in vars(tables).values():
         table.flags.writeable = False
     return tables

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from stfosls.mesh import FacetTag, Mesh, _edge_incidence, _side_tags
+from stfosls.spaces import affine_maps
 
 _DUMP_TAGS = {"lateral": FacetTag.LATERAL_DIRICHLET, "initial": FacetTag.INITIAL, "final": FacetTag.FINAL}
 
@@ -22,6 +23,12 @@ def read_mesh_dump(path) -> Mesh:
     return Mesh(points, cells[:, :3], cells[:, 3], edge_tags, t_end=float(points[:, 0].max()),
                 x_lo=float(points[:, 1].min()), x_hi=float(points[:, 1].max()),
                 refined_from=np.arange(n_elements))
+
+
+def element_areas(mesh) -> np.ndarray:
+    """Areas of all elements: half the det J of ``affine_maps``, which raises
+    on a degenerate or inverted element."""
+    return 0.5 * affine_maps(mesh)[2]
 
 
 def boundary_tags_consistent(mesh) -> bool:
@@ -75,7 +82,7 @@ def initial_facets(mesh, k: int):
 
 def sorted_angles(mesh) -> np.ndarray:
     """Interior angles per element, each row sorted ascending (radians)."""
-    coords = mesh.element_coords()
+    coords = mesh.points[mesh.elements]
     angles = np.empty((mesh.n_elements, 3))
     for loc in range(3):
         u = coords[:, (loc + 1) % 3] - coords[:, loc]

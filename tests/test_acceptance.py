@@ -35,14 +35,13 @@ from stfosls.marking import (
 )
 from stfosls.mesh import (
     bisect,
-    element_measures,
     is_conforming,
     uniform_initial_mesh,
 )
 from stfosls.problem import ConvectionForm, make_problem
 from stfosls.spaces import build_dofmap
 from stfosls.system import parabolic_system, poisson_sine_case
-from helpers import sorted_angles
+from helpers import element_areas, sorted_angles
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -291,8 +290,8 @@ def test_criterion_8_mesh_invariants():
         refined = bisect(mesh, marks)
         ok = ok and is_conforming(refined)
 
-        areas_prev = element_measures(mesh)
-        areas = element_measures(refined)
+        areas_prev = element_areas(mesh)
+        areas = element_areas(refined)
         bisected = np.zeros(mesh.n_elements, dtype=bool)
         for child in range(refined.n_elements):
             parent = int(refined.refined_from[child])

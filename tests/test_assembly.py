@@ -26,9 +26,9 @@ from stfosls.problem import (
 )
 from stfosls.spaces import (
     build_dofmap,
-    build_reference,
     edge_reference_points,
     level_tables,
+    reference_basis,
 )
 from stfosls.oracles import affine_map, eval_G
 from stfosls.system import parabolic_system, poisson_sine_case
@@ -298,8 +298,7 @@ def test_geometry_matches_per_element_affine_map():
         refpts = rules.quad_points[:, 1:]
         geometry = assemble(mesh, dofmap, system).level
         grads = geometry.basis_gradients()
-        ref = build_reference(p)
-        ref_grads = ref.gradients(refpts)  # (nq, nloc, 2)
+        ref_grads = reference_basis(p, refpts)[1]  # (nq, nloc, 2)
         points, wdet, expected = [], [], []
         for k in range(mesh.n_elements):
             jac, inv_t, det = affine_map(mesh, k)
@@ -356,10 +355,9 @@ def test_initial_facet_tables_match_per_facet_loop():
         edges = oracles._initial_edges(mesh)
         assert len(edges) > 4  # refinement reached the initial boundary
         assert np.array_equal(elems, [e for e, _ in edges])
-        ref = build_reference(p)
         for f, (e, loc) in enumerate(edges):
             xs_ref, length = oracles._edge_geometry(mesh, e, loc, rules.edge_points)
-            values = ref.values(edge_reference_points(loc, rules.edge_points))
+            values = reference_basis(p, edge_reference_points(loc, rules.edge_points))[0]
             np.testing.assert_allclose(basis[f], values, rtol=0, atol=1e-15)
             np.testing.assert_allclose(xs[f], xs_ref, rtol=1e-15, atol=1e-15)
             np.testing.assert_allclose(wlen[f], rules.edge_weights * length, rtol=1e-15, atol=0)

@@ -267,7 +267,7 @@ def test_incompatible_concentrates_near_initial_time():
     final = log.final_mesh
 
     def fraction_near_zero(m, cut=0.1):
-        tmin = m.element_coords()[:, :, 0].min(axis=1)
+        tmin = m.points[m.elements][:, :, 0].min(axis=1)
         return float(np.mean(tmin < cut))
 
     n = max(2, int(round(math.sqrt(final.n_elements / 2.0))))

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import efficiency_reliability_ratio, error_contributions
+from helpers import efficiency_reliability_ratio, element_areas, error_contributions
 from stfosls import oracles
 from stfosls.assembly import assemble, solve_cg
-from stfosls.estimator import compute_indicators, data_norm, u_norm_error
-from stfosls.mesh import bisect, element_measures, uniform_initial_mesh
+from stfosls.estimator import _initial_trace, compute_indicators, data_norm, u_norm_error
+from stfosls.mesh import bisect, uniform_initial_mesh
 from stfosls.problem import make_problem, sample
 from stfosls.spaces import build_dofmap, level_tables
 from stfosls.system import parabolic_system
@@ -20,6 +20,22 @@ def _solve(name="heat-smooth", p=1, nt=2, nx=2):
     coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
     assert report.converged
     return mesh, dofmap, system, coeffs, exact, sparse_system.level
+
+
+def test_coefficient_vector_of_wrong_length_rejected():
+    """The indicators and the error read one coefficient per dof of the
+    level: a vector one short or one long raises ValueError naming both
+    lengths instead of reading a padded zero or ignoring the extra entry."""
+    mesh, dofmap, system, coeffs, exact, level = _solve()
+    assert dofmap.n_dofs == 12
+    for bad in (coeffs[:-1], np.append(coeffs, 7.0)):
+        with pytest.raises(ValueError, match=rf"\({bad.size},\).* 12 dofs"):
+            compute_indicators(mesh, bad, system, level)
+        with pytest.raises(ValueError, match=rf"\({bad.size},\).* 12 dofs"):
+            u_norm_error(bad, exact, system, level)
+    with pytest.raises(ValueError):
+        _initial_trace(coeffs[:-1], level)
+    assert _initial_trace(coeffs, level).shape == level.facet_x.shape
 
 
 def test_indicator_additivity():
@@ -47,11 +63,11 @@ def test_zero_solution_indicator_is_data_norm():
     rules = level_tables(1)
     ind = compute_indicators(mesh, np.zeros(dofmap.n_dofs), system, assemble(mesh, dofmap, system).level)
 
-    coords = mesh.element_coords()
+    coords = mesh.points[mesh.elements]
     for k in range(mesh.n_elements):
         pts = np.einsum("qk,kc->qc", rules.quad_points, coords[k])
         f1 = sample(stripped.data.f1, pts[:, 0], pts[:, 1])
-        local = float(np.dot(rules.quad_weights, f1**2)) * 2.0 * element_measures(mesh)[k]
+        local = float(np.dot(rules.quad_weights, f1**2)) * 2.0 * element_areas(mesh)[k]
         assert ind.per_element[k] ** 2 == pytest.approx(local, rel=1e-10)
 
 
@@ -94,7 +110,7 @@ def test_unrefined_elements_keep_indicators():
     coeffs[dofmap.cell_dofs[3:]] = 1.0  # every u2 dof
     base = compute_indicators(mesh, coeffs, system, assemble(mesh, dofmap, system).level)
 
-    marks = [k for k in range(mesh.n_elements) if mesh.element_coords()[k, :, 0].min() > 0.5]
+    marks = [k for k in range(mesh.n_elements) if mesh.points[mesh.elements][k, :, 0].min() > 0.5]
     refined = bisect(mesh, marks)
     dofmap_r = build_dofmap(refined, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     coeffs_r = np.zeros(dofmap_r.n_dofs)

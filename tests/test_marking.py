@@ -64,6 +64,19 @@ def test_marking_property_counterexample():
     assert not verify_marking_property(eta, np.empty(0, dtype=np.int64))
 
 
+def test_marking_property_checks_marks_like_bisect():
+    """Marks outside [0, n) raise IndexError and non-integer marks TypeError,
+    as in ``bisect``; an empty list is still an empty mark set."""
+    eta = np.array([3.0, 2.0, 1.0])
+    for marks in ([-1], [3], [0, 5]):
+        with pytest.raises(IndexError):
+            verify_marking_property(eta, marks)
+    for marks in ([0.0], np.array([True, False, False])):
+        with pytest.raises(TypeError):
+            verify_marking_property(eta, marks)
+    assert not verify_marking_property(eta, [])
+
+
 def test_random_property_and_minimality():
     """Both strategies satisfy the marking property; the Doerfler set is
     minimal: dropping its smallest member breaks the bulk inequality."""

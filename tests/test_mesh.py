@@ -8,13 +8,12 @@ from stfosls.marking import MarkingConfig, MarkStrategy
 from stfosls.mesh import (
     FacetTag,
     bisect,
-    element_measures,
     is_conforming,
     uniform_initial_mesh,
     write_mesh,
 )
 from stfosls.oracles import bisect_reference, element_measure
-from helpers import boundary_tags_consistent, element_patch, initial_facets, read_mesh_dump, sorted_angles
+from helpers import boundary_tags_consistent, element_areas, element_patch, initial_facets, read_mesh_dump, sorted_angles
 from stfosls.problem import make_problem
 
 
@@ -51,7 +50,7 @@ def test_non_square_grid_layout():
     assert np.array_equal(lower[:, :2], upper[:, 1::-1])  # one diagonal per cell
     diagonal = mesh.points[lower[:, 1]] - mesh.points[lower[:, 0]]
     assert np.allclose(diagonal, [1.5 / nt, 2.5 / nx])
-    assert np.all(element_measures(mesh) > 0)
+    assert np.all(element_areas(mesh) > 0)
     counts = {tag: int((mesh.edge_tags == tag).sum()) for tag in FacetTag}
     assert counts == {FacetTag.INTERIOR: 6 * nt * nx - 2 * (nt + nx), FacetTag.LATERAL_DIRICHLET: 2 * nt,
                       FacetTag.INITIAL: nx, FacetTag.FINAL: nx}
@@ -121,6 +120,19 @@ def test_bisect_negative_mark_rejected():
         bisect(mesh, [0, -1])
 
 
+def test_bisect_rejects_non_integer_marks():
+    """A boolean mask or a float index is not cast to element indices; an
+    empty list, whose dtype is float, still marks nothing."""
+    mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 4, 4)
+    mask = np.zeros(mesh.n_elements, dtype=bool)
+    mask[20] = True
+    for marks in (mask, [20.9], np.array([20.0])):
+        with pytest.raises(TypeError):
+            bisect(mesh, marks)
+    _assert_same_mesh(bisect(mesh, []), bisect(mesh, np.empty(0, dtype=np.int64)))
+    _assert_same_mesh(bisect(mesh, np.array([20], dtype=np.int32)), bisect(mesh, [20]))
+
+
 def test_bisect_matches_reference_on_graded_run(monkeypatch):
     """Every bisect call of a Doerfler run on incompatible data (closure
     across graded levels) returns the reference's arrays."""
@@ -160,7 +172,7 @@ def test_bisect_random_marks_property(nt, nx, data):
         out = bisect(mesh, marks)
         _assert_same_mesh(out, bisect_reference(mesh, marks))
         assert is_conforming(out) and boundary_tags_consistent(out)
-        assert np.all(element_measures(out) > 0)
+        assert np.all(element_areas(out) > 0)
         mesh = out
 
 
@@ -171,14 +183,14 @@ def test_element_measure_reference_values():
     assert element_measure(mesh, 1) == pytest.approx(0.5, abs=0.0)
     for n in (1, 2, 3):
         m = uniform_initial_mesh(1.0, (0.0, 1.0), n, n)
-        assert element_measures(m).sum() == pytest.approx(1.0, rel=1e-14)
+        assert element_areas(m).sum() == pytest.approx(1.0, rel=1e-14)
 
 
 def test_child_measures_halve():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 3)
     refined = bisect(mesh, [0, 4])
-    parent_area = element_measures(mesh)
-    child_area = element_measures(refined)
+    parent_area = element_areas(mesh)
+    child_area = element_areas(refined)
     for child in range(refined.n_elements):
         parent = refined.refined_from[child]
         depth = refined.generation[child] - mesh.generation[parent]
@@ -269,7 +281,7 @@ def test_random_refinement_invariants():
         refined = bisect(mesh, marks)
         assert is_conforming(refined)
         assert boundary_tags_consistent(refined)
-        assert np.all(element_measures(refined) > 0)
+        assert np.all(element_areas(refined) > 0)
 
         # every marked element was replaced by at least two descendants
         children = np.bincount(refined.refined_from, minlength=mesh.n_elements)
