@@ -23,14 +23,7 @@ from .driver import (
 from .estimator import ErrorReport, Indicators, compute_indicators, u_norm_error
 from .marking import MarkingConfig, MarkStrategy, mark, mark_doerfler, mark_maximum
 from .mesh import FacetTag, Mesh, bisect, is_conforming, uniform_initial_mesh
-from .problem import (
-    CoefficientField,
-    ConvectionForm,
-    ExactFields,
-    ParabolicProblem,
-    ProblemData,
-    make_problem,
-)
+from .problem import ConvectionForm, ExactFields, ParabolicProblem, make_problem
 from .spaces import build_dofmap, build_edge_quadrature, build_quadrature, reference_basis
 from .system import InvalidDataError, ParabolicSystem, PoissonSystem, parabolic_system, poisson_sine_case
 

@@ -141,8 +141,7 @@ def field_images(system, t, x, values, grads, out) -> None:
     f = 0 is u1 and f = 1 + c flux component c.  ``values`` (nf, ...) and
     ``grads`` (nf, 2, ...) stack the fields in that order."""
     system.residual_u1(t, x, values[0], grads[0], out[0])
-    for comp in range(system.n_flux):
-        system.residual_u2(comp, t, x, values[1 + comp], grads[1 + comp], out[1 + comp])
+    system.residual_u2(t, x, values[1:], grads[1:], out[1:])
 
 
 def _residual_tables(system, level: LevelData, block: slice, t, x, sqrt_w):

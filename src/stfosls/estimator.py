@@ -126,8 +126,8 @@ def u_norm_error(
     for _, (t, x), wdet, values, grads in fields:
         u1_val, u1_grad, u2_val, u2_grad = values[0], grads[0], values[1:], grads[1:]
         e_u1 = u1_val - sample(exact.u1, t, x)
-        e_grad = u1_grad - np.moveaxis(exact.u1_grad(t, x), -1, 0)
-        e_u2 = u2_val - np.moveaxis(exact.u2(t, x), -1, 0)
+        e_grad = u1_grad - exact.u1_grad(t, x)
+        e_u2 = u2_val - exact.u2(t, x)
         e_div = system.divergence(u1_grad, u2_grad) - sample(exact.div, t, x)
 
         sq_u1 += float(np.einsum("qe,qe->", e_u1**2, wdet))

@@ -1,9 +1,16 @@
 """Marking strategies for the adaptive loop.
 
-Both shipped strategies guarantee that no unmarked indicator exceeds the
-smallest marked one, which is the structural property the convergence of
-the adaptive loop rests on (checked by :func:`verify_marking_property`
-with the identity marking function).
+Two properties of a mark set M are in play:
+
+* the marking property of plain-convergence proofs, max over the unmarked
+  indicators <= max over M (the identity as marking function);
+  :func:`verify_marking_property` checks this one, and the adaptive
+  loop checks it on every level it marks;
+* the stronger one, max over the unmarked indicators <= min over M, which
+  :func:`mark_doerfler` and :func:`mark_maximum` both guarantee by
+  construction, the first by marking a prefix of the indicators sorted
+  descending, the second by marking all indicators above a threshold.
+  No function here checks it.
 """
 
 from __future__ import annotations

@@ -82,13 +82,12 @@ def eval_G(system, point, u1_val, u1_grad, u2_val, u2_grad) -> GImage:
     u2_val = np.atleast_1d(np.asarray(u2_val, dtype=float))
     u2_grad = np.asarray(u2_grad, dtype=float).reshape(system.n_flux, 2, 1)
 
-    # One field axis of length 1, so that every component of ``out`` is an array.
-    out = np.empty((system.n_interior, 1))
-    system.residual_u1(t, x, np.full(1, float(u1_val)), u1_grad, out)
-    interior = out[:, 0].copy()
-    for comp in range(system.n_flux):
-        system.residual_u2(comp, t, x, u2_val[comp:comp + 1], u2_grad[comp], out)
-        interior += out[:, 0]
+    # The image of u1, then of each flux component; one field axis of length
+    # 1, so that every component of ``images`` is an array.
+    images = np.empty((1 + system.n_flux, system.n_interior, 1))
+    system.residual_u1(t, x, np.full(1, float(u1_val)), u1_grad, images[0])
+    system.residual_u2(t, x, u2_val.reshape(system.n_flux, 1), u2_grad, images[1:])
+    interior = images[:, :, 0].sum(axis=0)
     return GImage(
         flux=interior[:system.n_flux],
         div=float(interior[system.n_flux]),
@@ -265,19 +264,18 @@ def data_vector(problem: ParabolicProblem):
     Returns callables (flux target, divergence target, initial target) =
     (f2, f1 - b A^{-1} f2, u0).
     """
-    coeff, data = problem.coefficients, problem.data
 
     def target_flux(t, x):
-        return sample(data.f2, t, x)
+        return sample(problem.f2, t, x)
 
     def target_div(t, x):
-        f2 = sample(data.f2, t, x)
-        b = sample(coeff.convection, t, x)
-        a = sample(coeff.diffusion, t, x)
-        return sample(data.f1, t, x) - b / a * f2
+        f2 = sample(problem.f2, t, x)
+        b = sample(problem.convection, t, x)
+        a = sample(problem.diffusion, t, x)
+        return sample(problem.f1, t, x) - b / a * f2
 
     def target_initial(x):
-        return sample_x(data.u0, x)
+        return sample_x(problem.u0, x)
 
     return target_flux, target_div, target_initial
 
@@ -479,8 +477,8 @@ def fine_norm(exact: ExactFields, mesh: Mesh, system, degree: int = 8) -> float:
         div = sample(exact.div, t, x)
         dens = u1**2 + div**2
         for axis in system.spatial_axes:
-            dens = dens + grad[..., axis] ** 2
-        dens = dens + (u2**2).sum(axis=-1)
+            dens = dens + grad[axis] ** 2
+        dens = dens + (u2**2).sum(axis=0)
         total += float(np.dot(quad_weights * det, dens))
 
     if system.has_initial_trace:
@@ -517,19 +515,16 @@ class _DiscreteImageSystem:
         self._inner = system
         self._coeffs = np.asarray(coeffs, dtype=float)
         self.n_flux = system.n_flux
+        self.n_interior = system.n_interior
         self.has_initial_trace = system.has_initial_trace
         self.dirichlet_tags = system.dirichlet_tags
         self.spatial_axes = system.spatial_axes
 
-    @property
-    def n_interior(self):
-        return self._inner.n_interior
-
     def residual_u1(self, t, x, val, grad, out):
         self._inner.residual_u1(t, x, val, grad, out)
 
-    def residual_u2(self, comp, t, x, val, grad, out):
-        self._inner.residual_u2(comp, t, x, val, grad, out)
+    def residual_u2(self, t, x, val, grad, out):
+        self._inner.residual_u2(t, x, val, grad, out)
 
     def divergence(self, u1_grad, u2_grads):
         return self._inner.divergence(u1_grad, u2_grads)

@@ -1,6 +1,7 @@
-"""Problem data for the parabolic solver: coefficients, right-hand sides,
-convection-form selection, and the built-in cases: manufactured solutions
-given by closed-form derivatives, each with its exact fields.
+"""The parabolic problem as one record of its coefficients, right-hand
+sides, initial datum and convection form, and the built-in cases:
+manufactured solutions given by closed-form derivatives, each with its
+exact fields.
 
 All coefficient and data fields are point-evaluable callables ``f(t, x)``
 that accept numpy arrays; a scalar-only callable fails with its own error.
@@ -16,8 +17,6 @@ import numpy as np
 
 __all__ = [
     "ConvectionForm",
-    "CoefficientField",
-    "ProblemData",
     "ParabolicProblem",
     "ExactFields",
     "sample",
@@ -59,41 +58,29 @@ def sample_x(f: Callable, x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CoefficientField:
-    """Coefficients of the operator du/dt - d/dx(A du/dx) + b du/dx + c u.
+class ParabolicProblem:
+    """The PDE du/dt - d/dx(A du/dx) + b du/dx + c u = f on the space-time
+    rectangle, with initial datum u0.
 
-    ``diffusion`` must be uniformly positive on the closed space-time
-    rectangle; all three fields must be bounded.
+    ``diffusion`` A must be uniformly positive on the closed rectangle; all
+    coefficients must be bounded.  The forcing acts as
+    v -> integral(f1 v + f2 dv/dx); f2 = 0 recovers a plain L2 forcing f1.
+    ``u0`` is a function of x alone; every other field is ``f(t, x)``.
     """
 
     diffusion: Callable  # A(t, x) > 0
     convection: Callable  # b(t, x)
     reaction: Callable  # c(t, x)
-
-
-@dataclass(frozen=True)
-class ProblemData:
-    """Right-hand side split (f1, f2) and initial datum u0.
-
-    The forcing acts as v -> integral(f1 v + f2 dv/dx); f2 = 0 recovers a
-    plain L2 forcing f1.
-    """
-
     f1: Callable
     f2: Callable
-    u0: Callable  # function of x only
-
-
-@dataclass(frozen=True)
-class ParabolicProblem:
-    coefficients: CoefficientField
-    data: ProblemData
+    u0: Callable
     form: ConvectionForm = ConvectionForm.FLUX
 
 
 @dataclass(frozen=True)
 class ExactFields:
-    """Reference fields for graph-norm error evaluation.
+    """Reference fields for graph-norm error evaluation, components first,
+    like the discrete fields they are compared to.
 
     ``u1_grad`` stacks the full coordinate gradient (d/dt, d/dx) for the
     parabolic problem or (d/dx1, d/dx2) for a stationary instance; ``u2``
@@ -102,20 +89,21 @@ class ExactFields:
     """
 
     u1: Callable
-    u1_grad: Callable  # (t, x) -> (..., 2)
-    u2: Callable  # (t, x) -> (..., n_components)
+    u1_grad: Callable  # (t, x) -> (2, ...)
+    u2: Callable  # (t, x) -> (n_components, ...)
     div: Callable
 
 
-def _parabolic_case(coefficients: CoefficientField, form: ConvectionForm,
+def _parabolic_case(diffusion: Callable, convection: Callable, reaction: Callable, form: ConvectionForm,
                     u: Callable, u_t: Callable, u_x: Callable, flux: Callable, flux_x: Callable):
     """A manufactured problem and the exact fields of its solution.
 
-    Built from the closed forms of the solution ``u``, its derivatives
-    ``u_t`` and ``u_x``, the flux variable ``flux`` = -A du/dx and its
-    spatial derivative ``flux_x`` = -d/dx(A du/dx); supplying both in closed
-    form keeps the source and every reference evaluation free of numerical
-    differentiation, also for space-dependent diffusion.  The source is
+    Built from the coefficients A, b, c, and from the closed forms of the
+    solution ``u``, its derivatives ``u_t`` and ``u_x``, the flux variable
+    ``flux`` = -A du/dx and its spatial derivative ``flux_x`` =
+    -d/dx(A du/dx); supplying both in closed form keeps the source and every
+    reference evaluation free of numerical differentiation, also for
+    space-dependent diffusion.  The source is
     f1 = u_t - d/dx(A u_x) + b u_x + c u with f2 = 0 and u0 = u(0, .).
     """
 
@@ -123,23 +111,25 @@ def _parabolic_case(coefficients: CoefficientField, form: ConvectionForm,
         return (
             sample(u_t, t, x)
             + sample(flux_x, t, x)
-            + sample(coefficients.convection, t, x) * sample(u_x, t, x)
-            + sample(coefficients.reaction, t, x) * sample(u, t, x)
+            + sample(convection, t, x) * sample(u_x, t, x)
+            + sample(reaction, t, x) * sample(u, t, x)
         )
 
-    data = ProblemData(
+    problem = ParabolicProblem(
+        diffusion, convection, reaction,
         f1=f1,
         f2=lambda t, x: np.zeros_like(np.asarray(t, dtype=float)),
         u0=lambda x: sample(u, np.zeros_like(np.asarray(x, dtype=float)), x),
+        form=form,
     )
     exact = ExactFields(
         u1=lambda t, x: sample(u, t, x),
-        u1_grad=lambda t, x: np.stack([sample(u_t, t, x), sample(u_x, t, x)], axis=-1),
-        u2=lambda t, x: sample(flux, t, x)[..., None],
+        u1_grad=lambda t, x: np.stack([sample(u_t, t, x), sample(u_x, t, x)]),
+        u2=lambda t, x: sample(flux, t, x)[None],
         # Space-time divergence of (u1, u2): u_t + d/dx(flux).
         div=lambda t, x: sample(u_t, t, x) + sample(flux_x, t, x),
     )
-    return ParabolicProblem(coefficients=coefficients, data=data, form=form), exact
+    return problem, exact
 
 
 def _constant(value: float) -> Callable:
@@ -150,13 +140,9 @@ def _incompatible_problem(form: ConvectionForm) -> ParabolicProblem:
     """Zero forcing with u0 = 1: the initial datum clashes with the lateral
     boundary condition, so the solution is singular at the bottom corners and
     exercises adaptive refinement.  No closed-form reference exists."""
-    data = ProblemData(
-        f1=_constant(0.0),
-        f2=_constant(0.0),
-        u0=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-    )
-    coeff = CoefficientField(diffusion=_constant(1.0), convection=_constant(0.0), reaction=_constant(0.0))
-    return ParabolicProblem(coefficients=coeff, data=data, form=form)
+    zero = _constant(0.0)
+    return ParabolicProblem(_constant(1.0), zero, zero, f1=zero, f2=zero,
+                            u0=lambda x: np.ones_like(np.asarray(x, dtype=float)), form=form)
 
 
 BUILTIN_CASES = ("heat-smooth", "convection-reaction", "variable-a", "incompatible")
@@ -199,12 +185,10 @@ def make_problem(name: str, form: ConvectionForm = ConvectionForm.FLUX):
             t = np.asarray(t, dtype=float)
             return -0.5 * t * u_x(t, x) - a(t, x) * u_xx(t, x)
 
-        coeff = CoefficientField(diffusion=a, convection=_constant(0.0), reaction=_constant(0.0))
-        return _parabolic_case(coeff, form, u, u_t, u_x, flux, flux_x)
+        return _parabolic_case(a, _constant(0.0), _constant(0.0), form, u, u_t, u_x, flux, flux_x)
     bc = _constant(1.0 if name == "convection-reaction" else 0.0)
-    coeff = CoefficientField(diffusion=_constant(1.0), convection=bc, reaction=bc)
     return _parabolic_case(
-        coeff, form, u, u_t, u_x,
+        _constant(1.0), bc, bc, form, u, u_t, u_x,
         flux=lambda t, x: -pi * np.exp(-t) * np.cos(pi * x),
         flux_x=lambda t, x: pi * pi * np.exp(-t) * np.sin(pi * x),
     )

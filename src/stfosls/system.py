@@ -8,16 +8,18 @@ first-order least-squares formulation over the same product space plugs in.
 
 Axis order: every method takes point coordinates ``t`` and ``x`` and field
 values of matching (broadcastable) shape.  Gradients carry their
-coordinate axis (d/dt, d/dx) first, flux gradients ``(nc, 2, ...)``.  The
-residual methods and ``data_interior`` write their components into the
-caller's ``out``, stacked in its first axis, ``(n_interior,) + field
-shape`` with at least one field axis; assembly passes a view of one block
-of its image table or of its data there, so the trailing axes (the element
-axis last) stay contiguous and nothing is copied.  The residuals are
-linear in the fields, so assembly passes sqrt(w)-weighted values and
-gradients and gets weighted images.  Data that cannot define the problem
-(a diffusion that is not positive, non-finite values) raises
-:class:`InvalidDataError`.
+coordinate axis (d/dt, d/dx) first.  ``residual_u1`` and ``data_interior``
+write their components into the caller's ``out``, stacked in its first
+axis, ``(n_interior,) + field shape`` with at least one field axis.
+``residual_u2`` takes all nc flux components at once, on the first axis:
+values ``(nc, ...)``, gradients ``(nc, 2, ...)`` and ``out`` ``(nc,
+n_interior, ...)``, whose row c receives the image of component c.
+Assembly passes a view of one block of its image table or of its data as
+``out``, so the trailing axes (the element axis last) stay contiguous and
+nothing is copied.  The residuals are linear in the fields, so assembly
+passes sqrt(w)-weighted values and gradients and gets weighted images.
+Data that cannot define the problem (a diffusion that is not positive,
+non-finite values) raises :class:`InvalidDataError`.
 
 Parabolic instance (flux form):
 
@@ -71,6 +73,7 @@ class ParabolicSystem:
     """Space-time first-order system of the second-order parabolic equation."""
 
     n_flux = 1
+    n_interior = 2  # flux residual, divergence residual
     has_initial_trace = True
     dirichlet_tags = frozenset({FacetTag.LATERAL_DIRICHLET})
     spatial_axes = (1,)  # coordinate axes entering the spatial gradient
@@ -78,31 +81,27 @@ class ParabolicSystem:
     def __init__(self, problem: ParabolicProblem):
         self.problem = problem
 
-    @property
-    def n_interior(self) -> int:
-        return self.n_flux + 1
-
     def residual_u1(self, t, x, val, grad, out):
         """Interior residual components generated by the u1 field.
 
         ``grad`` stacks (d/dt, d/dx) in its first axis; ``out`` receives
         (flux residual, divergence residual) in its first axis.
         """
-        coeff = self.problem.coefficients
-        np.multiply(sample(coeff.reaction, t, x), val, out=out[1])
+        problem = self.problem
+        np.multiply(sample(problem.reaction, t, x), val, out=out[1])
         out[1] += grad[0]
-        if self.problem.form is ConvectionForm.GRADIENT:  # out[0] as scratch
-            np.multiply(sample(coeff.convection, t, x), grad[1], out=out[0])
+        if problem.form is ConvectionForm.GRADIENT:  # out[0] as scratch
+            np.multiply(sample(problem.convection, t, x), grad[1], out=out[0])
             out[1] += out[0]
-        np.multiply(sample(coeff.diffusion, t, x), grad[1], out=out[0])
+        np.multiply(sample(problem.diffusion, t, x), grad[1], out=out[0])
 
-    def residual_u2(self, comp, t, x, val, grad, out):
-        if comp != 0:
-            raise IndexError("parabolic system has a single flux component")
+    def residual_u2(self, t, x, val, grad, out):
+        """Interior residual components generated by the single flux
+        component: ``val`` (1, ...), ``grad`` (1, 2, ...), ``out`` (1, 2, ...)."""
+        val, grad, out = val[0], grad[0], out[0]
         if self.problem.form is ConvectionForm.FLUX:
-            coeff = self.problem.coefficients
-            b = sample(coeff.convection, t, x)
-            a = sample(coeff.diffusion, t, x)
+            b = sample(self.problem.convection, t, x)
+            a = sample(self.problem.diffusion, t, x)
             np.multiply(b / a, val, out=out[1])
             np.subtract(grad[1], out[1], out=out[1])
         else:
@@ -112,15 +111,15 @@ class ParabolicSystem:
     def data_interior(self, t, x, out):
         """Targets (f2, f1 - b A^{-1} f2) into ``out``; rejects a diffusion A
         that is not positive (NaN included)."""
-        coeff, data = self.problem.coefficients, self.problem.data
-        a = sample(coeff.diffusion, t, x)
+        problem = self.problem
+        a = sample(problem.diffusion, t, x)
         _require(a > 0.0, "diffusion A is not positive", t, x)
-        out[0] = sample(data.f2, t, x)
-        b = sample(coeff.convection, t, x)
-        np.subtract(sample(data.f1, t, x), b / a * out[0], out=out[1])
+        out[0] = sample(problem.f2, t, x)
+        b = sample(problem.convection, t, x)
+        np.subtract(sample(problem.f1, t, x), b / a * out[0], out=out[1])
 
     def data_initial(self, x):
-        return sample_x(self.problem.data.u0, x)
+        return sample_x(self.problem.u0, x)
 
     @staticmethod
     def divergence(u1_grad, u2_grads):
@@ -132,6 +131,7 @@ class PoissonSystem:
     """Least-squares system of the Poisson problem -div(grad u) = f."""
 
     n_flux = 2
+    n_interior = 3  # two flux residuals, divergence residual
     has_initial_trace = False
     dirichlet_tags = frozenset(
         {FacetTag.LATERAL_DIRICHLET, FacetTag.INITIAL, FacetTag.FINAL}
@@ -141,20 +141,14 @@ class PoissonSystem:
     def __init__(self, f: Callable):
         self.f = f
 
-    @property
-    def n_interior(self) -> int:
-        return self.n_flux + 1
-
     def residual_u1(self, t, x, val, grad, out):
         out[:2] = grad
         out[2] = 0.0
 
-    def residual_u2(self, comp, t, x, val, grad, out):
-        if comp not in (0, 1):
-            raise IndexError("flux component out of range")
-        out[1 - comp] = 0.0  # the other flux component
-        out[comp] = val
-        out[2] = grad[comp]
+    def residual_u2(self, t, x, val, grad, out):
+        out[0, 1] = out[1, 0] = 0.0  # component c enters flux residual c only
+        out[0, 0], out[1, 1] = val
+        out[0, 2], out[1, 2] = grad[0, 0], grad[1, 1]
 
     def data_interior(self, t, x, out):
         out[:2] = 0.0
@@ -185,13 +179,10 @@ def poisson_sine_case():
         return 2.0 * pi * pi * np.sin(pi * t) * np.sin(pi * x)
 
     def u_grad(t, x):
-        return np.stack(
-            [
-                pi * np.cos(pi * np.asarray(t)) * np.sin(pi * np.asarray(x)),
-                pi * np.sin(pi * np.asarray(t)) * np.cos(pi * np.asarray(x)),
-            ],
-            axis=-1,
-        )
+        return np.stack([
+            pi * np.cos(pi * np.asarray(t)) * np.sin(pi * np.asarray(x)),
+            pi * np.sin(pi * np.asarray(t)) * np.cos(pi * np.asarray(x)),
+        ])
 
     def sigma(t, x):
         return -u_grad(t, x)

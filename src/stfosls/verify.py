@@ -143,15 +143,14 @@ def _check_manufactured_residual(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for name in ("heat-smooth", "convection-reaction", "variable-a"):
         problem, exact = make_problem(name)
-        coeff = problem.coefficients
         t = rng.random(1000)
         x = rng.random(1000)
         lhs = (
             exact.div(t, x)
-            + sample(coeff.convection, t, x) * exact.u1_grad(t, x)[..., 1]
-            + sample(coeff.reaction, t, x) * exact.u1(t, x)
+            + sample(problem.convection, t, x) * exact.u1_grad(t, x)[1]
+            + sample(problem.reaction, t, x) * exact.u1(t, x)
         )
-        resid = np.abs(sample(problem.data.f1, t, x) - lhs).max()
+        resid = np.abs(sample(problem.f1, t, x) - lhs).max()
         worst = max(worst, resid)
     return CheckResult("manufactured-residual", worst <= 1e-12, f"max residual {worst:.2e}")
 

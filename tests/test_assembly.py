@@ -17,13 +17,7 @@ from stfosls.driver import StopCriteria, run
 from stfosls.estimator import compute_indicators, u_norm_error
 from stfosls.marking import MarkingConfig, MarkStrategy
 from stfosls.mesh import bisect, initial_facet_list, uniform_initial_mesh
-from stfosls.problem import (
-    CoefficientField,
-    ConvectionForm,
-    ParabolicProblem,
-    ProblemData,
-    make_problem,
-)
+from stfosls.problem import ConvectionForm, ParabolicProblem, make_problem
 from stfosls.spaces import (
     build_dofmap,
     edge_reference_points,
@@ -51,14 +45,10 @@ def _setup(name="heat-smooth", p=1, nt=2, nx=2, form=ConvectionForm.FLUX):
 def test_zero_data_zero_load():
     mesh, dofmap, system = _setup("incompatible")
     # strip the initial datum as well
-    from stfosls.problem import ParabolicProblem, ProblemData, CoefficientField
-
     zero = lambda t, x: np.zeros_like(np.asarray(t, dtype=float))
     problem = ParabolicProblem(
-        coefficients=CoefficientField(
-            lambda t, x: np.ones_like(np.asarray(t, dtype=float)), zero, zero
-        ),
-        data=ProblemData(f1=zero, f2=zero, u0=lambda x: 0.0 * np.asarray(x, dtype=float)),
+        lambda t, x: np.ones_like(np.asarray(t, dtype=float)), zero, zero,
+        f1=zero, f2=zero, u0=lambda x: 0.0 * np.asarray(x, dtype=float),
     )
     sparse_system = assemble(mesh, dofmap, parabolic_system(problem))
     assert np.all(sparse_system.rhs == 0.0)
@@ -90,14 +80,13 @@ def test_matrix_exactly_symmetric():
 
 
 def _variable_coefficient_system(form):
-    coefficients = CoefficientField(
+    return parabolic_system(ParabolicProblem(
         diffusion=lambda t, x: 1.0 + 0.5 * np.sin(3.0 * (t + 2.0 * x)),
         convection=lambda t, x: 1.5 * np.cos(np.pi * (x - t)),
         reaction=lambda t, x: -0.7 * (1.0 + t * x),
-    )
-    data = ProblemData(f1=lambda t, x: 1.0 + t * x, f2=lambda t, x: t * x * (1.0 - x),
-                       u0=lambda x: np.sin(np.pi * x))
-    return parabolic_system(ParabolicProblem(coefficients, data, form))
+        f1=lambda t, x: 1.0 + t * x, f2=lambda t, x: t * x * (1.0 - x),
+        u0=lambda x: np.sin(np.pi * x), form=form,
+    ))
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -609,14 +598,13 @@ def test_random_smooth_coefficients_spd_and_galerkin(alpha, k, beta, gamma, form
     """A = 1 + alpha sin(k (t + 2x)) with |alpha| <= 0.9 and variable b and c:
     the assembled matrix is SPD and the LU-preconditioned solve meets
     Galerkin orthogonality."""
-    coefficients = CoefficientField(
+    system = parabolic_system(ParabolicProblem(
         diffusion=lambda t, x: 1.0 + alpha * np.sin(k * (t + 2.0 * x)),
         convection=lambda t, x: beta * np.cos(np.pi * (x - t)),
         reaction=lambda t, x: gamma * (1.0 + t * x),
-    )
-    data = ProblemData(f1=lambda t, x: 1.0 + t * x, f2=lambda t, x: t * x * (1.0 - x),
-                       u0=lambda x: np.sin(np.pi * x))
-    system = parabolic_system(ParabolicProblem(coefficients, data, form))
+        f1=lambda t, x: 1.0 + t * x, f2=lambda t, x: t * x * (1.0 - x),
+        u0=lambda x: np.sin(np.pi * x), form=form,
+    ))
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     sparse_system = assemble(mesh, dofmap, system)

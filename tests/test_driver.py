@@ -15,12 +15,7 @@ from stfosls.driver import (
 )
 from stfosls.marking import MarkingConfig, MarkStrategy
 from stfosls.mesh import is_conforming, uniform_initial_mesh
-from stfosls.problem import (
-    CoefficientField,
-    ParabolicProblem,
-    ProblemData,
-    make_problem,
-)
+from stfosls.problem import ParabolicProblem, make_problem
 from helpers import galerkin_defect
 
 DOERFLER = MarkingConfig(MarkStrategy.DOERFLER, 0.5)
@@ -29,10 +24,8 @@ DOERFLER = MarkingConfig(MarkStrategy.DOERFLER, 0.5)
 def _zero_problem():
     zero = lambda t, x: np.zeros_like(np.asarray(t, dtype=float))
     return ParabolicProblem(
-        coefficients=CoefficientField(
-            lambda t, x: np.ones_like(np.asarray(t, dtype=float)), zero, zero
-        ),
-        data=ProblemData(f1=zero, f2=zero, u0=lambda x: 0.0 * np.asarray(x, dtype=float)),
+        lambda t, x: np.ones_like(np.asarray(t, dtype=float)), zero, zero,
+        f1=zero, f2=zero, u0=lambda x: 0.0 * np.asarray(x, dtype=float),
     )
 
 
@@ -281,7 +274,8 @@ def test_uniform_run_zero_data():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     problem = _zero_problem()
     zero = lambda t, x: np.zeros_like(np.asarray(t, dtype=float))
-    _, zero_exact = _parabolic_case(problem.coefficients, problem.form, *[zero] * 5)
+    _, zero_exact = _parabolic_case(problem.diffusion, problem.convection, problem.reaction, problem.form,
+                                    *[zero] * 5)
     log = run(problem, mesh, 1, StopCriteria(max_iterations=2), exact=zero_exact)
     assert len(log.records) == 3 and log.reason == "levels"
     assert np.all(log.estimators() == 0.0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,13 +52,7 @@ def test_zero_solution_indicator_is_data_norm():
     problem, _ = make_problem("heat-smooth")
     system = parabolic_system(problem)
     # remove the initial datum so only f1 remains
-    from stfosls.problem import ParabolicProblem, ProblemData
-
-    stripped = ParabolicProblem(
-        coefficients=problem.coefficients,
-        data=ProblemData(f1=problem.data.f1, f2=problem.data.f2,
-                         u0=lambda x: 0.0 * np.asarray(x, dtype=float)),
-    )
+    stripped = dataclasses.replace(problem, u0=lambda x: 0.0 * np.asarray(x, dtype=float))
     system = parabolic_system(stripped)
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
@@ -66,7 +62,7 @@ def test_zero_solution_indicator_is_data_norm():
     coords = mesh.points[mesh.elements]
     for k in range(mesh.n_elements):
         pts = np.einsum("qk,kc->qc", rules.quad_points, coords[k])
-        f1 = sample(stripped.data.f1, pts[:, 0], pts[:, 1])
+        f1 = sample(stripped.f1, pts[:, 0], pts[:, 1])
         local = float(np.dot(rules.quad_weights, f1**2)) * 2.0 * element_areas(mesh)[k]
         assert ind.per_element[k] ** 2 == pytest.approx(local, rel=1e-10)
 
@@ -173,8 +169,8 @@ def test_fine_norm_examples():
 
     zero_field = ExactFields(
         u1=lambda t, x: np.zeros_like(np.asarray(t, dtype=float)),
-        u1_grad=lambda t, x: np.zeros(np.shape(np.asarray(t)) + (2,)),
-        u2=lambda t, x: np.zeros(np.shape(np.asarray(t)) + (1,)),
+        u1_grad=lambda t, x: np.zeros((2,) + np.shape(np.asarray(t))),
+        u2=lambda t, x: np.zeros((1,) + np.shape(np.asarray(t))),
         div=lambda t, x: np.zeros_like(np.asarray(t, dtype=float)),
     )
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
@@ -189,8 +185,8 @@ def test_fine_norm_examples():
     # the initial-trace component of u = e^{-t} sin(pi x) has norm sqrt(1/2)
     trace_only = ExactFields(
         u1=exact.u1,
-        u1_grad=lambda t, x: np.zeros(np.shape(np.asarray(t)) + (2,)),
-        u2=lambda t, x: np.zeros(np.shape(np.asarray(t)) + (1,)),
+        u1_grad=lambda t, x: np.zeros((2,) + np.shape(np.asarray(t))),
+        u2=lambda t, x: np.zeros((1,) + np.shape(np.asarray(t))),
         div=lambda t, x: np.zeros_like(np.asarray(t, dtype=float)),
     )
     # isolate the trace term by subtracting the interior u1 mass

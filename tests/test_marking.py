@@ -77,15 +77,19 @@ def test_marking_property_checks_marks_like_bisect():
     assert not verify_marking_property(eta, [])
 
 
-def test_random_property_and_minimality():
-    """Both strategies satisfy the marking property; the Doerfler set is
-    minimal: dropping its smallest member breaks the bulk inequality."""
+def _random_cases():
+    """100 random (indicators, theta) pairs, the same on every call."""
     rng = np.random.default_rng(123)
     for _ in range(100):
         n = int(rng.integers(1, 60))
         eta = rng.random(n) * rng.choice([1.0, 10.0])
-        theta = float(rng.uniform(0.05, 1.0))
+        yield eta, float(rng.uniform(0.05, 1.0))
 
+
+def test_random_property_and_minimality():
+    """Both strategies satisfy the marking property; the Doerfler set is
+    minimal: dropping its smallest member breaks the bulk inequality."""
+    for eta, theta in _random_cases():
         md = mark_doerfler(eta, theta)
         mm = mark_maximum(eta, theta)
         assert verify_marking_property(eta, md)
@@ -95,6 +99,19 @@ def test_random_property_and_minimality():
             drop = md[np.argmin(eta[md])]
             kept = np.array([k for k in md if k != drop])
             assert np.sum(eta[kept] ** 2) < theta * np.sum(eta**2)
+
+
+def test_marks_dominate_every_unmarked_indicator():
+    """Both strategies mark sets whose smallest member is at least every
+    unmarked indicator, a stronger property than the one
+    ``verify_marking_property`` checks: it compares against the largest
+    marked indicator only."""
+    for eta, theta in _random_cases():
+        for marks in (mark_doerfler(eta, theta), mark_maximum(eta, theta)):
+            unmarked = np.delete(eta, marks)
+            assert unmarked.size == 0 or unmarked.max() <= eta[marks].min()
+    # The unmarked 2 exceeds the marked 1, yet the weaker property holds.
+    assert verify_marking_property(np.array([3.0, 2.0, 1.0]), np.array([0, 2]))
 
 
 def test_deterministic_outputs():

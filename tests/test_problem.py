@@ -5,14 +5,16 @@ import pytest
 import sympy as sp
 
 from stfosls.problem import (
-    CoefficientField,
+    BUILTIN_CASES,
     ConvectionForm,
+    ParabolicProblem,
     _parabolic_case,
     make_problem,
     sample,
     sample_x,
 )
 from stfosls.oracles import data_vector
+from stfosls.system import parabolic_system, poisson_sine_case
 
 
 def _constant(v):
@@ -37,19 +39,14 @@ def test_data_vector_zero_f2():
     t = np.array([0.1, 0.7])
     x = np.array([0.3, 0.9])
     assert np.all(target_flux(t, x) == 0.0)
-    assert np.allclose(target_div(t, x), sample(problem.data.f1, t, x), atol=0.0)
+    assert np.allclose(target_div(t, x), sample(problem.f1, t, x), atol=0.0)
     assert np.allclose(target_init(x), np.sin(np.pi * x), atol=1e-15)
 
 
 def test_data_vector_flux_correction():
     # A = 1, b = 1, f2 = 1, f1 = 0: divergence target is 0 - 1*1*1 = -1
-    from stfosls.problem import ParabolicProblem, ProblemData
-
-    problem = ParabolicProblem(
-        coefficients=CoefficientField(_constant(1.0), _constant(1.0), _constant(0.0)),
-        data=ProblemData(f1=_constant(0.0), f2=_constant(1.0), u0=lambda x: 0.0 * x),
-        form=ConvectionForm.FLUX,
-    )
+    problem = ParabolicProblem(_constant(1.0), _constant(1.0), _constant(0.0), f1=_constant(0.0),
+                               f2=_constant(1.0), u0=lambda x: 0.0 * x, form=ConvectionForm.FLUX)
     _, target_div, _ = data_vector(problem)
     assert np.allclose(target_div(np.array([0.2]), np.array([0.4])), -1.0, atol=0.0)
 
@@ -73,7 +70,7 @@ def test_manufactured_source_against_symbolic_oracle(name, a_expr, b_expr, c_exp
     rng = np.random.default_rng(0)
     tt = rng.random(200)
     xx = rng.random(200)
-    assert np.allclose(sample(problem.data.f1, tt, xx), oracle(tt, xx), atol=1e-12)
+    assert np.allclose(sample(problem.f1, tt, xx), oracle(tt, xx), atol=1e-12)
 
 
 def test_heat_source_closed_form():
@@ -81,20 +78,20 @@ def test_heat_source_closed_form():
     tt = np.array([0.0, 0.5])
     xx = np.array([0.25, 0.75])
     expected = (np.pi**2 - 1.0) * np.exp(-tt) * np.sin(np.pi * xx)
-    assert np.allclose(sample(problem.data.f1, tt, xx), expected, atol=1e-14)
+    assert np.allclose(sample(problem.f1, tt, xx), expected, atol=1e-14)
 
 
 def _zero_case():
-    coeff = CoefficientField(_constant(1.0), _constant(0.0), _constant(0.0))
-    return _parabolic_case(coeff, ConvectionForm.FLUX, *[_constant(0.0)] * 5)
+    return _parabolic_case(_constant(1.0), _constant(0.0), _constant(0.0), ConvectionForm.FLUX,
+                           *[_constant(0.0)] * 5)
 
 
 def test_zero_case():
     """All-zero closed forms give zero data."""
     problem, _ = _zero_case()
     tt = np.linspace(0, 1, 5)
-    assert np.all(sample(problem.data.f1, tt, tt) == 0.0)
-    assert np.all(problem.data.u0(tt) == 0.0)
+    assert np.all(sample(problem.f1, tt, tt) == 0.0)
+    assert np.all(problem.u0(tt) == 0.0)
 
 
 def test_exact_error_data_zero_case():
@@ -109,12 +106,12 @@ def test_exact_error_data_zero_case():
 def test_exact_fields_reference_flux():
     problem, exact = make_problem("heat-smooth")
     # flux reference at (0.5, 0.5): -pi e^{-1/2} cos(pi/2) = 0
-    assert exact.u2(0.5, 0.5)[..., 0] == pytest.approx(0.0, abs=1e-15)
+    assert exact.u2(0.5, 0.5)[0] == pytest.approx(0.0, abs=1e-15)
     # divergence identity: with b = c = 0 and f2 = 0 the space-time divergence
     # of the exact pair equals the source
     rng = np.random.default_rng(1)
     tt, xx = rng.random(100), rng.random(100)
-    assert np.allclose(exact.div(tt, xx), sample(problem.data.f1, tt, xx), atol=1e-12)
+    assert np.allclose(exact.div(tt, xx), sample(problem.f1, tt, xx), atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["heat-smooth", "convection-reaction", "variable-a"])
@@ -131,7 +128,7 @@ def test_exact_fields_against_symbolic_oracle(name):
     _, exact = make_problem(name)
     rng = np.random.default_rng(5)
     tt, xx = rng.random(200), rng.random(200)
-    got = np.column_stack([exact.u1(tt, xx), exact.u1_grad(tt, xx), exact.u2(tt, xx), exact.div(tt, xx)])
+    got = np.column_stack([exact.u1(tt, xx), *exact.u1_grad(tt, xx), *exact.u2(tt, xx), exact.div(tt, xx)])
     want = np.column_stack([f(tt, xx) for f in oracle])
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -140,16 +137,36 @@ def test_exact_fields_against_symbolic_oracle(name):
 def test_strong_form_residual_vanishes(name):
     """f1 - (u_t - (A u_x)_x + b u_x + c u) = 0 at 1000 random points."""
     problem, exact = make_problem(name)
-    coeff = problem.coefficients
     rng = np.random.default_rng(42)
     t = rng.random(1000)
     x = rng.random(1000)
     lhs = (
         exact.div(t, x)
-        + sample(coeff.convection, t, x) * exact.u1_grad(t, x)[..., 1]
-        + sample(coeff.reaction, t, x) * exact.u1(t, x)
+        + sample(problem.convection, t, x) * exact.u1_grad(t, x)[1]
+        + sample(problem.reaction, t, x) * exact.u1(t, x)
     )
-    assert np.abs(sample(problem.data.f1, t, x) - lhs).max() <= 1e-12
+    assert np.abs(sample(problem.f1, t, x) - lhs).max() <= 1e-12
+
+
+def _exact_cases():
+    """(n_flux, exact) of every built-in case with a closed-form solution."""
+    for name in BUILTIN_CASES:
+        problem, exact = make_problem(name)
+        if exact is not None:
+            yield parabolic_system(problem).n_flux, exact
+    system, exact = poisson_sine_case()
+    yield system.n_flux, exact
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+def test_exact_fields_components_first(shape):
+    """Exact gradients and fluxes carry their component axis first, like the
+    discrete fields they are compared to."""
+    rng = np.random.default_rng(6)
+    t, x = rng.random(shape), rng.random(shape)
+    for n_flux, exact in _exact_cases():
+        assert np.shape(exact.u1_grad(t, x)) == (2,) + shape
+        assert np.shape(exact.u2(t, x)) == (n_flux,) + shape
 
 
 def test_variable_a_flux_consistency():
@@ -157,8 +174,8 @@ def test_variable_a_flux_consistency():
     problem, exact = make_problem("variable-a")
     rng = np.random.default_rng(2)
     tt, xx = rng.random(100), rng.random(100)
-    a = sample(problem.coefficients.diffusion, tt, xx)
-    assert np.allclose(exact.u2(tt, xx)[..., 0], -a * exact.u1_grad(tt, xx)[..., 1], rtol=0.0, atol=1e-13)
+    a = sample(problem.diffusion, tt, xx)
+    assert np.allclose(exact.u2(tt, xx)[0], -a * exact.u1_grad(tt, xx)[1], rtol=0.0, atol=1e-13)
 
 
 def test_data_consistent_across_forms():
@@ -168,10 +185,10 @@ def test_data_consistent_across_forms():
     for name in ("convection-reaction", "incompatible"):
         pf, _ = make_problem(name, ConvectionForm.FLUX)
         pg, _ = make_problem(name, ConvectionForm.GRADIENT)
-        assert np.array_equal(sample(pf.data.f1, tt, xx), sample(pg.data.f1, tt, xx))
-        assert np.array_equal(sample(pf.data.f2, tt, xx), sample(pg.data.f2, tt, xx))
+        assert np.array_equal(sample(pf.f1, tt, xx), sample(pg.f1, tt, xx))
+        assert np.array_equal(sample(pf.f2, tt, xx), sample(pg.f2, tt, xx))
         assert np.array_equal(
-            np.asarray(pf.data.u0(xx), dtype=float), np.asarray(pg.data.u0(xx), dtype=float)
+            np.asarray(pf.u0(xx), dtype=float), np.asarray(pg.u0(xx), dtype=float)
         )
 
 
@@ -185,9 +202,9 @@ def test_coefficient_positivity_on_samples():
         problem, _ = make_problem(name)
         rng = np.random.default_rng(4)
         t, x = rng.random(500), rng.random(500)
-        a = sample(problem.coefficients.diffusion, t, x)
+        a = sample(problem.diffusion, t, x)
         assert np.all(a > 0)
-        assert np.all(np.isfinite(sample(problem.data.f1, t, x)))
+        assert np.all(np.isfinite(sample(problem.f1, t, x)))
 
 
 def test_scalar_only_callable_raises():

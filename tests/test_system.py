@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from stfosls.problem import (
-    CoefficientField,
-    ConvectionForm,
-    ParabolicProblem,
-    ProblemData,
-    make_problem,
-)
+from stfosls.problem import ConvectionForm, ParabolicProblem, make_problem
 from stfosls.oracles import eval_G, eval_data, eval_data_initial
 from stfosls.system import (
     parabolic_system,
@@ -22,11 +16,8 @@ def _constant(v):
 
 
 def _problem(a, b, c, form=ConvectionForm.FLUX):
-    return ParabolicProblem(
-        coefficients=CoefficientField(_constant(a), _constant(b), _constant(c)),
-        data=ProblemData(f1=_constant(0.0), f2=_constant(0.0), u0=lambda x: 0.0 * x),
-        form=form,
-    )
+    return ParabolicProblem(_constant(a), _constant(b), _constant(c), f1=_constant(0.0),
+                            f2=_constant(0.0), u0=lambda x: 0.0 * x, form=form)
 
 
 def test_eval_g_time_linear_field():
@@ -98,10 +89,10 @@ def test_exact_fields_satisfy_system(name, form):
         t, x = rng.random(2)
         u1 = float(exact.u1(t, x))
         grad = np.asarray(exact.u1_grad(t, x), dtype=float)
-        u2 = float(exact.u2(t, x)[..., 0])
+        u2 = float(exact.u2(t, x)[0])
         # flux gradient: d/dt and d/dx of -A du/dx; only d/dx enters G, and it
         # is the divergence less u_t
-        u2_grad = np.array([0.0, float(exact.div(t, x) - grad[..., 0])])
+        u2_grad = np.array([0.0, float(exact.div(t, x) - grad[0])])
         img = eval_G(system, (t, x), u1, grad, u2, u2_grad)
         target = eval_data(system, (t, x))
         assert np.all(np.abs(np.concatenate([img.flux, [img.div]]) - target) <= 1e-11)
@@ -188,10 +179,7 @@ def test_non_finite_data_rejected(where):
     half_nan = lambda t, x: np.where(np.asarray(x) > 0.5, np.nan, 1.0)  # noqa: E731
     data = {"f1": _constant(1.0), "f2": _constant(0.0), "u0": lambda x: np.sin(np.pi * x)}
     data[where] = half_nan if where != "u0" else (lambda x: np.where(np.asarray(x) > 0.5, np.inf, 0.0))
-    problem = ParabolicProblem(
-        coefficients=CoefficientField(_constant(1.0), _constant(0.0), _constant(0.0)),
-        data=ProblemData(**data),
-    )
+    problem = ParabolicProblem(_constant(1.0), _constant(0.0), _constant(0.0), **data)
     quantity = "initial datum" if where == "u0" else "interior data"
     with pytest.raises(InvalidDataError, match=f"weighted {quantity} is not finite at"):
         _run_two_levels(problem)
