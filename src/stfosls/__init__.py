@@ -9,7 +9,7 @@ efficient error estimator whose local parts drive an adaptive
 solve-estimate-mark-refine loop.
 """
 
-from .assembly import SolverReport, SparseSystem, assemble, solve_cg
+from .assembly import LevelData, SolverReport, assemble, solve_cg
 from .driver import (
     MarkingPropertyError,
     RunLog,

@@ -17,19 +17,19 @@ table.  Only the upper triangle of each local matrix is scattered, its
 diagonal halved, into one sparse matrix H; the assembled matrix is H + H^T,
 bit-exactly symmetric because floating-point addition commutes.
 
-The level's :class:`LevelData` keeps the element axis last, so its kernels
-(system images, Gram matrices, loads, residuals, field values) run numpy's
-inner loops along that long contiguous axis.  Its geometry is held at
-element size.  :func:`assemble` builds it in one block walk that forms a
-block's points and weights times det J once, for its data and its images,
-and :func:`element_fields` yields them again with a solution's fields.  Its
-rules and the reference basis on them are :func:`stfosls.spaces.level_tables`,
-built once per degree, read-only, and shared by every level.  It holds the
-dof map it was built from, so a solution is its coefficient vector.  The
-level travels on the :class:`SparseSystem` and also serves the indicators
-and the graph-norm error.  :func:`field_images` is the one place where the
-system's G is applied to discrete fields: to the weighted basis here, and
-to the solution's fields in the estimator.
+The assembled level is one :class:`LevelData`: its matrix and load, and
+what the indicators and the graph-norm error read.  It keeps the element
+axis last, so its kernels (system images, Gram matrices, loads, residuals,
+field values) run numpy's inner loops along that long contiguous axis.  Its
+geometry is held at element size.  :func:`assemble` builds it in one block
+walk that forms a block's points and weights times det J once, for its data
+and its images, and :func:`element_fields` yields them again with a
+solution's fields.  Its rules and the reference basis on them are
+:func:`stfosls.spaces.level_tables`, built once per degree, read-only, and
+shared by every level.  It holds the dof map it was built from, so a
+solution is its coefficient vector.  :func:`field_images` is the one place
+where the system's G is applied to discrete fields: to the weighted basis
+here, and to the solution's fields in the estimator.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ _BACKWARD_TOL = 16 * 2.0**-53
 _MAX_STEPS = 3
 
 __all__ = [
-    "SparseSystem",
     "LevelData",
     "SolverReport",
     "assemble",
@@ -65,16 +64,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LevelData:
-    """Quadrature geometry and sqrt(w)-weighted data of one level, element axis last.
+    """One assembled level: its symmetric positive definite matrix and load,
+    and its quadrature geometry and sqrt(w)-weighted data, element axis last.
 
     Built by :func:`assemble` only.  Per element it keeps the vertex
     coordinates, det J and J^{-T} (11 doubles); points, weights times det J
-    and physical gradients are formed for one block of elements by the
-    methods below.  The facet arrays, facet axis first, list the facets
-    tagged Initial in element order (none for systems without an initial
-    trace).  ``data[r, q, K]`` is component r of the interior data at point
-    q of element K, ``facet_data[q, f]`` the initial datum at point q of the
-    initial facet f."""
+    and physical gradients are formed for one block of elements by
+    :func:`_points`, :func:`_wdet` and :func:`_basis_gradients`.  The facet
+    arrays, facet axis first, list the facets tagged Initial in element
+    order (none for systems without an initial trace).  ``data[r, q, K]``
+    is component r of the interior data at point q of element K,
+    ``facet_data[q, f]`` the initial datum at point q of the initial facet f."""
 
     dofmap: DofMap  # the level's dof map: its cell->dof table places a coefficient vector
     tables: LevelTables  # the rules of the level's degree and the reference basis on them
@@ -87,29 +87,27 @@ class LevelData:
     facet_wlen: np.ndarray  # (nf, nq_e) edge weight times facet length
     data: np.ndarray  # (n_int, nq, ne)
     facet_data: np.ndarray  # (nq_e, nf)
-
-    def basis_gradients(self, block: slice = slice(None)) -> np.ndarray:
-        """Physical gradients of the local basis on the elements of ``block``,
-        (2, nloc, nq, nb): one matrix product per gradient component."""
-        ref_grads = self.tables.ref_grads
-        return (ref_grads.reshape(2, -1).T @ self.inv_t[..., block]).reshape(ref_grads.shape + (-1,))
-
-    def points(self, block: slice = slice(None)) -> np.ndarray:
-        """Physical quadrature points (t, x) on the elements of ``block``, (2, nq, nb)."""
-        return self.tables.quad_points @ self.coords[..., block]
-
-    def wdet(self, block: slice = slice(None)) -> np.ndarray:
-        """Quadrature weight times det J on the elements of ``block``, (nq, nb)."""
-        return np.outer(self.tables.quad_weights, self.det[block])
+    matrix: sp.csr_matrix  # (n_dofs, n_dofs) H + H^T, canonical CSR with int32 indices
+    rhs: np.ndarray  # (n_dofs,) the load
 
 
-@dataclass(frozen=True)
-class SparseSystem:
-    """Assembled symmetric positive definite system and the level data it came from."""
+def _points(tables: LevelTables, coords: np.ndarray) -> np.ndarray:
+    """Physical quadrature points (t, x), (2, nq, nb), of the elements with
+    vertex coordinates ``coords`` (2, 3, nb)."""
+    return tables.quad_points @ coords
 
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    level: LevelData
+
+def _wdet(tables: LevelTables, det: np.ndarray) -> np.ndarray:
+    """Quadrature weight times det J, (nq, nb), of the elements with ``det`` (nb,)."""
+    return np.outer(tables.quad_weights, det)
+
+
+def _basis_gradients(tables: LevelTables, inv_t: np.ndarray) -> np.ndarray:
+    """Physical gradients of the local basis, (2, nloc, nq, nb), on the
+    elements with J^{-T} ``inv_t`` (2, 2, nb): one matrix product per
+    gradient component."""
+    ref_grads = tables.ref_grads
+    return (ref_grads.reshape(2, -1).T @ inv_t).reshape(ref_grads.shape + (-1,))
 
 
 @dataclass(frozen=True)
@@ -144,18 +142,19 @@ def field_images(system, t, x, values, grads, out) -> None:
     system.residual_u2(t, x, values[1:], grads[1:], out[1:])
 
 
-def _residual_tables(system, level: LevelData, block: slice, t, x, sqrt_w):
-    """sqrt(w)-weighted system images of all local basis functions on the
-    elements of ``block``, shape (nloc_total, n_int, nq, nb), from the
-    block's points ``t``, ``x`` and ``sqrt_w`` = sqrt(w det J), (nq, nb).
+def _residual_tables(system, tables: LevelTables, inv_t, t, x, sqrt_w):
+    """sqrt(w)-weighted system images of all local basis functions on a
+    block of elements, shape (nloc_total, n_int, nq, nb), from the block's
+    J^{-T} ``inv_t`` (2, 2, nb), points ``t``, ``x`` and ``sqrt_w`` =
+    sqrt(w det J), (nq, nb).
 
     The images are linear in the fields, so the basis values and gradients
     are weighted once, repeated for each field block (u1 first, then the u2
     components), and each image is written straight into its slab of one
     preallocated table, through a view with the component axis first.
     """
-    val = level.tables.values[:, :, None] * sqrt_w
-    grads = level.basis_gradients(block)
+    val = tables.values[:, :, None] * sqrt_w
+    grads = _basis_gradients(tables, inv_t)
     grads *= sqrt_w
     nf, nloc = 1 + system.n_flux, val.shape[0]
     out = np.empty((nf * nloc, system.n_interior) + val.shape[1:])
@@ -205,33 +204,31 @@ def _gram(images: np.ndarray) -> np.ndarray:
     return upper
 
 
-def assemble(mesh: Mesh, dofmap: DofMap, system) -> SparseSystem:
-    """Matrix, load and level data of the least-squares Galerkin equation,
-    in one walk over the element blocks: a block's points and sqrt(w det J)
-    give both its weighted data and its images.  affine_maps rejects
-    det <= 0, so sqrt(w) is real.  Raises InvalidDataError on non-finite data."""
+def assemble(mesh: Mesh, dofmap: DofMap, system) -> LevelData:
+    """The level of the least-squares Galerkin equation, its matrix and load
+    included, in one walk over the element blocks: a block's points and
+    sqrt(w det J) give both its weighted data and its images.  affine_maps
+    rejects det <= 0, so sqrt(w) is real.  Raises InvalidDataError on
+    non-finite data."""
     tables = level_tables(dofmap.degree)
     coords, inv_t, det = affine_maps(mesh)
     elems, facet_basis, xs, wlen = _initial_facet_tables(mesh, tables, system)
     dofs, n = dofmap.cell_dofs, dofmap.n_dofs
     nloc_total, ne = dofs.shape
-    level = LevelData(
-        dofmap, tables, coords, det, inv_t, elems, facet_basis, xs, wlen,
-        data=np.empty((system.n_interior, tables.quad_weights.size, ne)),
-        facet_data=np.empty(xs.shape).T,
-    )
+    interior_data = np.empty((system.n_interior, tables.quad_weights.size, ne))
+    facet_data = np.empty(xs.shape).T
     nloc = tables.values.shape[0]
     rows, cols = np.triu_indices(nloc_total)
     upper = np.empty((rows.size, ne))
     loads = np.empty((ne, nloc_total))
     for block in _blocks(ne):
-        t, x = level.points(block)
-        sqrt_w = np.sqrt(level.wdet(block))
-        data = level.data[..., block]
+        t, x = _points(tables, coords[..., block])
+        sqrt_w = np.sqrt(_wdet(tables, det[block]))
+        data = interior_data[..., block]
         system.data_interior(t, x, data)
         data *= sqrt_w
         _require(np.isfinite(data).all(axis=0), "weighted interior data is not finite", t, x)
-        images = _residual_tables(system, level, block, t, x, sqrt_w)
+        images = _residual_tables(system, tables, inv_t[..., block], t, x, sqrt_w)
         upper[:, block] = _gram(images)
         loads[block] = np.einsum("arqe,rqe->ae", images, data).T
         del images  # freed before the next block's images are built
@@ -239,12 +236,12 @@ def assemble(mesh: Mesh, dofmap: DofMap, system) -> SparseSystem:
     # the u1 block of its element.
     sqrt_wlen = np.sqrt(wlen)
     if xs.size:
-        np.multiply(sqrt_wlen, system.data_initial(xs), out=level.facet_data.T)
-    _require(np.isfinite(level.facet_data.T), "weighted initial datum is not finite", 0.0, xs)
+        np.multiply(sqrt_wlen, system.data_initial(xs), out=facet_data.T)
+    _require(np.isfinite(facet_data.T), "weighted initial datum is not finite", 0.0, xs)
     facet_images = (facet_basis * sqrt_wlen[..., None]).T
     np.add.at(upper, (np.flatnonzero(cols < nloc)[:, None], elems), _gram(facet_images))
     upper[rows == cols] *= 0.5  # H + H^T counts the diagonal twice
-    np.add.at(loads[:, :nloc], elems, np.einsum("aqf,qf->fa", facet_images, level.facet_data))
+    np.add.at(loads[:, :nloc], elems, np.einsum("aqf,qf->fa", facet_images, facet_data))
 
     free = dofs.T >= 0
     rhs = np.zeros(n)
@@ -257,7 +254,8 @@ def assemble(mesh: Mesh, dofmap: DofMap, system) -> SparseSystem:
     del keep
     half = sp.csr_matrix((values, (gi, gj)), shape=(n, n))
     del values, gi, gj
-    return SparseSystem(matrix=_plus_transpose(half), rhs=rhs, level=level)
+    return LevelData(dofmap, tables, coords, det, inv_t, elems, facet_basis, xs, wlen,
+                     interior_data, facet_data, _plus_transpose(half), rhs)
 
 
 def _plus_transpose(half: sp.csr_matrix) -> sp.csr_matrix:
@@ -364,13 +362,15 @@ def element_fields(coeffs: np.ndarray, level: LevelData):
     (nf, nq, nb) and gradients (nf, 2, nq, nb) of the fields stacked as in
     :func:`field_images`, u1 first, element axis last.
     """
-    nloc, ne = level.tables.values.shape[0], level.inv_t.shape[-1]
+    tables = level.tables
+    nloc, ne = tables.values.shape[0], level.inv_t.shape[-1]
     local = _local_coeffs(coeffs, level).reshape(-1, nloc, ne)
     for block in _blocks(ne):
         on_block = local[..., block]
-        values = level.tables.values.T @ on_block
-        ref = level.tables.ref_grads.transpose(0, 2, 1) @ on_block[:, None]  # (nf, 2, nq, nb)
+        values = tables.values.T @ on_block
+        ref = tables.ref_grads.transpose(0, 2, 1) @ on_block[:, None]  # (nf, 2, nq, nb)
         inv_t = level.inv_t[:, :, None, block]
         grads = np.multiply(inv_t[:, 0], ref[:, :1])
         grads += inv_t[:, 1] * ref[:, 1:]
-        yield block, level.points(block), level.wdet(block), values, grads
+        coords, det = level.coords[..., block], level.det[block]
+        yield block, _points(tables, coords), _wdet(tables, det), values, grads

@@ -103,17 +103,16 @@ def _solve_level(mesh, system, p, exact):
     dofmap = build_dofmap(
         mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags
     )
-    sparse = assemble(mesh, dofmap, system)
+    level = assemble(mesh, dofmap, system)
     try:
-        coeffs, report = solve_cg(sparse.matrix, sparse.rhs)
+        coeffs, report = solve_cg(level.matrix, level.rhs)
     except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
-        raise SolverFailure(f"level solve on {sparse.rhs.size} dofs failed: {exc}") from exc
+        raise SolverFailure(f"level solve on {level.rhs.size} dofs failed: {exc}") from exc
     if not report.converged:
         raise SolverFailure(
-            f"level solve on {sparse.rhs.size} dofs stopped after {report.iterations} LU solve(s) "
+            f"level solve on {level.rhs.size} dofs stopped after {report.iterations} LU solve(s) "
             f"at relative residual {report.relative_residual:.3e}, backward error {report.backward_error:.3e}"
         )
-    level = sparse.level
     fields = element_fields(coeffs, level)
     if exact is not None:  # the error reads the same per-block fields: evaluate them once
         fields, error_fields = itertools.tee(fields)

@@ -25,7 +25,7 @@ systems without an initial-trace component.  It reads the same per-block
 fields, which a caller computing both may evaluate once and pass to both.
 
 A solution is its coefficient vector, read through the dof map of the level
-that assembly built (``SparseSystem.level``); nothing here rebuilds the
+that :func:`stfosls.assembly.assemble` returned; nothing here rebuilds the
 level or forms its geometry.
 """
 
@@ -84,11 +84,10 @@ def compute_indicators(
 ) -> Indicators:
     """Least-squares indicators of the solved coefficients ``coeffs``.
 
-    ``level`` is the level data the system was assembled from
-    (``SparseSystem.level``).  ``fields`` iterates over
-    ``element_fields(coeffs, level)`` when the caller shares those blocks
-    with the error.  ``mesh`` is not read here; it stays the first
-    positional argument because the benchmark's tracer reads
+    ``level`` is the level data ``assemble`` returned.  ``fields``
+    iterates over ``element_fields(coeffs, level)`` when the caller shares
+    those blocks with the error.  ``mesh`` is not read here; it stays the
+    first positional argument because the benchmark's tracer reads
     (mesh, coeffs, system) off this call to count initial facets.
     """
     if fields is None:
@@ -116,8 +115,8 @@ def u_norm_error(
 ) -> ErrorReport:
     """Graph-norm error of the coefficients ``coeffs`` against closed-form references.
 
-    ``level`` is the level data the system was assembled from; its geometry
-    is reused.  ``fields`` iterates over ``element_fields(coeffs, level)``
+    ``level`` is the level data ``assemble`` returned; its geometry is
+    reused.  ``fields`` iterates over ``element_fields(coeffs, level)``
     when the caller shares those blocks with the indicators.
     """
     if fields is None:

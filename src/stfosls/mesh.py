@@ -55,7 +55,8 @@ _TAG_NAMES = {
 
 @dataclass(frozen=True)
 class Mesh:
-    """Triangulation of the rectangle (0, t_end) x (x_lo, x_hi).
+    """Triangulation of the rectangle (0, t_end) x (x_lo, x_hi), whose
+    extents are those of its points.
 
     Attributes
     ----------
@@ -83,9 +84,6 @@ class Mesh:
     elements: np.ndarray
     generation: np.ndarray
     edge_tags: np.ndarray
-    t_end: float
-    x_lo: float
-    x_hi: float
     refined_from: np.ndarray
 
     @property
@@ -139,9 +137,6 @@ def uniform_initial_mesh(t_end: float, omega: tuple, nt: int, nx: int) -> Mesh:
         elements=elements,
         generation=np.zeros(n_elems, dtype=np.int64),
         edge_tags=tags,
-        t_end=float(t_end),
-        x_lo=x_lo,
-        x_hi=x_hi,
         refined_from=np.arange(n_elems, dtype=np.int64),
     )
 
@@ -241,9 +236,6 @@ def bisect(mesh: Mesh, marks) -> Mesh:
         elements=np.take_along_axis(verts[parent], child[:, 0:3], axis=1),
         generation=mesh.generation[parent] + child[:, 6],
         edge_tags=np.take_along_axis(tags[parent], child[:, 3:6], axis=1),
-        t_end=mesh.t_end,
-        x_lo=mesh.x_lo,
-        x_hi=mesh.x_hi,
         refined_from=parent,
     )
 
@@ -267,14 +259,17 @@ def _edge_incidence(mesh: Mesh):
 def _side_tags(mesh: Mesh, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tag of the side of the rectangle holding each edge (a, b), -1 for none.
 
-    Sides are recognised by exact coordinate equality: the midpoint of an
-    edge on a side keeps the side's coordinate bit for bit."""
+    Sides are recognised by exact coordinate equality with the extents of
+    the points: the grid's sides are ``linspace`` endpoints, and the
+    midpoint of an edge on a side keeps the side's coordinate bit for bit."""
     pa, pb = mesh.points[a], mesh.points[b]
+    x_lo = mesh.points[:, 1].min()
+    t_end, x_hi = mesh.points.max(axis=0)
     return np.select(
         [
             (pa[:, 0] == 0.0) & (pb[:, 0] == 0.0),
-            (pa[:, 0] == mesh.t_end) & (pb[:, 0] == mesh.t_end),
-            (pa[:, 1] == pb[:, 1]) & ((pa[:, 1] == mesh.x_lo) | (pa[:, 1] == mesh.x_hi)),
+            (pa[:, 0] == t_end) & (pb[:, 0] == t_end),
+            (pa[:, 1] == pb[:, 1]) & ((pa[:, 1] == x_lo) | (pa[:, 1] == x_hi)),
         ],
         [int(FacetTag.INITIAL), int(FacetTag.FINAL), int(FacetTag.LATERAL_DIRICHLET)],
         default=-1,

@@ -243,9 +243,6 @@ def bisect_reference(mesh: Mesh, marks) -> Mesh:
         elements=np.asarray(out_elems, dtype=np.int64),
         generation=np.asarray(out_gen, dtype=np.int64),
         edge_tags=np.asarray(out_tags, dtype=np.int64),
-        t_end=mesh.t_end,
-        x_lo=mesh.x_lo,
-        x_hi=mesh.x_hi,
         refined_from=np.asarray(out_from, dtype=np.int64),
     )
 

@@ -139,7 +139,10 @@ def _constant(value: float) -> Callable:
 def _incompatible_problem(form: ConvectionForm) -> ParabolicProblem:
     """Zero forcing with u0 = 1: the initial datum clashes with the lateral
     boundary condition, so the solution is singular at the bottom corners and
-    exercises adaptive refinement.  No closed-form reference exists."""
+    exercises adaptive refinement.  The solution is the odd-mode Fourier
+    series u = sum over odd k of 4/(k pi) exp(-k^2 pi^2 t) sin(k pi x), with
+    an image-sum form for small t; the package does not evaluate it yet, so
+    the case has no ExactFields."""
     zero = _constant(0.0)
     return ParabolicProblem(_constant(1.0), zero, zero, f1=zero, f2=zero,
                             u0=lambda x: np.ones_like(np.asarray(x, dtype=float)), form=form)
@@ -152,8 +155,10 @@ def make_problem(name: str, form: ConvectionForm = ConvectionForm.FLUX):
     """Built-in named problems.
 
     Returns ``(problem, exact)`` where ``exact`` holds the exact fields of
-    the manufactured solution u(t, x) = exp(-t) sin(pi x), or None for the
-    estimator-only 'incompatible' run.
+    the manufactured solution u(t, x) = exp(-t) sin(pi x).  For
+    'incompatible' it is None: that solution is a known series (see
+    :func:`_incompatible_problem`), which the package does not evaluate yet,
+    so its runs are estimator-only.
     """
     if name == "incompatible":
         return _incompatible_problem(form), None

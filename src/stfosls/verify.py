@@ -76,19 +76,19 @@ def _check_dense_equivalence() -> CheckResult:
     worst = 0.0
     for name, p in (("heat-smooth", 1), ("heat-smooth", 2), ("variable-a", 1), ("poisson", 1)):
         mesh, dofmap, system = _dense_case(name, p)
-        sparse = assemble(mesh, dofmap, system)
+        level = assemble(mesh, dofmap, system)
         dense, dense_rhs = oracles.dense_assemble(mesh, dofmap, system)
-        rel = np.linalg.norm(sparse.matrix.toarray() - dense) / np.linalg.norm(dense)
-        rel_rhs = np.linalg.norm(sparse.rhs - dense_rhs) / max(np.linalg.norm(dense_rhs), 1e-30)
+        rel = np.linalg.norm(level.matrix.toarray() - dense) / np.linalg.norm(dense)
+        rel_rhs = np.linalg.norm(level.rhs - dense_rhs) / max(np.linalg.norm(dense_rhs), 1e-30)
         worst = max(worst, rel, rel_rhs)
     return CheckResult("dense-assembly-equivalence", worst <= 1e-12, f"max rel err {worst:.2e}")
 
 
 def _check_cg_vs_dense() -> CheckResult:
     mesh, dofmap, system = _dense_case("heat-smooth", 1)
-    sparse = assemble(mesh, dofmap, system)
+    level = assemble(mesh, dofmap, system)
     x_direct = oracles.dense_solve(*oracles.dense_assemble(mesh, dofmap, system))
-    solves = solve_cg(sparse.matrix, sparse.rhs), oracles.plain_cg(sparse.matrix, sparse.rhs)
+    solves = solve_cg(level.matrix, level.rhs), oracles.plain_cg(level.matrix, level.rhs)
     rel = [np.linalg.norm(x - x_direct) / np.linalg.norm(x_direct) for x, _ in solves]
     ok = all(report.converged for _, report in solves) and max(rel) <= 1e-8
     return CheckResult("cg-vs-dense-solve", ok, f"rel diff LU solve {rel[0]:.2e}, plain CG {rel[1]:.2e}")
@@ -128,11 +128,11 @@ def _check_exact_reproduction(rng: np.random.Generator) -> CheckResult:
     target = rng.standard_normal(dofmap.n_dofs)
 
     wrapped = oracles.discrete_image_system(mesh, dofmap, system, target)
-    sparse = assemble(mesh, dofmap, wrapped)
-    coeffs, report = solve_cg(sparse.matrix, sparse.rhs)
+    level = assemble(mesh, dofmap, wrapped)
+    coeffs, report = solve_cg(level.matrix, level.rhs)
     err = np.linalg.norm(coeffs - target) / np.linalg.norm(target)
-    eta = compute_indicators(mesh, coeffs, wrapped, sparse.level).total
-    fnorm = data_norm(sparse.level)
+    eta = compute_indicators(mesh, coeffs, wrapped, level).total
+    fnorm = data_norm(level)
     ok = report.converged and err <= 1e-8 and eta <= 1e-8 * fnorm
     return CheckResult(
         "exact-solution-reproduction", ok, f"coeff err {err:.2e}, eta/|f| {eta / fnorm:.2e}"

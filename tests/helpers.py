@@ -20,9 +20,7 @@ def read_mesh_dump(path) -> Mesh:
     edge_tags = np.zeros((n_elements, 3), dtype=np.int64)
     for e, loc, name in rows[1 + n_points + n_elements:]:
         edge_tags[int(e), int(loc)] = _DUMP_TAGS[name]
-    return Mesh(points, cells[:, :3], cells[:, 3], edge_tags, t_end=float(points[:, 0].max()),
-                x_lo=float(points[:, 1].min()), x_hi=float(points[:, 1].max()),
-                refined_from=np.arange(n_elements))
+    return Mesh(points, cells[:, :3], cells[:, 3], edge_tags, refined_from=np.arange(n_elements))
 
 
 def element_areas(mesh) -> np.ndarray:

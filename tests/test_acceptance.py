@@ -235,11 +235,11 @@ def test_criterion_6_oracle_equivalence():
                 mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags
             )
         assert mesh.n_elements <= 32
-        sparse_system = assemble(mesh, dofmap, system)
+        level = assemble(mesh, dofmap, system)
         dense, dense_rhs = oracles.dense_assemble(mesh, dofmap, system)
-        rel = np.linalg.norm(sparse_system.matrix.toarray() - dense) / np.linalg.norm(dense)
+        rel = np.linalg.norm(level.matrix.toarray() - dense) / np.linalg.norm(dense)
         worst_mat = max(worst_mat, rel)
-        x_cg, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
+        x_cg, report = solve_cg(level.matrix, level.rhs)
         x_direct = oracles.dense_solve(dense, dense_rhs)
         worst_solve = max(
             worst_solve, float(np.linalg.norm(x_cg - x_direct) / np.linalg.norm(x_direct))
@@ -263,10 +263,10 @@ def test_criterion_7_exact_reproduction(p):
     target = rng.standard_normal(dofmap.n_dofs)
     wrapped = oracles.discrete_image_system(mesh, dofmap, system, target)
 
-    sparse_system = assemble(mesh, dofmap, wrapped)
-    coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
-    eta = compute_indicators(mesh, coeffs, wrapped, sparse_system.level).total
-    f_norm = data_norm(sparse_system.level)
+    level = assemble(mesh, dofmap, wrapped)
+    coeffs, report = solve_cg(level.matrix, level.rhs)
+    eta = compute_indicators(mesh, coeffs, wrapped, level).total
+    f_norm = data_norm(level)
     coeff_err = np.linalg.norm(coeffs - target) / np.linalg.norm(target)
     ok = report.converged and eta <= 1e-8 * f_norm and coeff_err <= 1e-8
     _report(

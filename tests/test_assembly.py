@@ -8,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from stfosls import assembly, oracles
 from stfosls.assembly import (
+    _basis_gradients,
     _initial_facet_tables,
+    _points,
     _residual_tables,
+    _wdet,
     assemble,
     solve_cg,
 )
@@ -50,8 +53,8 @@ def test_zero_data_zero_load():
         lambda t, x: np.ones_like(np.asarray(t, dtype=float)), zero, zero,
         f1=zero, f2=zero, u0=lambda x: 0.0 * np.asarray(x, dtype=float),
     )
-    sparse_system = assemble(mesh, dofmap, parabolic_system(problem))
-    assert np.all(sparse_system.rhs == 0.0)
+    level = assemble(mesh, dofmap, parabolic_system(problem))
+    assert np.all(level.rhs == 0.0)
 
 
 def _graded_incompatible(max_iterations):
@@ -101,19 +104,21 @@ def test_table_written_in_place_matches_pointwise_images(name, p):
     mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), np.array([0, 3]))
     dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux,
                           dirichlet_tags=system.dirichlet_tags)
-    geometry = assemble(mesh, dofmap, system).level
-    images = _residual_tables(system, geometry, slice(None), *geometry.points(), np.sqrt(geometry.wdet()))
-    grads = geometry.basis_gradients()
-    nloc, nq = geometry.tables.values.shape
+    level = assemble(mesh, dofmap, system)
+    tables = level.tables
+    points, sqrt_w = _points(tables, level.coords), np.sqrt(_wdet(tables, level.det))
+    images = _residual_tables(system, tables, level.inv_t, *points, sqrt_w)
+    grads = _basis_gradients(tables, level.inv_t)
+    nloc, nq = tables.values.shape
     rng = np.random.default_rng(0)
     for e, q in zip(rng.integers(mesh.n_elements, size=12), rng.integers(nq, size=12)):
-        point = geometry.points()[:, q, e]
+        point = points[:, q, e]
         for a in range(images.shape[0]):
             field, loc = divmod(a, nloc)
             fields = np.zeros((1 + system.n_flux, 3))  # value, d/dt, d/dx per field
-            fields[field] = geometry.tables.values[loc, q], *grads[:, loc, q, e]
+            fields[field] = tables.values[loc, q], *grads[:, loc, q, e]
             image = eval_G(system, point, fields[0, 0], fields[0, 1:], fields[1:, 0], fields[1:, 1:])
-            expected = np.append(image.flux, image.div) * np.sqrt(geometry.wdet()[q, e])
+            expected = np.append(image.flux, image.div) * sqrt_w[q, e]
             got = images[a, :, q, e]
             assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
@@ -126,9 +131,11 @@ def _table_nbytes(mesh, dofmap, system):
 
 
 def _level_arrays(level):
-    """Every array of a level by name: its own fields and those of its tables,
-    without the dof map that the level was built from."""
-    return {f: a for f, a in vars(level).items() if f not in ("tables", "dofmap")} | vars(level.tables)
+    """Every array of a level's geometry and data by name: its own fields and
+    those of its tables, without the dof map that the level was built from
+    and the matrix and load assembled on it."""
+    skip = ("tables", "dofmap", "matrix", "rhs")
+    return {f: a for f, a in vars(level).items() if f not in skip} | vars(level.tables)
 
 
 def _traced_peak(fn, *args):
@@ -152,19 +159,18 @@ def test_assemble_traced_peak_bounded_by_table(monkeypatch):
     assert peak <= 3.0 * table
 
     monkeypatch.setattr(assembly, "_BLOCK", 64)
-    sparse, peak = _traced_peak(assemble, mesh, dofmap, system)
-    level = sparse.level
-    kept = sum(a.nbytes for a in (sparse.matrix.data, sparse.matrix.indices, sparse.matrix.indptr,
-                                  sparse.rhs))
+    level, peak = _traced_peak(assemble, mesh, dofmap, system)
+    kept = sum(a.nbytes for a in (level.matrix.data, level.matrix.indices, level.matrix.indptr,
+                                  level.rhs))
     kept += sum(a.nbytes for a in _level_arrays(level).values())
     assert peak - kept < table
 
 
 def _solved_level(mesh, dofmap, system):
-    sparse = assemble(mesh, dofmap, system)
-    coeffs, report = solve_cg(sparse.matrix, sparse.rhs)
+    level = assemble(mesh, dofmap, system)
+    coeffs, report = solve_cg(level.matrix, level.rhs)
     assert report.converged
-    return sparse, coeffs
+    return level, coeffs
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -185,21 +191,19 @@ def test_relabelled_dof_table_permutes_the_level(name, p):
     perm = np.random.default_rng(7).permutation(dofmap.n_dofs)  # old dof -> new dof
     dofs = dofmap.cell_dofs
     relabelled = dataclasses.replace(dofmap, cell_dofs=np.where(dofs >= 0, perm[dofs], -1).astype(np.int32))
-    sparse, coeffs = _solved_level(mesh, dofmap, system)
-    sparse_p, coeffs_p = _solved_level(mesh, relabelled, system)
-    assert sparse_p.level.dofmap is relabelled  # the level reads the table it was built from
+    level, coeffs = _solved_level(mesh, dofmap, system)
+    level_p, coeffs_p = _solved_level(mesh, relabelled, system)
+    assert level_p.dofmap is relabelled  # the level reads the table it was built from
     old = np.argsort(perm)  # new dof -> old dof
-    assert np.array_equal(sparse_p.rhs, sparse.rhs[old])
-    assert sparse_p.matrix.nnz == sparse.matrix.nnz
-    permuted = sparse.matrix.toarray()[np.ix_(old, old)]
-    defect = np.abs(sparse_p.matrix.toarray() - permuted).max()
+    assert np.array_equal(level_p.rhs, level.rhs[old])
+    assert level_p.matrix.nnz == level.matrix.nnz
+    permuted = level.matrix.toarray()[np.ix_(old, old)]
+    defect = np.abs(level_p.matrix.toarray() - permuted).max()
     assert defect <= 4 * np.finfo(float).eps * np.abs(permuted).max()
 
-    eta, eta_p = (compute_indicators(mesh, c, system, level.level) for c, level in
-                  ((coeffs, sparse), (coeffs_p, sparse_p)))
+    eta, eta_p = (compute_indicators(mesh, c, system, lv) for c, lv in ((coeffs, level), (coeffs_p, level_p)))
     assert np.allclose(eta_p.per_element, eta.per_element, rtol=1e-12, atol=0.0)
-    err, err_p = (u_norm_error(c, exact, system, level.level) for c, level in
-                  ((coeffs, sparse), (coeffs_p, sparse_p)))
+    err, err_p = (u_norm_error(c, exact, system, lv) for c, lv in ((coeffs, level), (coeffs_p, level_p)))
     assert np.allclose(dataclasses.astuple(err_p), dataclasses.astuple(err), rtol=1e-12, atol=0.0)
 
 
@@ -213,17 +217,17 @@ def test_streamed_level_independent_of_block_size(p, monkeypatch):
     dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     assert mesh.n_elements > assembly._BLOCK
     reference, coeffs = _solved_level(mesh, dofmap, system)
-    eta = compute_indicators(mesh, coeffs, system, reference.level).per_element
+    eta = compute_indicators(mesh, coeffs, system, reference).per_element
     for block in (mesh.n_elements, 7):
         monkeypatch.setattr(assembly, "_BLOCK", block)
-        sparse = assemble(mesh, dofmap, system)
-        assert np.array_equal(sparse.matrix.indptr, reference.matrix.indptr)
-        assert np.array_equal(sparse.matrix.indices, reference.matrix.indices)
-        diff = np.abs(sparse.matrix.data - reference.matrix.data).max()
+        level = assemble(mesh, dofmap, system)
+        assert np.array_equal(level.matrix.indptr, reference.matrix.indptr)
+        assert np.array_equal(level.matrix.indices, reference.matrix.indices)
+        diff = np.abs(level.matrix.data - reference.matrix.data).max()
         assert diff <= 1e-15 * np.abs(reference.matrix.data).max()
-        assert np.abs(sparse.rhs - reference.rhs).max() <= 1e-15 * np.abs(reference.rhs).max()
-        assert (sparse.matrix != sparse.matrix.T).nnz == 0
-        got = compute_indicators(mesh, coeffs, system, sparse.level).per_element
+        assert np.abs(level.rhs - reference.rhs).max() <= 1e-15 * np.abs(reference.rhs).max()
+        assert (level.matrix != level.matrix.T).nnz == 0
+        got = compute_indicators(mesh, coeffs, system, level).per_element
         assert np.abs(got - eta).max() <= 1e-15 * eta.max()
 
 
@@ -242,9 +246,10 @@ def test_indicators_match_table_contraction(name, p):
             system = parabolic_system(make_problem(name)[0])
     dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux,
                           dirichlet_tags=system.dirichlet_tags)
-    sparse, coeffs = _solved_level(mesh, dofmap, system)
-    level = sparse.level
-    images = _residual_tables(system, level, slice(None), *level.points(), np.sqrt(level.wdet()))
+    level, coeffs = _solved_level(mesh, dofmap, system)
+    tables = level.tables
+    images = _residual_tables(system, tables, level.inv_t, *_points(tables, level.coords),
+                              np.sqrt(_wdet(tables, level.det)))
     dofs = dofmap.cell_dofs
     local = np.where(dofs >= 0, coeffs[dofs], 0.0)
     resid = level.data - np.einsum("arqe,ae->rqe", images, local)
@@ -276,6 +281,23 @@ def test_plus_transpose_matches_coo_route(p, monkeypatch):
     assert np.count_nonzero(matrix.data == 0.0) > 0
 
 
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("name", ["heat-smooth", "poisson"])
+def test_matrix_is_canonical_int32_csr(name, p):
+    """The level's matrix is n_dofs x n_dofs canonical CSR (sorted column
+    indices, no duplicates) with int32 indices and indptr, so that scipy's
+    sum_duplicates and the index cast before the factorization are no-ops.
+    The format is checked on a copy built from the bare arrays, which has no
+    cached flag."""
+    system = _setup(name)[2]
+    mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 3, 3), [0, 4, 7])
+    dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags)
+    matrix = assemble(mesh, dofmap, system).matrix
+    assert matrix.format == "csr" and matrix.shape == (dofmap.n_dofs, dofmap.n_dofs)
+    assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+    assert sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape).has_canonical_format
+
+
 def test_geometry_matches_per_element_affine_map():
     """The element-last geometry (physical basis gradients, points, weighted
     determinants) agrees with affine_map applied element by element."""
@@ -285,8 +307,8 @@ def test_geometry_matches_per_element_affine_map():
         dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
         rules = level_tables(p)
         refpts = rules.quad_points[:, 1:]
-        geometry = assemble(mesh, dofmap, system).level
-        grads = geometry.basis_gradients()
+        level = assemble(mesh, dofmap, system)
+        grads = _basis_gradients(rules, level.inv_t)
         ref_grads = reference_basis(p, refpts)[1]  # (nq, nloc, 2)
         points, wdet, expected = [], [], []
         for k in range(mesh.n_elements):
@@ -295,8 +317,8 @@ def test_geometry_matches_per_element_affine_map():
             points.append((corner + refpts @ jac.T).T)
             wdet.append(rules.quad_weights * det)
             expected.append(np.einsum("ab,qib->aiq", inv_t, ref_grads))
-        np.testing.assert_allclose(geometry.points(), np.stack(points, axis=-1), rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(geometry.wdet(), np.stack(wdet, axis=-1), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(_points(rules, level.coords), np.stack(points, axis=-1), rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(_wdet(rules, level.det), np.stack(wdet, axis=-1), rtol=1e-14, atol=0)
         expected = np.stack(expected, axis=-1)
         scale = np.abs(expected).max(axis=(0, 1, 2))
         assert np.all(np.abs(grads - expected) <= 1e-14 * scale)
@@ -312,7 +334,7 @@ def test_geometry_keeps_element_size_arrays(p, monkeypatch):
     mesh, system = _graded_incompatible(10)
     coarse = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     geometry, small = (
-        assemble(m, build_dofmap(m, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags), system).level
+        assemble(m, build_dofmap(m, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags), system)
         for m in (mesh, coarse)
     )
     ne, nq = mesh.n_elements, level_tables(p).quad_weights.size
@@ -328,9 +350,10 @@ def test_geometry_keeps_element_size_arrays(p, monkeypatch):
     monkeypatch.setattr(assembly, "_BLOCK", 64)
     blocks = assembly._blocks(ne)
     assert len(blocks) > 1
-    np.testing.assert_allclose(np.concatenate([geometry.points(b) for b in blocks], axis=-1),
-                               geometry.points(), rtol=1e-15, atol=0)
-    assert np.array_equal(np.concatenate([geometry.wdet(b) for b in blocks], axis=-1), geometry.wdet())
+    tables, coords, det = geometry.tables, geometry.coords, geometry.det
+    np.testing.assert_allclose(np.concatenate([_points(tables, coords[..., b]) for b in blocks], axis=-1),
+                               _points(tables, coords), rtol=1e-15, atol=0)
+    assert np.array_equal(np.concatenate([_wdet(tables, det[b]) for b in blocks], axis=-1), _wdet(tables, det))
 
 
 def test_initial_facet_tables_match_per_facet_loop():
@@ -362,7 +385,7 @@ def test_reference_tables_shared_and_read_only(p):
     fine, system = _graded_incompatible(10)
     coarse = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     a, b = (assemble(m, build_dofmap(m, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags),
-                     system).level for m in (coarse, fine))
+                     system) for m in (coarse, fine))
     tables = level_tables(p)
     assert a.tables is b.tables is tables and tables.edge_values.shape[0] == 3
     locs = initial_facet_list(fine)[:, 1]
@@ -379,19 +402,19 @@ def test_dense_oracle_equivalence(p, name):
     mesh, dofmap, system = _setup(name, p, nt=4, nx=4)  # 32 elements
     if dofmap.n_dofs > oracles.MAX_DENSE_DOFS:
         mesh, dofmap, system = _setup(name, p, nt=2, nx=2)
-    sparse_system = assemble(mesh, dofmap, system)
+    level = assemble(mesh, dofmap, system)
     dense, dense_rhs = oracles.dense_assemble(mesh, dofmap, system)
-    rel = np.linalg.norm(sparse_system.matrix.toarray() - dense) / np.linalg.norm(dense)
+    rel = np.linalg.norm(level.matrix.toarray() - dense) / np.linalg.norm(dense)
     assert rel <= 1e-12
-    rel_rhs = np.linalg.norm(sparse_system.rhs - dense_rhs) / np.linalg.norm(dense_rhs)
+    rel_rhs = np.linalg.norm(level.rhs - dense_rhs) / np.linalg.norm(dense_rhs)
     assert rel_rhs <= 1e-12
 
 
 def test_gradient_form_assembly_matches_dense():
     mesh, dofmap, system = _setup("convection-reaction", 1, form=ConvectionForm.GRADIENT)
-    sparse_system = assemble(mesh, dofmap, system)
+    level = assemble(mesh, dofmap, system)
     dense, _ = oracles.dense_assemble(mesh, dofmap, system)
-    rel = np.linalg.norm(sparse_system.matrix.toarray() - dense) / np.linalg.norm(dense)
+    rel = np.linalg.norm(level.matrix.toarray() - dense) / np.linalg.norm(dense)
     assert rel <= 1e-12
 
 
@@ -414,8 +437,8 @@ def test_cg_zero_rhs():
 
 def test_cg_matches_dense_solve():
     mesh, dofmap, system = _setup("heat-smooth", 1)
-    sparse_system = assemble(mesh, dofmap, system)
-    x, report = oracles.plain_cg(sparse_system.matrix, sparse_system.rhs)
+    level = assemble(mesh, dofmap, system)
+    x, report = oracles.plain_cg(level.matrix, level.rhs)
     dense, dense_rhs = oracles.dense_assemble(mesh, dofmap, system)
     x_direct = oracles.dense_solve(dense, dense_rhs)
     assert report.converged
@@ -424,8 +447,8 @@ def test_cg_matches_dense_solve():
 
 def test_cg_non_convergence_flagged():
     mesh, dofmap, system = _setup("heat-smooth", 1, nt=3, nx=3)
-    sparse_system = assemble(mesh, dofmap, system)
-    _, report = oracles.plain_cg(sparse_system.matrix, sparse_system.rhs, rel_tol=1e-12, max_iters=2)
+    level = assemble(mesh, dofmap, system)
+    _, report = oracles.plain_cg(level.matrix, level.rhs, rel_tol=1e-12, max_iters=2)
     assert not report.converged
     assert report.relative_residual > 1e-12
 
@@ -554,10 +577,10 @@ def test_functional_non_increasing_under_uniform_refinement():
     values = []
     for _ in range(3):
         dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
-        sparse_system = assemble(mesh, dofmap, system)
-        coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
+        level = assemble(mesh, dofmap, system)
+        coeffs, report = solve_cg(level.matrix, level.rhs)
         assert report.converged
-        values.append(compute_indicators(mesh, coeffs, system, sparse_system.level).total ** 2)
+        values.append(compute_indicators(mesh, coeffs, system, level).total ** 2)
         mesh = bisect(mesh, np.arange(mesh.n_elements))
         mesh = bisect(mesh, np.arange(mesh.n_elements))
     assert values[1] <= values[0] + 1e-10
@@ -566,8 +589,8 @@ def test_functional_non_increasing_under_uniform_refinement():
 
 def test_galerkin_defect_small_after_solve():
     mesh, dofmap, system = _setup("heat-smooth", 1, nt=3, nx=3)
-    sparse_system = assemble(mesh, dofmap, system)
-    matrix, rhs = sparse_system.matrix, sparse_system.rhs
+    level = assemble(mesh, dofmap, system)
+    matrix, rhs = level.matrix, level.rhs
 
     dense, dense_rhs = oracles.dense_assemble(mesh, dofmap, system)
     assert galerkin_defect(matrix, rhs, oracles.dense_solve(dense, dense_rhs)) <= 1e-10
@@ -607,9 +630,9 @@ def test_random_smooth_coefficients_spd_and_galerkin(alpha, k, beta, gamma, form
     ))
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
-    sparse_system = assemble(mesh, dofmap, system)
-    assert oracles.min_eigenvalue(sparse_system.matrix.toarray()) > 0
-    coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
+    level = assemble(mesh, dofmap, system)
+    assert oracles.min_eigenvalue(level.matrix.toarray()) > 0
+    coeffs, report = solve_cg(level.matrix, level.rhs)
     assert report.converged
     assert report.galerkin_defect <= 1e-7
 

@@ -162,13 +162,16 @@ def test_run_incompatible_adaptive(tmp_path):
 
 
 def test_identical_config_byte_identical_runlog(tmp_path):
+    """Two runs of one config write the same bytes to every output file."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(INCOMPATIBLE_ADAPTIVE)
+    cfg.write_text(INCOMPATIBLE_ADAPTIVE + "write_mesh = true\n")
+    files = ("runlog.csv", "summary.txt", "mesh_final.txt")
     outs = []
     for name in ("o1", "o2"):
         out = tmp_path / name
         assert main(["run", str(cfg), "--out", str(out)]) == 0
-        outs.append((out / "runlog.csv").read_bytes())
+        assert sorted(path.name for path in out.iterdir()) == sorted(files)
+        outs.append([(out / f).read_bytes() for f in files])
     assert outs[0] == outs[1]
 
 
@@ -269,8 +272,8 @@ def test_singular_factor_exit_3(tmp_path, capsys, monkeypatch):
     assemble = driver.assemble
 
     def singular(*args):  # the level's pattern with every entry zero
-        sparse = assemble(*args)
-        return dataclasses.replace(sparse, matrix=0.0 * sparse.matrix)
+        level = assemble(*args)
+        return dataclasses.replace(level, matrix=0.0 * level.matrix)
 
     monkeypatch.setattr(driver, "assemble", singular)
     cfg = tmp_path / "run.cfg"

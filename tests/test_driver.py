@@ -207,19 +207,19 @@ def test_level_forms_block_geometry_twice(name, monkeypatch):
     share with the error when the case has an exact solution."""
     from stfosls import assembly
 
-    calls = {"points": 0, "wdet": 0}
-    for method in calls:
-        def counted(level, block=slice(None), _method=method, _original=getattr(assembly.LevelData, method)):
-            calls[_method] += 1
-            return _original(level, block)
-        monkeypatch.setattr(assembly.LevelData, method, counted)
+    calls = {"_points": 0, "_wdet": 0}
+    for helper in calls:
+        def counted(*args, _helper=helper, _original=getattr(assembly, helper)):
+            calls[_helper] += 1
+            return _original(*args)
+        monkeypatch.setattr(assembly, helper, counted)
     problem, exact = make_problem(name)
     assert (exact is None) == (name == "incompatible")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 40, 40)
     n_blocks = len(assembly._blocks(mesh.n_elements))
     assert mesh.n_elements == 3200 and n_blocks == 4
     assert len(run(problem, mesh, 1, StopCriteria(max_iterations=0), exact=exact).records) == 1
-    assert calls == {"points": 2 * n_blocks, "wdet": 2 * n_blocks}
+    assert calls == {"_points": 2 * n_blocks, "_wdet": 2 * n_blocks}
 
 
 def test_zero_data_stops_at_level_zero():
@@ -400,10 +400,10 @@ def test_marking_property_holds_every_iteration():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     for _ in range(5):
         dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
-        sparse_system = assemble(mesh, dofmap, system)
-        coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
+        level = assemble(mesh, dofmap, system)
+        coeffs, report = solve_cg(level.matrix, level.rhs)
         assert report.converged
-        indicators = compute_indicators(mesh, coeffs, system, sparse_system.level)
+        indicators = compute_indicators(mesh, coeffs, system, level)
         marks = mark(indicators.per_element, DOERFLER)
         assert verify_marking_property(indicators.per_element, marks)
         mesh = bisect(mesh, marks)

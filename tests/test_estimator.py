@@ -18,10 +18,10 @@ def _solve(name="heat-smooth", p=1, nt=2, nx=2):
     system = parabolic_system(problem)
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), nt, nx)
     dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
-    sparse_system = assemble(mesh, dofmap, system)
-    coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
+    level = assemble(mesh, dofmap, system)
+    coeffs, report = solve_cg(level.matrix, level.rhs)
     assert report.converged
-    return mesh, dofmap, system, coeffs, exact, sparse_system.level
+    return mesh, dofmap, system, coeffs, exact, level
 
 
 def test_coefficient_vector_of_wrong_length_rejected():
@@ -57,7 +57,7 @@ def test_zero_solution_indicator_is_data_norm():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     rules = level_tables(1)
-    ind = compute_indicators(mesh, np.zeros(dofmap.n_dofs), system, assemble(mesh, dofmap, system).level)
+    ind = compute_indicators(mesh, np.zeros(dofmap.n_dofs), system, assemble(mesh, dofmap, system))
 
     coords = mesh.points[mesh.elements]
     for k in range(mesh.n_elements):
@@ -85,12 +85,12 @@ def test_exact_discrete_data_gives_zero_estimator():
     target = rng.standard_normal(dofmap.n_dofs)
     wrapped = oracles.discrete_image_system(mesh, dofmap, system, target)
 
-    sparse_system = assemble(mesh, dofmap, wrapped)
-    coeffs, report = solve_cg(sparse_system.matrix, sparse_system.rhs)
+    level = assemble(mesh, dofmap, wrapped)
+    coeffs, report = solve_cg(level.matrix, level.rhs)
     assert report.converged
     assert np.linalg.norm(coeffs - target) <= 1e-8 * np.linalg.norm(target)
-    eta = compute_indicators(mesh, coeffs, wrapped, sparse_system.level).total
-    assert eta <= 1e-8 * data_norm(sparse_system.level)
+    eta = compute_indicators(mesh, coeffs, wrapped, level).total
+    assert eta <= 1e-8 * data_norm(level)
 
 
 def test_unrefined_elements_keep_indicators():
@@ -104,14 +104,14 @@ def test_unrefined_elements_keep_indicators():
     # u1 = 0, u2 = 1 is in the space on every refinement
     coeffs = np.zeros(dofmap.n_dofs)
     coeffs[dofmap.cell_dofs[3:]] = 1.0  # every u2 dof
-    base = compute_indicators(mesh, coeffs, system, assemble(mesh, dofmap, system).level)
+    base = compute_indicators(mesh, coeffs, system, assemble(mesh, dofmap, system))
 
     marks = [k for k in range(mesh.n_elements) if mesh.points[mesh.elements][k, :, 0].min() > 0.5]
     refined = bisect(mesh, marks)
     dofmap_r = build_dofmap(refined, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
     coeffs_r = np.zeros(dofmap_r.n_dofs)
     coeffs_r[dofmap_r.cell_dofs[3:]] = 1.0
-    after = compute_indicators(refined, coeffs_r, system, assemble(refined, dofmap_r, system).level)
+    after = compute_indicators(refined, coeffs_r, system, assemble(refined, dofmap_r, system))
     for new, old in enumerate(refined.refined_from):
         if refined.generation[new] == mesh.generation[old]:
             assert after.per_element[new] == pytest.approx(base.per_element[old], rel=1e-14)
