@@ -41,6 +41,7 @@ from stfosls import (
     MarkStrategy,
     StopCriteria,
     make_problem,
+    parabolic_system,
     run,
     uniform_initial_mesh,
     write_runlog_csv,
@@ -55,10 +56,11 @@ def main(out_dir=None, max_dofs=None, degree=1):
     out.mkdir(parents=True, exist_ok=True)
 
     problem, _ = make_problem("incompatible")
+    system = parabolic_system(problem)
     mesh0 = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     marking = MarkingConfig(MarkStrategy.DOERFLER, 0.5)
     stop = StopCriteria(max_iterations=18) if max_dofs is None else StopCriteria(max_dofs=max_dofs)
-    log = run(problem, mesh0, degree, stop, marking)
+    log = run(system, mesh0, degree, stop, marking)
 
     print(f"{'level':>5} {'dofs':>7} {'elements':>9} {'estimator':>12} {'marked':>7}")
     for record in log.records:

@@ -15,6 +15,7 @@ from stfosls import (
     MarkStrategy,
     StopCriteria,
     make_problem,
+    parabolic_system,
     run,
     uniform_initial_mesh,
 )
@@ -22,12 +23,13 @@ from stfosls import (
 
 def main():
     mesh0 = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
+    problem, _ = make_problem("convection-reaction")
     for form in (ConvectionForm.FLUX, ConvectionForm.GRADIENT):
-        problem, _ = make_problem("convection-reaction", form)
+        system = parabolic_system(problem, form)
         print(f"\nconvection handled through the {form.value} term")
         for strategy in (MarkStrategy.DOERFLER, MarkStrategy.MAXIMUM):
             marking = MarkingConfig(strategy, 0.5)
-            log = run(problem, mesh0, 1, StopCriteria(max_iterations=12), marking)
+            log = run(system, mesh0, 1, StopCriteria(max_iterations=12), marking)
             eta = log.estimators()
             print(
                 f"  {strategy.value:8s}: {len(log.records):2d} levels, "

@@ -27,9 +27,9 @@ from .driver import (
 )
 from .marking import MarkingConfig, MarkStrategy
 from .mesh import uniform_initial_mesh, write_mesh
-from .problem import BUILTIN_CASES, ConvectionForm, make_problem
+from .problem import BUILTIN_CASES, make_problem
 from .spaces import DegenerateElementError, affine_maps
-from .system import InvalidDataError, parabolic_system, poisson_sine_case
+from .system import ConvectionForm, InvalidDataError, parabolic_system, poisson_sine_case
 
 __all__ = ["RunConfig", "parse_config", "cmd_run", "cmd_verify", "main", "entry"]
 
@@ -56,7 +56,6 @@ _DEFAULTS = {
     "x_lo": "0.0",
     "x_hi": "1.0",
     "write_mesh": "false",
-    "out": "",
 }
 
 
@@ -78,7 +77,6 @@ class RunConfig:
     x_lo: float
     x_hi: float
     write_mesh: bool
-    out: Optional[str]
 
 
 def parse_config(text: str) -> RunConfig:
@@ -212,7 +210,6 @@ def parse_config(text: str) -> RunConfig:
         x_lo=x_lo,
         x_hi=x_hi,
         write_mesh=flag in ("true", "1", "yes"),
-        out=values["out"] or None,
     )
 
 
@@ -241,12 +238,12 @@ def _build_run(config: RunConfig):
     if config.system == "poisson":
         system, exact = poisson_sine_case()
     else:
-        problem, exact = make_problem(config.case, config.form)
-        system = parabolic_system(problem)
+        problem, exact = make_problem(config.case)
+        system = parabolic_system(problem, config.form)
     return mesh0, system, exact
 
 
-def cmd_run(config_path, out_dir=None) -> int:
+def cmd_run(config_path, out_dir=".") -> int:
     """Execute one configured run; writes runlog.csv, summary.txt, optional mesh dump."""
     try:
         text = Path(config_path).read_text()
@@ -260,7 +257,7 @@ def cmd_run(config_path, out_dir=None) -> int:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
 
-    out = Path(out_dir) if out_dir is not None else Path(config.out or ".")
+    out = Path(out_dir)
     for path in (out, *out.parents):  # before level 0: the nearest existing one must be a directory
         if path.exists() and not path.is_dir():
             print(f"error: cannot write output to {out}: {path} is not a directory", file=sys.stderr)
@@ -325,7 +322,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run_parser = sub.add_parser("run", help="execute a configured run")
     run_parser.add_argument("config", help="path to a key = value config file")
-    run_parser.add_argument("--out", default=None, help="output directory (overrides config)")
+    run_parser.add_argument("--out", default=".", help="output directory (default .)")
     verify_parser = sub.add_parser("verify", help="run the built-in oracle suite")
     verify_parser.add_argument(
         "--seed", type=int, default=0, help="seed for randomized property trials"

@@ -14,9 +14,8 @@ from .assembly import SolverReport, assemble, element_fields, solve_cg
 from .estimator import compute_indicators, u_norm_error
 from .marking import MarkingConfig, mark, verify_marking_property
 from .mesh import Mesh, bisect
-from .problem import ExactFields, ParabolicProblem
+from .problem import ExactFields
 from .spaces import build_dofmap
-from .system import parabolic_system
 
 __all__ = [
     "StopCriteria",
@@ -92,17 +91,9 @@ class RunLog:
         return np.array([r.dofs for r in self.records])
 
 
-def _as_system(problem_or_system):
-    if isinstance(problem_or_system, ParabolicProblem):
-        return parabolic_system(problem_or_system)
-    return problem_or_system
-
-
 def _solve_level(mesh, system, p, exact):
     """Solve one level; indicators and error reuse the level data assembly built."""
-    dofmap = build_dofmap(
-        mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags
-    )
+    dofmap = build_dofmap(mesh, p, system)
     level = assemble(mesh, dofmap, system)
     try:
         coeffs, report = solve_cg(level.matrix, level.rhs)
@@ -124,14 +115,15 @@ def _solve_level(mesh, system, p, exact):
 
 
 def run(
-    problem_or_system,
+    system,
     mesh0: Mesh,
     p: int,
     stop: StopCriteria,
     marking: Optional[MarkingConfig] = None,
     exact: Optional[ExactFields] = None,
 ) -> RunLog:
-    """Solve, estimate, mark and refine until a stopping criterion fires.
+    """Solve, estimate, mark and refine ``system``, a first-order system of
+    :mod:`stfosls.system`'s interface, until a stopping criterion fires.
 
     With a ``marking`` config each level marks by the indicators (verifying
     the marking property) and refines exactly the marked set plus bisection
@@ -142,7 +134,6 @@ def run(
     ``max_iterations`` reason is reported as ``"levels"``.  Every record
     carries its level's SolverReport, the Galerkin defect included.
     """
-    system = _as_system(problem_or_system)
     log = RunLog()
     mesh = mesh0
     level = 0

@@ -31,6 +31,7 @@ from .spaces import (
     level_tables,
     reference_basis,
 )
+from .system import ConvectionForm
 
 __all__ = [
     "GImage",
@@ -254,18 +255,21 @@ def element_measure(mesh: Mesh, k: int) -> float:
     return 0.5 * float(d1[0] * d2[1] - d1[1] * d2[0])
 
 
-def data_vector(problem: ParabolicProblem):
-    """Residual targets per component of the least-squares functional,
-    written out from the problem data.
+def data_vector(problem: ParabolicProblem, form: ConvectionForm = ConvectionForm.FLUX):
+    """Residual targets per component of the least-squares functional in
+    convection form ``form``, written out from the problem data.
 
     Returns callables (flux target, divergence target, initial target) =
-    (f2, f1 - b A^{-1} f2, u0).
+    (f2, f1 - b A^{-1} f2, u0) in the flux form and (f2, f1, u0) in the
+    gradient form.
     """
 
     def target_flux(t, x):
         return sample(problem.f2, t, x)
 
     def target_div(t, x):
+        if form is ConvectionForm.GRADIENT:
+            return sample(problem.f1, t, x)
         f2 = sample(problem.f2, t, x)
         b = sample(problem.convection, t, x)
         a = sample(problem.diffusion, t, x)

@@ -1,7 +1,6 @@
 """The parabolic problem as one record of its coefficients, right-hand
-sides, initial datum and convection form, and the built-in cases:
-manufactured solutions given by closed-form derivatives, each with its
-exact fields.
+sides and initial datum, and the built-in cases: manufactured solutions
+given by closed-form derivatives, each with its exact fields.
 
 All coefficient and data fields are point-evaluable callables ``f(t, x)``
 that accept numpy arrays; a scalar-only callable fails with its own error.
@@ -10,13 +9,11 @@ that accept numpy arrays; a scalar-only callable fails with its own error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "ConvectionForm",
     "ParabolicProblem",
     "ExactFields",
     "sample",
@@ -24,18 +21,6 @@ __all__ = [
     "make_problem",
     "BUILTIN_CASES",
 ]
-
-
-class ConvectionForm(Enum):
-    """Choice of convection term in the divergence residual.
-
-    FLUX uses ``-b A^{-1} u2`` (a zero-order coupling through the flux
-    variable); GRADIENT uses ``+b du1/dx`` directly.  Both are equivalent on
-    exact solutions, where u2 = -A du1/dx.
-    """
-
-    FLUX = "flux"
-    GRADIENT = "gradient"
 
 
 def sample(f: Callable, t, x) -> np.ndarray:
@@ -66,6 +51,8 @@ class ParabolicProblem:
     coefficients must be bounded.  The forcing acts as
     v -> integral(f1 v + f2 dv/dx); f2 = 0 recovers a plain L2 forcing f1.
     ``u0`` is a function of x alone; every other field is ``f(t, x)``.
+    The record is the PDE alone: its least-squares system, in either
+    convection form, is :func:`stfosls.system.parabolic_system`'s.
     """
 
     diffusion: Callable  # A(t, x) > 0
@@ -74,7 +61,6 @@ class ParabolicProblem:
     f1: Callable
     f2: Callable
     u0: Callable
-    form: ConvectionForm = ConvectionForm.FLUX
 
 
 @dataclass(frozen=True)
@@ -94,7 +80,7 @@ class ExactFields:
     div: Callable
 
 
-def _parabolic_case(diffusion: Callable, convection: Callable, reaction: Callable, form: ConvectionForm,
+def _parabolic_case(diffusion: Callable, convection: Callable, reaction: Callable,
                     u: Callable, u_t: Callable, u_x: Callable, flux: Callable, flux_x: Callable):
     """A manufactured problem and the exact fields of its solution.
 
@@ -120,7 +106,6 @@ def _parabolic_case(diffusion: Callable, convection: Callable, reaction: Callabl
         f1=f1,
         f2=lambda t, x: np.zeros_like(np.asarray(t, dtype=float)),
         u0=lambda x: sample(u, np.zeros_like(np.asarray(x, dtype=float)), x),
-        form=form,
     )
     exact = ExactFields(
         u1=lambda t, x: sample(u, t, x),
@@ -136,7 +121,7 @@ def _constant(value: float) -> Callable:
     return lambda t, x: np.full_like(np.asarray(t, dtype=float), value)
 
 
-def _incompatible_problem(form: ConvectionForm) -> ParabolicProblem:
+def _incompatible_problem() -> ParabolicProblem:
     """Zero forcing with u0 = 1: the initial datum clashes with the lateral
     boundary condition, so the solution is singular at the bottom corners and
     exercises adaptive refinement.  The solution is the odd-mode Fourier
@@ -145,14 +130,15 @@ def _incompatible_problem(form: ConvectionForm) -> ParabolicProblem:
     the case has no ExactFields."""
     zero = _constant(0.0)
     return ParabolicProblem(_constant(1.0), zero, zero, f1=zero, f2=zero,
-                            u0=lambda x: np.ones_like(np.asarray(x, dtype=float)), form=form)
+                            u0=lambda x: np.ones_like(np.asarray(x, dtype=float)))
 
 
 BUILTIN_CASES = ("heat-smooth", "convection-reaction", "variable-a", "incompatible")
 
 
-def make_problem(name: str, form: ConvectionForm = ConvectionForm.FLUX):
-    """Built-in named problems.
+def make_problem(name: str):
+    """Built-in named problems, each the PDE alone: its system, in either
+    convection form, is :func:`stfosls.system.parabolic_system`'s.
 
     Returns ``(problem, exact)`` where ``exact`` holds the exact fields of
     the manufactured solution u(t, x) = exp(-t) sin(pi x).  For
@@ -161,7 +147,7 @@ def make_problem(name: str, form: ConvectionForm = ConvectionForm.FLUX):
     so its runs are estimator-only.
     """
     if name == "incompatible":
-        return _incompatible_problem(form), None
+        return _incompatible_problem(), None
     if name not in BUILTIN_CASES:
         raise ValueError(f"unknown case {name!r}; available: {', '.join(BUILTIN_CASES)}")
     pi = np.pi
@@ -190,10 +176,10 @@ def make_problem(name: str, form: ConvectionForm = ConvectionForm.FLUX):
             t = np.asarray(t, dtype=float)
             return -0.5 * t * u_x(t, x) - a(t, x) * u_xx(t, x)
 
-        return _parabolic_case(a, _constant(0.0), _constant(0.0), form, u, u_t, u_x, flux, flux_x)
+        return _parabolic_case(a, _constant(0.0), _constant(0.0), u, u_t, u_x, flux, flux_x)
     bc = _constant(1.0 if name == "convection-reaction" else 0.0)
     return _parabolic_case(
-        _constant(1.0), bc, bc, form, u, u_t, u_x,
+        _constant(1.0), bc, bc, u, u_t, u_x,
         flux=lambda t, x: -pi * np.exp(-t) * np.cos(pi * x),
         flux_x=lambda t, x: pi * pi * np.exp(-t) * np.sin(pi * x),
     )

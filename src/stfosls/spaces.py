@@ -130,7 +130,7 @@ def edge_reference_points(loc: int, s: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class DofMap:
     """Global numbering for the product space of one constrained scalar field
-    and ``n_u2_components`` unconstrained copies of the same scalar space.
+    and ``n_flux`` unconstrained copies of the same scalar space.
 
     Scalar Lagrange nodes are shared across elements (vertices, plus edge
     midpoints for p = 2), which enforces global continuity.  Field u1 drops
@@ -146,16 +146,17 @@ class DofMap:
     degree: int
     node_coords: np.ndarray  # (n_scalar, 2)
     constrained_nodes: np.ndarray  # sorted scalar node ids removed from u1
-    cell_dofs: np.ndarray  # (nloc * (1 + n_u2_components), ne) int32
+    cell_dofs: np.ndarray  # (nloc * (1 + n_flux), ne) int32
     n_dofs: int
 
 
-def build_dofmap(mesh: Mesh, p: int, n_u2_components: int, dirichlet_tags) -> DofMap:
-    """Construct the dof map for degree ``p`` on ``mesh``.
+def build_dofmap(mesh: Mesh, p: int, system) -> DofMap:
+    """Construct the dof map of ``system``'s product space, one u1 field and
+    ``system.n_flux`` flux components, for degree ``p`` on ``mesh``.
 
     Field u1 drops the nodes lying on facets whose tag is in
-    ``dirichlet_tags``: nothing for an empty set, the whole boundary for the
-    stationary instance.
+    ``system.dirichlet_tags``: nothing for an empty set, the whole boundary
+    for the stationary instance.
     """
     if p not in (1, 2):
         raise ValueError(f"unsupported polynomial degree {p}; only 1 and 2 are available")
@@ -178,7 +179,7 @@ def build_dofmap(mesh: Mesh, p: int, n_u2_components: int, dirichlet_tags) -> Do
         node_coords = np.vstack([mesh.points, midpoints])
     n_scalar = node_coords.shape[0]
 
-    tags = [int(FacetTag(int(t))) for t in dirichlet_tags]
+    tags = [int(FacetTag(int(t))) for t in system.dirichlet_tags]
     elems, locs = np.nonzero(np.isin(mesh.edge_tags, tags))
     ends = [elements[elems, locs], elements[elems, (locs + 1) % 3]]
     if p == 2:
@@ -190,14 +191,14 @@ def build_dofmap(mesh: Mesh, p: int, n_u2_components: int, dirichlet_tags) -> Do
     free_index = np.where(is_free, np.cumsum(is_free) - 1, -1)
     n_u1 = n_scalar - constrained.size
     nodes = cell_nodes.T
-    u2_blocks = [n_u1 + comp * n_scalar + nodes for comp in range(n_u2_components)]
+    u2_blocks = [n_u1 + comp * n_scalar + nodes for comp in range(system.n_flux)]
 
     return DofMap(
         degree=p,
         node_coords=node_coords,
         constrained_nodes=constrained,
         cell_dofs=np.concatenate([free_index[nodes]] + u2_blocks, dtype=np.int32),
-        n_dofs=int(n_u1 + n_u2_components * n_scalar),
+        n_dofs=int(n_u1 + system.n_flux * n_scalar),
     )
 
 

@@ -28,7 +28,7 @@ Parabolic instance (flux form):
                  u1(0, .))
 
 with target data (f2, f1 - b A^{-1} f2, u0).  The gradient form replaces
-``-b A^{-1} u2`` by ``+b du1/dx``.
+``-b A^{-1} u2`` by ``+b du1/dx`` and the divergence target by f1.
 
 Stationary Poisson instance on the same 2D mesh, coordinates read as
 (x1, x2), flux convention sigma = -grad(u), so div(sigma) = f:
@@ -40,20 +40,35 @@ with u constrained on the whole boundary and no initial-trace component.
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from .mesh import FacetTag
-from .problem import ConvectionForm, ParabolicProblem, sample, sample_x
+from .problem import ParabolicProblem, sample, sample_x
 
 __all__ = [
+    "ConvectionForm",
     "InvalidDataError",
     "ParabolicSystem",
     "PoissonSystem",
     "parabolic_system",
     "poisson_sine_case",
 ]
+
+
+class ConvectionForm(Enum):
+    """Choice of convection term in the divergence residual.
+
+    FLUX uses ``-b A^{-1} u2`` (a zero-order coupling through the flux
+    variable) and the divergence target f1 - b A^{-1} f2; GRADIENT uses
+    ``+b du1/dx`` directly and the target f1.  Both are equivalent on exact
+    solutions, where u2 = f2 - A du1/dx.
+    """
+
+    FLUX = "flux"
+    GRADIENT = "gradient"
 
 
 class InvalidDataError(ValueError):
@@ -70,7 +85,8 @@ def _require(ok: np.ndarray, quantity: str, t, x) -> None:
 
 
 class ParabolicSystem:
-    """Space-time first-order system of the second-order parabolic equation."""
+    """Space-time first-order system of the second-order parabolic equation,
+    with its convection term in the given form."""
 
     n_flux = 1
     n_interior = 2  # flux residual, divergence residual
@@ -78,8 +94,9 @@ class ParabolicSystem:
     dirichlet_tags = frozenset({FacetTag.LATERAL_DIRICHLET})
     spatial_axes = (1,)  # coordinate axes entering the spatial gradient
 
-    def __init__(self, problem: ParabolicProblem):
+    def __init__(self, problem: ParabolicProblem, form: ConvectionForm = ConvectionForm.FLUX):
         self.problem = problem
+        self.form = form
 
     def residual_u1(self, t, x, val, grad, out):
         """Interior residual components generated by the u1 field.
@@ -90,7 +107,7 @@ class ParabolicSystem:
         problem = self.problem
         np.multiply(sample(problem.reaction, t, x), val, out=out[1])
         out[1] += grad[0]
-        if problem.form is ConvectionForm.GRADIENT:  # out[0] as scratch
+        if self.form is ConvectionForm.GRADIENT:  # out[0] as scratch
             np.multiply(sample(problem.convection, t, x), grad[1], out=out[0])
             out[1] += out[0]
         np.multiply(sample(problem.diffusion, t, x), grad[1], out=out[0])
@@ -99,7 +116,7 @@ class ParabolicSystem:
         """Interior residual components generated by the single flux
         component: ``val`` (1, ...), ``grad`` (1, 2, ...), ``out`` (1, 2, ...)."""
         val, grad, out = val[0], grad[0], out[0]
-        if self.problem.form is ConvectionForm.FLUX:
+        if self.form is ConvectionForm.FLUX:
             b = sample(self.problem.convection, t, x)
             a = sample(self.problem.diffusion, t, x)
             np.multiply(b / a, val, out=out[1])
@@ -109,14 +126,16 @@ class ParabolicSystem:
         out[0] = val
 
     def data_interior(self, t, x, out):
-        """Targets (f2, f1 - b A^{-1} f2) into ``out``; rejects a diffusion A
-        that is not positive (NaN included)."""
+        """Targets (f2, f1 - b A^{-1} f2) in the flux form, (f2, f1) in the
+        gradient form, into ``out``; rejects a diffusion A that is not
+        positive (NaN included)."""
         problem = self.problem
         a = sample(problem.diffusion, t, x)
         _require(a > 0.0, "diffusion A is not positive", t, x)
         out[0] = sample(problem.f2, t, x)
-        b = sample(problem.convection, t, x)
-        np.subtract(sample(problem.f1, t, x), b / a * out[0], out=out[1])
+        out[1] = sample(problem.f1, t, x)
+        if self.form is ConvectionForm.FLUX:
+            out[1] -= sample(problem.convection, t, x) / a * out[0]
 
     def data_initial(self, x):
         return sample_x(self.problem.u0, x)
@@ -162,8 +181,9 @@ class PoissonSystem:
         return u2_grads[0, 0] + u2_grads[1, 1]
 
 
-def parabolic_system(problem: ParabolicProblem) -> ParabolicSystem:
-    return ParabolicSystem(problem)
+def parabolic_system(problem: ParabolicProblem,
+                     form: ConvectionForm = ConvectionForm.FLUX) -> ParabolicSystem:
+    return ParabolicSystem(problem, form)
 
 
 def poisson_sine_case():

@@ -67,8 +67,7 @@ def _dense_case(name: str, p: int):
         problem, _ = make_problem(name)
         system = parabolic_system(problem)
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux,
-                          dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, p, system)
     return mesh, dofmap, system
 
 
@@ -124,7 +123,7 @@ def _check_exact_reproduction(rng: np.random.Generator) -> CheckResult:
     problem, _ = make_problem("heat-smooth")
     system = parabolic_system(problem)
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, 1, system)
     target = rng.standard_normal(dofmap.n_dofs)
 
     wrapped = oracles.discrete_image_system(mesh, dofmap, system, target)

@@ -1,11 +1,14 @@
-"""Mesh, dump, interpolation, solve and error-report helpers that only the tests use."""
+"""Mesh, dump, interpolation, solve and error-report helpers, and a
+manufactured case with a split forcing, that only the tests use."""
 
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 
 from stfosls.mesh import FacetTag, Mesh, _edge_incidence, _side_tags
+from stfosls.problem import _parabolic_case
 from stfosls.spaces import affine_maps
 
 _DUMP_TAGS = {"lateral": FacetTag.LATERAL_DIRICHLET, "initial": FacetTag.INITIAL, "final": FacetTag.FINAL}
@@ -96,3 +99,26 @@ def interpolate_nodes(f, dofmap) -> np.ndarray:
     t = dofmap.node_coords[:, 0]
     x = dofmap.node_coords[:, 1]
     return np.asarray([float(f(float(ti), float(xi))) for ti, xi in zip(t, x)])
+
+
+def split_forcing_case():
+    """u = exp(-t) sin(pi x) under A = 1, b = 1, c = 0 with the forcing split
+    into f2 = t x and f1 = u_t - u_xx + u_x + t, and its exact fields.
+
+    The flux variable is u2 = f2 - A du/dx, so the built-in constructor gets
+    it as its ``flux``; its f1 = u_t + flux_x + b u_x is then the one above,
+    and only f2 is set afterwards.  With b != 0 and f2 != 0 the two
+    convection forms have different divergence targets.
+    """
+    pi = np.pi
+    one = lambda t, x: np.ones_like(np.asarray(t, dtype=float))  # noqa: E731
+    zero = lambda t, x: np.zeros_like(np.asarray(t, dtype=float))  # noqa: E731
+    problem, exact = _parabolic_case(
+        one, one, zero,
+        u=lambda t, x: np.exp(-t) * np.sin(pi * x),
+        u_t=lambda t, x: -np.exp(-t) * np.sin(pi * x),
+        u_x=lambda t, x: pi * np.exp(-t) * np.cos(pi * x),
+        flux=lambda t, x: t * x - pi * np.exp(-t) * np.cos(pi * x),
+        flux_x=lambda t, x: t + pi * pi * np.exp(-t) * np.sin(pi * x),
+    )
+    return dataclasses.replace(problem, f2=lambda t, x: t * x), exact

@@ -38,9 +38,9 @@ from stfosls.mesh import (
     is_conforming,
     uniform_initial_mesh,
 )
-from stfosls.problem import ConvectionForm, make_problem
+from stfosls.problem import make_problem
 from stfosls.spaces import build_dofmap
-from stfosls.system import parabolic_system, poisson_sine_case
+from stfosls.system import ConvectionForm, parabolic_system, poisson_sine_case
 from helpers import element_areas, sorted_angles
 
 
@@ -59,8 +59,9 @@ def _mesh0():
 @pytest.fixture(scope="module")
 def heat_uniform_runs():
     problem, exact = make_problem("heat-smooth")
-    run_p1 = run(problem, _mesh0(), 1, StopCriteria(max_iterations=4), exact=exact)
-    run_p2 = run(problem, _mesh0(), 2, StopCriteria(max_iterations=3), exact=exact)
+    system = parabolic_system(problem)
+    run_p1 = run(system, _mesh0(), 1, StopCriteria(max_iterations=4), exact=exact)
+    run_p2 = run(system, _mesh0(), 2, StopCriteria(max_iterations=3), exact=exact)
     return run_p1, run_p2
 
 
@@ -77,13 +78,13 @@ def adaptive_logs():
         ),
     ):
         for form in forms:
-            problem, _ = make_problem(case_name, form)
+            system = parabolic_system(make_problem(case_name)[0], form)
             for strategy in strategies:
                 marking = MarkingConfig(strategy, 0.5)
-                probe = run(problem, _mesh0(), 1, StopCriteria(max_iterations=0), marking)
+                probe = run(system, _mesh0(), 1, StopCriteria(max_iterations=0), marking)
                 eta0 = probe.records[0].estimator
                 log = run(
-                    problem,
+                    system,
                     _mesh0(),
                     1,
                     StopCriteria(
@@ -198,9 +199,7 @@ def test_criterion_5_coercivity():
             problem, _ = make_problem(name)
             system = parabolic_system(problem)
         mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 3, 3)
-        dofmap = build_dofmap(
-            mesh, 1, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags
-        )
+        dofmap = build_dofmap(mesh, 1, system)
         assert dofmap.n_dofs <= 200
         dense, _ = oracles.dense_assemble(mesh, dofmap, system)
         lam = oracles.min_eigenvalue(dense)
@@ -226,14 +225,10 @@ def test_criterion_6_oracle_equivalence():
             system = parabolic_system(problem)
         nt, nx = (4, 4) if p == 1 else (2, 2)
         mesh = uniform_initial_mesh(1.0, (0.0, 1.0), nt, nx)
-        dofmap = build_dofmap(
-            mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags
-        )
+        dofmap = build_dofmap(mesh, p, system)
         if dofmap.n_dofs > oracles.MAX_DENSE_DOFS:
             mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-            dofmap = build_dofmap(
-                mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags
-            )
+            dofmap = build_dofmap(mesh, p, system)
         assert mesh.n_elements <= 32
         level = assemble(mesh, dofmap, system)
         dense, dense_rhs = oracles.dense_assemble(mesh, dofmap, system)
@@ -259,7 +254,7 @@ def test_criterion_7_exact_reproduction(p):
     problem, _ = make_problem("heat-smooth")
     system = parabolic_system(problem)
     mesh = _mesh0()
-    dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, p, system)
     target = rng.standard_normal(dofmap.n_dofs)
     wrapped = oracles.discrete_image_system(mesh, dofmap, system, target)
 

@@ -20,7 +20,7 @@ from stfosls.driver import StopCriteria, run
 from stfosls.estimator import compute_indicators, u_norm_error
 from stfosls.marking import MarkingConfig, MarkStrategy
 from stfosls.mesh import bisect, initial_facet_list, uniform_initial_mesh
-from stfosls.problem import ConvectionForm, ParabolicProblem, make_problem
+from stfosls.problem import ParabolicProblem, make_problem
 from stfosls.spaces import (
     build_dofmap,
     edge_reference_points,
@@ -28,7 +28,7 @@ from stfosls.spaces import (
     reference_basis,
 )
 from stfosls.oracles import affine_map, eval_G
-from stfosls.system import parabolic_system, poisson_sine_case
+from stfosls.system import ConvectionForm, parabolic_system, poisson_sine_case
 from helpers import galerkin_defect
 
 
@@ -36,12 +36,9 @@ def _setup(name="heat-smooth", p=1, nt=2, nx=2, form=ConvectionForm.FLUX):
     if name == "poisson":
         system, _ = poisson_sine_case()
     else:
-        problem, _ = make_problem(name, form)
-        system = parabolic_system(problem)
+        system = parabolic_system(make_problem(name)[0], form)
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), nt, nx)
-    dofmap = build_dofmap(
-        mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags
-    )
+    dofmap = build_dofmap(mesh, p, system)
     return mesh, dofmap, system
 
 
@@ -59,12 +56,12 @@ def test_zero_data_zero_load():
 
 def _graded_incompatible(max_iterations):
     """Mesh of a Doerfler run on incompatible data, graded towards the corners."""
-    problem, _ = make_problem("incompatible")
+    system = parabolic_system(make_problem("incompatible")[0])
     log = run(
-        problem, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1,
+        system, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1,
         StopCriteria(max_iterations=max_iterations), MarkingConfig(MarkStrategy.DOERFLER, 0.5),
     )
-    return log.final_mesh, parabolic_system(problem)
+    return log.final_mesh, system
 
 
 def test_matrix_exactly_symmetric():
@@ -74,7 +71,7 @@ def test_matrix_exactly_symmetric():
              (("heat-smooth", 1), ("convection-reaction", 2), ("poisson", 1), ("poisson", 2))]
     mesh, system = _graded_incompatible(18)
     assert mesh.n_elements >= 1000
-    dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, 1, system)
     cases.append((mesh, dofmap, system))
     for mesh, dofmap, system in cases:
         matrix = assemble(mesh, dofmap, system).matrix
@@ -88,8 +85,8 @@ def _variable_coefficient_system(form):
         convection=lambda t, x: 1.5 * np.cos(np.pi * (x - t)),
         reaction=lambda t, x: -0.7 * (1.0 + t * x),
         f1=lambda t, x: 1.0 + t * x, f2=lambda t, x: t * x * (1.0 - x),
-        u0=lambda x: np.sin(np.pi * x), form=form,
-    ))
+        u0=lambda x: np.sin(np.pi * x),
+    ), form)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -102,8 +99,7 @@ def test_table_written_in_place_matches_pointwise_images(name, p):
     else:
         system = _variable_coefficient_system(ConvectionForm(name))
     mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), np.array([0, 3]))
-    dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux,
-                          dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, p, system)
     level = assemble(mesh, dofmap, system)
     tables = level.tables
     points, sqrt_w = _points(tables, level.coords), np.sqrt(_wdet(tables, level.det))
@@ -153,7 +149,7 @@ def test_assemble_traced_peak_bounded_by_table(monkeypatch):
     traced peak less the arrays it returns) stays below one whole table:
     the images are built, contracted and freed block by block."""
     mesh, system = _graded_incompatible(18)
-    dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, 1, system)
     table = _table_nbytes(mesh, dofmap, system)
     _, peak = _traced_peak(assemble, mesh, dofmap, system)
     assert peak <= 3.0 * table
@@ -187,7 +183,7 @@ def test_relabelled_dof_table_permutes_the_level(name, p):
         problem, exact = make_problem(name)
         system = parabolic_system(problem)
     mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 3, 3), [0, 4, 7])
-    dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, p, system)
     perm = np.random.default_rng(7).permutation(dofmap.n_dofs)  # old dof -> new dof
     dofs = dofmap.cell_dofs
     relabelled = dataclasses.replace(dofmap, cell_dofs=np.where(dofs >= 0, perm[dofs], -1).astype(np.int32))
@@ -214,7 +210,7 @@ def test_streamed_level_independent_of_block_size(p, monkeypatch):
     of a short block differently, by a few 1e-16), and the matrix stays
     bit-exactly symmetric."""
     mesh, system = _graded_incompatible(18)
-    dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, p, system)
     assert mesh.n_elements > assembly._BLOCK
     reference, coeffs = _solved_level(mesh, dofmap, system)
     eta = compute_indicators(mesh, coeffs, system, reference).per_element
@@ -244,8 +240,7 @@ def test_indicators_match_table_contraction(name, p):
         mesh, system = _graded_incompatible(10)
         if name == "heat-smooth":
             system = parabolic_system(make_problem(name)[0])
-    dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux,
-                          dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, p, system)
     level, coeffs = _solved_level(mesh, dofmap, system)
     tables = level.tables
     images = _residual_tables(system, tables, level.inv_t, *_points(tables, level.coords),
@@ -267,7 +262,7 @@ def test_plus_transpose_matches_coo_route(p, monkeypatch):
     """H + H^T mirrored from H's CSR arrays has the same indptr, indices
     and data as the route through H.tocoo(), exact zeros included."""
     mesh, system = _graded_incompatible(18)
-    dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, p, system)
     halves = []
     plus_transpose = assembly._plus_transpose
     monkeypatch.setattr(assembly, "_plus_transpose", lambda h: plus_transpose(halves.append(h) or h))
@@ -291,7 +286,7 @@ def test_matrix_is_canonical_int32_csr(name, p):
     cached flag."""
     system = _setup(name)[2]
     mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 3, 3), [0, 4, 7])
-    dofmap = build_dofmap(mesh, p, n_u2_components=system.n_flux, dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, p, system)
     matrix = assemble(mesh, dofmap, system).matrix
     assert matrix.format == "csr" and matrix.shape == (dofmap.n_dofs, dofmap.n_dofs)
     assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
@@ -304,7 +299,7 @@ def test_geometry_matches_per_element_affine_map():
     mesh, system = _graded_incompatible(18)
     assert mesh.n_elements >= 1000
     for p in (1, 2):
-        dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+        dofmap = build_dofmap(mesh, p, system)
         rules = level_tables(p)
         refpts = rules.quad_points[:, 1:]
         level = assemble(mesh, dofmap, system)
@@ -334,7 +329,7 @@ def test_geometry_keeps_element_size_arrays(p, monkeypatch):
     mesh, system = _graded_incompatible(10)
     coarse = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     geometry, small = (
-        assemble(m, build_dofmap(m, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags), system)
+        assemble(m, build_dofmap(m, p, system), system)
         for m in (mesh, coarse)
     )
     ne, nq = mesh.n_elements, level_tables(p).quad_weights.size
@@ -361,7 +356,7 @@ def test_initial_facet_tables_match_per_facet_loop():
     through the oracles' independent edge scan."""
     mesh, system = _graded_incompatible(10)
     for p in (1, 2):
-        dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+        dofmap = build_dofmap(mesh, p, system)
         rules = level_tables(p)
         elems, basis, xs, wlen = _initial_facet_tables(mesh, rules, system)
         edges = oracles._initial_edges(mesh)
@@ -384,7 +379,7 @@ def test_reference_tables_shared_and_read_only(p):
     of its arrays; the facet basis is rows of its edge table."""
     fine, system = _graded_incompatible(10)
     coarse = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    a, b = (assemble(m, build_dofmap(m, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags),
+    a, b = (assemble(m, build_dofmap(m, p, system),
                      system) for m in (coarse, fine))
     tables = level_tables(p)
     assert a.tables is b.tables is tables and tables.edge_values.shape[0] == 3
@@ -576,7 +571,7 @@ def test_functional_non_increasing_under_uniform_refinement():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     values = []
     for _ in range(3):
-        dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+        dofmap = build_dofmap(mesh, 1, system)
         level = assemble(mesh, dofmap, system)
         coeffs, report = solve_cg(level.matrix, level.rhs)
         assert report.converged
@@ -626,10 +621,10 @@ def test_random_smooth_coefficients_spd_and_galerkin(alpha, k, beta, gamma, form
         convection=lambda t, x: beta * np.cos(np.pi * (x - t)),
         reaction=lambda t, x: gamma * (1.0 + t * x),
         f1=lambda t, x: 1.0 + t * x, f2=lambda t, x: t * x * (1.0 - x),
-        u0=lambda x: np.sin(np.pi * x), form=form,
-    ))
+        u0=lambda x: np.sin(np.pi * x),
+    ), form)
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, p, system)
     level = assemble(mesh, dofmap, system)
     assert oracles.min_eigenvalue(level.matrix.toarray()) > 0
     coeffs, report = solve_cg(level.matrix, level.rhs)

@@ -48,6 +48,8 @@ def test_parse_rejects_unknown_key():
         parse_config("not_a_key = 1")
     with pytest.raises(ConfigError):
         parse_config("degree 2")
+    with pytest.raises(ConfigError, match="unknown key 'out'"):  # --out sets the output directory
+        parse_config("out = results")
 
 
 def test_parse_rejects_bad_values():

@@ -16,17 +16,24 @@ from stfosls.driver import (
 from stfosls.marking import MarkingConfig, MarkStrategy
 from stfosls.mesh import is_conforming, uniform_initial_mesh
 from stfosls.problem import ParabolicProblem, make_problem
-from helpers import galerkin_defect
+from stfosls.system import ConvectionForm, parabolic_system
+from helpers import galerkin_defect, split_forcing_case
 
 DOERFLER = MarkingConfig(MarkStrategy.DOERFLER, 0.5)
 
 
-def _zero_problem():
+def _case(name):
+    """The flux-form system of a built-in case, and the case's exact fields."""
+    problem, exact = make_problem(name)
+    return parabolic_system(problem), exact
+
+
+def _zero_system():
     zero = lambda t, x: np.zeros_like(np.asarray(t, dtype=float))
-    return ParabolicProblem(
+    return parabolic_system(ParabolicProblem(
         lambda t, x: np.ones_like(np.asarray(t, dtype=float)), zero, zero,
         f1=zero, f2=zero, u0=lambda x: 0.0 * np.asarray(x, dtype=float),
-    )
+    ))
 
 
 def test_stop_criteria_requires_a_criterion():
@@ -51,10 +58,10 @@ def test_solver_failure_aborts_run(monkeypatch):
         )
 
     monkeypatch.setattr(driver_mod, "solve_cg", stalled)
-    problem, _ = make_problem("heat-smooth")
+    system, _ = _case("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     with pytest.raises(SolverFailure):
-        run(problem, mesh, 1, StopCriteria(max_iterations=2), DOERFLER)
+        run(system, mesh, 1, StopCriteria(max_iterations=2), DOERFLER)
 
 
 def test_non_finite_level_solve_aborts_run(monkeypatch):
@@ -79,11 +86,11 @@ def test_non_finite_level_solve_aborts_run(monkeypatch):
         return nan_after_three
 
     monkeypatch.setattr(assembly, "_lu_solve", poisoned)
-    problem, _ = make_problem("heat-smooth")
+    system, _ = _case("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     message = r"on 544 dofs stopped after 1 LU solve\(s\) at relative residual nan"
     with pytest.raises(SolverFailure, match=message):
-        run(problem, mesh, 1, StopCriteria(max_iterations=5))
+        run(system, mesh, 1, StopCriteria(max_iterations=5))
     assert solves == [12, 40, 144, 544]
 
 
@@ -123,9 +130,9 @@ def test_level_solve_on_graded_mesh(monkeypatch):
     from stfosls import oracles
 
     solves = _record_level_solves(monkeypatch)
-    problem, _ = make_problem("incompatible")
+    system, _ = _case("incompatible")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = run(problem, mesh, 1, StopCriteria(max_dofs=1000), DOERFLER)
+    log = run(system, mesh, 1, StopCriteria(max_dofs=1000), DOERFLER)
     assert 1000 <= log.records[-1].dofs <= 2000
     assert len(solves) == len(log.records) >= 10
     for matrix, rhs, x, report in solves:
@@ -149,7 +156,7 @@ def benchmark_solves():
             ("heat-smooth-flux-p2", "heat-smooth", 2, StopCriteria(max_iterations=3), None),
         ):
             solves = _record_level_solves(monkeypatch)
-            log = run(make_problem(case)[0], uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), p, stop, marking)
+            log = run(_case(case)[0], uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), p, stop, marking)
             runs[name] = solves, log.records
     return runs
 
@@ -192,8 +199,8 @@ def test_one_geometry_per_level_with_exact_solution(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(assembly, name, counted)
-    problem, exact = make_problem("heat-smooth")
-    log = run(problem, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1,
+    system, exact = _case("heat-smooth")
+    log = run(system, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1,
               StopCriteria(max_iterations=2), exact=exact)
     assert [r.error is not None for r in log.records] == [True] * 3
     assert calls == {"affine_maps": 3, "_initial_facet_tables": 3}
@@ -213,27 +220,27 @@ def test_level_forms_block_geometry_twice(name, monkeypatch):
             calls[_helper] += 1
             return _original(*args)
         monkeypatch.setattr(assembly, helper, counted)
-    problem, exact = make_problem(name)
+    system, exact = _case(name)
     assert (exact is None) == (name == "incompatible")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 40, 40)
     n_blocks = len(assembly._blocks(mesh.n_elements))
     assert mesh.n_elements == 3200 and n_blocks == 4
-    assert len(run(problem, mesh, 1, StopCriteria(max_iterations=0), exact=exact).records) == 1
+    assert len(run(system, mesh, 1, StopCriteria(max_iterations=0), exact=exact).records) == 1
     assert calls == {"_points": 2 * n_blocks, "_wdet": 2 * n_blocks}
 
 
 def test_zero_data_stops_at_level_zero():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = run(_zero_problem(), mesh, 1, StopCriteria(max_iterations=10), DOERFLER)
+    log = run(_zero_system(), mesh, 1, StopCriteria(max_iterations=10), DOERFLER)
     assert len(log.records) == 1
     assert log.reason == "converged"
     assert log.records[0].estimator == 0.0
 
 
 def test_adaptive_heat_estimator_decreases():
-    problem, exact = make_problem("heat-smooth")
+    system, exact = _case("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = run(problem, mesh, 1, StopCriteria(max_dofs=5000), DOERFLER, exact=exact)
+    log = run(system, mesh, 1, StopCriteria(max_dofs=5000), DOERFLER, exact=exact)
     eta = log.estimators()
     assert log.reason == "max_dofs"
     assert np.all(np.diff(eta[-5:]) < 0)
@@ -244,9 +251,9 @@ def test_adaptive_heat_estimator_decreases():
 
 
 def test_adaptive_meshes_stay_conforming():
-    problem, _ = make_problem("incompatible")
+    system, _ = _case("incompatible")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = run(problem, mesh, 1, StopCriteria(max_iterations=8), DOERFLER)
+    log = run(system, mesh, 1, StopCriteria(max_iterations=8), DOERFLER)
     assert log.final_mesh is not None
     assert is_conforming(log.final_mesh)
 
@@ -254,9 +261,9 @@ def test_adaptive_meshes_stay_conforming():
 def test_incompatible_concentrates_near_initial_time():
     """By level 10 the share of elements near t = 0 exceeds the share a
     uniform mesh of comparable size would have."""
-    problem, _ = make_problem("incompatible")
+    system, _ = _case("incompatible")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = run(problem, mesh, 1, StopCriteria(max_iterations=10), DOERFLER)
+    log = run(system, mesh, 1, StopCriteria(max_iterations=10), DOERFLER)
     final = log.final_mesh
 
     def fraction_near_zero(m, cut=0.1):
@@ -272,20 +279,20 @@ def test_uniform_run_zero_data():
     from stfosls.problem import _parabolic_case
 
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    problem = _zero_problem()
+    system = _zero_system()
+    problem = system.problem
     zero = lambda t, x: np.zeros_like(np.asarray(t, dtype=float))
-    _, zero_exact = _parabolic_case(problem.diffusion, problem.convection, problem.reaction, problem.form,
-                                    *[zero] * 5)
-    log = run(problem, mesh, 1, StopCriteria(max_iterations=2), exact=zero_exact)
+    _, zero_exact = _parabolic_case(problem.diffusion, problem.convection, problem.reaction, *[zero] * 5)
+    log = run(system, mesh, 1, StopCriteria(max_iterations=2), exact=zero_exact)
     assert len(log.records) == 3 and log.reason == "levels"
     assert np.all(log.estimators() == 0.0)
     assert np.all(log.errors() == 0.0)
 
 
 def test_uniform_run_halves_mesh_width():
-    problem, _ = make_problem("heat-smooth")
+    system, _ = _case("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = run(problem, mesh, 1, StopCriteria(max_iterations=2))
+    log = run(system, mesh, 1, StopCriteria(max_iterations=2))
     elems = np.array([r.elements for r in log.records])
     assert np.array_equal(elems, [8, 32, 128])
 
@@ -295,10 +302,10 @@ def test_uniform_p1_33k_level_solve_has_no_cliff(monkeypatch):
     supernodes took about 42 s for the last level's factorization; without them the
     whole run takes about a second."""
     solves = _record_level_solves(monkeypatch)
-    problem, _ = make_problem("heat-smooth")
+    system, _ = _case("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     start = time.perf_counter()
-    log = run(problem, mesh, 1, StopCriteria(max_iterations=6))
+    log = run(system, mesh, 1, StopCriteria(max_iterations=6))
     elapsed = time.perf_counter() - start
     assert log.records[-1].dofs == 33_024 and len(log.records) == len(solves) == 7
     for matrix, rhs, x, report in solves:
@@ -308,9 +315,9 @@ def test_uniform_p1_33k_level_solve_has_no_cliff(monkeypatch):
 
 
 def test_estimator_monotone_under_uniform_refinement():
-    problem, _ = make_problem("convection-reaction")
+    system, _ = _case("convection-reaction")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = run(problem, mesh, 1, StopCriteria(max_iterations=3))
+    log = run(system, mesh, 1, StopCriteria(max_iterations=3))
     eta = log.estimators()
     assert np.all(eta[1:] <= eta[:-1] + 1e-10)
 
@@ -345,17 +352,32 @@ def test_rate_table_hand_examples():
 
 
 def test_rate_table_reproduces_uniform_rates():
-    problem, exact = make_problem("heat-smooth")
+    system, exact = _case("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = run(problem, mesh, 1, StopCriteria(max_iterations=3), exact=exact)
+    log = run(system, mesh, 1, StopCriteria(max_iterations=3), exact=exact)
     orders = [row[3] for row in rate_table(log)[1:]]
     assert all(0.85 <= o <= 1.3 for o in orders)
 
 
+@pytest.mark.parametrize("form", list(ConvectionForm))
+@pytest.mark.parametrize("p, min_order", [(1, 0.9), (2, 1.9)])
+def test_split_forcing_converges_in_both_forms(form, p, min_order):
+    """With b != 0 and f2 != 0 both forms reach the order p of the smooth
+    solution on uniform levels to 2,112 dofs, with an estimator that matches
+    the error on the last level."""
+    problem, exact = split_forcing_case()
+    log = run(parabolic_system(problem, form), uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), p,
+              StopCriteria(max_iterations=5 - p), exact=exact)
+    dofs, eta, err, order = rate_table(log)[-1]
+    assert dofs == 2112
+    assert order >= min_order
+    assert 0.95 <= eta / err <= 1.05
+
+
 def test_runlog_csv_format(tmp_path):
-    problem, exact = make_problem("heat-smooth")
+    system, exact = _case("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = run(problem, mesh, 1, StopCriteria(max_iterations=1), exact=exact)
+    log = run(system, mesh, 1, StopCriteria(max_iterations=1), exact=exact)
     path = tmp_path / "runlog.csv"
     write_runlog_csv(log, path)
     lines = path.read_text().splitlines()
@@ -366,8 +388,8 @@ def test_runlog_csv_format(tmp_path):
     assert float(first[3]) > 0 and float(first[4]) > 0
 
     # error column is empty without a manufactured reference
-    problem2, _ = make_problem("incompatible")
-    log2 = run(problem2, mesh, 1, StopCriteria(max_iterations=1), DOERFLER)
+    system2, _ = _case("incompatible")
+    log2 = run(system2, mesh, 1, StopCriteria(max_iterations=1), DOERFLER)
     path2 = tmp_path / "runlog2.csv"
     write_runlog_csv(log2, path2)
     row = path2.read_text().splitlines()[1].split(",")
@@ -375,11 +397,11 @@ def test_runlog_csv_format(tmp_path):
 
 
 def test_runs_are_deterministic(tmp_path):
-    problem, _ = make_problem("incompatible")
+    system, _ = _case("incompatible")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     out = []
     for tag in ("a", "b"):
-        log = run(problem, mesh, 1, StopCriteria(max_iterations=6), DOERFLER)
+        log = run(system, mesh, 1, StopCriteria(max_iterations=6), DOERFLER)
         path = tmp_path / f"log_{tag}.csv"
         write_runlog_csv(log, path)
         out.append(path.read_bytes())
@@ -393,13 +415,11 @@ def test_marking_property_holds_every_iteration():
     from stfosls.marking import mark, verify_marking_property
     from stfosls.mesh import bisect
     from stfosls.spaces import build_dofmap
-    from stfosls.system import parabolic_system
 
-    problem, _ = make_problem("heat-smooth")
-    system = parabolic_system(problem)
+    system, _ = _case("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     for _ in range(5):
-        dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+        dofmap = build_dofmap(mesh, 1, system)
         level = assemble(mesh, dofmap, system)
         coeffs, report = solve_cg(level.matrix, level.rhs)
         assert report.converged
@@ -408,7 +428,7 @@ def test_marking_property_holds_every_iteration():
         assert verify_marking_property(indicators.per_element, marks)
         mesh = bisect(mesh, marks)
 
-    log = run(problem, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1,
+    log = run(system, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1,
               StopCriteria(max_iterations=5), DOERFLER)
     assert log.reason == "max_iterations"
     assert all(r.marked > 0 for r in log.records[:-1])

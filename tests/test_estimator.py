@@ -17,7 +17,7 @@ def _solve(name="heat-smooth", p=1, nt=2, nx=2):
     problem, exact = make_problem(name)
     system = parabolic_system(problem)
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), nt, nx)
-    dofmap = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, p, system)
     level = assemble(mesh, dofmap, system)
     coeffs, report = solve_cg(level.matrix, level.rhs)
     assert report.converged
@@ -55,7 +55,7 @@ def test_zero_solution_indicator_is_data_norm():
     stripped = dataclasses.replace(problem, u0=lambda x: 0.0 * np.asarray(x, dtype=float))
     system = parabolic_system(stripped)
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, 1, system)
     rules = level_tables(1)
     ind = compute_indicators(mesh, np.zeros(dofmap.n_dofs), system, assemble(mesh, dofmap, system))
 
@@ -81,7 +81,7 @@ def test_exact_discrete_data_gives_zero_estimator():
     problem, _ = make_problem("heat-smooth")
     system = parabolic_system(problem)
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, 1, system)
     target = rng.standard_normal(dofmap.n_dofs)
     wrapped = oracles.discrete_image_system(mesh, dofmap, system, target)
 
@@ -100,7 +100,7 @@ def test_unrefined_elements_keep_indicators():
     problem, _ = make_problem("heat-smooth")
     system = parabolic_system(problem)
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 4, 4)
-    dofmap = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+    dofmap = build_dofmap(mesh, 1, system)
     # u1 = 0, u2 = 1 is in the space on every refinement
     coeffs = np.zeros(dofmap.n_dofs)
     coeffs[dofmap.cell_dofs[3:]] = 1.0  # every u2 dof
@@ -108,7 +108,7 @@ def test_unrefined_elements_keep_indicators():
 
     marks = [k for k in range(mesh.n_elements) if mesh.points[mesh.elements][k, :, 0].min() > 0.5]
     refined = bisect(mesh, marks)
-    dofmap_r = build_dofmap(refined, 1, n_u2_components=1, dirichlet_tags=system.dirichlet_tags)
+    dofmap_r = build_dofmap(refined, 1, system)
     coeffs_r = np.zeros(dofmap_r.n_dofs)
     coeffs_r[dofmap_r.cell_dofs[3:]] = 1.0
     after = compute_indicators(refined, coeffs_r, system, assemble(refined, dofmap_r, system))
@@ -155,7 +155,7 @@ def test_efficiency_ratio_stable_across_uniform_levels():
 
     problem, exact = make_problem("heat-smooth")
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    log = run(problem, mesh, 1, StopCriteria(max_iterations=5), exact=exact)
+    log = run(parabolic_system(problem), mesh, 1, StopCriteria(max_iterations=5), exact=exact)
     ratios = log.estimators() / log.errors()
     assert ratios[:4].max() / ratios[:4].min() < 2.0
     assert ratios.max() / ratios.min() < 4.0

@@ -15,6 +15,7 @@ from stfosls.mesh import (
 from stfosls.oracles import bisect_reference, element_measure
 from helpers import boundary_tags_consistent, element_areas, element_patch, initial_facets, read_mesh_dump, sorted_angles
 from stfosls.problem import make_problem
+from stfosls.system import parabolic_system
 
 
 def test_single_cell_mesh():
@@ -145,7 +146,7 @@ def test_bisect_matches_reference_on_graded_run(monkeypatch):
 
     monkeypatch.setattr(driver_mod, "bisect", recording)
     problem, _ = make_problem("incompatible")
-    log = run(problem, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1,
+    log = run(parabolic_system(problem), uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1,
               StopCriteria(max_dofs=1000), MarkingConfig(MarkStrategy.DOERFLER, 0.5))
     assert log.records[-1].dofs >= 1000 and len(calls) >= 10
     for mesh, marks, out in calls:

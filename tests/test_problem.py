@@ -6,7 +6,6 @@ import sympy as sp
 
 from stfosls.problem import (
     BUILTIN_CASES,
-    ConvectionForm,
     ParabolicProblem,
     _parabolic_case,
     make_problem,
@@ -14,7 +13,7 @@ from stfosls.problem import (
     sample_x,
 )
 from stfosls.oracles import data_vector
-from stfosls.system import parabolic_system, poisson_sine_case
+from stfosls.system import ConvectionForm, parabolic_system, poisson_sine_case
 
 
 def _constant(v):
@@ -44,11 +43,15 @@ def test_data_vector_zero_f2():
 
 
 def test_data_vector_flux_correction():
-    # A = 1, b = 1, f2 = 1, f1 = 0: divergence target is 0 - 1*1*1 = -1
+    # A = 1, b = 1, f2 = 1, f1 = 0: the flux form's divergence target is
+    # 0 - 1*1*1 = -1, the gradient form's is f1 = 0
     problem = ParabolicProblem(_constant(1.0), _constant(1.0), _constant(0.0), f1=_constant(0.0),
-                               f2=_constant(1.0), u0=lambda x: 0.0 * x, form=ConvectionForm.FLUX)
-    _, target_div, _ = data_vector(problem)
-    assert np.allclose(target_div(np.array([0.2]), np.array([0.4])), -1.0, atol=0.0)
+                               f2=_constant(1.0), u0=lambda x: 0.0 * x)
+    t, x = np.array([0.2]), np.array([0.4])
+    _, target_div, _ = data_vector(problem, ConvectionForm.FLUX)
+    assert np.allclose(target_div(t, x), -1.0, atol=0.0)
+    _, target_div, _ = data_vector(problem, ConvectionForm.GRADIENT)
+    assert np.allclose(target_div(t, x), 0.0, atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -82,8 +85,7 @@ def test_heat_source_closed_form():
 
 
 def _zero_case():
-    return _parabolic_case(_constant(1.0), _constant(0.0), _constant(0.0), ConvectionForm.FLUX,
-                           *[_constant(0.0)] * 5)
+    return _parabolic_case(_constant(1.0), _constant(0.0), _constant(0.0), *[_constant(0.0)] * 5)
 
 
 def test_zero_case():
@@ -176,20 +178,6 @@ def test_variable_a_flux_consistency():
     tt, xx = rng.random(100), rng.random(100)
     a = sample(problem.diffusion, tt, xx)
     assert np.allclose(exact.u2(tt, xx)[0], -a * exact.u1_grad(tt, xx)[1], rtol=0.0, atol=1e-13)
-
-
-def test_data_consistent_across_forms():
-    """The two convection forms are built from identical (f1, f2, u0)."""
-    rng = np.random.default_rng(3)
-    tt, xx = rng.random(50), rng.random(50)
-    for name in ("convection-reaction", "incompatible"):
-        pf, _ = make_problem(name, ConvectionForm.FLUX)
-        pg, _ = make_problem(name, ConvectionForm.GRADIENT)
-        assert np.array_equal(sample(pf.f1, tt, xx), sample(pg.f1, tt, xx))
-        assert np.array_equal(sample(pf.f2, tt, xx), sample(pg.f2, tt, xx))
-        assert np.array_equal(
-            np.asarray(pf.u0(xx), dtype=float), np.asarray(pg.u0(xx), dtype=float)
-        )
 
 
 def test_unknown_case_rejected():

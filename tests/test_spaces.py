@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from stfosls.mesh import FacetTag, bisect, uniform_initial_mesh
 from stfosls.oracles import affine_map, element_measure, evaluate_field
+from stfosls.problem import make_problem
 from stfosls.spaces import (
     affine_maps,
     build_dofmap,
@@ -13,6 +15,7 @@ from stfosls.spaces import (
     edge_reference_points,
     reference_basis,
 )
+from stfosls.system import parabolic_system
 from helpers import interpolate_nodes
 
 
@@ -23,6 +26,16 @@ _REFERENCE_NODES = {
     2: [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]],
 }
 _LATERAL = (FacetTag.LATERAL_DIRICHLET,)
+_PARABOLIC = parabolic_system(make_problem("heat-smooth")[0])  # one flux, lateral facets constrained
+
+
+def _layout(n_flux, dirichlet_tags):
+    """The two attributes of a system that ``build_dofmap`` reads, also in
+    layouts that no system has."""
+    return SimpleNamespace(n_flux=n_flux, dirichlet_tags=dirichlet_tags)
+
+
+_FREE = _layout(1, ())  # one flux, nothing constrained
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -85,10 +98,10 @@ def test_edge_quadrature_exactness(degree):
 
 def test_dofmap_counts_single_cell():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 1, 1)
-    free = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=())
+    free = build_dofmap(mesh, 1, _FREE)
     assert free.node_coords.shape[0] == 4
     assert free.n_dofs == 8
-    constrained = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=_LATERAL)
+    constrained = build_dofmap(mesh, 1, _PARABOLIC)
     # all four corners sit on the lateral boundary x in {0, 1}
     assert np.all(constrained.cell_dofs[:3] == -1)
     assert constrained.n_dofs == 4
@@ -96,7 +109,7 @@ def test_dofmap_counts_single_cell():
 
 def test_dofmap_counts_two_by_two():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    dm = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=_LATERAL)
+    dm = build_dofmap(mesh, 1, _PARABOLIC)
     assert set(dm.cell_dofs[:3].ravel()) == {-1, 0, 1, 2}  # the x = 1/2 column
     assert dm.n_dofs == 3 + 9
 
@@ -104,7 +117,7 @@ def test_dofmap_counts_two_by_two():
 def test_constrained_nodes_match_geometry():
     mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), [0, 1, 4])
     for p in (1, 2):
-        dm = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=_LATERAL)
+        dm = build_dofmap(mesh, p, _PARABOLIC)
         on_lateral = np.flatnonzero((dm.node_coords[:, 1] == 0.0) | (dm.node_coords[:, 1] == 1.0))
         assert np.array_equal(dm.constrained_nodes, on_lateral)
 
@@ -149,7 +162,7 @@ def test_dofmap_numbering_on_graded_mesh():
             free = np.full(n_scalar, -1)
             free[~on_side] = np.arange(n_u1)
             for n_comp in (1, 2):
-                dm = build_dofmap(mesh, p, n_u2_components=n_comp, dirichlet_tags=tags)
+                dm = build_dofmap(mesh, p, _layout(n_comp, tags))
                 assert np.array_equal(dm.node_coords, coords)
                 assert np.array_equal(dm.constrained_nodes, np.flatnonzero(on_side))
                 u2_blocks = [n_u1 + c * n_scalar + nodes.T for c in range(n_comp)]
@@ -209,7 +222,7 @@ def test_interpolation_reproduces_polynomials(p):
     """Nodal interpolation of total degree <= p is exact in value and gradient."""
     rng = np.random.default_rng(11)
     mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), [0, 3])
-    dm = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=())
+    dm = build_dofmap(mesh, p, _FREE)
 
     if p == 1:
         f = lambda t, x: 0.5 + 2.0 * t - x
@@ -238,7 +251,7 @@ def test_interpolation_reproduces_polynomials(p):
 
 def test_evaluate_field_linear_interpolant():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    dm = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=())
+    dm = build_dofmap(mesh, 1, _FREE)
     coeffs = interpolate_nodes(lambda t, x: x, dm)
     val, grad = evaluate_field(coeffs, dm, mesh, 3, np.array([0.3, 0.2]), field=0)
     jac, _, _ = affine_map(mesh, 3)
@@ -250,7 +263,7 @@ def test_evaluate_field_linear_interpolant():
 
 def test_evaluate_field_zero_coefficients():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 1, 1)
-    dm = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=_LATERAL)
+    dm = build_dofmap(mesh, 1, _PARABOLIC)
     val, grad = evaluate_field(np.zeros(dm.n_dofs), dm, mesh, 0, np.array([0.25, 0.25]), field=1)
     assert val == 0.0
     assert np.all(grad == 0.0)
@@ -258,7 +271,7 @@ def test_evaluate_field_zero_coefficients():
 
 def test_evaluate_field_p2_quadratic_exact():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
-    dm = build_dofmap(mesh, 2, n_u2_components=1, dirichlet_tags=())
+    dm = build_dofmap(mesh, 2, _FREE)
     coeffs = interpolate_nodes(lambda t, x: t * t, dm)
     for k in (0, 5):
         val, grad = evaluate_field(coeffs, dm, mesh, k, np.array([0.2, 0.3]), field=0)
@@ -275,7 +288,7 @@ def test_global_continuity_across_edges(p):
     """Traces of every field from both sides of interior edges agree."""
     rng = np.random.default_rng(5)
     mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), [0, 2, 7])
-    dm = build_dofmap(mesh, p, n_u2_components=1, dirichlet_tags=())
+    dm = build_dofmap(mesh, p, _FREE)
     coeffs = rng.standard_normal(dm.n_dofs)
 
     incidence = {}
@@ -300,5 +313,5 @@ def test_p1_dofmap_shares_mesh_arrays():
     """At p = 1 the scalar nodes are the mesh vertices: the dof map
     references the mesh's points instead of copying them."""
     mesh = bisect(uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), [0, 3])
-    dm = build_dofmap(mesh, 1, n_u2_components=1, dirichlet_tags=_LATERAL)
+    dm = build_dofmap(mesh, 1, _PARABOLIC)
     assert np.shares_memory(dm.node_coords, mesh.points)

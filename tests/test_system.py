@@ -2,22 +2,24 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from stfosls.problem import ConvectionForm, ParabolicProblem, make_problem
+from stfosls.problem import ParabolicProblem, make_problem
 from stfosls.oracles import eval_G, eval_data, eval_data_initial
 from stfosls.system import (
+    ConvectionForm,
     parabolic_system,
     PoissonSystem,
     poisson_sine_case,
 )
+from helpers import split_forcing_case
 
 
 def _constant(v):
     return lambda t, x: np.full_like(np.asarray(t, dtype=float), v)
 
 
-def _problem(a, b, c, form=ConvectionForm.FLUX):
+def _problem(a, b, c):
     return ParabolicProblem(_constant(a), _constant(b), _constant(c), f1=_constant(0.0),
-                            f2=_constant(0.0), u0=lambda x: 0.0 * x, form=form)
+                            f2=_constant(0.0), u0=lambda x: 0.0 * x)
 
 
 def test_eval_g_time_linear_field():
@@ -38,7 +40,7 @@ def test_eval_g_space_linear_flux():
 def test_eval_g_flux_form_arithmetic():
     # A=2, b=4, c=1: u1=1 (zero gradient), u2=2 gives
     # flux residual 2, divergence residual 0 - 4*(1/2)*2 + 1 = -3
-    system = parabolic_system(_problem(2.0, 4.0, 1.0, ConvectionForm.FLUX))
+    system = parabolic_system(_problem(2.0, 4.0, 1.0), ConvectionForm.FLUX)
     img = eval_G(system, (0.5, 0.5), 1.0, (0.0, 0.0), 2.0, (0.0, 0.0))
     assert img.flux[0] == pytest.approx(2.0)
     assert img.div == pytest.approx(-3.0)
@@ -46,7 +48,7 @@ def test_eval_g_flux_form_arithmetic():
 
 def test_eval_g_linearity():
     rng = np.random.default_rng(0)
-    system = parabolic_system(_problem(1.7, -0.8, 2.1, ConvectionForm.FLUX))
+    system = parabolic_system(_problem(1.7, -0.8, 2.1), ConvectionForm.FLUX)
     for _ in range(100):
         point = rng.random(2)
         a = rng.standard_normal()
@@ -64,8 +66,8 @@ def test_eval_g_linearity():
 def test_forms_agree_on_exact_flux_relation():
     """With u2 = -A du1/dx the two convection forms coincide pointwise."""
     rng = np.random.default_rng(1)
-    flux_sys = parabolic_system(_problem(1.3, 0.7, -0.4, ConvectionForm.FLUX))
-    grad_sys = parabolic_system(_problem(1.3, 0.7, -0.4, ConvectionForm.GRADIENT))
+    flux_sys = parabolic_system(_problem(1.3, 0.7, -0.4), ConvectionForm.FLUX)
+    grad_sys = parabolic_system(_problem(1.3, 0.7, -0.4), ConvectionForm.GRADIENT)
     for _ in range(100):
         point = rng.random(2)
         u1 = rng.standard_normal()
@@ -78,12 +80,13 @@ def test_forms_agree_on_exact_flux_relation():
         assert np.allclose(a.flux, b.flux, atol=0.0)
 
 
-@pytest.mark.parametrize("name", ["heat-smooth", "convection-reaction", "variable-a"])
+@pytest.mark.parametrize("name", ["heat-smooth", "convection-reaction", "variable-a", "split-forcing"])
 @pytest.mark.parametrize("form", [ConvectionForm.FLUX, ConvectionForm.GRADIENT])
 def test_exact_fields_satisfy_system(name, form):
-    """Inserting the manufactured fields into G reproduces the data vector."""
-    problem, exact = make_problem(name, form)
-    system = parabolic_system(problem)
+    """Inserting the manufactured fields into G reproduces the data vector,
+    also with b != 0 and f2 != 0, where the two forms' targets differ."""
+    problem, exact = split_forcing_case() if name == "split-forcing" else make_problem(name)
+    system = parabolic_system(problem, form)
     rng = np.random.default_rng(2)
     for _ in range(50):
         t, x = rng.random(2)
@@ -155,7 +158,7 @@ def _run_two_levels(problem):
     from stfosls.driver import StopCriteria, run
     from stfosls.mesh import uniform_initial_mesh
 
-    return run(problem, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1, StopCriteria(max_iterations=1))
+    return run(parabolic_system(problem), uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1, StopCriteria(max_iterations=1))
 
 
 @pytest.mark.parametrize("diffusion", [-1.0, 0.0, np.nan])
