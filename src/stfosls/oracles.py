@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .mesh import FacetTag, Mesh, _edge_keys
-from .problem import ExactFields, ParabolicProblem, sample, sample_x
+from .problem import ExactFields, ParabolicProblem
 from .spaces import (
     DofMap,
     build_edge_quadrature,
@@ -264,21 +264,13 @@ def data_vector(problem: ParabolicProblem, form: ConvectionForm = ConvectionForm
     gradient form.
     """
 
-    def target_flux(t, x):
-        return sample(problem.f2, t, x)
-
     def target_div(t, x):
         if form is ConvectionForm.GRADIENT:
-            return sample(problem.f1, t, x)
-        f2 = sample(problem.f2, t, x)
-        b = sample(problem.convection, t, x)
-        a = sample(problem.diffusion, t, x)
-        return sample(problem.f1, t, x) - b / a * f2
+            return problem.f1(t, x)
+        b, a = problem.convection(t, x), problem.diffusion(t, x)
+        return problem.f1(t, x) - b / a * problem.f2(t, x)
 
-    def target_initial(x):
-        return sample_x(problem.u0, x)
-
-    return target_flux, target_div, target_initial
+    return problem.f2, target_div, problem.u0
 
 
 def _edge_geometry(mesh: Mesh, e: int, loc: int, s: np.ndarray):
@@ -472,20 +464,17 @@ def fine_norm(exact: ExactFields, mesh: Mesh, system, degree: int = 8) -> float:
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         phys = tri[0][None, :] + refpts @ jac.T
         t, x = phys[:, 0], phys[:, 1]
-        u1 = sample(exact.u1, t, x)
         grad = exact.u1_grad(t, x)
-        u2 = exact.u2(t, x)
-        div = sample(exact.div, t, x)
-        dens = u1**2 + div**2
+        dens = exact.u1(t, x) ** 2 + exact.div(t, x) ** 2
         for axis in system.spatial_axes:
             dens = dens + grad[axis] ** 2
-        dens = dens + (u2**2).sum(axis=0)
-        total += float(np.dot(quad_weights * det, dens))
+        dens = dens + (exact.u2(t, x) ** 2).sum(axis=0)
+        total += float(np.dot(quad_weights * det, np.broadcast_to(dens, t.shape)))
 
     if system.has_initial_trace:
         for e, loc in _initial_edges(mesh):
             xs, length = _edge_geometry(mesh, e, loc, edge_points)
-            vals = sample(exact.u1, np.zeros_like(xs), xs)
+            vals = np.broadcast_to(exact.u1(0.0, xs), xs.shape)
             total += float(np.dot(edge_weights * length, vals**2))
     return float(np.sqrt(total))
 

@@ -2,8 +2,11 @@
 sides and initial datum, and the built-in cases: manufactured solutions
 given by closed-form derivatives, each with its exact fields.
 
-All coefficient and data fields are point-evaluable callables ``f(t, x)``
-that accept numpy arrays; a scalar-only callable fails with its own error.
+Every coefficient and datum is a field: a numpy function ``f(t, x)``, or
+``u0(x)`` for the initial datum, that returns an array or a number which
+broadcasts against its points; a constant field may return a plain number.
+Fields are called directly on arrays of points, never point by point, so a
+callable that cannot take arrays fails with its own error.
 """
 
 from __future__ import annotations
@@ -16,30 +19,9 @@ import numpy as np
 __all__ = [
     "ParabolicProblem",
     "ExactFields",
-    "sample",
-    "sample_x",
     "make_problem",
     "BUILTIN_CASES",
 ]
-
-
-def sample(f: Callable, t, x) -> np.ndarray:
-    """Evaluate ``f(t, x)`` on arrays, broadcasting a constant result."""
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    out = np.asarray(f(t, x), dtype=float)
-    if out.shape != t.shape:
-        out = np.broadcast_to(out, t.shape).copy()
-    return out
-
-
-def sample_x(f: Callable, x) -> np.ndarray:
-    """Evaluate a function of x alone on arrays, like :func:`sample`."""
-    x = np.asarray(x, dtype=float)
-    out = np.asarray(f(x), dtype=float)
-    if out.shape != x.shape:
-        out = np.broadcast_to(out, x.shape).copy()
-    return out
 
 
 @dataclass(frozen=True)
@@ -51,6 +33,7 @@ class ParabolicProblem:
     coefficients must be bounded.  The forcing acts as
     v -> integral(f1 v + f2 dv/dx); f2 = 0 recovers a plain L2 forcing f1.
     ``u0`` is a function of x alone; every other field is ``f(t, x)``.
+    Each returns an array or a number that broadcasts against its points.
     The record is the PDE alone: its least-squares system, in either
     convection form, is :func:`stfosls.system.parabolic_system`'s.
     """
@@ -71,7 +54,9 @@ class ExactFields:
     ``u1_grad`` stacks the full coordinate gradient (d/dt, d/dx) for the
     parabolic problem or (d/dx1, d/dx2) for a stationary instance; ``u2``
     stacks the flux components; ``div`` is the divergence entering the
-    first-order system.
+    first-order system.  ``u1`` and ``div`` are fields like the problem's;
+    ``u1_grad`` and ``u2`` return arrays whose trailing axes are the shape
+    of the points.
     """
 
     u1: Callable
@@ -91,34 +76,34 @@ def _parabolic_case(diffusion: Callable, convection: Callable, reaction: Callabl
     reference evaluation free of numerical differentiation, also for
     space-dependent diffusion.  The source is
     f1 = u_t - d/dx(A u_x) + b u_x + c u with f2 = 0 and u0 = u(0, .).
+    Every argument is a field, called directly on the points: a closed form
+    may return a number, and so may the fields built from it, except the
+    exact gradient and flux, which stack their components on the points.
     """
 
     def f1(t, x):
-        return (
-            sample(u_t, t, x)
-            + sample(flux_x, t, x)
-            + sample(convection, t, x) * sample(u_x, t, x)
-            + sample(reaction, t, x) * sample(u, t, x)
-        )
+        return u_t(t, x) + flux_x(t, x) + convection(t, x) * u_x(t, x) + reaction(t, x) * u(t, x)
 
-    problem = ParabolicProblem(
-        diffusion, convection, reaction,
-        f1=f1,
-        f2=lambda t, x: np.zeros_like(np.asarray(t, dtype=float)),
-        u0=lambda x: sample(u, np.zeros_like(np.asarray(x, dtype=float)), x),
-    )
+    problem = ParabolicProblem(diffusion, convection, reaction, f1=f1, f2=_constant(0.0),
+                               u0=lambda x: u(0.0, x))
     exact = ExactFields(
-        u1=lambda t, x: sample(u, t, x),
-        u1_grad=lambda t, x: np.stack([sample(u_t, t, x), sample(u_x, t, x)]),
-        u2=lambda t, x: sample(flux, t, x)[None],
+        u1=u,
+        u1_grad=lambda t, x: _stacked(t, x, u_t, u_x),
+        u2=lambda t, x: _stacked(t, x, flux),
         # Space-time divergence of (u1, u2): u_t + d/dx(flux).
-        div=lambda t, x: sample(u_t, t, x) + sample(flux_x, t, x),
+        div=lambda t, x: u_t(t, x) + flux_x(t, x),
     )
     return problem, exact
 
 
+def _stacked(t, x, *fields) -> np.ndarray:
+    """The values of ``fields`` at (t, x), broadcast against the points and
+    stacked on a new first axis."""
+    return np.stack(np.broadcast_arrays(t, x, *(f(t, x) for f in fields))[2:])
+
+
 def _constant(value: float) -> Callable:
-    return lambda t, x: np.full_like(np.asarray(t, dtype=float), value)
+    return lambda t, x: value
 
 
 def _incompatible_problem() -> ParabolicProblem:
@@ -129,8 +114,7 @@ def _incompatible_problem() -> ParabolicProblem:
     an image-sum form for small t; the package does not evaluate it yet, so
     the case has no ExactFields."""
     zero = _constant(0.0)
-    return ParabolicProblem(_constant(1.0), zero, zero, f1=zero, f2=zero,
-                            u0=lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    return ParabolicProblem(_constant(1.0), zero, zero, f1=zero, f2=zero, u0=lambda x: 1.0)
 
 
 BUILTIN_CASES = ("heat-smooth", "convection-reaction", "variable-a", "incompatible")

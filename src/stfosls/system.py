@@ -18,8 +18,11 @@ Assembly passes a view of one block of its image table or of its data as
 ``out``, so the trailing axes (the element axis last) stay contiguous and
 nothing is copied.  The residuals are linear in the fields, so assembly
 passes sqrt(w)-weighted values and gradients and gets weighted images.
-Data that cannot define the problem (a diffusion that is not positive,
-non-finite values) raises :class:`InvalidDataError`.
+The parabolic instance calls the problem's fields directly on the points
+(see :mod:`stfosls.problem`), so a constant field and ``data_initial`` may
+return a number that broadcasts against them.  Data that cannot define the
+problem (a diffusion that is not positive, non-finite values) raises
+:class:`InvalidDataError`.
 
 Parabolic instance (flux form):
 
@@ -46,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .mesh import FacetTag
-from .problem import ParabolicProblem, sample, sample_x
+from .problem import ParabolicProblem
 
 __all__ = [
     "ConvectionForm",
@@ -75,12 +78,13 @@ class InvalidDataError(ValueError):
     """Problem data that cannot define the least-squares problem."""
 
 
-def _require(ok: np.ndarray, quantity: str, t, x) -> None:
+def _require(ok, quantity: str, t, x) -> None:
     """Raise :class:`InvalidDataError` naming ``quantity`` and the first
-    point (t, x) where the boolean array ``ok`` is False."""
-    if not ok.all():
+    point (t, x) where ``ok``, a boolean that broadcasts against the points,
+    is False."""
+    if not np.all(ok):
+        ok, t, x = np.broadcast_arrays(ok, t, x)
         at = np.unravel_index(np.argmin(ok), ok.shape)
-        t, x = np.broadcast_arrays(t, x)
         raise InvalidDataError(f"{quantity} at (t, x) = ({float(t[at])!r}, {float(x[at])!r})")
 
 
@@ -105,21 +109,20 @@ class ParabolicSystem:
         (flux residual, divergence residual) in its first axis.
         """
         problem = self.problem
-        np.multiply(sample(problem.reaction, t, x), val, out=out[1])
+        np.multiply(problem.reaction(t, x), val, out=out[1])
         out[1] += grad[0]
         if self.form is ConvectionForm.GRADIENT:  # out[0] as scratch
-            np.multiply(sample(problem.convection, t, x), grad[1], out=out[0])
+            np.multiply(problem.convection(t, x), grad[1], out=out[0])
             out[1] += out[0]
-        np.multiply(sample(problem.diffusion, t, x), grad[1], out=out[0])
+        np.multiply(problem.diffusion(t, x), grad[1], out=out[0])
 
     def residual_u2(self, t, x, val, grad, out):
         """Interior residual components generated by the single flux
         component: ``val`` (1, ...), ``grad`` (1, 2, ...), ``out`` (1, 2, ...)."""
         val, grad, out = val[0], grad[0], out[0]
         if self.form is ConvectionForm.FLUX:
-            b = sample(self.problem.convection, t, x)
-            a = sample(self.problem.diffusion, t, x)
-            np.multiply(b / a, val, out=out[1])
+            b_over_a = self.problem.convection(t, x) / self.problem.diffusion(t, x)
+            np.multiply(b_over_a, val, out=out[1])
             np.subtract(grad[1], out[1], out=out[1])
         else:
             out[1] = grad[1]
@@ -130,15 +133,15 @@ class ParabolicSystem:
         gradient form, into ``out``; rejects a diffusion A that is not
         positive (NaN included)."""
         problem = self.problem
-        a = sample(problem.diffusion, t, x)
+        a = problem.diffusion(t, x)
         _require(a > 0.0, "diffusion A is not positive", t, x)
-        out[0] = sample(problem.f2, t, x)
-        out[1] = sample(problem.f1, t, x)
+        out[0] = problem.f2(t, x)
+        out[1] = problem.f1(t, x)
         if self.form is ConvectionForm.FLUX:
-            out[1] -= sample(problem.convection, t, x) / a * out[0]
+            out[1] -= problem.convection(t, x) / a * out[0]
 
     def data_initial(self, x):
-        return sample_x(self.problem.u0, x)
+        return self.problem.u0(x)
 
     @staticmethod
     def divergence(u1_grad, u2_grads):
@@ -171,7 +174,7 @@ class PoissonSystem:
 
     def data_interior(self, t, x, out):
         out[:2] = 0.0
-        out[2] = sample(self.f, t, x)
+        out[2] = self.f(t, x)
 
     def data_initial(self, x):
         raise RuntimeError("stationary system has no initial-trace component")

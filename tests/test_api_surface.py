@@ -11,7 +11,8 @@ definition, and a field of a dataclass defined there must be read as an
 attribute.  Imports and ``__all__`` entries do not count, and neither do
 the oracles or the tests.  Methods are exempt from the parameter check:
 the systems' methods implement one protocol, whose parameters not every
-system reads.
+system reads.  The oracles, in turn, import nothing from the fast path
+that they check.
 """
 
 import ast
@@ -160,3 +161,26 @@ def test_every_parameter_is_read():
     assert set(ALLOWED_PARAMS) <= unread
     assert not unread - set(ALLOWED_PARAMS), \
         f"parameters never read in their function: {sorted(unread - set(ALLOWED_PARAMS))}"
+
+
+
+def _package_imports(tree):
+    """Modules of the package that a parsed module imports, by name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("stfosls.")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("stfosls")):
+            module = (node.module or "").removeprefix("stfosls").lstrip(".")
+            found |= {module.split(".")[0]} if module else {alias.name for alias in node.names}
+    return found
+
+
+def test_oracles_import_nothing_from_the_fast_path():
+    """The reference stays independent of what it checks: ``oracles.py``
+    imports nothing from assembly, estimation, the driver, marking, the
+    command line or the verify command, at any depth of the module."""
+    imported = _package_imports(ast.parse((PACKAGE / "oracles.py").read_text()))
+    assert "mesh" in imported  # the check sees the package imports it screens
+    fast_path = {"assembly", "estimator", "driver", "marking", "cli", "verify"}
+    assert not imported & fast_path, f"oracles.py imports the fast path: {sorted(imported & fast_path)}"

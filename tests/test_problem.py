@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from stfosls.problem import (
-    BUILTIN_CASES,
-    ParabolicProblem,
-    _parabolic_case,
-    make_problem,
-    sample,
-    sample_x,
-)
+from stfosls.assembly import assemble
+from stfosls.estimator import compute_indicators
+from stfosls.mesh import uniform_initial_mesh
+from stfosls.problem import BUILTIN_CASES, ParabolicProblem, _parabolic_case, make_problem
 from stfosls.oracles import data_vector
+from stfosls.spaces import build_dofmap
 from stfosls.system import ConvectionForm, parabolic_system, poisson_sine_case
 
 
 def _constant(v):
     return lambda t, x: np.full_like(np.asarray(t, dtype=float), v)
+
+
+def _number(v):
+    return lambda t, x: v
 
 
 def _symbolic_source(u_expr, a_expr, b_expr, c_expr):
@@ -38,7 +39,7 @@ def test_data_vector_zero_f2():
     t = np.array([0.1, 0.7])
     x = np.array([0.3, 0.9])
     assert np.all(target_flux(t, x) == 0.0)
-    assert np.allclose(target_div(t, x), sample(problem.f1, t, x), atol=0.0)
+    assert np.allclose(target_div(t, x), problem.f1(t, x), atol=0.0)
     assert np.allclose(target_init(x), np.sin(np.pi * x), atol=1e-15)
 
 
@@ -73,7 +74,7 @@ def test_manufactured_source_against_symbolic_oracle(name, a_expr, b_expr, c_exp
     rng = np.random.default_rng(0)
     tt = rng.random(200)
     xx = rng.random(200)
-    assert np.allclose(sample(problem.f1, tt, xx), oracle(tt, xx), atol=1e-12)
+    assert np.allclose(problem.f1(tt, xx), oracle(tt, xx), atol=1e-12)
 
 
 def test_heat_source_closed_form():
@@ -81,28 +82,31 @@ def test_heat_source_closed_form():
     tt = np.array([0.0, 0.5])
     xx = np.array([0.25, 0.75])
     expected = (np.pi**2 - 1.0) * np.exp(-tt) * np.sin(np.pi * xx)
-    assert np.allclose(sample(problem.f1, tt, xx), expected, atol=1e-14)
+    assert np.allclose(problem.f1(tt, xx), expected, atol=1e-14)
 
 
 def _zero_case():
-    return _parabolic_case(_constant(1.0), _constant(0.0), _constant(0.0), *[_constant(0.0)] * 5)
+    return _parabolic_case(_number(1.0), _number(0.0), _number(0.0), *[_number(0.0)] * 5)
 
 
 def test_zero_case():
     """All-zero closed forms give zero data."""
     problem, _ = _zero_case()
     tt = np.linspace(0, 1, 5)
-    assert np.all(sample(problem.f1, tt, tt) == 0.0)
+    assert np.all(problem.f1(tt, tt) == 0.0)
     assert np.all(problem.u0(tt) == 0.0)
 
 
-def test_exact_error_data_zero_case():
-    """All-zero closed forms give zero exact fields for the error norms."""
+def test_exact_fields_zero_case():
+    """All-zero closed forms give zero exact fields for the error norms, and
+    the gradient and flux still stack their components on the points."""
     _, exact = _zero_case()
+    tt = np.linspace(0, 1, 5)
     assert exact.u1(0.3, 0.4) == 0.0
-    assert np.all(exact.u1_grad(0.3, 0.4) == 0.0)
-    assert np.all(exact.u2(0.3, 0.4) == 0.0)
     assert exact.div(0.3, 0.4) == 0.0
+    assert np.all(exact.u1_grad(0.3, 0.4) == 0.0) and np.shape(exact.u1_grad(0.3, 0.4)) == (2,)
+    assert np.all(exact.u1_grad(tt, tt) == 0.0) and exact.u1_grad(tt, tt).shape == (2, 5)
+    assert np.all(exact.u2(tt, tt) == 0.0) and exact.u2(tt, tt).shape == (1, 5)
 
 
 def test_exact_fields_reference_flux():
@@ -113,7 +117,7 @@ def test_exact_fields_reference_flux():
     # of the exact pair equals the source
     rng = np.random.default_rng(1)
     tt, xx = rng.random(100), rng.random(100)
-    assert np.allclose(exact.div(tt, xx), sample(problem.f1, tt, xx), atol=1e-12)
+    assert np.allclose(exact.div(tt, xx), problem.f1(tt, xx), atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["heat-smooth", "convection-reaction", "variable-a"])
@@ -144,10 +148,10 @@ def test_strong_form_residual_vanishes(name):
     x = rng.random(1000)
     lhs = (
         exact.div(t, x)
-        + sample(problem.convection, t, x) * exact.u1_grad(t, x)[1]
-        + sample(problem.reaction, t, x) * exact.u1(t, x)
+        + problem.convection(t, x) * exact.u1_grad(t, x)[1]
+        + problem.reaction(t, x) * exact.u1(t, x)
     )
-    assert np.abs(sample(problem.f1, t, x) - lhs).max() <= 1e-12
+    assert np.abs(problem.f1(t, x) - lhs).max() <= 1e-12
 
 
 def _exact_cases():
@@ -176,7 +180,7 @@ def test_variable_a_flux_consistency():
     problem, exact = make_problem("variable-a")
     rng = np.random.default_rng(2)
     tt, xx = rng.random(100), rng.random(100)
-    a = sample(problem.diffusion, tt, xx)
+    a = problem.diffusion(tt, xx)
     assert np.allclose(exact.u2(tt, xx)[0], -a * exact.u1_grad(tt, xx)[1], rtol=0.0, atol=1e-13)
 
 
@@ -190,17 +194,44 @@ def test_coefficient_positivity_on_samples():
         problem, _ = make_problem(name)
         rng = np.random.default_rng(4)
         t, x = rng.random(500), rng.random(500)
-        a = sample(problem.diffusion, t, x)
+        a = problem.diffusion(t, x)
         assert np.all(a > 0)
-        assert np.all(np.isfinite(sample(problem.f1, t, x)))
+        assert np.all(np.isfinite(problem.f1(t, x)))
 
 
-def test_scalar_only_callable_raises():
-    """A callable that cannot take arrays fails with its own error; there is no
-    per-point fallback.  A constant result still broadcasts."""
-    t = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(TypeError):
-        sample(lambda t, x: math.exp(t), t, t)
-    with pytest.raises(TypeError):
-        sample_x(lambda x: math.sin(x), t)
-    assert np.array_equal(sample(lambda t, x: 2.0, t, t), np.full(5, 2.0))
+def _constant_level(constant, p, form):
+    """The matrix arrays and load of the level of a problem whose fields are
+    the constants that ``constant`` builds, and the indicators of fixed
+    random coefficients on it."""
+    values = dict(diffusion=1.5, convection=0.7, reaction=-0.4, f1=2.0, f2=0.3)
+    problem = ParabolicProblem(**{k: constant(v) for k, v in values.items()},
+                               u0=lambda x: constant(0.5)(x, x))
+    system = parabolic_system(problem, form)
+    mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 3)
+    level = assemble(mesh, build_dofmap(mesh, p, system), system)
+    coeffs = np.random.default_rng(3).standard_normal(level.rhs.size)
+    eta = compute_indicators(mesh, coeffs, system, level).per_element
+    return level.matrix.data, level.matrix.indices, level.matrix.indptr, level.rhs, eta
+
+
+@pytest.mark.parametrize("form", list(ConvectionForm), ids=lambda form: form.value)
+@pytest.mark.parametrize("p", [1, 2])
+def test_number_fields_assemble_like_array_fields(p, form):
+    """A field may return a number that broadcasts against its points: the
+    level and its indicators are, bit for bit, those of the same problem
+    whose constants return arrays."""
+    for got, want in zip(_constant_level(_number, p, form), _constant_level(_constant, p, form)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("where", ["diffusion", "f1", "u0"])
+def test_scalar_only_field_raises_its_own_error(where):
+    """A field that cannot take arrays fails from assemble with its own
+    error; there is no per-point fallback."""
+    fields = dict(diffusion=_number(1.0), convection=_number(0.0), reaction=_number(0.0),
+                  f1=_number(0.0), f2=_number(0.0), u0=lambda x: 0.0)
+    fields[where] = (lambda x: math.sin(x)) if where == "u0" else (lambda t, x: 1.0 + math.exp(t))
+    system = parabolic_system(ParabolicProblem(**fields))
+    mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
+    with pytest.raises(TypeError, match="scalar"):
+        assemble(mesh, build_dofmap(mesh, 1, system), system)

@@ -17,9 +17,13 @@ def _constant(v):
     return lambda t, x: np.full_like(np.asarray(t, dtype=float), v)
 
 
-def _problem(a, b, c):
-    return ParabolicProblem(_constant(a), _constant(b), _constant(c), f1=_constant(0.0),
-                            f2=_constant(0.0), u0=lambda x: 0.0 * x)
+def _number(v):
+    return lambda t, x: v
+
+
+def _problem(a, b, c, constant=_constant):
+    return ParabolicProblem(constant(a), constant(b), constant(c), f1=constant(0.0),
+                            f2=constant(0.0), u0=lambda x: 0.0 * x)
 
 
 def test_eval_g_time_linear_field():
@@ -161,15 +165,20 @@ def _run_two_levels(problem):
     return run(parabolic_system(problem), uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1, StopCriteria(max_iterations=1))
 
 
-@pytest.mark.parametrize("diffusion", [-1.0, 0.0, np.nan])
-def test_nonpositive_diffusion_rejected(diffusion):
+@pytest.mark.parametrize("diffusion,constant", [
+    *(pytest.param(v, _constant, id=str(v)) for v in (-1.0, 0.0, np.nan)),
+    *(pytest.param(v, _number, id=f"number-{v}") for v in (-1.0, 0.0, np.nan)),
+])
+def test_nonpositive_diffusion_rejected(diffusion, constant):
     """A diffusion that is not positive (NaN included) is rejected by name
-    before any solve, instead of being solved as if it defined a problem."""
+    before any solve, instead of being solved as if it defined a problem.
+    A constant that returns a number is reported at a point too."""
     from stfosls import InvalidDataError
 
     assert issubclass(InvalidDataError, ValueError)
-    problem = _problem(diffusion, 0.0, 0.0)
-    with pytest.raises(InvalidDataError, match="diffusion A is not positive at"):
+    problem = _problem(diffusion, 0.0, 0.0, constant)
+    point = r"at \(t, x\) = \(\d[\d.e-]*, \d[\d.e-]*\)$"
+    with pytest.raises(InvalidDataError, match="diffusion A is not positive " + point):
         _run_two_levels(problem)
 
 
