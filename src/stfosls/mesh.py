@@ -14,9 +14,12 @@ Element conventions
   ``(v2, v0, m)`` and ``(v1, v2, m)``, whose refinement edges are the parent
   edges opposite the new vertex.
 
-Boundary facets carry tags that are assigned combinatorially on the initial
-grid and inherited through bisection, so no floating-point classification is
-ever needed on refined meshes.
+Boundary facets are read off the coordinates (:func:`facet_tags`): an edge
+lies on a side when both its end points carry that side's coordinate
+exactly.  This holds bit for bit, as the initial grid takes the sides from
+``linspace`` endpoints and the midpoint of two equal coordinates is that
+coordinate; a mesh whose midpoints collapse, as in a rectangle of denormal
+width, is rejected as degenerate by :func:`stfosls.spaces.affine_maps`.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "Mesh",
     "uniform_initial_mesh",
     "bisect",
+    "facet_tags",
     "initial_facet_list",
     "is_conforming",
     "write_mesh",
@@ -67,23 +71,21 @@ class Mesh:
         refinement edge.
     generation : (n_elements,) int array
         Bisection depth of each element.
-    edge_tags : (n_elements, 3) int array
-        ``FacetTag`` value of each local edge.
     refined_from : (n_elements,) int array
         Index of the ancestor element in the mesh this one was produced
         from by :func:`bisect` (the element's own index for an unrefined
         copy, and ``arange`` for an initial mesh).
 
     The mesh holds combinatorics and coordinates only.  The vertex
-    coordinates of every element are ``points[elements]``, and the reference
-    map of every element, with det J = 2 x area, is
+    coordinates of every element are ``points[elements]``, the ``FacetTag``
+    of every local edge is :func:`facet_tags`, and the reference map of
+    every element, with det J = 2 x area, is
     :func:`stfosls.spaces.affine_maps`.
     """
 
     points: np.ndarray
     elements: np.ndarray
     generation: np.ndarray
-    edge_tags: np.ndarray
     refined_from: np.ndarray
 
     @property
@@ -127,16 +129,11 @@ def uniform_initial_mesh(t_end: float, omega: tuple, nt: int, nx: int) -> Mesh:
     p00 = i * (nx + 1) + j
     p11 = p00 + nx + 2
     elements = np.column_stack([p00, p11, p00 + 1, p11, p00, p11 - 1]).reshape(-1, 3)
-    lateral, initial, final = int(FacetTag.LATERAL_DIRICHLET), int(FacetTag.INITIAL), int(FacetTag.FINAL)
-    interior = np.zeros_like(i)
-    tags = np.column_stack([interior, lateral * (j + 1 == nx), initial * (i == 0),
-                            interior, lateral * (j == 0), final * (i + 1 == nt)]).reshape(-1, 3)
     n_elems = elements.shape[0]
     return Mesh(
         points=points,
         elements=elements,
         generation=np.zeros(n_elems, dtype=np.int64),
-        edge_tags=tags,
         refined_from=np.arange(n_elems, dtype=np.int64),
     )
 
@@ -153,13 +150,12 @@ def _edge_keys(elements: np.ndarray, stride: int) -> np.ndarray:
 # Children of one element per split case, in depth-first order: the edge-0
 # split first, then the first child's split on edge 2, then the second
 # child's split on edge 1.  A child is (three indices into [v0, v1, v2, m0,
-# m1, m2], three indices into [t0, t1, t2, INTERIOR], generation increment),
-# where m_k and t_k are the midpoint and the tag of local edge k.  Cases:
-# nothing scheduled, edge 0 only, edges 0 and 2, edges 0 and 1, all edges.
-_FIRST, _SECOND = [(2, 0, 3, 2, 0, 3, 1)], [(1, 2, 3, 1, 3, 0, 1)]
-_FIRST_SPLIT = [(3, 2, 5, 3, 2, 3, 2), (0, 3, 5, 0, 3, 2, 2)]
-_SECOND_SPLIT = [(3, 1, 4, 0, 1, 3, 2), (2, 3, 4, 3, 3, 1, 2)]
-_CASES = [[(0, 1, 2, 0, 1, 2, 0)], _FIRST + _SECOND, _FIRST_SPLIT + _SECOND,
+# m1, m2], generation increment), m_k being the midpoint of local edge k.
+# Cases: nothing scheduled, edge 0 only, edges 0 and 2, edges 0 and 1, all.
+_FIRST, _SECOND = [(2, 0, 3, 1)], [(1, 2, 3, 1)]
+_FIRST_SPLIT = [(3, 2, 5, 2), (0, 3, 5, 2)]
+_SECOND_SPLIT = [(3, 1, 4, 2), (2, 3, 4, 2)]
+_CASES = [[(0, 1, 2, 0)], _FIRST + _SECOND, _FIRST_SPLIT + _SECOND,
           _FIRST + _SECOND_SPLIT, _FIRST_SPLIT + _SECOND_SPLIT]
 _SPLIT_COUNTS = np.array([len(c) for c in _CASES])
 _SPLIT_TABLE = np.array([c + c[:1] * (4 - len(c)) for c in _CASES], dtype=np.int64)
@@ -195,9 +191,9 @@ def bisect(mesh: Mesh, marks) -> Mesh:
     in the order in which this element-by-element traversal first uses
     their edge.
 
-    Facet tags are inherited: the halves of a tagged edge keep its tag, the
-    interior edges created by bisection are untagged.  Marks must be integer
-    indices in [0, n_elements): others raise TypeError or IndexError.
+    The halves of an edge on a side stay on it: a midpoint keeps the
+    coordinate its end points share.  Marks must be integer indices in
+    [0, n_elements): others raise TypeError or IndexError.
     """
     marks = _element_indices(marks, mesh.n_elements)
     n0 = mesh.n_points
@@ -230,19 +226,35 @@ def bisect(mesh: Mesh, marks) -> Mesh:
     rank = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
     child = _SPLIT_TABLE[case[parent], rank]
     verts = np.hstack([mesh.elements, midpoint[edge_id]])
-    tags = np.hstack([mesh.edge_tags, np.full((mesh.n_elements, 1), int(FacetTag.INTERIOR))])
     return Mesh(
         points=points,
         elements=np.take_along_axis(verts[parent], child[:, 0:3], axis=1),
-        generation=mesh.generation[parent] + child[:, 6],
-        edge_tags=np.take_along_axis(tags[parent], child[:, 3:6], axis=1),
+        generation=mesh.generation[parent] + child[:, 3],
         refined_from=parent,
     )
 
 
+# FacetTag of an edge whose end points share the sides in a 4-bit mask:
+# bit 0 t = 0, bit 1 t = t_end, bit 2 x = x_lo, bit 3 x = x_hi.
+_SIDE_TAGS = np.array([FacetTag.INITIAL if m & 1 else FacetTag.FINAL if m & 2
+                       else FacetTag.LATERAL_DIRICHLET if m & 12 else FacetTag.INTERIOR
+                       for m in range(16)], dtype=np.int64)
+
+
+def facet_tags(mesh: Mesh) -> np.ndarray:
+    """``FacetTag`` value of every local edge, shape (n_elements, 3): the
+    side whose coordinate both end points carry exactly, t = 0, t = max t,
+    x = min x or x = max x, and INTERIOR for none."""
+    t, x = mesh.points.T
+    t_end, x_lo, x_hi = t.max(), x.min(), x.max()
+    sides = (t == 0.0) | (t == t_end) << 1 | (x == x_lo) << 2 | (x == x_hi) << 3
+    ends = sides[mesh.elements]
+    return _SIDE_TAGS[ends & np.roll(ends, -1, axis=1)]
+
+
 def initial_facet_list(mesh: Mesh) -> np.ndarray:
     """All (element, local edge) pairs tagged Initial, in element order."""
-    elems, locs = np.nonzero(mesh.edge_tags == FacetTag.INITIAL)
+    elems, locs = np.nonzero(facet_tags(mesh) == FacetTag.INITIAL)
     return np.column_stack([elems, locs])
 
 
@@ -256,26 +268,6 @@ def _edge_incidence(mesh: Mesh):
     return keys // n, keys % n, edge_of.reshape(-1, 3), counts
 
 
-def _side_tags(mesh: Mesh, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tag of the side of the rectangle holding each edge (a, b), -1 for none.
-
-    Sides are recognised by exact coordinate equality with the extents of
-    the points: the grid's sides are ``linspace`` endpoints, and the
-    midpoint of an edge on a side keeps the side's coordinate bit for bit."""
-    pa, pb = mesh.points[a], mesh.points[b]
-    x_lo = mesh.points[:, 1].min()
-    t_end, x_hi = mesh.points.max(axis=0)
-    return np.select(
-        [
-            (pa[:, 0] == 0.0) & (pb[:, 0] == 0.0),
-            (pa[:, 0] == t_end) & (pb[:, 0] == t_end),
-            (pa[:, 1] == pb[:, 1]) & ((pa[:, 1] == x_lo) | (pa[:, 1] == x_hi)),
-        ],
-        [int(FacetTag.INITIAL), int(FacetTag.FINAL), int(FacetTag.LATERAL_DIRICHLET)],
-        default=-1,
-    )
-
-
 def is_conforming(mesh: Mesh) -> bool:
     """True iff interior edges have two incident elements and boundary edges one.
 
@@ -283,9 +275,9 @@ def is_conforming(mesh: Mesh) -> bool:
     lies on a side of the computational rectangle; a once-counted edge in
     the interior signals a hanging node.
     """
-    a, b, _, counts = _edge_incidence(mesh)
-    single = counts == 1
-    return bool(np.all(counts <= 2) and np.all(_side_tags(mesh, a[single], b[single]) >= 0))
+    _, _, edge_of, counts = _edge_incidence(mesh)
+    single = counts[edge_of] == 1
+    return bool(np.all(counts <= 2) and np.all(facet_tags(mesh)[single] != FacetTag.INTERIOR))
 
 
 def write_mesh(mesh: Mesh, path) -> None:
@@ -300,8 +292,9 @@ def write_mesh(mesh: Mesh, path) -> None:
     lines += [f"{t!r} {x!r}" for t, x in mesh.points.tolist()]
     rows = np.column_stack([mesh.elements, mesh.generation]).tolist()
     lines += [f"{v0} {v1} {v2} {g}" for v0, v1, v2, g in rows]
-    elems, locs = np.nonzero(mesh.edge_tags != FacetTag.INTERIOR)
-    tags = mesh.edge_tags[elems, locs].tolist()
+    sides = facet_tags(mesh)
+    elems, locs = np.nonzero(sides != FacetTag.INTERIOR)
+    tags = sides[elems, locs].tolist()
     lines += [f"{e} {loc} {_TAG_NAMES[t]}" for e, loc, t in zip(elems.tolist(), locs.tolist(), tags)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .mesh import FacetTag, Mesh, _edge_keys
+from .mesh import Mesh, _edge_keys
 from .problem import ExactFields, ParabolicProblem
 from .spaces import (
     DofMap,
@@ -109,11 +109,13 @@ def eval_data_initial(system, x) -> float:
 
 
 def _initial_edges(mesh: Mesh):
-    """(element, local edge) pairs tagged Initial, found by direct scan."""
+    """(element, local edge) pairs on t = 0, found by a direct scan of each
+    element's vertex coordinates."""
     out = []
     for e in range(mesh.n_elements):
+        t = mesh.points[mesh.elements[e], 0]
         for loc in range(3):
-            if mesh.edge_tags[e, loc] == FacetTag.INITIAL:
+            if t[loc] == 0.0 and t[(loc + 1) % 3] == 0.0:
                 out.append((e, loc))
     return out
 
@@ -168,9 +170,6 @@ def bisect_reference(mesh: Mesh, marks) -> Mesh:
     keeps the mesh conforming.  Each bisection introduces one new vertex,
     the midpoint of the parent's refinement edge; midpoints are deduplicated
     through the parent edge's vertex pair, never by coordinate comparison.
-
-    Facet tags are inherited: the halves of a tagged edge keep its tag, the
-    interior edges created by bisection are untagged.
     """
     marks = np.asarray(sorted(set(int(k) for k in np.atleast_1d(np.asarray(marks, dtype=np.int64))))
                        if np.size(marks) else [], dtype=np.int64)
@@ -210,32 +209,27 @@ def bisect_reference(mesh: Mesh, marks) -> Mesh:
 
     out_elems: list[tuple] = []
     out_gen: list[int] = []
-    out_tags: list[tuple] = []
     out_from: list[int] = []
-    interior = int(FacetTag.INTERIOR)
 
-    def split(v0, v1, v2, gen, tags, ancestor):
+    def split(v0, v1, v2, gen, ancestor):
         # Edges containing a midpoint vertex are never scheduled, so the
         # recursion bottoms out after at most two levels per call.
         if v0 < n0 and v1 < n0 and (min(v0, v1) * n0 + max(v0, v1)) in scheduled_set:
             m = midpoint(v0, v1)
-            split(v2, v0, m, gen + 1, (tags[2], tags[0], interior), ancestor)
-            split(v1, v2, m, gen + 1, (tags[1], interior, tags[0]), ancestor)
+            split(v2, v0, m, gen + 1, ancestor)
+            split(v1, v2, m, gen + 1, ancestor)
         else:
             out_elems.append((v0, v1, v2))
             out_gen.append(gen)
-            out_tags.append(tags)
             out_from.append(ancestor)
 
     for e in range(mesh.n_elements):
         v0, v1, v2 = (int(v) for v in mesh.elements[e])
-        tags = tuple(int(t) for t in mesh.edge_tags[e])
         if split_elem[e]:
-            split(v0, v1, v2, int(mesh.generation[e]), tags, e)
+            split(v0, v1, v2, int(mesh.generation[e]), e)
         else:
             out_elems.append((v0, v1, v2))
             out_gen.append(int(mesh.generation[e]))
-            out_tags.append(tags)
             out_from.append(e)
 
     all_points = np.vstack([points, np.asarray(new_points)]) if new_points else points.copy()
@@ -243,7 +237,6 @@ def bisect_reference(mesh: Mesh, marks) -> Mesh:
         points=all_points,
         elements=np.asarray(out_elems, dtype=np.int64),
         generation=np.asarray(out_gen, dtype=np.int64),
-        edge_tags=np.asarray(out_tags, dtype=np.int64),
         refined_from=np.asarray(out_from, dtype=np.int64),
     )
 

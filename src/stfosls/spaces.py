@@ -19,7 +19,7 @@ from functools import cache
 
 import numpy as np
 
-from .mesh import FacetTag, Mesh, _edge_keys
+from .mesh import FacetTag, Mesh, _edge_keys, facet_tags
 
 __all__ = [
     "LevelTables",
@@ -180,7 +180,7 @@ def build_dofmap(mesh: Mesh, p: int, system) -> DofMap:
     n_scalar = node_coords.shape[0]
 
     tags = [int(FacetTag(int(t))) for t in system.dirichlet_tags]
-    elems, locs = np.nonzero(np.isin(mesh.edge_tags, tags))
+    elems, locs = np.nonzero(np.isin(facet_tags(mesh), tags))
     ends = [elements[elems, locs], elements[elems, (locs + 1) % 3]]
     if p == 2:
         ends.append(cell_nodes[elems, 3 + locs])

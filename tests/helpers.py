@@ -7,23 +7,19 @@ from pathlib import Path
 
 import numpy as np
 
-from stfosls.mesh import FacetTag, Mesh, _edge_incidence, _side_tags
+from stfosls.mesh import FacetTag, Mesh, _edge_incidence, facet_tags
 from stfosls.problem import _parabolic_case
 from stfosls.spaces import affine_maps
 
-_DUMP_TAGS = {"lateral": FacetTag.LATERAL_DIRICHLET, "initial": FacetTag.INITIAL, "final": FacetTag.FINAL}
-
 
 def read_mesh_dump(path) -> Mesh:
-    """The mesh in a ``spacetime-mesh v1`` dump that ``write_mesh`` wrote, unvalidated."""
+    """The mesh in a ``spacetime-mesh v1`` dump that ``write_mesh`` wrote,
+    unvalidated; its tag lines are not read."""
     rows = [line.split() for line in Path(path).read_text().splitlines()[1:]]
     n_points, n_elements = map(int, rows[0])
     points = np.array(rows[1:1 + n_points], dtype=float)
     cells = np.array(rows[1 + n_points:1 + n_points + n_elements], dtype=np.int64)
-    edge_tags = np.zeros((n_elements, 3), dtype=np.int64)
-    for e, loc, name in rows[1 + n_points + n_elements:]:
-        edge_tags[int(e), int(loc)] = _DUMP_TAGS[name]
-    return Mesh(points, cells[:, :3], cells[:, 3], edge_tags, refined_from=np.arange(n_elements))
+    return Mesh(points, cells[:, :3], cells[:, 3], refined_from=np.arange(n_elements))
 
 
 def element_areas(mesh) -> np.ndarray:
@@ -33,12 +29,23 @@ def element_areas(mesh) -> np.ndarray:
 
 
 def boundary_tags_consistent(mesh) -> bool:
-    """Check that tags mark exactly the boundary and match their side."""
+    """Check that ``facet_tags`` marks exactly the once-counted edges, each
+    with the side that both its end points lie on, read off the points."""
     a, b, edge_of, counts = _edge_incidence(mesh)
-    expected = np.full(counts.size, int(FacetTag.INTERIOR))
-    single = counts == 1
-    expected[single] = _side_tags(mesh, a[single], b[single])
-    return bool(np.all(counts <= 2) and np.array_equal(expected[edge_of], mesh.edge_tags))
+    pa, pb = mesh.points[a], mesh.points[b]
+    x_lo = mesh.points[:, 1].min()
+    t_end, x_hi = mesh.points.max(axis=0)
+    side = np.select(
+        [
+            (pa[:, 0] == 0.0) & (pb[:, 0] == 0.0),
+            (pa[:, 0] == t_end) & (pb[:, 0] == t_end),
+            (pa[:, 1] == pb[:, 1]) & ((pa[:, 1] == x_lo) | (pa[:, 1] == x_hi)),
+        ],
+        [int(FacetTag.INITIAL), int(FacetTag.FINAL), int(FacetTag.LATERAL_DIRICHLET)],
+        default=-1,
+    )
+    expected = np.where(counts == 1, side, int(FacetTag.INTERIOR))
+    return bool(np.all(counts <= 2) and np.array_equal(expected[edge_of], facet_tags(mesh)))
 
 
 def galerkin_defect(matrix, rhs, x) -> float:
@@ -74,9 +81,10 @@ def element_patch(mesh, k: int) -> np.ndarray:
 def initial_facets(mesh, k: int):
     """Vertex pairs of the edges of element ``k`` tagged Initial."""
     tri = mesh.elements[k]
+    tags = facet_tags(mesh)[k]
     out = []
     for loc in range(3):
-        if mesh.edge_tags[k, loc] == FacetTag.INITIAL:
+        if tags[loc] == FacetTag.INITIAL:
             out.append((int(tri[loc]), int(tri[(loc + 1) % 3])))
     return out
 

@@ -179,8 +179,15 @@ def _package_imports(tree):
 def test_oracles_import_nothing_from_the_fast_path():
     """The reference stays independent of what it checks: ``oracles.py``
     imports nothing from assembly, estimation, the driver, marking, the
-    command line or the verify command, at any depth of the module."""
-    imported = _package_imports(ast.parse((PACKAGE / "oracles.py").read_text()))
+    command line or the verify command, at any depth of the module, and
+    names neither of the mesh's boundary classifiers, so that it finds the
+    t = 0 edges by its own scan."""
+    tree = ast.parse((PACKAGE / "oracles.py").read_text())
+    imported = _package_imports(tree)
     assert "mesh" in imported  # the check sees the package imports it screens
     fast_path = {"assembly", "estimator", "driver", "marking", "cli", "verify"}
     assert not imported & fast_path, f"oracles.py imports the fast path: {sorted(imported & fast_path)}"
+    named = {name for name, _ in _references(tree)}
+    named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    classifiers = {"facet_tags", "initial_facet_list"}
+    assert not named & classifiers, f"oracles.py names the boundary classifiers: {sorted(named & classifiers)}"

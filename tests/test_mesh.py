@@ -8,6 +8,7 @@ from stfosls.marking import MarkingConfig, MarkStrategy
 from stfosls.mesh import (
     FacetTag,
     bisect,
+    facet_tags,
     is_conforming,
     uniform_initial_mesh,
     write_mesh,
@@ -29,7 +30,7 @@ def test_two_by_two_facet_tags():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
     assert mesh.n_points == 9
     assert mesh.n_elements == 8
-    counts = {tag: int((mesh.edge_tags == tag).sum()) for tag in FacetTag}
+    counts = {tag: int((facet_tags(mesh) == tag).sum()) for tag in FacetTag}
     assert counts[FacetTag.INITIAL] == 2
     assert counts[FacetTag.FINAL] == 2
     assert counts[FacetTag.LATERAL_DIRICHLET] == 4
@@ -44,7 +45,7 @@ def test_non_square_grid_layout():
     mesh = uniform_initial_mesh(1.5, (-1.0, 1.5), nt, nx)
     t, x = np.meshgrid(np.linspace(0.0, 1.5, nt + 1), np.linspace(-1.0, 1.5, nx + 1), indexing="ij")
     assert np.array_equal(mesh.points, np.column_stack([t.ravel(), x.ravel()]))
-    assert mesh.elements.dtype == mesh.edge_tags.dtype == np.int64
+    assert mesh.elements.dtype == np.int64
     assert mesh.elements[:4].tolist() == [[0, 7, 1], [7, 0, 6], [1, 8, 2], [8, 1, 7]]
     assert mesh.elements[-2:].tolist() == [[16, 23, 17], [23, 16, 22]]  # cell (2, 4)
     lower, upper = mesh.elements[0::2], mesh.elements[1::2]
@@ -52,10 +53,10 @@ def test_non_square_grid_layout():
     diagonal = mesh.points[lower[:, 1]] - mesh.points[lower[:, 0]]
     assert np.allclose(diagonal, [1.5 / nt, 2.5 / nx])
     assert np.all(element_areas(mesh) > 0)
-    counts = {tag: int((mesh.edge_tags == tag).sum()) for tag in FacetTag}
+    counts = {tag: int((facet_tags(mesh) == tag).sum()) for tag in FacetTag}
     assert counts == {FacetTag.INTERIOR: 6 * nt * nx - 2 * (nt + nx), FacetTag.LATERAL_DIRICHLET: 2 * nt,
                       FacetTag.INITIAL: nx, FacetTag.FINAL: nx}
-    assert np.all(mesh.edge_tags[:, 0] == FacetTag.INTERIOR)
+    assert np.all(facet_tags(mesh)[:, 0] == FacetTag.INTERIOR)
     assert boundary_tags_consistent(mesh) and is_conforming(mesh)
 
 
@@ -85,7 +86,6 @@ def test_bisect_empty_marks_is_identity():
     assert np.array_equal(out.points, mesh.points)
     assert np.array_equal(out.elements, mesh.elements)
     assert np.array_equal(out.generation, mesh.generation)
-    assert np.array_equal(out.edge_tags, mesh.edge_tags)
 
 
 def test_bisect_all_on_compatible_mesh_gives_two_children_each():
@@ -104,7 +104,7 @@ def test_bisect_out_of_range_mark_rejected():
 
 def _assert_same_mesh(a, b):
     """Byte and dtype equality of every array of two meshes."""
-    for name in ("points", "elements", "generation", "edge_tags", "refined_from"):
+    for name in ("points", "elements", "generation", "refined_from"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape, name
         assert x.tobytes() == y.tobytes(), name
@@ -177,6 +177,18 @@ def test_bisect_random_marks_property(nt, nx, data):
         mesh = out
 
 
+@pytest.mark.parametrize("t_end, omega", [(1e-300, (-1e300, 1e300)), (1e300, (-0.0, 1e-300))])
+def test_facet_tags_exact_on_extreme_extents(t_end, omega):
+    """The coordinate classification stays exact on extents near the ends of
+    the float range: 25 levels of random marks keep it consistent with the
+    incidence counts and the sides of the end points."""
+    rng = np.random.default_rng(3)
+    mesh = uniform_initial_mesh(t_end, omega, 3, 4)
+    for _ in range(25):
+        mesh = bisect(mesh, rng.choice(mesh.n_elements, size=min(mesh.n_elements, 6), replace=False))
+        assert is_conforming(mesh) and boundary_tags_consistent(mesh)
+
+
 def test_element_measure_reference_values():
     mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 1, 1)
     # both halves of the unit square
@@ -222,7 +234,6 @@ def test_element_patch_single_element():
         points=base.points[:3],
         elements=np.array([[0, 1, 2]]),
         generation=np.zeros(1, dtype=np.int64),
-        edge_tags=np.zeros((1, 3), dtype=np.int64),
         refined_from=np.zeros(1, dtype=np.int64),
     )
     assert list(element_patch(single, 0)) == [0]
@@ -255,7 +266,6 @@ def test_hanging_node_detected():
         points=points,
         elements=elements,
         generation=np.array([1, 1, 0]),
-        edge_tags=np.zeros((3, 3), dtype=np.int64),
         refined_from=np.arange(3),
     )
     assert not is_conforming(broken)
@@ -358,6 +368,9 @@ spacetime-mesh v1
 """
 
 
+_DUMP_NAMES = {FacetTag.LATERAL_DIRICHLET: "lateral", FacetTag.INITIAL: "initial", FacetTag.FINAL: "final"}
+
+
 def test_mesh_dump_roundtrip(tmp_path):
     """No reader in the package checks the documented format, so its exact
     text is pinned here; the tests' own parser reads it back."""
@@ -369,4 +382,6 @@ def test_mesh_dump_roundtrip(tmp_path):
     assert np.array_equal(back.points, mesh.points)
     assert np.array_equal(back.elements, mesh.elements)
     assert np.array_equal(back.generation, mesh.generation)
-    assert np.array_equal(back.edge_tags, mesh.edge_tags)
+    tags = facet_tags(back)
+    tag_lines = _BISECTED_DUMP.splitlines()[2 + back.n_points + back.n_elements:]
+    assert tag_lines == [f"{e} {loc} {_DUMP_NAMES[tags[e, loc]]}" for e, loc in np.argwhere(tags)]

@@ -209,7 +209,6 @@ def test_affine_map_reference_element():
         points=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         elements=np.array([[0, 1, 2]]),
         generation=np.zeros(1, dtype=np.int64),
-        edge_tags=np.zeros((1, 3), dtype=np.int64),
         refined_from=np.zeros(1, dtype=np.int64),
     )
     jac, inv_t, det = affine_map(ref_mesh, 0)
