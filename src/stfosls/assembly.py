@@ -71,10 +71,10 @@ class LevelData:
     coordinates, det J and J^{-T} (11 doubles); points, weights times det J
     and physical gradients are formed for one block of elements by
     :func:`_points`, :func:`_wdet` and :func:`_basis_gradients`.  The facet
-    arrays, facet axis first, list the facets tagged Initial in element
-    order (none for systems without an initial trace).  ``data[r, q, K]``
-    is component r of the interior data at point q of element K,
-    ``facet_data[q, f]`` the initial datum at point q of the initial facet f."""
+    arrays, facet axis first, list the facets tagged Initial in element order,
+    one per element at most, as two would make det J zero (none without an
+    initial trace).  ``data[r, q, K]`` is component r of the interior data at
+    point q of element K and ``facet_data[q, f]`` the datum at point q of facet f."""
 
     dofmap: DofMap  # the level's dof map: its cell->dof table places a coefficient vector
     tables: LevelTables  # the rules of the level's degree and the reference basis on them
@@ -168,10 +168,8 @@ def _initial_facet_tables(mesh: Mesh, tables: LevelTables, system):
     """Element (nf,), basis values (nf, nq_e, nloc), x points (nf, nq_e) and
     weighted lengths (nf, nq_e) of every facet tagged Initial, in element
     order, under the edge rule of ``tables``; empty without an initial trace."""
-    facets = initial_facet_list(mesh)
-    if not system.has_initial_trace:
-        facets = facets[:0]
-    elems, locs = facets[:, 0], facets[:, 1]
+    facets = initial_facet_list(mesh) if system.has_initial_trace else np.empty((0, 2), dtype=np.int64)
+    elems, locs = facets.T
     pa = mesh.points[mesh.elements[elems, locs]]
     pb = mesh.points[mesh.elements[elems, (locs + 1) % 3]]
     length = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
@@ -239,13 +237,12 @@ def assemble(mesh: Mesh, dofmap: DofMap, system) -> LevelData:
         np.multiply(sqrt_wlen, system.data_initial(xs), out=facet_data.T)
     _require(np.isfinite(facet_data.T), "weighted initial datum is not finite", 0.0, xs)
     facet_images = (facet_basis * sqrt_wlen[..., None]).T
-    np.add.at(upper, (np.flatnonzero(cols < nloc)[:, None], elems), _gram(facet_images))
+    upper[np.flatnonzero(cols < nloc)[:, None], elems] += _gram(facet_images)
     upper[rows == cols] *= 0.5  # H + H^T counts the diagonal twice
-    np.add.at(loads[:, :nloc], elems, np.einsum("aqf,qf->fa", facet_images, facet_data))
+    loads[elems, :nloc] += np.einsum("aqf,qf->fa", facet_images, facet_data)
 
     free = dofs.T >= 0
-    rhs = np.zeros(n)
-    np.add.at(rhs, dofs.T[free], loads[free])
+    rhs = np.bincount(dofs.T[free], loads[free], minlength=n)
     del loads, free
     keep = (dofs >= 0)[rows] & (dofs >= 0)[cols]
     values = upper[keep]

@@ -102,7 +102,7 @@ def compute_indicators(
         eta2[block] = np.einsum("rqe,rqe->e", resid, resid)
     trace = _initial_trace(coeffs, level) * np.sqrt(level.facet_wlen)
     facet_resid = level.facet_data - trace.T
-    np.add.at(eta2, level.facet_elements, np.einsum("qf,qf->f", facet_resid, facet_resid))
+    eta2[level.facet_elements] += np.einsum("qf,qf->f", facet_resid, facet_resid)
     return Indicators(per_element=np.sqrt(eta2), total=float(np.sqrt(eta2.sum())))
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "uniform_initial_mesh",
     "bisect",
     "facet_tags",
+    "on_sides",
     "initial_facet_list",
     "is_conforming",
     "write_mesh",
@@ -234,28 +235,37 @@ def bisect(mesh: Mesh, marks) -> Mesh:
     )
 
 
-# FacetTag of an edge whose end points share the sides in a 4-bit mask:
-# bit 0 t = 0, bit 1 t = t_end, bit 2 x = x_lo, bit 3 x = x_hi.
+# FacetTag of an edge whose end points share the sides in a `_side_mask`, the
+# sides a point lies on exactly: bit 0 t = 0, 1 t = t_end, 2 x = x_lo, 3 x = x_hi.
 _SIDE_TAGS = np.array([FacetTag.INITIAL if m & 1 else FacetTag.FINAL if m & 2
                        else FacetTag.LATERAL_DIRICHLET if m & 12 else FacetTag.INTERIOR
                        for m in range(16)], dtype=np.int64)
+
+
+def _side_mask(mesh: Mesh, points: np.ndarray) -> np.ndarray:
+    t_end, x_lo, x_hi = mesh.points[:, 0].max(), mesh.points[:, 1].min(), mesh.points[:, 1].max()
+    t, x = points.T
+    return (t == 0.0) | (t == t_end) << 1 | (x == x_lo) << 2 | (x == x_hi) << 3
 
 
 def facet_tags(mesh: Mesh) -> np.ndarray:
     """``FacetTag`` value of every local edge, shape (n_elements, 3): the
     side whose coordinate both end points carry exactly, t = 0, t = max t,
     x = min x or x = max x, and INTERIOR for none."""
-    t, x = mesh.points.T
-    t_end, x_lo, x_hi = t.max(), x.min(), x.max()
-    sides = (t == 0.0) | (t == t_end) << 1 | (x == x_lo) << 2 | (x == x_hi) << 3
-    ends = sides[mesh.elements]
+    ends = _side_mask(mesh, mesh.points)[mesh.elements]
     return _SIDE_TAGS[ends & np.roll(ends, -1, axis=1)]
+
+
+def on_sides(mesh: Mesh, points: np.ndarray, tags) -> np.ndarray:
+    """Whether each of ``points`` (n, 2) lies exactly on a side of the mesh's
+    rectangle whose edges carry a tag in ``tags``, a corner on both its sides."""
+    bits = sum(1 << k for k in range(4) if _SIDE_TAGS[1 << k] in tags)
+    return (_side_mask(mesh, points) & bits) != 0
 
 
 def initial_facet_list(mesh: Mesh) -> np.ndarray:
     """All (element, local edge) pairs tagged Initial, in element order."""
-    elems, locs = np.nonzero(facet_tags(mesh) == FacetTag.INITIAL)
-    return np.column_stack([elems, locs])
+    return np.argwhere(facet_tags(mesh) == FacetTag.INITIAL)
 
 
 def _edge_incidence(mesh: Mesh):

@@ -19,7 +19,7 @@ from functools import cache
 
 import numpy as np
 
-from .mesh import FacetTag, Mesh, _edge_keys, facet_tags
+from .mesh import Mesh, _edge_keys, on_sides
 
 __all__ = [
     "LevelTables",
@@ -134,8 +134,8 @@ class DofMap:
 
     Scalar Lagrange nodes are shared across elements (vertices, plus edge
     midpoints for p = 2), which enforces global continuity.  Field u1 drops
-    the nodes sitting on constrained facets; the free u1 dofs come first in
-    the global vector, followed by the u2 components one block at a time.
+    the nodes lying on a Dirichlet side; the free u1 dofs come first in the
+    global vector, followed by the u2 components one block at a time.
 
     ``cell_dofs[f * nloc + a, K]`` is the global dof of local function a of
     field f (u1 first) on element K, -1 for a constrained u1 dof.  It is
@@ -154,9 +154,10 @@ def build_dofmap(mesh: Mesh, p: int, system) -> DofMap:
     """Construct the dof map of ``system``'s product space, one u1 field and
     ``system.n_flux`` flux components, for degree ``p`` on ``mesh``.
 
-    Field u1 drops the nodes lying on facets whose tag is in
-    ``system.dirichlet_tags``: nothing for an empty set, the whole boundary
-    for the stationary instance.
+    Field u1 drops the nodes lying on a Dirichlet side, one whose edges carry
+    a tag in ``system.dirichlet_tags``, read off the node coordinates by
+    :func:`stfosls.mesh.on_sides`: nothing for an empty set, the whole
+    boundary for the stationary instance.
     """
     if p not in (1, 2):
         raise ValueError(f"unsupported polynomial degree {p}; only 1 and 2 are available")
@@ -179,24 +180,16 @@ def build_dofmap(mesh: Mesh, p: int, system) -> DofMap:
         node_coords = np.vstack([mesh.points, midpoints])
     n_scalar = node_coords.shape[0]
 
-    tags = [int(FacetTag(int(t))) for t in system.dirichlet_tags]
-    elems, locs = np.nonzero(np.isin(facet_tags(mesh), tags))
-    ends = [elements[elems, locs], elements[elems, (locs + 1) % 3]]
-    if p == 2:
-        ends.append(cell_nodes[elems, 3 + locs])
-    constrained = np.unique(np.concatenate(ends)).astype(np.int64)
-
-    is_free = np.ones(n_scalar, dtype=bool)
-    is_free[constrained] = False
+    is_free = ~on_sides(mesh, node_coords, system.dirichlet_tags)
     free_index = np.where(is_free, np.cumsum(is_free) - 1, -1)
-    n_u1 = n_scalar - constrained.size
+    n_u1 = np.count_nonzero(is_free)
     nodes = cell_nodes.T
     u2_blocks = [n_u1 + comp * n_scalar + nodes for comp in range(system.n_flux)]
 
     return DofMap(
         degree=p,
         node_coords=node_coords,
-        constrained_nodes=constrained,
+        constrained_nodes=np.flatnonzero(~is_free),
         cell_dofs=np.concatenate([free_index[nodes]] + u2_blocks, dtype=np.int32),
         n_dofs=int(n_u1 + system.n_flux * n_scalar),
     )

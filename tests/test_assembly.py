@@ -373,6 +373,18 @@ def test_initial_facet_tables_match_per_facet_loop():
 
 
 @pytest.mark.parametrize("p", [1, 2])
+def test_initial_facets_on_distinct_elements(p):
+    """An element owns at most one initial facet (two on t = 0 would make
+    its det J zero), so assembly and the indicators scatter the facet terms
+    by indexed ``+=``: the level's facet elements are distinct, also on a
+    mesh graded towards the initial corners."""
+    mesh, system = _graded_incompatible(18)
+    level = assemble(mesh, build_dofmap(mesh, p, system), system)
+    assert level.facet_elements.size > 20
+    assert np.unique(level.facet_elements).size == level.facet_elements.size
+
+
+@pytest.mark.parametrize("p", [1, 2])
 def test_reference_tables_shared_and_read_only(p):
     """Two levels of one degree hold the very same table of rules and
     reference basis, built once per degree, and no caller can write to any

@@ -189,21 +189,26 @@ def test_tiny_load_is_solved_like_its_unscaled_load(benchmark_solves, name):
 
 
 def test_one_geometry_per_level_with_exact_solution(monkeypatch):
-    """Assembly, indicators and the error share one geometry per level."""
-    from stfosls import assembly
+    """Assembly, indicators and the error share one geometry per level, and
+    each level classifies its edges once: ``facet_tags`` is counted in every
+    module of the package that binds it by name."""
+    from stfosls import assembly, mesh, spaces
 
-    calls = {"affine_maps": 0, "_initial_facet_tables": 0}
-    for name in calls:
-        def counted(*args, _name=name, _original=getattr(assembly, name), **kwargs):
+    calls = {"affine_maps": 0, "_initial_facet_tables": 0, "facet_tags": 0}
+    patched = [(assembly, "affine_maps"), (assembly, "_initial_facet_tables")]
+    patched += [(module, "facet_tags") for module in (mesh, spaces, assembly)
+                if hasattr(module, "facet_tags")]
+    for module, name in patched:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(assembly, name, counted)
+        monkeypatch.setattr(module, name, counted)
     system, exact = _case("heat-smooth")
     log = run(system, uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2), 1,
               StopCriteria(max_iterations=2), exact=exact)
     assert [r.error is not None for r in log.records] == [True] * 3
-    assert calls == {"affine_maps": 3, "_initial_facet_tables": 3}
+    assert calls == {"affine_maps": 3, "_initial_facet_tables": 3, "facet_tags": 3}
 
 
 @pytest.mark.parametrize("name", ["heat-smooth", "incompatible"])

@@ -7,6 +7,7 @@ from helpers import efficiency_reliability_ratio, element_areas, error_contribut
 from stfosls import oracles
 from stfosls.assembly import assemble, solve_cg
 from stfosls.estimator import _initial_trace, compute_indicators, data_norm, u_norm_error
+from stfosls.marking import MarkingConfig, MarkStrategy, mark
 from stfosls.mesh import bisect, uniform_initial_mesh
 from stfosls.problem import make_problem
 from stfosls.spaces import build_dofmap, level_tables
@@ -199,3 +200,59 @@ def test_fine_norm_examples():
 
     interior = oracles.fine_norm(trace_only, mesh, NoTrace(), degree=12) ** 2
     assert full - interior == pytest.approx(0.5, rel=1e-12)
+
+
+def _prolongation(coarse_mesh, coarse_dofmap, coarse_coeffs, dofmap, n_flux):
+    """The coefficients, in the fine ``dofmap``, of the coarse solution:
+    every fine dof takes the coarse field's value at its scalar node, found
+    by the oracles' point location and field evaluation.  The scalar node
+    of local function a on element K is read off the first u2 block."""
+    nloc = dofmap.cell_dofs.shape[0] // (1 + n_flux)
+    n_u1 = dofmap.n_dofs - n_flux * dofmap.node_coords.shape[0]
+    coeffs, located = np.zeros(dofmap.n_dofs), {}
+    for row, dofs in enumerate(dofmap.cell_dofs):
+        field, a = divmod(row, nloc)
+        for k, dof in enumerate(dofs):
+            if dof < 0:  # a constrained u1 dof
+                continue
+            node = dofmap.cell_dofs[nloc + a, k] - n_u1
+            if node not in located:
+                located[node] = oracles.locate_point(coarse_mesh, *dofmap.node_coords[node])
+            element, ref = located[node]
+            coeffs[dof] = oracles.evaluate_field(coarse_coeffs, coarse_dofmap, coarse_mesh,
+                                                 element, ref, field)[0]
+    return coeffs
+
+
+@pytest.mark.parametrize("name, p", [("incompatible", 1), ("incompatible", 2),
+                                     ("heat-smooth", 2), ("convection-reaction", 1)])
+def test_nested_levels_pythagoras(name, p):
+    """On nested NVB levels the least-squares minimizer u of the fine level
+    satisfies J(P u_c) = eta^2 + d^T M d, d = u - P u_c, with J the fine
+    level's functional and P u_c the coarse minimizer written in the fine
+    space (Fuehrer-Praetorius, CAMWA 2020).  Where the data are piecewise
+    polynomial, as for ``incompatible`` (f = 0, u0 = 1), J(P u_c) is the
+    coarse eta^2 too, so eta_c^2 - eta^2 = d^T M d.  The smooth cases miss
+    that second identity by up to 1e-3 relative: their data's quadrature
+    changes between the levels.  Four Doerfler steps from the 2 x 2 grid."""
+    system = parabolic_system(make_problem(name)[0])
+    mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
+    coarse = None
+    for _ in range(5):
+        dofmap = build_dofmap(mesh, p, system)
+        level = assemble(mesh, dofmap, system)
+        coeffs, report = solve_cg(level.matrix, level.rhs)
+        assert report.converged
+        indicators = compute_indicators(mesh, coeffs, system, level)
+        eta2 = indicators.total ** 2
+        if coarse is not None:
+            coarse_mesh, coarse_dofmap, coarse_coeffs, coarse_eta2 = coarse
+            prolonged = _prolongation(coarse_mesh, coarse_dofmap, coarse_coeffs, dofmap, system.n_flux)
+            j_fine = compute_indicators(mesh, prolonged, system, level).total ** 2
+            d = coeffs - prolonged
+            update = d @ (level.matrix @ d)
+            assert abs(j_fine - eta2 - update) <= 1e-10 * j_fine
+            if name == "incompatible":
+                assert abs(coarse_eta2 - eta2 - update) <= 1e-10 * coarse_eta2
+        coarse = mesh, dofmap, coeffs, eta2
+        mesh = bisect(mesh, mark(indicators.per_element, MarkingConfig(MarkStrategy.DOERFLER, 0.5)))

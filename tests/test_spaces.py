@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stfosls.mesh import FacetTag, bisect, uniform_initial_mesh
+from stfosls.mesh import FacetTag, bisect, facet_tags, uniform_initial_mesh
 from stfosls.oracles import affine_map, element_measure, evaluate_field
 from stfosls.problem import make_problem
 from stfosls.spaces import (
@@ -15,7 +15,7 @@ from stfosls.spaces import (
     edge_reference_points,
     reference_basis,
 )
-from stfosls.system import parabolic_system
+from stfosls.system import parabolic_system, poisson_sine_case
 from helpers import interpolate_nodes
 
 
@@ -120,6 +120,48 @@ def test_constrained_nodes_match_geometry():
         dm = build_dofmap(mesh, p, _PARABOLIC)
         on_lateral = np.flatnonzero((dm.node_coords[:, 1] == 0.0) | (dm.node_coords[:, 1] == 1.0))
         assert np.array_equal(dm.constrained_nodes, on_lateral)
+
+
+def _facet_nodes(mesh, dm, system):
+    """Scalar nodes of the facets whose tag is in ``system.dirichlet_tags``:
+    their end points and, for p = 2, their edge nodes, with the scalar node
+    of local function a on element K read off the first u2 block."""
+    nloc = dm.cell_dofs.shape[0] // (1 + system.n_flux)
+    n_u1 = dm.n_dofs - system.n_flux * dm.node_coords.shape[0]
+    nodes = dm.cell_dofs[nloc:2 * nloc].T - n_u1
+    assert np.array_equal(nodes[:, :3], mesh.elements)
+    elems, locs = np.nonzero(np.isin(facet_tags(mesh), [int(t) for t in system.dirichlet_tags]))
+    ends = [nodes[elems, locs], nodes[elems, (locs + 1) % 3]]
+    if dm.degree == 2:
+        ends.append(nodes[elems, 3 + locs])
+    return nodes, np.unique(np.concatenate(ends))
+
+
+def _random_refinements(t_end, omega, nt, nx, levels, n_marks, seed):
+    """The meshes of ``levels`` rounds of ``n_marks`` random marks each."""
+    rng = np.random.default_rng(seed)
+    mesh = uniform_initial_mesh(t_end, omega, nt, nx)
+    for _ in range(levels):
+        mesh = bisect(mesh, rng.choice(mesh.n_elements, size=min(mesh.n_elements, n_marks), replace=False))
+        yield mesh
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("system", [_PARABOLIC, poisson_sine_case()[0]], ids=["parabolic", "poisson"])
+@pytest.mark.parametrize("t_end, omega, nt, nx, n_marks", [
+    (1.0, (0.0, 1.0), 2, 2, 12), (1e-300, (-1e300, 1e300), 3, 4, 6), (1e300, (-0.0, 1e-300), 3, 4, 6),
+], ids=["unit", "wide", "tall"])
+def test_constrained_nodes_are_dirichlet_facet_nodes(p, system, t_end, omega, nt, nx, n_marks):
+    """The nodes that u1 drops, read off their coordinates, are exactly the
+    end points (and p = 2 edge nodes) of the facets tagged Dirichlet, on
+    random NVB refinements of the unit square and of rectangles with
+    extents near the ends of the float range."""
+    for mesh in _random_refinements(t_end, omega, nt, nx, 25, n_marks, seed=7):
+        dm = build_dofmap(mesh, p, system)
+        nodes, expected = _facet_nodes(mesh, dm, system)
+        nloc = nodes.shape[1]
+        assert np.array_equal(dm.constrained_nodes, expected)
+        assert np.array_equal(dm.cell_dofs[:nloc].T < 0, np.isin(nodes, expected))
 
 
 def _edge_nodes_by_scan(mesh):
