@@ -101,8 +101,8 @@ def _solve_level(mesh, system, p, exact):
         raise SolverFailure(f"level solve on {level.rhs.size} dofs failed: {exc}") from exc
     if not report.converged:
         raise SolverFailure(
-            f"level solve on {level.rhs.size} dofs stopped after {report.iterations} LU solve(s) "
-            f"at relative residual {report.relative_residual:.3e}, backward error {report.backward_error:.3e}"
+            f"level solve on {level.rhs.size} dofs did not converge: relative residual "
+            f"{report.relative_residual:.3e}, backward error {report.backward_error:.3e}"
         )
     fields = element_fields(coeffs, level)
     if exact is not None:  # the error reads the same per-block fields: evaluate them once

@@ -1,5 +1,6 @@
 """The output comparison of two source trees, ``tools/compare_outputs.py``:
-a tree against itself reports nothing, and an output-changing edit is named."""
+a tree against itself reports nothing, and an edit is named whether it
+changes an output file or only a level's solve."""
 
 import runpy
 import shutil
@@ -26,17 +27,35 @@ def test_tree_against_itself_is_identical(tmp_path, capsys):
     assert capsys.readouterr().out == "compared 2 runs, 6 files, 4 levels: 0 differences\n"
 
 
+def _edited_copy(tmp_path, module, old, new):
+    """A copy of ``src`` whose ``stfosls/<module>`` has its one ``old`` replaced by ``new``."""
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "stfosls" / module
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return src
+
+
 def test_output_changing_edit_is_named(tmp_path, capsys):
     """A copy whose rules are one degree more exact changes every estimator,
     matrix and load: the comparison exits 1 and names the run logs."""
-    src = tmp_path / "src"
-    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-    spaces = src / "stfosls" / "spaces.py"
-    text = spaces.read_text()
-    assert text.count("build_quadrature(2 * p + 2)") == 1
-    spaces.write_text(text.replace("build_quadrature(2 * p + 2)", "build_quadrature(2 * p + 3)"))
+    src = _edited_copy(tmp_path, "spaces.py", "build_quadrature(2 * p + 2)", "build_quadrature(2 * p + 3)")
     assert COMPARE([str(ROOT / "src"), str(src), *_configs(tmp_path)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert "heat/runlog.csv: differs" in out and "poisson/runlog.csv: differs" in out
     assert "heat level 1: load differs" in out
     assert out[-1].startswith("compared 2 runs, 6 files, 4 levels: ")
+
+
+def test_solve_only_edit_is_named(tmp_path, capsys):
+    """A copy whose level solve reports twice the Galerkin defect, which no
+    output file holds: the comparison exits 1 and names each level's report,
+    and nothing else."""
+    src = _edited_copy(tmp_path, "assembly.py", "defect = math.ldexp(r_max, exponent) / b_norm",
+                       "defect = 2 * math.ldexp(r_max, exponent) / b_norm")
+    assert COMPARE([str(ROOT / "src"), str(src), *_configs(tmp_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"{run} level {k}: report differs" for run in CONFIGS for k in range(2)] \
+        + ["compared 2 runs, 6 files, 4 levels: 4 differences"]

@@ -7,9 +7,10 @@ checkout's ``src``).  Each CONFIG, by default the runs of
 ``perfbench/workloads.py`` and the configs of ``demos/configs/``, is run
 with ``write_mesh = true`` through ``stfosls.cli.main``, each tree in its
 own Python subprocess with every BLAS thread pool pinned to one thread.  The
-subprocess wraps ``stfosls.driver.assemble`` from outside the program, as
-the benchmark's tracer does, and records the SHA-256 of every level's
-matrix (``data``, ``indices``, ``indptr``) and load.
+subprocess wraps ``stfosls.driver.assemble`` and ``stfosls.driver.solve_cg``
+from outside the program, as the benchmark's tracer does, and records the
+SHA-256 of every level's matrix (``data``, ``indices``, ``indptr``), load,
+solution vector and ``repr`` of its ``SolverReport``.
 
 Prints every output file and level that differs and the counts compared.
 Exit code: 0 when everything is identical, 1 when something differs, 2 on
@@ -42,11 +43,8 @@ def default_configs() -> dict:
     return configs
 
 
-def _level_hashes(level) -> dict:
-    matrix = hashlib.sha256()
-    for array in (level.matrix.data, level.matrix.indices, level.matrix.indptr):
-        matrix.update(array.tobytes())
-    return {"matrix": matrix.hexdigest(), "load": hashlib.sha256(level.rhs.tobytes()).hexdigest()}
+def _sha(*chunks: bytes) -> str:
+    return hashlib.sha256(b"".join(chunks)).hexdigest()
 
 
 def worker(src: str, out: str, configs) -> None:
@@ -56,14 +54,21 @@ def worker(src: str, out: str, configs) -> None:
     import stfosls.cli as cli
     import stfosls.driver as driver
 
-    assemble, levels = driver.assemble, []
+    assemble, solve_cg, levels = driver.assemble, driver.solve_cg, []
 
-    def hashed(*args, **kwargs):
+    def hashed_assemble(*args, **kwargs):
         level = assemble(*args, **kwargs)
-        levels.append(_level_hashes(level))
+        matrix = level.matrix
+        arrays = (matrix.data, matrix.indices, matrix.indptr)
+        levels.append({"matrix": _sha(*(a.tobytes() for a in arrays)), "load": _sha(level.rhs.tobytes())})
         return level
 
-    driver.assemble = hashed
+    def hashed_solve(*args, **kwargs):
+        x, report = solve_cg(*args, **kwargs)
+        levels[-1].update(solution=_sha(x.tobytes()), report=_sha(repr(report).encode()))
+        return x, report
+
+    driver.assemble, driver.solve_cg = hashed_assemble, hashed_solve
     runs = {}
     for config in configs:
         levels.clear()
@@ -96,7 +101,8 @@ def compare(old: Path, new: Path, names) -> tuple:
             diffs.append(f"{name}: {len(a['levels'])} assembled levels != {len(b['levels'])}")
         for k, (la, lb) in enumerate(zip(a["levels"], b["levels"])):
             n_levels += 1
-            diffs += [f"{name} level {k}: {part} differs" for part in la if la[part] != lb[part]]
+            diffs += [f"{name} level {k}: {part} differs" for part in sorted(la.keys() | lb.keys())
+                      if la.get(part) != lb.get(part)]
     return diffs, (len(names), n_files, n_levels)
 
 
