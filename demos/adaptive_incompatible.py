@@ -12,21 +12,19 @@ directory is given on the command line.  The run stops after 18 refinement
 steps, at 1,422 dofs; ``--max-dofs N`` runs on until a level has N dofs
 instead.  It prints eta/eta_0, the rate s of eta ~ dofs^s fitted over
 the second half of the levels, and the wall seconds and peak RSS of the
-process so far (the writes come after):
+process so far (the writes come after; the README gives both as measured
+for the commands below):
 
     python demos/adaptive_incompatible.py --max-dofs 367000
 
-gives eta/eta_0 = 0.208 at 367,596 dofs and s = -0.145 in 8.6-11.0 s at
-532-571 MB peak RSS on a host with 2 shared Xeon vCPUs and 8 GB (Python
-3.11, numpy 2.4, scipy 1.17, three runs each); ``--max-dofs 106000`` ends
-at 132,884 dofs (eta/eta_0 = 0.244) in 2.7-2.8 s at 249-253 MB.
-``--degree 2`` runs the same loop at p=2:
+gives eta/eta_0 = 0.208 at 367,596 dofs and s = -0.145; ``--max-dofs
+106000`` ends at 132,884 dofs (eta/eta_0 = 0.244).  ``--degree 2`` runs
+the same loop at p=2:
 
     python demos/adaptive_incompatible.py --degree 2 --max-dofs 100000
 
 first reaches eta/eta_0 <= 0.1 at 58,922 dofs (0.098) and ends at 107,858
-dofs with eta/eta_0 = 0.074 and s = -0.398, in 3.1-3.4 s at 246 MB peak
-RSS on the same host.
+dofs with eta/eta_0 = 0.074 and s = -0.398.
 """
 
 import argparse

@@ -68,7 +68,6 @@ class RunConfig:
     case: str
     form: ConvectionForm
     degree: int
-    mode: str
     marking: Optional[MarkingConfig]
     stop: StopCriteria
     nt: int
@@ -123,9 +122,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"{key} must be finite, got {values[key]!r}")
         return out
 
-    system = values["system"]
-    if system not in ("parabolic", "poisson"):
-        raise ConfigError(f"system must be 'parabolic' or 'poisson', got {system!r}")
+    def _choice(key, options):
+        if values[key] not in options:
+            raise ConfigError(f"{key} must be {' or '.join(map(repr, options))}, got {values[key]!r}")
+        return values[key]
+
+    system = _choice("system", ("parabolic", "poisson"))
     case = values["case"]
     if system == "parabolic" and case not in BUILTIN_CASES:
         raise ConfigError(f"unknown parabolic case {case!r}; available: {', '.join(BUILTIN_CASES)}")
@@ -136,18 +138,13 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("form only applies to system = parabolic")
         case = "poisson-sine"
 
-    try:
-        form = ConvectionForm(values["form"])
-    except ValueError as exc:
-        raise ConfigError(f"form must be 'flux' or 'gradient', got {values['form']!r}") from exc
+    form = ConvectionForm(_choice("form", [f.value for f in ConvectionForm]))
 
     degree = _int("degree")
     if degree not in (1, 2):
         raise ConfigError(f"degree must be 1 or 2, got {degree}")
 
-    mode = values["mode"]
-    if mode not in ("adaptive", "uniform"):
-        raise ConfigError(f"mode must be 'adaptive' or 'uniform', got {mode!r}")
+    mode = _choice("mode", ("adaptive", "uniform"))
 
     levels = _int("levels", minimum=1)
     # Each mode's own bound on the refinement steps applies by default; the
@@ -163,12 +160,7 @@ def parse_config(text: str) -> RunConfig:
         if adaptive_only:
             raise ConfigError(f"{' and '.join(adaptive_only)} only apply to mode = adaptive")
     else:
-        try:
-            strategy = MarkStrategy(values["marking"])
-        except ValueError as exc:
-            raise ConfigError(
-                f"marking must be 'doerfler' or 'maximum', got {values['marking']!r}"
-            ) from exc
+        strategy = MarkStrategy(_choice("marking", [s.value for s in MarkStrategy]))
         try:
             marking = MarkingConfig(strategy=strategy, theta=_float("theta"))
         except ValueError as exc:
@@ -201,7 +193,6 @@ def parse_config(text: str) -> RunConfig:
         case=case,
         form=form,
         degree=degree,
-        mode=mode,
         marking=marking,
         stop=stop,
         nt=_int("nt", minimum=1),
@@ -243,45 +234,43 @@ def _build_run(config: RunConfig):
     return mesh0, system, exact
 
 
+def _fail(code: int, message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def cmd_run(config_path, out_dir=".") -> int:
     """Execute one configured run; writes runlog.csv, summary.txt, optional mesh dump."""
     try:
         text = Path(config_path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"cannot read config: {exc}")
     try:
         config = parse_config(text)
         mesh0, system, exact = _build_run(config)
     except ConfigError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"invalid config: {exc}")
 
     out = Path(out_dir)
     for path in (out, *out.parents):  # before level 0: the nearest existing one must be a directory
         if path.exists() and not path.is_dir():
-            print(f"error: cannot write output to {out}: {path} is not a directory", file=sys.stderr)
-            return 2
+            return _fail(2, f"cannot write output to {out}: {path} is not a directory")
 
     try:
         log = run(system, mesh0, config.degree, config.stop, marking=config.marking, exact=exact)
     except DegenerateElementError as exc:  # refinement made an element degenerate
-        print(f"error: invalid config: {_degenerate(config, 'refined', exc)}", file=sys.stderr)
-        return 2
+        return _fail(2, f"invalid config: {_degenerate(config, 'refined', exc)}")
     except InvalidDataError as exc:  # e.g. a diffusion that is not positive on the config's domain
-        print(f"error: invalid config: case = {config.case}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"invalid config: case = {config.case}: {exc}")
     except SolverFailure as exc:
-        print(f"error: solver failure: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, f"solver failure: {exc}")
     except MarkingPropertyError as exc:
-        print(f"error: internal invariant violation: {exc}", file=sys.stderr)
-        return 4
+        return _fail(4, f"internal invariant violation: {exc}")
 
     summary = [
         f"system = {config.system}",
         f"case = {config.case}",
-        f"mode = {config.mode}",
+        f"mode = {'uniform' if config.marking is None else 'adaptive'}",
         f"degree = {config.degree}",
         f"levels = {len(log.records)}",
         f"reason = {log.reason}",
@@ -292,12 +281,11 @@ def cmd_run(config_path, out_dir=".") -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)  # only now: a failed run leaves no directory
         write_runlog_csv(log, out / "runlog.csv")
-        if config.write_mesh and log.final_mesh is not None:
+        if config.write_mesh:
             write_mesh(log.final_mesh, out / "mesh_final.txt")
         (out / "summary.txt").write_text("\n".join(summary) + "\n")
     except OSError as exc:
-        print(f"error: cannot write output to {out}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"cannot write output to {out}: {exc}")
     return 0
 
 
@@ -315,10 +303,22 @@ def cmd_verify(seed: int = 0) -> int:
     return 1
 
 
+class _Misplaced(argparse.Action):
+    """A flag of subcommand ``const`` given before it, which argparse would
+    otherwise report by its value, as an invalid command."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        flag, command = self.option_strings[0], self.const
+        parser.error(f"{flag} is an option of '{command}' and goes after it: stfosls {command} {flag} ...")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="stfosls", description="Adaptive space-time least-squares finite element runs"
     )
+    for flag, command in (("--out", "run"), ("--seed", "verify")):
+        parser.add_argument(flag, action=_Misplaced, nargs="?", const=command,
+                            default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
     run_parser = sub.add_parser("run", help="execute a configured run")
     run_parser.add_argument("config", help="path to a key = value config file")
@@ -327,21 +327,6 @@ def main(argv=None) -> int:
     verify_parser.add_argument(
         "--seed", type=int, default=0, help="seed for randomized property trials"
     )
-
-    # Given before its subcommand, a subcommand's flag is not named by
-    # argparse, which reports the flag's value as an invalid command.  The
-    # prefixes that argparse accepts after the subcommand count as the flag.
-    owners = {"--out": "run", "--seed": "verify"}
-    argv = sys.argv[1:] if argv is None else list(argv)
-    for arg in argv:
-        if arg in sub.choices:
-            break
-        given = arg.split("=", 1)[0]
-        flags = [flag for flag in owners if len(given) > 2 and flag.startswith(given)]
-        if len(flags) == 1:
-            flag = flags[0]
-            parser.error(f"{flag} is an option of '{owners[flag]}' and goes after it: "
-                         f"stfosls {owners[flag]} {flag} ...")
     args = parser.parse_args(argv)
     if args.command == "verify":
         if args.seed < 0:  # numpy's generators take no negative seed

@@ -59,8 +59,7 @@ def mark_doerfler(indicators: np.ndarray, theta: float) -> np.ndarray:
     prefix is minimal: dropping its last element breaks the bulk inequality.
     """
     indicators = np.asarray(indicators, dtype=float)
-    if not (0.0 < theta <= 1.0):
-        raise ValueError(f"Doerfler marking needs theta in (0, 1], got {theta}")
+    MarkingConfig(MarkStrategy.DOERFLER, theta)  # checks theta's range
     if indicators.size == 0:
         return np.empty(0, dtype=np.int64)
     eta2 = indicators**2
@@ -76,8 +75,7 @@ def mark_doerfler(indicators: np.ndarray, theta: float) -> np.ndarray:
 def mark_maximum(indicators: np.ndarray, theta: float) -> np.ndarray:
     """All elements with indicator >= (1 - theta) times the largest one."""
     indicators = np.asarray(indicators, dtype=float)
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"maximum marking needs theta in [0, 1], got {theta}")
+    MarkingConfig(MarkStrategy.MAXIMUM, theta)  # checks theta's range
     if indicators.size == 0:
         return np.empty(0, dtype=np.int64)
     top = indicators.max()

@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .mesh import FacetTag
-from .problem import ParabolicProblem
+from .problem import ExactFields, ParabolicProblem
 
 __all__ = [
     "ConvectionForm",
@@ -191,8 +191,6 @@ def parabolic_system(problem: ParabolicProblem,
 
 def poisson_sine_case():
     """Poisson instance with u = sin(pi x1) sin(pi x2) and its exact fields."""
-    from .problem import ExactFields
-
     pi = np.pi
 
     def u(t, x):

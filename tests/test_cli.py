@@ -37,7 +37,7 @@ NON_FINITE_OR_NEGATIVE = ("t_end = inf", "x_lo = -inf", "estimator_tolerance = n
 def test_parse_defaults_and_overrides():
     config = parse_config(HEAT_UNIFORM)
     assert config.case == "heat-smooth"
-    assert config.mode == "uniform"
+    assert config.marking is None
     assert config.stop.max_iterations == 2
     assert config.write_mesh
     assert config.nt == 2 and config.nx == 2
@@ -66,6 +66,19 @@ def test_parse_rejects_bad_values():
     for line in NON_FINITE_OR_NEGATIVE:
         with pytest.raises(ConfigError):
             parse_config(line)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("system = Poisson", "system must be 'parabolic' or 'poisson', got 'Poisson'"),
+    ("form = x", "form must be 'flux' or 'gradient', got 'x'"),
+    ("mode = sideways", "mode must be 'adaptive' or 'uniform', got 'sideways'"),
+    ("marking = ", "marking must be 'doerfler' or 'maximum', got ''"),
+], ids=["system", "form", "mode", "marking"])
+def test_parse_rejects_unknown_choice_by_name(line, message):
+    """An enumerated key's rejection names the key, every option and the value given."""
+    with pytest.raises(ConfigError) as exc:
+        parse_config(line)
+    assert str(exc.value) == message
 
 
 def test_run_uniform_heat(tmp_path):
@@ -194,8 +207,12 @@ def test_verify_command(capsys):
     (["--ou={out}", "run", "{cfg}"], "--out is an option of 'run'"),
     (["--s", "7", "verify"], "--seed is an option of 'verify'"),
     (["--se", "7", "verify"], "--seed is an option of 'verify'"),
+    (["--out"], "--out is an option of 'run'"),
+    (["--o", "--s", "run"], "--out is an option of 'run'"),
+    (["--seed=3", "verify"], "--seed is an option of 'verify'"),
 ], ids=["out-before-run", "seed-on-run", "seed-before-verify", "o-before-run",
-        "ou-before-run", "s-before-verify", "se-before-verify"])
+        "ou-before-run", "s-before-verify", "se-before-verify", "out-alone",
+        "o-then-s-before-run", "seed-equals-before-verify"])
 def test_misplaced_flag_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     """``--out`` belongs to ``run`` and ``--seed`` to ``verify``; anywhere else
     the flag is rejected by name instead of the command silently ignoring it."""

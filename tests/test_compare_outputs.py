@@ -1,6 +1,6 @@
 """The output comparison of two source trees, ``tools/compare_outputs.py``:
 a tree against itself reports nothing, and an edit is named whether it
-changes an output file or only a level's solve."""
+changes an output file, only a level's solve or only what a run prints."""
 
 import runpy
 import shutil
@@ -59,3 +59,15 @@ def test_solve_only_edit_is_named(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out == [f"{run} level {k}: report differs" for run in CONFIGS for k in range(2)] \
         + ["compared 2 runs, 6 files, 4 levels: 4 differences"]
+
+
+def test_message_only_edit_is_named(tmp_path, capsys):
+    """A copy whose config error words one message differently, run on a
+    config it rejects: no file or level differs, so the comparison exits 1
+    naming the run's stderr alone."""
+    src = _edited_copy(tmp_path, "cli.py", "need x_lo < x_hi, got", "need x_lo < x_hi; got")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("x_lo = 1\n")
+    assert COMPARE([str(ROOT / "src"), str(src), str(bad)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["bad: stderr differs",
+                                                    "compared 1 runs, 0 files, 0 levels: 1 differences"]

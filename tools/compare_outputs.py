@@ -10,16 +10,19 @@ own Python subprocess with every BLAS thread pool pinned to one thread.  The
 subprocess wraps ``stfosls.driver.assemble`` and ``stfosls.driver.solve_cg``
 from outside the program, as the benchmark's tracer does, and records the
 SHA-256 of every level's matrix (``data``, ``indices``, ``indptr``), load,
-solution vector and ``repr`` of its ``SolverReport``.
+solution vector and ``repr`` of its ``SolverReport``, and each run's stderr
+with the tree's own output directory replaced by ``<out>``.
 
-Prints every output file and level that differs and the counts compared.
+Prints every output file, stderr and level that differs and the counts compared.
 Exit code: 0 when everything is identical, 1 when something differs, 2 on
 a usage error or when a subprocess fails.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import runpy
@@ -49,7 +52,8 @@ def _sha(*chunks: bytes) -> str:
 
 def worker(src: str, out: str, configs) -> None:
     """Run every config with the stfosls package of ``src``, outputs under
-    ``out/<config stem>/``; write the exit codes and level hashes to ``out/levels.json``."""
+    ``out/<config stem>/``; write the exit codes, stderr and level hashes to
+    ``out/levels.json``."""
     sys.path.insert(0, src)
     import stfosls.cli as cli
     import stfosls.driver as driver
@@ -73,8 +77,11 @@ def worker(src: str, out: str, configs) -> None:
     for config in configs:
         levels.clear()
         name = Path(config).stem
-        code = cli.main(["run", config, "--out", str(Path(out) / name)])
-        runs[name] = {"exit": code, "levels": list(levels)}
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = cli.main(["run", config, "--out", str(Path(out) / name)])
+        runs[name] = {"exit": code, "stderr": stderr.getvalue().replace(out, "<out>"),
+                      "levels": list(levels)}
+    Path(out).mkdir(exist_ok=True)  # no run made it when every config is rejected
     (Path(out) / "levels.json").write_text(json.dumps(runs))
 
 
@@ -92,6 +99,8 @@ def compare(old: Path, new: Path, names) -> tuple:
         a, b = old_runs[name], new_runs[name]
         if a["exit"] != b["exit"]:
             diffs.append(f"{name}: exit code {a['exit']} != {b['exit']}")
+        if a["stderr"] != b["stderr"]:
+            diffs.append(f"{name}: stderr differs")
         old_files, new_files = _files(old / name), _files(new / name)
         for file in sorted(old_files.keys() | new_files.keys()):
             n_files += 1
