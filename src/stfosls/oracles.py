@@ -2,13 +2,14 @@
 
 Everything here is deliberately slow and structurally independent of the
 production refinement, assembly and estimation paths: elements are bisected
-one by one, fields are evaluated pointwise per global basis function through
-:func:`evaluate_field` (on the elements that a direct scan of the cell dofs
-finds in its support), system images through the scalar :func:`eval_G`, and
-integrals are accumulated in plain loops or, for the dense Galerkin matrix,
-as one product of the weighted image table with itself, and linear systems
-are solved by dense Cholesky or by plain conjugate gradients, independent of
-the production LU factorization.  A size guard keeps the dense work at desk
+one by one, each element is mapped by :func:`affine_map`, fields are
+evaluated pointwise per global basis function through :func:`evaluate_field`
+(on the elements that a direct scan of the cell dofs finds in its support),
+system images through the scalar :func:`eval_G`, and integrals are
+accumulated in plain loops or, for the dense Galerkin matrix, as one product
+of the weighted image table with itself, and linear systems are solved by
+dense Cholesky or by plain conjugate gradients, independent of the
+production LU factorization.  A size guard keeps the dense work at desk
 scale.
 """
 
@@ -275,63 +276,52 @@ def _edge_geometry(mesh: Mesh, e: int, loc: int, s: np.ndarray):
     return xs, length
 
 
-def _supports(dofmap: DofMap):
-    """Elements whose cell dofs contain each global dof, by direct scan."""
-    return [np.flatnonzero((dofmap.cell_dofs == j).any(axis=0)) for j in range(dofmap.n_dofs)]
+def _element_fields(coeffs: np.ndarray, dofmap: DofMap, mesh: Mesh, e: int, refpts, n_flux: int):
+    """(u1 value, u1 gradient, u2 values, u2 gradients) of the field
+    ``coeffs`` at each of the reference points ``refpts`` (nq, 2) of element
+    ``e``, one tuple per point, through :func:`evaluate_field`."""
+    fields = [evaluate_field(coeffs, dofmap, mesh, e, refpts, field=c) for c in range(1 + n_flux)]
+    u2v = np.stack([v for v, _ in fields[1:]], axis=1)
+    u2g = np.stack([g for _, g in fields[1:]], axis=1)
+    return list(zip(*fields[0], u2v, u2g))
 
 
 def _basis_images(mesh: Mesh, dofmap: DofMap, system, rules):
     """System image of every global basis function at every quadrature point.
 
     Each function is evaluated only on the elements whose cell dofs contain
-    it; it vanishes identically elsewhere.  Returns the interior image table
-    (n_dofs, n_elements, nq, n_int), the trace table (n_dofs, n_facets,
-    nq_edge), the physical points, the weighted measures, and the
-    initial-facet list.  Only the rules are read from ``rules``, the
-    level's :class:`~stfosls.spaces.LevelTables`; the basis is evaluated here.
+    it, found by a direct scan; it vanishes identically elsewhere.  Returns
+    the interior image table (n_dofs, n_elements, nq, n_int), the trace
+    table (n_dofs, n_facets, nq_edge), the physical points, the weighted
+    measures, and the initial-facet list.  Only the rules are read from
+    ``rules``, the level's :class:`~stfosls.spaces.LevelTables`; the basis
+    is evaluated here.
     """
     n = dofmap.n_dofs
-    ne = mesh.n_elements
     refpts = rules.quad_points[:, 1:]
     nq = refpts.shape[0]
-    n_int = system.n_interior
-    nc = system.n_flux
-    supports = _supports(dofmap)
 
-    pts = np.empty((ne, nq, 2))
-    wdet = np.empty((ne, nq))
-    for e in range(ne):
-        tri = mesh.points[mesh.elements[e]]
-        jac = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+    pts = np.empty((mesh.n_elements, nq, 2))
+    wdet = np.empty((mesh.n_elements, nq))
+    for e in range(mesh.n_elements):
+        jac, _, det = affine_map(mesh, e)
         for q in range(nq):
-            pts[e, q] = tri[0] + jac @ refpts[q]
+            pts[e, q] = mesh.points[mesh.elements[e, 0]] + jac @ refpts[q]
             wdet[e, q] = rules.quad_weights[q] * det
 
-    table = np.zeros((n, ne, nq, n_int))
-    for j in range(n):
-        unit = np.zeros(n)
-        unit[j] = 1.0
-        for e in supports[j]:
-            u1v, u1g = evaluate_field(unit, dofmap, mesh, e, refpts, field=0)
-            u2v = np.empty((nq, nc))
-            u2g = np.empty((nq, nc, 2))
-            for comp in range(nc):
-                v, g = evaluate_field(unit, dofmap, mesh, e, refpts, field=comp + 1)
-                u2v[:, comp] = v
-                u2g[:, comp, :] = g
-            for q in range(nq):
-                img = eval_G(system, pts[e, q], u1v[q], u1g[q], u2v[q], u2g[q])
-                table[j, e, q, : system.n_flux] = img.flux
-                table[j, e, q, system.n_flux] = img.div
-
     facets = _initial_edges(mesh) if system.has_initial_trace else []
+    table = np.zeros((n, mesh.n_elements, nq, system.n_interior))
     trace = np.zeros((n, len(facets), rules.edge_points.size))
     for j in range(n):
         unit = np.zeros(n)
         unit[j] = 1.0
+        support = np.flatnonzero((dofmap.cell_dofs == j).any(axis=0))
+        for e in support:
+            for q, fields in enumerate(_element_fields(unit, dofmap, mesh, e, refpts, system.n_flux)):
+                img = eval_G(system, pts[e, q], *fields)
+                table[j, e, q] = [*img.flux, img.div]
         for fi, (e, loc) in enumerate(facets):
-            if e in supports[j]:
+            if e in support:
                 edge_pts = edge_reference_points(loc, rules.edge_points)
                 trace[j, fi] = evaluate_field(unit, dofmap, mesh, e, edge_pts, field=0)[0]
     return table, trace, pts, wdet, facets
@@ -452,10 +442,8 @@ def fine_norm(exact: ExactFields, mesh: Mesh, system, degree: int = 8) -> float:
 
     total = 0.0
     for e in range(mesh.n_elements):
-        tri = mesh.points[mesh.elements[e]]
-        jac = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        phys = tri[0][None, :] + refpts @ jac.T
+        jac, _, det = affine_map(mesh, e)
+        phys = mesh.points[mesh.elements[e, 0]][None, :] + refpts @ jac.T
         t, x = phys[:, 0], phys[:, 1]
         grad = exact.u1_grad(t, x)
         dens = exact.u1(t, x) ** 2 + exact.div(t, x) ** 2
@@ -474,11 +462,9 @@ def fine_norm(exact: ExactFields, mesh: Mesh, system, degree: int = 8) -> float:
 
 def locate_point(mesh: Mesh, t: float, x: float):
     """Element containing (t, x) and its reference coordinates, by linear scan."""
-    coords = mesh.points[mesh.elements]
     for e in range(mesh.n_elements):
-        p0 = coords[e, 0]
-        jac = np.column_stack([coords[e, 1] - p0, coords[e, 2] - p0])
-        ref = np.linalg.solve(jac, np.array([t, x]) - p0)
+        jac, _, _ = affine_map(mesh, e)
+        ref = np.linalg.solve(jac, np.array([t, x]) - mesh.points[mesh.elements[e, 0]])
         if ref[0] >= -1e-12 and ref[1] >= -1e-12 and ref.sum() <= 1.0 + 1e-12:
             return e, ref
     raise ValueError(f"point ({t}, {x}) lies outside the mesh")
@@ -489,7 +475,8 @@ class _DiscreteImageSystem:
     fixed discrete field, evaluated through brute-force point location.
 
     Only meant for small meshes; with this data the discrete field is the
-    exact minimizer and the residual vanishes identically.
+    exact minimizer and the residual vanishes identically.  Every attribute
+    but the two data methods is the wrapped system's.
     """
 
     def __init__(self, mesh: Mesh, dofmap: DofMap, system, coeffs: np.ndarray):
@@ -497,32 +484,18 @@ class _DiscreteImageSystem:
         self._dofmap = dofmap
         self._inner = system
         self._coeffs = np.asarray(coeffs, dtype=float)
-        self.n_flux = system.n_flux
-        self.n_interior = system.n_interior
-        self.has_initial_trace = system.has_initial_trace
-        self.dirichlet_tags = system.dirichlet_tags
-        self.spatial_axes = system.spatial_axes
 
-    def residual_u1(self, t, x, val, grad, out):
-        self._inner.residual_u1(t, x, val, grad, out)
-
-    def residual_u2(self, t, x, val, grad, out):
-        self._inner.residual_u2(t, x, val, grad, out)
-
-    def divergence(self, u1_grad, u2_grads):
-        return self._inner.divergence(u1_grad, u2_grads)
+    def __getattr__(self, name):
+        # Reached only for names the instance lacks; ``_inner`` itself is
+        # missing until __init__ has run (a copy or an unpickling).
+        if name == "_inner":
+            raise AttributeError(name)
+        return getattr(self._inner, name)
 
     def _image_at(self, t, x):
         e, ref = locate_point(self._mesh, t, x)
-        u1v, u1g = evaluate_field(self._coeffs, self._dofmap, self._mesh, e, ref, field=0)
-        nc = self.n_flux
-        u2v = np.empty(nc)
-        u2g = np.empty((nc, 2))
-        for comp in range(nc):
-            v, g = evaluate_field(self._coeffs, self._dofmap, self._mesh, e, ref, field=comp + 1)
-            u2v[comp] = v
-            u2g[comp] = g
-        return eval_G(self._inner, (t, x), u1v, u1g, u2v, u2g)
+        (fields,) = _element_fields(self._coeffs, self._dofmap, self._mesh, e, ref[None, :], self.n_flux)
+        return eval_G(self._inner, (t, x), *fields)
 
     def data_interior(self, t, x, out):
         t_b, x_b = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
@@ -556,23 +529,13 @@ def residual_norm_sweep(mesh: Mesh, coeffs: np.ndarray, dofmap: DofMap, system) 
     """
     rules = level_tables(dofmap.degree)
     refpts = rules.quad_points[:, 1:]
-    nc = system.n_flux
 
     acc = 0.0
     for e in range(mesh.n_elements):
-        tri = mesh.points[mesh.elements[e]]
-        jac = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        u1v, u1g = evaluate_field(coeffs, dofmap, mesh, e, refpts, field=0)
-        u2v = np.empty((refpts.shape[0], nc))
-        u2g = np.empty((refpts.shape[0], nc, 2))
-        for comp in range(nc):
-            v, g = evaluate_field(coeffs, dofmap, mesh, e, refpts, field=comp + 1)
-            u2v[:, comp] = v
-            u2g[:, comp, :] = g
-        for q in range(refpts.shape[0]):
-            point = tri[0] + jac @ refpts[q]
-            img = eval_G(system, point, u1v[q], u1g[q], u2v[q], u2g[q])
+        jac, _, det = affine_map(mesh, e)
+        for q, fields in enumerate(_element_fields(coeffs, dofmap, mesh, e, refpts, system.n_flux)):
+            point = mesh.points[mesh.elements[e, 0]] + jac @ refpts[q]
+            img = eval_G(system, point, *fields)
             target = eval_data(system, point)
             diff = target - np.concatenate([img.flux, [img.div]])
             acc += rules.quad_weights[q] * det * float(diff @ diff)

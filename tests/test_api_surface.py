@@ -12,7 +12,8 @@ attribute.  Imports and ``__all__`` entries do not count, and neither do
 the oracles or the tests.  Methods are exempt from the parameter check:
 the systems' methods implement one protocol, whose parameters not every
 system reads.  The oracles, in turn, import nothing from the fast path
-that they check.
+that they check, and each function they export is called by the tests or
+the verify command.
 """
 
 import ast
@@ -162,6 +163,18 @@ def test_every_parameter_is_read():
     assert not unread - set(ALLOWED_PARAMS), \
         f"parameters never read in their function: {sorted(unread - set(ALLOWED_PARAMS))}"
 
+
+def test_every_oracle_has_a_caller():
+    """The reference keeps no dead helper: every function in the oracles'
+    ``__all__`` is called somewhere in ``tests/`` or in the verify command."""
+    trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "tests").glob("*.py"))]
+    trees.append(ast.parse((PACKAGE / "verify.py").read_text()))
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    oracles = [d.name for d in _exported_functions(ast.parse((PACKAGE / "oracles.py").read_text()))]
+    assert len(oracles) > 10  # the check sees the oracles it screens
+    uncalled = sorted(set(oracles) - called)
+    assert not uncalled, f"oracles never called in tests/ or verify.py: {uncalled}"
 
 
 def _package_imports(tree):

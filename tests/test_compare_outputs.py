@@ -1,6 +1,7 @@
 """The output comparison of two source trees, ``tools/compare_outputs.py``:
 a tree against itself reports nothing, and an edit is named whether it
-changes an output file, only a level's solve or only what a run prints."""
+changes an output file, only a level's solve, only what a run prints or
+only what ``verify`` prints."""
 
 import runpy
 import shutil
@@ -24,7 +25,7 @@ def _configs(tmp_path):
 
 def test_tree_against_itself_is_identical(tmp_path, capsys):
     assert COMPARE([str(ROOT / "src"), str(ROOT / "src"), *_configs(tmp_path)]) == 0
-    assert capsys.readouterr().out == "compared 2 runs, 6 files, 4 levels: 0 differences\n"
+    assert capsys.readouterr().out == "compared 2 runs, 6 files, 4 levels and verify: 0 differences\n"
 
 
 def _edited_copy(tmp_path, module, old, new):
@@ -46,7 +47,7 @@ def test_output_changing_edit_is_named(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert "heat/runlog.csv: differs" in out and "poisson/runlog.csv: differs" in out
     assert "heat level 1: load differs" in out
-    assert out[-1].startswith("compared 2 runs, 6 files, 4 levels: ")
+    assert out[-1].startswith("compared 2 runs, 6 files, 4 levels and verify: ")
 
 
 def test_solve_only_edit_is_named(tmp_path, capsys):
@@ -58,7 +59,7 @@ def test_solve_only_edit_is_named(tmp_path, capsys):
     assert COMPARE([str(ROOT / "src"), str(src), *_configs(tmp_path)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == [f"{run} level {k}: report differs" for run in CONFIGS for k in range(2)] \
-        + ["compared 2 runs, 6 files, 4 levels: 4 differences"]
+        + ["compared 2 runs, 6 files, 4 levels and verify: 4 differences"]
 
 
 def test_message_only_edit_is_named(tmp_path, capsys):
@@ -70,4 +71,29 @@ def test_message_only_edit_is_named(tmp_path, capsys):
     bad.write_text("x_lo = 1\n")
     assert COMPARE([str(ROOT / "src"), str(src), str(bad)]) == 1
     assert capsys.readouterr().out.splitlines() == ["bad: stderr differs",
-                                                    "compared 1 runs, 0 files, 0 levels: 1 differences"]
+                                                    "compared 1 runs, 0 files, 0 levels and verify: 1 differences"]
+
+
+def test_config_keeps_its_own_write_mesh(tmp_path, capsys):
+    """``write_mesh = true`` is forced only on a config that does not set
+    ``write_mesh``: a config whose one fault is its ``write_mesh`` value is
+    rejected by both trees, so an edit of that message is named, and a
+    config with ``write_mesh = false`` writes no mesh."""
+    src = _edited_copy(tmp_path, "cli.py", "write_mesh must be boolean, got", "write_mesh must be boolean; got")
+    bad, off = tmp_path / "bad.cfg", tmp_path / "off.cfg"
+    bad.write_text("write_mesh = maybe\n")
+    off.write_text("levels = 1\nwrite_mesh = false\n")
+    assert COMPARE([str(ROOT / "src"), str(src), str(bad), str(off)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["bad: stderr differs",
+                                                    "compared 2 runs, 2 files, 1 levels and verify: 1 differences"]
+
+
+def test_oracle_edit_is_named(tmp_path, capsys):
+    """A copy whose oracle reports the second-smallest eigenvalue as the
+    smallest changes no run, since ``stfosls run`` never imports the
+    oracles, but changes what ``verify`` prints: the comparison exits 1
+    naming verify's stdout alone."""
+    src = _edited_copy(tmp_path, "oracles.py", "eigvalsh(matrix)[0]", "eigvalsh(matrix)[1]")
+    assert COMPARE([str(ROOT / "src"), str(src), _configs(tmp_path)[0]]) == 1
+    assert capsys.readouterr().out.splitlines() == ["verify: stdout differs",
+                                                    "compared 1 runs, 3 files, 2 levels and verify: 1 differences"]

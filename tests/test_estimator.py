@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -92,6 +93,23 @@ def test_exact_discrete_data_gives_zero_estimator():
     assert np.linalg.norm(coeffs - target) <= 1e-8 * np.linalg.norm(target)
     eta = compute_indicators(mesh, coeffs, wrapped, level).total
     assert eta <= 1e-8 * data_norm(level)
+
+
+def test_discrete_image_system_is_the_wrapped_system_but_its_data():
+    """Every attribute but the two data methods is the wrapped system's, and
+    a copy, whose attributes are looked up before any is set, does not
+    recurse into the delegation."""
+    problem, _ = make_problem("heat-smooth")
+    system = parabolic_system(problem)
+    mesh = uniform_initial_mesh(1.0, (0.0, 1.0), 2, 2)
+    dofmap = build_dofmap(mesh, 1, system)
+    wrapped = oracles.discrete_image_system(mesh, dofmap, system, np.zeros(dofmap.n_dofs))
+    assert wrapped.problem is problem and wrapped.form is system.form
+    assert wrapped.residual_u2 == system.residual_u2 and wrapped.divergence is system.divergence
+    assert wrapped.data_initial != system.data_initial
+    assert copy.copy(wrapped).n_interior == system.n_interior
+    with pytest.raises(AttributeError):
+        type(wrapped).__new__(type(wrapped)).n_flux
 
 
 def test_unrefined_elements_keep_indicators():

@@ -5,15 +5,19 @@
 OLD_SRC and NEW_SRC are directories holding the ``stfosls`` package (a
 checkout's ``src``).  Each CONFIG, by default the runs of
 ``perfbench/workloads.py`` and the configs of ``demos/configs/``, is run
-with ``write_mesh = true`` through ``stfosls.cli.main``, each tree in its
-own Python subprocess with every BLAS thread pool pinned to one thread.  The
-subprocess wraps ``stfosls.driver.assemble`` and ``stfosls.driver.solve_cg``
-from outside the program, as the benchmark's tracer does, and records the
-SHA-256 of every level's matrix (``data``, ``indices``, ``indptr``), load,
-solution vector and ``repr`` of its ``SolverReport``, and each run's stderr
-with the tree's own output directory replaced by ``<out>``.
+through ``stfosls.cli.main``, with ``write_mesh = true`` unless it sets
+``write_mesh`` itself, each tree in its own Python subprocess with every
+BLAS thread pool pinned to one thread.  The subprocess wraps
+``stfosls.driver.assemble`` and ``stfosls.driver.solve_cg`` from outside the
+program, as the benchmark's tracer does, and records the SHA-256 of every
+level's matrix (``data``, ``indices``, ``indptr``), load, solution vector
+and ``repr`` of its ``SolverReport``, and each run's stderr with the tree's
+own output directory replaced by ``<out>``.  It then runs ``stfosls verify
+--seed 0``, whose checks run the oracles, and records its exit code and
+stdout.
 
-Prints every output file, stderr and level that differs and the counts compared.
+Prints every output file, stderr, level and verify stream that differs and
+the counts compared.
 Exit code: 0 when everything is identical, 1 when something differs, 2 on
 a usage error or when a subprocess fails.
 """
@@ -46,13 +50,21 @@ def default_configs() -> dict:
     return configs
 
 
+def _sets_write_mesh(text: str) -> bool:
+    """Whether a config sets ``write_mesh``, read line by line as
+    ``stfosls.cli.parse_config`` reads its keys."""
+    return any(line.split("#", 1)[0].partition("=")[0].strip() == "write_mesh"
+               for line in text.splitlines())
+
+
 def _sha(*chunks: bytes) -> str:
     return hashlib.sha256(b"".join(chunks)).hexdigest()
 
 
 def worker(src: str, out: str, configs) -> None:
     """Run every config with the stfosls package of ``src``, outputs under
-    ``out/<config stem>/``; write the exit codes, stderr and level hashes to
+    ``out/<config stem>/``, then ``verify``; write the exit codes, stderr and
+    level hashes of the runs and the exit code and stdout of ``verify`` to
     ``out/levels.json``."""
     sys.path.insert(0, src)
     import stfosls.cli as cli
@@ -81,26 +93,34 @@ def worker(src: str, out: str, configs) -> None:
             code = cli.main(["run", config, "--out", str(Path(out) / name)])
         runs[name] = {"exit": code, "stderr": stderr.getvalue().replace(out, "<out>"),
                       "levels": list(levels)}
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = cli.main(["verify", "--seed", "0"])
+    verify = {"exit": code, "stdout": stdout.getvalue()}
     Path(out).mkdir(exist_ok=True)  # no run made it when every config is rejected
-    (Path(out) / "levels.json").write_text(json.dumps(runs))
+    (Path(out) / "levels.json").write_text(json.dumps({"runs": runs, "verify": verify}))
 
 
 def _files(run_dir: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(run_dir.glob("*"))} if run_dir.is_dir() else {}
 
 
+def _command_diffs(name: str, a: dict, b: dict) -> list:
+    """Differences between two records of one command: its exit code and
+    the streams it recorded."""
+    diffs = [f"{name}: exit code {a['exit']} != {b['exit']}"] if a["exit"] != b["exit"] else []
+    return diffs + [f"{name}: {stream} differs" for stream in ("stdout", "stderr")
+                    if a.get(stream) != b.get(stream)]
+
+
 def compare(old: Path, new: Path, names) -> tuple:
     """Differences between the outputs under ``old`` and ``new``, as lines,
     and the counts (runs, files, levels) compared."""
-    old_runs = json.loads((old / "levels.json").read_text())
-    new_runs = json.loads((new / "levels.json").read_text())
+    old_out = json.loads((old / "levels.json").read_text())
+    new_out = json.loads((new / "levels.json").read_text())
     diffs, n_files, n_levels = [], 0, 0
     for name in names:
-        a, b = old_runs[name], new_runs[name]
-        if a["exit"] != b["exit"]:
-            diffs.append(f"{name}: exit code {a['exit']} != {b['exit']}")
-        if a["stderr"] != b["stderr"]:
-            diffs.append(f"{name}: stderr differs")
+        a, b = old_out["runs"][name], new_out["runs"][name]
+        diffs += _command_diffs(name, a, b)
         old_files, new_files = _files(old / name), _files(new / name)
         for file in sorted(old_files.keys() | new_files.keys()):
             n_files += 1
@@ -112,6 +132,7 @@ def compare(old: Path, new: Path, names) -> tuple:
             n_levels += 1
             diffs += [f"{name} level {k}: {part} differs" for part in sorted(la.keys() | lb.keys())
                       if la.get(part) != lb.get(part)]
+    diffs += _command_diffs("verify", old_out["verify"], new_out["verify"])
     return diffs, (len(names), n_files, n_levels)
 
 
@@ -130,7 +151,7 @@ def main(argv=None) -> int:
         for name, text in configs.items():
             path = work / "configs" / f"{name}.cfg"
             path.parent.mkdir(exist_ok=True)
-            path.write_text(text + "\nwrite_mesh = true\n")  # a key given twice keeps its last value
+            path.write_text(text if _sets_write_mesh(text) else text + "\nwrite_mesh = true\n")
             paths.append(str(path))
         outs = [work / "old", work / "new"]
         env = {**os.environ, **PIN}
@@ -145,7 +166,7 @@ def main(argv=None) -> int:
         diffs, (n_runs, n_files, n_levels) = compare(*outs, list(configs))
     for line in diffs:
         print(line)
-    print(f"compared {n_runs} runs, {n_files} files, {n_levels} levels: {len(diffs)} differences")
+    print(f"compared {n_runs} runs, {n_files} files, {n_levels} levels and verify: {len(diffs)} differences")
     return 1 if diffs else 0
 
 
